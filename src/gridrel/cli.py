@@ -145,6 +145,10 @@ def _cmd_simulate(args) -> int:
               f"SAIDI {summary.saidi.mean:.4f}  CAIDI {caidi_text}")
         for path in written:
             print(f"  wrote {path}")
+        counts = engine.warning_counts(ledgers)
+        print(f"{name or 'run'}: warnings: "
+              + ", ".join(f"{kind} {count}" for kind, count in counts.items()),
+              file=sys.stderr)
     return EXIT_OK
 
 

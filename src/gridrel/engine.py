@@ -41,6 +41,14 @@ IDLE = "idle"
 CHARGE = "charge"
 DISCHARGE = "discharge"
 
+# ledger warning kinds, each with the text its messages carry
+WARNING_KINDS = (
+    ("shedding infeasible", "shedding infeasible"),
+    ("load flow non-converged", "load flow did not converge"),
+    ("power balance", "power balance residual"),
+    ("load flow skipped", "load flow skipped"),
+)
+
 
 @dataclass
 class SimulationConfig:
@@ -606,8 +614,11 @@ class SequentialSimulation:
                 served[b] = None
             return
 
+        # first entry wins for a repeated id
+        gen_bus = {g[0]: g[1] for g in reversed(generators)}
         result = self._confirm_with_loadflow(comp, live_demand, demand_q, lines_here,
-                                             generators, cost_of, grid_bus, result, t)
+                                             generators, gen_bus, cost_of, grid_bus,
+                                             result, t)
 
         for b in comp:
             if b in tx_down:
@@ -659,7 +670,7 @@ class SequentialSimulation:
         return float(self.cost_table.get(load.category, 1.0))
 
     def _confirm_with_loadflow(self, comp, live_demand, demand_q, lines_here,
-                               generators, cost_of, grid_bus, result, t):
+                               generators, gen_bus, cost_of, grid_bus, result, t):
         """Re-run the sweep with the shed applied; one repair pass on overload."""
         if len(comp) < 2 or not lines_here:
             return result
@@ -674,7 +685,7 @@ class SequentialSimulation:
             slack = source_buses[0]
 
         solution = self._run_fbs(comp, live_demand, demand_q, lines_here,
-                                 generators, result, slack)
+                                 gen_bus, result, slack)
         if solution is None:
             return result
         if not solution.converged:
@@ -686,7 +697,7 @@ class SequentialSimulation:
                            for b in comp)
         gen_total = solution.slack_mw + sum(
             gen for gid, gen in result.generation_mw.items()
-            if self._generator_bus(gid, generators) != slack)
+            if gen_bus.get(gid) != slack)
         if abs(gen_total - solution.losses_mw - served_total) > 1e-4:
             self.ledger.warnings.append(
                 f"t={t * self.dt:g}h: power balance residual "
@@ -711,14 +722,7 @@ class SequentialSimulation:
             return retry
         return result
 
-    @staticmethod
-    def _generator_bus(gen_id, generators):
-        for g in generators:
-            if g[0] == gen_id:
-                return g[1]
-        return None
-
-    def _run_fbs(self, comp, live_demand, demand_q, lines_here, generators,
+    def _run_fbs(self, comp, live_demand, demand_q, lines_here, gen_bus,
                  result, slack):
         base = self.model.base_mva
         injections = {}
@@ -732,7 +736,7 @@ class SequentialSimulation:
                 q = 0.0
             injections[b] = complex(d, q)
         for gen_id, output in result.generation_mw.items():
-            bus = self._generator_bus(gen_id, generators)
+            bus = gen_bus.get(gen_id)
             if bus is not None and bus != slack:
                 injections[bus] -= output  # unity power factor injection
         injections = {b: s / base for b, s in injections.items()}
@@ -773,6 +777,16 @@ def update_battery_demand(subsystem_demand_mw, production_cap_mw, battery, soc,
                 max(battery.soc_max - soc, 0.0) * battery.capacity_mwh / dt_h,
                 surplus)
     return CHARGE, max(bound, 0.0)
+
+
+def warning_counts(ledgers) -> dict:
+    """Warnings of all ledgers by kind, in `WARNING_KINDS` order, then "other"."""
+    counts = dict.fromkeys([kind for kind, _ in WARNING_KINDS] + ["other"], 0)
+    for ledger in ledgers:
+        for message in ledger.warnings:
+            counts[next((kind for kind, text in WARNING_KINDS if text in message),
+                        "other")] += 1
+    return counts
 
 
 def run_iteration(model, profiles, config, iteration_index, script=None,

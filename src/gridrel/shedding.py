@@ -6,15 +6,30 @@ incidence signs, generator limits, shed bounds, and line capacities. Losses
 are ignored here; the caller re-runs the load flow with the shed applied to
 confirm feasibility.
 
-The solver is an exact bounded-variable two-phase simplex with Bland's rule,
-written for small dense problems (tens of variables). Equal-cost optima are
-broken deterministically toward the lexicographically smallest shed vector
-(in canonical node order) via a vanishing cost perturbation; the reported
-objective is always recomputed from the unperturbed costs.
+Equal-cost optima are broken deterministically toward the lexicographically
+smallest shed vector (in canonical node order) via a vanishing cost
+perturbation: node k of n costs `cost + eps * (n - k) / n` to shed. The
+reported objective is always recomputed from the unperturbed costs.
+
+Two solvers share that rule:
+
+* A merit-order greedy, exact when the lines form a spanning tree and the
+  total positive generator capacity is at most the smallest line capacity.
+  On a tree the flow on a line is the net injection of one side, which is
+  bounded by that total, so no line limit can bind and the LP keeps a single
+  balance row. Loads are served in decreasing perturbed cost (the node index
+  breaks exact ties) from producers raised in increasing cost, with every
+  generator starting at its lower bound; a charging battery therefore starts
+  at full charge and backs off at its merit cost. Line flows are recovered
+  from the tree. Problems with two adjustable generators of equal cost go to
+  the simplex, because the split between them is not fixed by the costs.
+* An exact bounded-variable two-phase simplex with Bland's rule, written for
+  small dense problems (tens of variables), for every other problem.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +38,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
 _TOL = 1e-9
+_INFEASIBLE_TOL = 1e-7  # balance residual beyond which a problem is infeasible
 
 
 @dataclass(frozen=True)
@@ -97,6 +113,12 @@ def build_shedding_problem(node_ids, demand_mw, shed_cost, generators=(),
 
 def solve_shedding(problem: SheddingProblem) -> SheddingResult:
     """Solve the LP to global optimality."""
+    fast = _solve_tree_greedy(problem)
+    return fast if fast is not None else _solve_dense(problem)
+
+
+def _solve_dense(problem: SheddingProblem) -> SheddingResult:
+    """The bounded simplex over the full LP."""
     n = len(problem.node_ids)
     ng = len(problem.generators)
     nl = len(problem.lines)
@@ -110,11 +132,7 @@ def solve_shedding(problem: SheddingProblem) -> SheddingResult:
     c = np.zeros(nv)
     lo[:n] = 0.0
     hi[:n] = demand
-    # the perturbation makes earlier nodes marginally pricier to shed, which
-    # pins ties to the lexicographically smallest shed vector
-    scale = float(np.max(np.abs(cost))) if n else 0.0
-    eps = 1e-9 * (1.0 + scale)
-    c[:n] = cost + eps * (np.arange(n, 0, -1) / max(n, 1))
+    c[:n] = _perturbed_costs(problem.shed_cost)
     for j, g in enumerate(problem.generators):
         lo[n + j] = g.min_mw
         hi[n + j] = g.max_mw
@@ -145,6 +163,97 @@ def solve_shedding(problem: SheddingProblem) -> SheddingResult:
     return SheddingResult(OPTIMAL, shed, gen, flow, objective)
 
 
+def _perturbed_costs(shed_cost):
+    """Shed costs made marginally higher for earlier nodes, which pins ties
+    to the lexicographically smallest shed vector."""
+    n = len(shed_cost)
+    eps = 1e-9 * (1.0 + max(map(abs, shed_cost), default=0.0))
+    return [c + eps * ((n - k) / n) for k, c in enumerate(shed_cost)]
+
+
+def _solve_tree_greedy(problem):
+    """Merit-order solution when the lines form a spanning tree none of whose
+    limits can bind; None when the problem is not of that kind."""
+    n = len(problem.node_ids)
+    demand, gens, lines = problem.demand_mw, problem.generators, problem.lines
+    if n == 0 or len(lines) != n - 1 or min(demand) < 0.0:
+        return None
+    if any(g.min_mw > g.max_mw for g in gens):
+        return None
+    if sum(max(g.max_mw, 0.0) for g in gens) > min(
+            (l.capacity_mw for l in lines), default=math.inf):
+        return None
+    movable = sorted((j for j, g in enumerate(gens) if g.max_mw - g.min_mw > _TOL),
+                     key=lambda j: gens[j].cost)
+    if any(gens[a].cost == gens[b].cost for a, b in zip(movable, movable[1:])):
+        return None
+    # breadth-first from node 0: n - 1 lines reaching every node form a tree
+    adjacent = [[] for _ in range(n)]
+    for j, l in enumerate(lines):
+        adjacent[l.from_node].append((l.to_node, j))
+        adjacent[l.to_node].append((l.from_node, j))
+    parent = {0: None}
+    order = [0]
+    for k in order:
+        for m, j in adjacent[k]:
+            if m not in parent:
+                parent[m] = (k, j)
+                order.append(m)
+    if len(order) < n:
+        return None
+
+    value = _perturbed_costs(problem.shed_cost)
+    loads = sorted((k for k in range(n) if demand[k] > 0.0), key=lambda k: (-value[k], k))
+    top = [g.max_mw for g in gens]
+    out = [g.min_mw for g in gens]
+    served = [0.0] * n
+    # close the imbalance left by the lower bounds, then trade while it pays
+    gap = sum(out)
+    li, left = _raise(loads, 0, served, demand, gap)
+    pi, short = _raise(movable, 0, out, top, -gap)
+    if left > _INFEASIBLE_TOL or short > _INFEASIBLE_TOL:
+        return SheddingResult(status=INFEASIBLE)
+    while (li < len(loads) and pi < len(movable)
+           and gens[movable[pi]].cost < value[loads[li]]):
+        k, j = loads[li], movable[pi]
+        step = min(demand[k] - served[k], top[j] - out[j])
+        li, _ = _raise(loads, li, served, demand, step)
+        pi, _ = _raise(movable, pi, out, top, step)
+
+    # each subtree's net injection flows over the line to its parent
+    inject = [-u for u in served]
+    for g, p in zip(gens, out):
+        inject[g.node] += p
+    flow = [0.0] * len(lines)
+    for m in reversed(order[1:]):
+        k, j = parent[m]
+        flow[j] = -inject[m] if lines[j].from_node == k else inject[m]
+        inject[k] += inject[m]
+
+    shed = [d - u for d, u in zip(demand, served)]
+    return SheddingResult(
+        OPTIMAL,
+        dict(zip(problem.node_ids, shed)),
+        {g.id: p for g, p in zip(gens, out)},
+        {l.id: f for l, f in zip(lines, flow)},
+        sum(c * s for c, s in zip(problem.shed_cost, shed)))
+
+
+def _raise(order, pos, level, top, amount):
+    """Raise level[i] toward top[i] for i in order[pos:], front first, by
+    `amount` in total; returns the new front and the amount left over."""
+    while amount > 0.0 and pos < len(order):
+        i = order[pos]
+        room = top[i] - level[i]
+        if room > amount:
+            level[i] += amount  # may round up to top[i], which ends item i
+            return pos + (level[i] >= top[i]), 0.0
+        level[i] = top[i]
+        amount -= room
+        pos += 1
+    return pos, max(amount, 0.0)
+
+
 def _bounded_simplex(a, b, c, lo, hi):
     """Two-phase simplex for min c.x s.t. a x = b, lo <= x <= hi.
 
@@ -166,7 +275,7 @@ def _bounded_simplex(a, b, c, lo, hi):
 
     phase1_cost = np.concatenate([np.zeros(nv), np.ones(m)])
     stat = _simplex_core(a_full, b, phase1_cost, lo_full, hi_full, x_full, basis, at_upper)
-    if stat != OPTIMAL or float(phase1_cost @ x_full) > 1e-7:
+    if stat != OPTIMAL or float(phase1_cost @ x_full) > _INFEASIBLE_TOL:
         return x_full[:nv], INFEASIBLE
 
     # pin artificials at zero for phase 2

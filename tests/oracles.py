@@ -66,7 +66,11 @@ def newton_ac(bus_ids, edges, s_load_pu, slack, v_slack=1.0,
 
 
 def reference_shedding(node_ids, demand, cost, generators, lines):
-    """HiGHS solution of the shedding LP; returns (status, objective)."""
+    """HiGHS solution of the shedding LP; returns (status, objective).
+
+    The objective includes the generator costs (a fifth tuple element,
+    default 0), which `SheddingResult.objective` leaves out.
+    """
     n = len(node_ids)
     order = {b: i for i, b in enumerate(node_ids)}
     nv = n + len(generators) + len(lines)
@@ -79,8 +83,9 @@ def reference_shedding(node_ids, demand, cost, generators, lines):
         a[i, i] = -1.0
         rhs[i] = -demand.get(b, 0.0)
         bounds.append((0.0, demand.get(b, 0.0)))
-    for j, (gid, bus, gmin, gmax, *_rest) in enumerate(generators):
+    for j, (gid, bus, gmin, gmax, *rest) in enumerate(generators):
         a[order[bus], n + j] = -1.0
+        c[n + j] = rest[0] if rest else 0.0
         bounds.append((gmin, gmax))
     for k, (lid, frm, to, cap) in enumerate(lines):
         a[order[frm], n + len(generators) + k] = 1.0

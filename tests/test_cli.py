@@ -90,3 +90,22 @@ def test_simulate_subhourly_increment(tmp_path, capsys):
                "--increment", "30min", "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "case1" / "summary.csv").exists()
+
+
+def test_simulate_reports_warnings_by_kind_on_stderr(tmp_path, capsys):
+    net = tmp_path / "forced.net"
+    net.write_text(CHAIN4.replace("rate=0", "rate=2")
+                   + "[production]\nG bus=B3 min_mw=5 max_mw=6\n")
+    rc = main(["simulate", "--network", str(net), "--iterations", "3",
+               "--seed", "1", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    err = capsys.readouterr().err
+    line = next(l for l in err.splitlines() if l.startswith("run: warnings: "))
+    counts = dict(item.rsplit(" ", 1)
+                  for item in line[len("run: warnings: "):].split(", "))
+    assert list(counts) == ["shedding infeasible", "load flow non-converged",
+                            "power balance", "load flow skipped", "other"]
+    assert int(counts["shedding infeasible"]) > 0
+    assert counts["other"] == "0"
+    meta = json.loads(_read(tmp_path / "out" / "run_metadata.json"))
+    assert "warnings" not in json.dumps(meta)

@@ -4,6 +4,7 @@ import pytest
 from gridrel.engine import (
     CHARGE, DISCHARGE, IDLE, ScriptedFault, SequentialSimulation,
     SimulationConfig, run_iteration, run_monte_carlo, update_battery_demand,
+    warning_counts,
 )
 from gridrel.indices import aggregate, iteration_report
 from gridrel.netfile import parse_network_text
@@ -195,6 +196,19 @@ def test_battery_island_covers_part_of_the_demand():
     assert ledger.outage_hours == {"B2": 4.0, "B3": 0.0, "B4": 1.0}
     assert ledger.interruptions == {"B2": 1.0, "B3": 0.0, "B4": 1.0}
     assert ledger.warnings == []
+
+
+def test_infeasible_island_is_reported_as_a_warning():
+    # 5 MW of forced generation cannot go anywhere in a 0.6 MW island
+    forced = CHAIN4 + "[production]\nG bus=B3 min_mw=5 max_mw=6\n"
+    _, ledger = _run_scripted(forced, [(10.0, "L1")], horizon=20.0)
+    assert ledger.warnings
+    assert all("shedding infeasible" in w for w in ledger.warnings)
+    assert warning_counts([ledger, ledger]) == {
+        "shedding infeasible": 2 * len(ledger.warnings),
+        "load flow non-converged": 0, "power balance": 0,
+        "load flow skipped": 0, "other": 0}
+    assert ledger.outage_hours["B4"] == 5.0
 
 
 def test_island_charging_stores_wind_surplus():

@@ -1,0 +1,153 @@
+"""The merit-order greedy against the dense simplex and HiGHS.
+
+`solve_shedding` answers radial problems whose line limits cannot bind with
+a greedy and everything else with the dense simplex. These tests replay the
+LPs of real IEEE-33 runs through both solvers, and check generated eligible
+trees against HiGHS.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridrel import shedding
+from gridrel.engine import SimulationConfig, run_iteration
+from gridrel.network import build_network
+from gridrel.scenarios import apply_scenario
+from gridrel.shedding import INFEASIBLE, OPTIMAL, build_shedding_problem
+from gridrel.timeseries import ProfileSet
+
+from oracles import reference_shedding
+
+
+def _assert_agree(fast, dense):
+    assert fast.status == dense.status
+    if fast.status != OPTIMAL:
+        return
+    for field in ("shed_mw", "generation_mw", "line_flow_mw"):
+        a, b = getattr(fast, field), getattr(dense, field)
+        assert a.keys() == b.keys()
+        for key in a:
+            assert a[key] == pytest.approx(b[key], abs=1e-12), (field, key)
+
+
+@pytest.mark.parametrize("case", ["case2", "case4"])
+def test_greedy_matches_simplex_on_ieee33_lp_stream(case, ieee33_spec,
+                                                    bundled_profiles, cost_table,
+                                                    monkeypatch):
+    loads, wind = bundled_profiles
+    profiles = ProfileSet(1.0, 8760.0, loads, wind)
+    config = SimulationConfig(iterations=40, master_seed=11)
+    model = build_network(apply_scenario(ieee33_spec, case))
+
+    problems = []
+    solve = shedding.solve_shedding
+
+    def recording(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(shedding, "solve_shedding", recording)
+    for i in range(config.iterations):
+        run_iteration(model, profiles, config, i, cost_table=cost_table)
+    monkeypatch.undo()
+
+    assert len(problems) > 20
+    for problem in problems:
+        fast = shedding._solve_tree_greedy(problem)
+        assert fast is not None, "an IEEE-33 preset LP missed the fast path"
+        _assert_agree(fast, shedding._solve_dense(problem))
+
+
+# MW on a 0.05 grid, so that no sum falls within a solver tolerance of
+# another; shed costs from the bundled cost table, and generator costs off
+# the shed-cost grid, so that the dense simplex sees no near-ties either
+_MW = st.integers(0, 60).map(lambda i: i / 20)
+_SHED_COSTS = st.sampled_from([12.0, 20.0, 45.0, 110.0])
+_GEN_COSTS = st.sampled_from([0.0, 1e-7, 5.5, 30.5, 200.5])
+
+
+@st.composite
+def eligible_trees(draw):
+    """Random trees whose line capacities cover the total generation, with
+    forced minimums, charging batteries, zero demands and equal shed costs."""
+    n = draw(st.integers(1, 8))
+    nodes = [f"N{i}" for i in range(n)]
+    ends = [(nodes[draw(st.integers(0, m - 1))], nodes[m]) for m in range(1, n)]
+    ends = [(b, a) if draw(st.booleans()) else (a, b) for a, b in ends]
+    demand = {b: draw(_MW) for b in nodes}
+    cost = {b: draw(_SHED_COSTS) for b in nodes}
+    gens = []
+    for j, gen_cost in enumerate(draw(st.lists(_GEN_COSTS, max_size=4, unique=True))):
+        bus = draw(st.sampled_from(nodes))
+        if draw(st.integers(0, 3)) == 0:  # a charging battery
+            gens.append((f"G{j}", bus, -draw(_MW), 0.0, gen_cost))
+            continue
+        gmax = draw(_MW)
+        gmin = draw(_MW.filter(lambda v: v <= gmax)) if draw(st.booleans()) else 0.0
+        gens.append((f"G{j}", bus, gmin, gmax, gen_cost))
+    supply = sum(max(g[3], 0.0) for g in gens)
+    lines = [(f"L{m}", a, b, supply + draw(_MW)) for m, (a, b) in enumerate(ends)]
+    return nodes, demand, cost, gens, lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(eligible_trees())
+def test_greedy_is_exact_on_eligible_trees(instance):
+    nodes, demand, cost, gens, lines = instance
+    problem = build_shedding_problem(nodes, demand, cost, gens, lines)
+    fast = shedding._solve_tree_greedy(problem)
+    assert fast is not None
+    assert fast == shedding.solve_shedding(problem)
+
+    status, objective = reference_shedding(nodes, demand, cost, gens, lines)
+    if status == "infeasible":
+        assert fast.status == INFEASIBLE
+        return
+    assert fast.status == OPTIMAL
+    gen_cost = sum(g[4] * fast.generation_mw[g[0]] for g in gens)
+    assert fast.objective + gen_cost == pytest.approx(objective, abs=1e-6)
+    dense = shedding._solve_dense(problem)
+    for b in nodes:
+        assert fast.shed_mw[b] == pytest.approx(dense.shed_mw[b], abs=1e-9)
+    _assert_balanced(nodes, demand, gens, lines, fast)
+
+
+def _assert_balanced(nodes, demand, gens, lines, res):
+    balance = {b: res.shed_mw[b] - demand[b] for b in nodes}
+    for gid, bus, gmin, gmax, _cost in gens:
+        assert gmin - 1e-9 <= res.generation_mw[gid] <= gmax + 1e-9
+        balance[bus] += res.generation_mw[gid]
+    for lid, frm, to, cap in lines:
+        flow = res.line_flow_mw[lid]
+        assert abs(flow) <= cap + 1e-9
+        balance[frm] -= flow
+        balance[to] += flow
+    for b in nodes:
+        assert abs(balance[b]) < 1e-9
+        assert 0.0 <= res.shed_mw[b] <= demand[b]
+
+
+def test_forced_minimum_beyond_demand_is_infeasible_on_the_fast_path():
+    problem = build_shedding_problem(["A", "B"], {"A": 0.2, "B": 0.3},
+                                     {"A": 1.0, "B": 1.0},
+                                     [("G", "A", 0.8, 1.0)], [("L", "A", "B", 2.0)])
+    res = shedding._solve_tree_greedy(problem)
+    assert res is not None and res.status == INFEASIBLE
+
+
+@pytest.mark.parametrize("gens, lines", [
+    # the 1.0 MW line binds below the 2.0 MW source
+    ([("G", "A", 0.0, 2.0)], [("L1", "A", "B", 1.0), ("L2", "B", "C", 5.0)]),
+    # three lines over three nodes: a mesh
+    ([("G", "A", 0.0, 1.0)], [("L1", "A", "B", 5.0), ("L2", "B", "C", 5.0),
+                              ("L3", "C", "A", 5.0)]),
+    # two adjustable producers of equal cost
+    ([("G1", "A", 0.0, 1.0, 0.0), ("G2", "C", 0.0, 1.0, 0.0)],
+     [("L1", "A", "B", 5.0), ("L2", "B", "C", 5.0)]),
+])
+def test_ineligible_problems_go_to_the_simplex(gens, lines):
+    problem = build_shedding_problem(["A", "B", "C"], {"A": 0.5, "B": 0.7, "C": 0.4},
+                                     {"A": 1.0, "B": 2.0, "C": 3.0}, gens, lines)
+    assert shedding._solve_tree_greedy(problem) is None
+    assert shedding.solve_shedding(problem) == shedding._solve_dense(problem)
