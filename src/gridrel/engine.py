@@ -14,6 +14,11 @@ every increment. Sectioning and repair phases last whole increments
 (floor(duration / dt)); sub-increment residue is dropped, so with an hourly
 increment the seconds-to-minutes ICT recoveries are invisible, and outage
 durations are exact when the configured times are increment multiples.
+
+The breaker positions, sub-systems and their conducting lines follow from
+the switching state alone, i.e. from (failed lines, open disconnectors), so
+each distinct state is compiled once per run into a `TopologyCache` and
+every later increment in that state looks it up.
 """
 
 from __future__ import annotations
@@ -126,11 +131,151 @@ class _LineFault:
         self.boundary = boundary
 
 
+@dataclass(frozen=True)
+class Subsystem:
+    """One connected component of a switching state."""
+
+    buses: tuple          # sorted, as `connected_components` returns them
+    grid_bus: Optional[str]  # root of the first closed feeder inside, if any
+    grid_limit: float
+    lines: tuple          # conducting lines inside, in model line order
+    subtree_sums: tuple   # (bus, child) additions in reversed BFS order from the root
+    feed_limits: tuple    # (bus, feed-line capacity + eps) in BFS order below the root
+
+    def grid_flows_within_caps(self, live_demand) -> bool:
+        """Check the lossless radial flows of serving everything from the grid."""
+        subtree = {b: live_demand.get(b, 0.0) for b in self.buses}
+        for bus, child in self.subtree_sums:
+            subtree[bus] += subtree[child]
+        return not any(subtree[bus] > limit for bus, limit in self.feed_limits)
+
+
+@dataclass(frozen=True)
+class SwitchingState:
+    breakers: tuple       # (breaker id, closed) per distribution system
+    subsystems: tuple     # Subsystem per connected component, by lowest bus id
+
+
+class TopologyCache:
+    """Lookups one Monte Carlo run derives from its model and increment.
+
+    Switching states are keyed by (failed lines, open non-breaker switches)
+    and compiled on first use; breaker positions are part of the compiled
+    state, not of the key. The cache also holds every failable component's
+    per-increment failure probability and the ICT devices by id. It lives as
+    long as the run that creates it, so nothing outlives the model.
+    """
+
+    def __init__(self, model: NetworkModel, increment_h: float):
+        self.model = model
+        self.increment_h = increment_h
+        self.hits = 0
+        self.misses = 0
+        self._states = {}
+        self._disconnectors = tuple(s.id for s in model.switchgear.values()
+                                    if s.kind != BREAKER)
+        ict = model.ict
+        params = {("line", l.id): l.reliability for l in model.lines.values()}
+        params.update((("transformer", b.id), b.transformer)
+                      for b in model.buses.values() if b.transformer is not None)
+        if ict.controller is not None:
+            params[("ict", ict.controller.id + "/hw")] = ict.controller.hardware
+            params[("ict", ict.controller.id + "/sw")] = ict.controller.software
+        for device in (*ict.sensors, *ict.intelligent_switches):
+            params.setdefault(("ict", device.id), device.reliability)
+        # in key order, which is the order of the initial failure draws
+        self.failure_p = {key: failure_probability(r.failure_rate, increment_h)
+                          for key, r in sorted(params.items()) if r.can_fail}
+        self.sensors = {s.id: s for s in ict.sensors}
+        self.int_switches = {i.id: i for i in ict.intelligent_switches}
+
+    def state(self, failed_lines, switch_closed) -> SwitchingState:
+        key = (frozenset(failed_lines),
+               frozenset(s for s in self._disconnectors if not switch_closed[s]))
+        entry = self._states.get(key)
+        if entry is None:
+            self.misses += 1
+            entry = self._states[key] = self._compile(*key)
+        else:
+            self.hits += 1
+        return entry
+
+    def _compile(self, failed, open_switches) -> SwitchingState:
+        model = self.model
+        breakers = {}
+        for dsys in model.distribution_systems:
+            # a feeder breaker stays open while its root would feed a fault
+            breakers[model.breaker_of_system[dsys.id]] = not self._root_sees_fault(
+                dsys.root_bus, failed, open_switches)
+        closed = {s: s not in open_switches for s in model.switchgear}
+        closed.update(breakers)
+        components = connected_components(model, closed, failed)
+        comp_of = {b: i for i, comp in enumerate(components) for b in comp}
+        lines_in = [[] for _ in components]
+        for line in model.lines.values():
+            if model.line_conducts(line.id, closed, failed):
+                lines_in[comp_of[line.from_bus]].append(line)
+        return SwitchingState(
+            tuple(breakers.items()),
+            tuple(self._subsystem(comp, tuple(lines), closed)
+                  for comp, lines in zip(components, lines_in)))
+
+    def _root_sees_fault(self, root, failed, open_switches) -> bool:
+        """Search from the root over lines whose switches are closed, breakers
+        counting as closed, for a failed line."""
+        seen = {root}
+        stack = [root]
+        while stack:
+            bus = stack.pop()
+            for line_id, other in self.model.adjacency[bus]:
+                if any(s in open_switches for s in self.model.line_switches[line_id]):
+                    continue
+                if line_id in failed:
+                    return True
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        return False
+
+    def _subsystem(self, comp, lines, closed) -> Subsystem:
+        model = self.model
+        grid_bus, grid_limit = None, 0.0
+        for dsys in model.distribution_systems:
+            if dsys.root_bus in comp and closed[model.breaker_of_system[dsys.id]]:
+                grid_bus, grid_limit = dsys.root_bus, model.feeder_capacity[dsys.id]
+                break
+        if grid_bus is None:
+            return Subsystem(comp, None, 0.0, lines, (), ())
+        adj = {}
+        for line in lines:
+            adj.setdefault(line.from_bus, []).append((line.to_bus, line))
+            adj.setdefault(line.to_bus, []).append((line.from_bus, line))
+        children = {b: [] for b in comp}
+        feed_limit = {grid_bus: None}
+        order = [grid_bus]
+        for bus in order:  # breadth first: `order` grows while it is walked
+            for other, line in adj.get(bus, ()):
+                if other not in feed_limit:
+                    children[bus].append(other)
+                    feed_limit[other] = line.capacity_mw + _EPS
+                    order.append(other)
+        return Subsystem(
+            comp, grid_bus, grid_limit, lines,
+            tuple((bus, child) for bus in reversed(order) for child in children[bus]),
+            tuple((bus, feed_limit[bus]) for bus in order[1:]))
+
+
 class SequentialSimulation:
     """Mutable runtime for one iteration; `run()` drives it to the horizon."""
 
     def __init__(self, model: NetworkModel, profiles, config: SimulationConfig,
-                 rng, script: Optional[list] = None, cost_table=None):
+                 rng, script: Optional[list] = None, cost_table=None,
+                 topology: Optional[TopologyCache] = None):
+        if topology is None:
+            topology = TopologyCache(model, config.increment_h)
+        elif topology.model is not model or topology.increment_h != config.increment_h:
+            raise ValueError("topology cache belongs to another model or increment")
+        self.topology = topology
         self.model = model
         self.profiles = profiles
         self.config = config
@@ -175,47 +320,14 @@ class SequentialSimulation:
                 idx = int(ev.time_h / self.dt + 1e-9)
                 self.schedule.setdefault(idx, []).append(ev.component_id)
         else:
-            for key in self._failable_components():
+            for key in topology.failure_p:
                 self._schedule_next(key, 0)
 
     # -- failure scheduling ------------------------------------------------
 
-    def _failable_components(self):
-        keys = [("line", l) for l in self.model.line_ids
-                if self.model.lines[l].reliability.can_fail]
-        keys += [("transformer", b) for b in sorted(self.transformer_state)]
-        ict = self.model.ict
-        if ict.controller is not None:
-            if ict.controller.hardware.can_fail:
-                keys.append(("ict", ict.controller.id + "/hw"))
-            if ict.controller.software.can_fail:
-                keys.append(("ict", ict.controller.id + "/sw"))
-        keys += [("ict", s.id) for s in ict.sensors if s.reliability.can_fail]
-        keys += [("ict", i.id) for i in ict.intelligent_switches if i.reliability.can_fail]
-        return sorted(keys, key=lambda k: (k[0], k[1]))
-
-    def _failure_rate(self, key) -> float:
-        kind, ident = key
-        if kind == "line":
-            return self.model.lines[ident].reliability.failure_rate
-        if kind == "transformer":
-            return self.model.buses[ident].transformer.failure_rate
-        ctrl = self.model.ict.controller
-        if ctrl is not None and ident == ctrl.id + "/hw":
-            return ctrl.hardware.failure_rate
-        if ctrl is not None and ident == ctrl.id + "/sw":
-            return ctrl.software.failure_rate
-        for s in self.model.ict.sensors:
-            if s.id == ident:
-                return s.reliability.failure_rate
-        for i in self.model.ict.intelligent_switches:
-            if i.id == ident:
-                return i.reliability.failure_rate
-        raise KeyError(ident)
-
     def _schedule_next(self, key, from_index):
         """First failure increment at or after `from_index` for a working component."""
-        p = failure_probability(self._failure_rate(key), self.dt)
+        p = self.topology.failure_p[key]
         if p <= 0.0:
             return
         k = int(self.rng.geometric(p))  # trials until first success, >= 1
@@ -254,10 +366,11 @@ class SequentialSimulation:
         t = self.t_index
         self._process_new_failures(t)
         self._apply_transitions()
-        self._set_breakers()
+        state = self.topology.state(self.faults, self.switch_closed)
+        self.switch_closed.update(state.breakers)
 
         if self._electrical_fault_active():
-            self._evaluate_and_accrue(t)
+            self._evaluate_and_accrue(t, state)
         else:
             for b in self.was_out:
                 self.was_out[b] = False
@@ -345,8 +458,8 @@ class SequentialSimulation:
 
     def _discover_latent(self, plan, time_h):
         """Latent ICT failures start their repair clock when first called upon."""
-        sensors = {s.id: s for s in self.model.ict.sensors}
-        switches = {i.id: i for i in self.model.ict.intelligent_switches}
+        sensors = self.topology.sensors
+        switches = self.topology.int_switches
         for sid in plan.consulted_sensors:
             if self.ict_state[sid].mode == FAILED:
                 duration, outcome = ict_repair_duration(sensors[sid].phases, self.rng)
@@ -359,11 +472,7 @@ class SequentialSimulation:
                 self.ledger.events.append((time_h, iid, "latent_discovered:manual"))
 
     def _apply_transitions(self):
-        """Complete phases whose remaining time is below one increment.
-
-        Returns switching actions as (switch id, closed) pairs.
-        """
-        actions = []
+        """Complete phases whose remaining time is below one increment."""
         time_h = self.t_index * self.dt
         for line_id in sorted(self.faults):
             fault = self.faults[line_id]
@@ -371,9 +480,7 @@ class SequentialSimulation:
                 continue
             if fault.phase == "sectioning":
                 for disc in fault.boundary:
-                    if self.switch_closed[disc]:
-                        self.switch_closed[disc] = False
-                        actions.append((disc, False))
+                    self.switch_closed[disc] = False
                 repair = self.model.lines[line_id].reliability.repair_time_h
                 self.line_state[line_id] = ComponentState(UNDER_REPAIR,
                                                           remaining_repair_h=repair)
@@ -382,9 +489,9 @@ class SequentialSimulation:
                 self.ledger.events.append((time_h, line_id, "isolated"))
                 # the isolation may itself complete within this increment
                 if fault.remaining_h < self.dt - _EPS:
-                    self._restore_line(fault, actions, time_h)
+                    self._restore_line(fault, time_h)
             else:
-                self._restore_line(fault, actions, time_h)
+                self._restore_line(fault, time_h)
 
         for bus_id in sorted(self.transformer_state):
             state = self.transformer_state[bus_id]
@@ -399,14 +506,10 @@ class SequentialSimulation:
                 self.ict_state[ident] = ComponentState(WORKING)
                 self.ledger.events.append((time_h, ident, "ict_repaired"))
                 self._schedule_after_repair(("ict", ident))
-        return actions
 
-    def _restore_line(self, fault, actions, time_h):
+    def _restore_line(self, fault, time_h):
         for disc in fault.boundary:
-            normal = self.model.switchgear[disc].normal_closed
-            if self.switch_closed[disc] != normal:
-                self.switch_closed[disc] = normal
-                actions.append((disc, normal))
+            self.switch_closed[disc] = self.model.switchgear[disc].normal_closed
         self.line_state[fault.line_id] = ComponentState(WORKING)
         del self.faults[fault.line_id]
         self.ledger.events.append((time_h, fault.line_id, "line_repaired"))
@@ -415,34 +518,6 @@ class SequentialSimulation:
     def _schedule_after_repair(self, key):
         if not self.scripted:
             self._schedule_next(key, self.t_index + 1)
-
-    def _set_breakers(self):
-        """A feeder breaker stays open while its root would feed a fault."""
-        failed = {l for l, s in self.line_state.items() if s.mode != WORKING}
-        for dsys in self.model.distribution_systems:
-            breaker = self.model.breaker_of_system[dsys.id]
-            self.switch_closed[breaker] = not self._root_sees_fault(
-                dsys.root_bus, failed)
-
-    def _root_sees_fault(self, root, failed) -> bool:
-        if not failed:
-            return False
-        seen = {root}
-        stack = [root]
-        while stack:
-            bus = stack.pop()
-            for line_id, other in self.model.adjacency[bus]:
-                conducts = all(
-                    self.switch_closed[s] or self.model.switchgear[s].kind == BREAKER
-                    for s in self.model.line_switches[line_id])
-                if not conducts:
-                    continue
-                if line_id in failed:
-                    return True
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        return False
 
     def _electrical_fault_active(self) -> bool:
         if self.faults:
@@ -485,18 +560,15 @@ class SequentialSimulation:
             demand_q[b] = load.peak_mvar * mult
         return demand, demand_q
 
-    def _evaluate_and_accrue(self, t):
+    def _evaluate_and_accrue(self, t, state):
         model = self.model
         dt = self.dt
         demand, demand_q = self._demand_now(t)
-        failed_lines = {l for l, s in self.line_state.items() if s.mode != WORKING}
-        components = connected_components(model, self.switch_closed, failed_lines)
 
         served = {}
         islanded_now = dict.fromkeys(self.was_islanded, False)
-        for comp in components:
-            self._serve_component(comp, t, demand, demand_q, failed_lines,
-                                  served, islanded_now)
+        for sub in state.subsystems:
+            self._serve_component(sub, t, demand, demand_q, served, islanded_now)
         self.was_islanded = islanded_now
 
         time_h = t * dt
@@ -517,27 +589,18 @@ class SequentialSimulation:
                     self.ledger.events.append((time_h, b, "interrupted"))
             self.was_out[b] = fully_out
 
-    def _serve_component(self, comp, t, demand, demand_q, failed_lines,
-                         served, islanded_now):
+    def _serve_component(self, sub, t, demand, demand_q, served, islanded_now):
         """Run dispatch + load flow + shedding for one sub-system.
 
         `served[bus]` is set to the supplied MW, or None when the bus has no
         energized path at all (disconnected or its transformer is down).
         """
         model = self.model
-        comp_set = set(comp)
-
+        comp = sub.buses
         tx_down = {b for b in comp if b in self.transformer_state
                    and not self.transformer_state[b].mode == WORKING}
 
-        grid_bus = None
-        grid_limit = 0.0
-        for dsys in model.distribution_systems:
-            if dsys.root_bus in comp_set and self.switch_closed[
-                    model.breaker_of_system[dsys.id]]:
-                grid_bus = dsys.root_bus
-                grid_limit = model.feeder_capacity[dsys.id]
-                break
+        grid_bus, grid_limit = sub.grid_bus, sub.grid_limit
         # a singleton root feeds nothing; islands must be driven by local sources
         generators = []
         if grid_bus is not None:
@@ -587,17 +650,11 @@ class SequentialSimulation:
                 served[b] = None if b in tx_down else demand.get(b, 0.0)
             return
 
-        lines_here = [model.lines[l] for l in model.line_ids
-                      if l not in failed_lines
-                      and model.lines[l].from_bus in comp_set
-                      and model.lines[l].to_bus in comp_set
-                      and model.line_conducts(l, self.switch_closed, failed_lines)]
-
+        lines_here = sub.lines
         # Grid-connected sub-system whose pure-grid dispatch stays within every
         # limit: zero shed is optimal, skip the optimization and the sweep.
         if (grid_bus is not None and total_demand <= grid_limit + _EPS
-                and self._grid_flows_within_caps(grid_bus, comp_set, lines_here,
-                                                 live_demand)):
+                and sub.grid_flows_within_caps(live_demand)):
             for b in comp:
                 served[b] = None if b in tx_down else demand.get(b, 0.0)
             return
@@ -632,36 +689,6 @@ class SequentialSimulation:
             self.soc[bat_id] = min(max(
                 self.soc[bat_id] - dispatch * self.dt / bat.capacity_mwh,
                 bat.soc_min), bat.soc_max)
-
-    def _grid_flows_within_caps(self, root, comp_set, lines_here, live_demand) -> bool:
-        """Check the lossless radial flows of serving everything from the grid."""
-        children = {b: [] for b in comp_set}
-        seen = {root}
-        order = [root]
-        adj = {}
-        for line in lines_here:
-            adj.setdefault(line.from_bus, []).append((line.to_bus, line))
-            adj.setdefault(line.to_bus, []).append((line.from_bus, line))
-        cursor = 0
-        feed_line = {}
-        while cursor < len(order):
-            bus = order[cursor]
-            cursor += 1
-            for other, line in adj.get(bus, ()):
-                if other in seen:
-                    continue
-                seen.add(other)
-                children[bus].append(other)
-                feed_line[other] = line
-                order.append(other)
-        subtree = {b: live_demand.get(b, 0.0) for b in comp_set}
-        for bus in reversed(order):
-            for child in children[bus]:
-                subtree[bus] += subtree[child]
-        for bus in order[1:]:
-            if subtree[bus] > feed_line[bus].capacity_mw + _EPS:
-                return False
-        return True
 
     def _shed_cost(self, bus_id) -> float:
         load = self.model.buses[bus_id].load
@@ -750,12 +777,6 @@ class SequentialSimulation:
         return solve_fbs(problem, self.config.loadflow_tolerance,
                          self.config.loadflow_max_iter)
 
-    def isolate_and_restore(self):
-        """Advance isolation/restoration state; returns switching actions."""
-        actions = self._apply_transitions()
-        self._set_breakers()
-        return actions
-
 
 def update_battery_demand(subsystem_demand_mw, production_cap_mw, battery, soc,
                           dt_h, grid_connected):
@@ -790,11 +811,14 @@ def warning_counts(ledgers) -> dict:
 
 
 def run_iteration(model, profiles, config, iteration_index, script=None,
-                  cost_table=None) -> HistoryLedger:
-    """One full pass from t=0 to the horizon, deterministically seeded."""
+                  cost_table=None, topology=None) -> HistoryLedger:
+    """One full pass from t=0 to the horizon, deterministically seeded.
+
+    `topology` is the run's `TopologyCache`; a fresh one is made without it.
+    """
     rng = np.random.default_rng([config.master_seed, iteration_index])
     sim = SequentialSimulation(model, profiles, config, rng, script=script,
-                               cost_table=cost_table)
+                               cost_table=cost_table, topology=topology)
     return sim.run()
 
 
@@ -802,12 +826,14 @@ _POOL_STATE = {}
 
 
 def _pool_init(model, profiles, config, cost_table):
-    _POOL_STATE["args"] = (model, profiles, config, cost_table)
+    _POOL_STATE["args"] = (model, profiles, config, cost_table,
+                           TopologyCache(model, config.increment_h))
 
 
 def _pool_run(index):
-    model, profiles, config, cost_table = _POOL_STATE["args"]
-    return index, run_iteration(model, profiles, config, index, cost_table=cost_table)
+    model, profiles, config, cost_table, topology = _POOL_STATE["args"]
+    return index, run_iteration(model, profiles, config, index,
+                                cost_table=cost_table, topology=topology)
 
 
 def run_monte_carlo(model, profiles, config, cost_table=None):
@@ -815,7 +841,9 @@ def run_monte_carlo(model, profiles, config, cost_table=None):
     count produces identical output."""
     indices = list(range(config.iterations))
     if config.worker_count == 1 or config.iterations == 1:
-        return [run_iteration(model, profiles, config, i, cost_table=cost_table)
+        topology = TopologyCache(model, config.increment_h)
+        return [run_iteration(model, profiles, config, i, cost_table=cost_table,
+                              topology=topology)
                 for i in indices]
     results = {}
     with ProcessPoolExecutor(

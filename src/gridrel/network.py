@@ -187,8 +187,9 @@ class NetworkModel:
 
         self.bus_ids = tuple(self.buses)
         self.line_ids = tuple(self.lines)
-        self.bus_index = {b: i for i, b in enumerate(self.bus_ids)}
-        self.line_index = {l: i for i, l in enumerate(self.line_ids)}
+        # buses with demand or customers, in canonical order
+        self.load_points = tuple(b.id for b in self.buses.values()
+                                 if b.load is not None or b.customers > 0)
 
         # adjacency over all lines: bus id -> list of (line id, other bus id)
         self.adjacency = {b: [] for b in self.bus_ids}
@@ -211,7 +212,6 @@ class NetworkModel:
 
         # Filled in by _build_trees / _build_sections.
         self.parent_line = {}      # bus id -> line id toward the feeder root
-        self.parent_bus = {}       # bus id -> next bus toward the root
         self.children = {b: [] for b in self.bus_ids}
         self.system_of_bus = {}    # bus id -> distribution system id
         self.root_of_system = {d.id: d.root_bus for d in self.distribution_systems}
@@ -249,7 +249,6 @@ class NetworkModel:
             root = dsys.root_bus
             self.system_of_bus[root] = dsys.id
             self.parent_line[root] = None
-            self.parent_bus[root] = None
             seen = {root}
             queue = deque([root])
             tree_lines = set(self.tree_lines)
@@ -261,7 +260,6 @@ class NetworkModel:
                     seen.add(other)
                     self.system_of_bus[other] = dsys.id
                     self.parent_line[other] = line_id
-                    self.parent_bus[other] = bus
                     self.children[bus].append(other)
                     tree_lines.add(line_id)
                     queue.append(other)
@@ -341,12 +339,6 @@ class NetworkModel:
             self.production_of_bus[unit.bus].append(unit.id)
 
     # -- queries ----------------------------------------------------------
-
-    @property
-    def load_points(self) -> tuple:
-        """Buses with demand or customers, in canonical order."""
-        return tuple(b.id for b in self.buses.values()
-                     if b.load is not None or b.customers > 0)
 
     def downstream_buses(self, line_id: str) -> frozenset:
         """Buses fed through `line_id` when its feeder is energized from the root."""

@@ -2,7 +2,8 @@
 
 These deliberately share no code with the solvers under test: the AC oracle
 is a damped Newton on the full complex power equations with a finite
-difference Jacobian, and the LP oracle is scipy's HiGHS.
+difference Jacobian, the LP oracle is scipy's HiGHS, and the topology
+oracles rescan every line of the model for each question they answer.
 """
 
 import numpy as np
@@ -116,3 +117,63 @@ def random_shedding_instance(rng, max_nodes=8, max_lines=10):
             cap = float(rng.choice([0.5, 1.0, rng.uniform(0.2, 3.0)]))
             lines.append((f"L{k}", nodes[int(a_)], nodes[int(b_)], cap))
     return nodes, demand, cost, generators, lines
+
+
+def reference_breakers(model, switch_closed, failed):
+    """Feeder breaker -> closed. A breaker opens while a path of lines whose
+    switches are closed (breakers counted closed) leads from its root to a
+    failed line."""
+    def passable(line):
+        return all(switch_closed[s] or model.switchgear[s].kind == "breaker"
+                   for s in model.switchgear if model.switchgear[s].host_line == line.id)
+
+    verdicts = {}
+    for dsys in model.distribution_systems:
+        reached, frontier, sees_fault = {dsys.root_bus}, [dsys.root_bus], False
+        while frontier and not sees_fault:
+            bus = frontier.pop()
+            for line in model.lines.values():
+                if bus not in (line.from_bus, line.to_bus) or not passable(line):
+                    continue
+                if line.id in failed:
+                    sees_fault = True
+                    break
+                other = line.to_bus if line.from_bus == bus else line.from_bus
+                if other not in reached:
+                    reached.add(other)
+                    frontier.append(other)
+        verdicts[model.breaker_of_system[dsys.id]] = not sees_fault
+    return verdicts
+
+
+def reference_lines_inside(model, buses, switch_closed, failed):
+    """Ids of the conducting lines with both ends in `buses`, in id order."""
+    return [line.id for line in sorted(model.lines.values(), key=lambda l: l.id)
+            if line.id not in failed
+            and line.from_bus in buses and line.to_bus in buses
+            and all(switch_closed[s] for s in model.switchgear
+                    if model.switchgear[s].host_line == line.id)]
+
+
+def reference_grid_flows_ok(root, lines, demand, eps=1e-9):
+    """Whether serving `demand` from `root` over the radial `lines`
+    (id, bus, bus, capacity) keeps every line within its capacity: each line
+    carries the demand of the side that cutting it separates from the root."""
+    def side(start, without):
+        seen, frontier = {start}, [start]
+        while frontier:
+            bus = frontier.pop()
+            for line_id, a, b, _ in lines:
+                if line_id != without and bus in (a, b):
+                    other = b if bus == a else a
+                    if other not in seen:
+                        seen.add(other)
+                        frontier.append(other)
+        return seen
+
+    for line_id, a, b, capacity in lines:
+        upstream = side(root, line_id)
+        far = side(b if a in upstream else a, line_id)
+        if sum(demand.get(bus, 0.0) for bus in sorted(far)) > capacity + eps:
+            return False
+    return True
