@@ -15,6 +15,15 @@ every increment. Sectioning and repair phases last whole increments
 increment the seconds-to-minutes ICT recoveries are invisible, and outage
 durations are exact when the configured times are increment multiples.
 
+Component health is stored once, as the increment at which the current
+phase ends, worked out when the phase starts. A line fault keeps its phase
+(sectioning or repairing) and that end; a transformer or ICT repair keeps
+its end in `repairs`, keyed (kind, id); a latent ICT failure is a member of
+`latent` until a sectioning plan calls on the unit. A component with no
+entry is working. Ends are completed at the start of their increment: lines
+by id, then transformers by id, then ICT units by id, and each completion
+draws that component's next failure.
+
 The breaker positions, sub-systems and their conducting lines follow from
 the switching state alone, i.e. from (failed lines, open disconnectors), so
 each distinct state is compiled once per run into a `TopologyCache` and
@@ -33,14 +42,12 @@ import numpy as np
 from . import shedding as shed
 from .loadflow import LoadFlowProblem, NonRadialError, solve_fbs
 from .network import BREAKER, NetworkModel, connected_components
-from .stochastic import (
-    FAILED, UNDER_REPAIR, WORKING,
-    ComponentState, draw_battery_soc, draw_status, failure_probability,
-    ict_repair_duration, plan_sectioning,
+from .stochastic import (  # draw_status stays importable: perfbench wraps it here
+    draw_battery_soc, draw_status, failure_probability, ict_repair_duration,
+    plan_sectioning,
 )
 
 _EPS = 1e-9
-_LATENT = math.inf
 
 IDLE = "idle"
 CHARGE = "charge"
@@ -121,13 +128,31 @@ class HistoryLedger:
         return sum(self.customers.values())
 
 
-class _LineFault:
-    __slots__ = ("line_id", "phase", "remaining_h", "boundary")
+def phase_increments(duration_h: float, dt_h: float) -> int:
+    """Whole increments a phase lasts: floor(duration / dt), a duration
+    within _EPS of a multiple of dt counting as that multiple."""
+    return math.floor((duration_h + _EPS) / dt_h)
 
-    def __init__(self, line_id, sectioning_h, boundary):
+
+def ends_silently(duration_h: float, dt_h: float) -> bool:
+    """Whether a transformer or ICT repair of this duration ends unreported.
+
+    A repair lasting a whole number n >= 1 of increments ends after the
+    evaluation of its last down increment without a `*_repaired` event or a
+    next failure draw. This is a known defect, kept because fixing it
+    changes the benchmark's reference results; ROADMAP item 4 records it.
+    """
+    n = phase_increments(duration_h, dt_h)
+    return n >= 1 and duration_h <= n * dt_h + _EPS
+
+
+class _LineFault:
+    __slots__ = ("line_id", "phase", "end", "boundary")
+
+    def __init__(self, line_id, end, boundary):
         self.line_id = line_id
         self.phase = "sectioning"
-        self.remaining_h = sectioning_h
+        self.end = end  # increment at which the current phase ends
         self.boundary = boundary
 
 
@@ -188,6 +213,7 @@ class TopologyCache:
                           for key, r in sorted(params.items()) if r.can_fail}
         self.sensors = {s.id: s for s in ict.sensors}
         self.int_switches = {i.id: i for i in ict.intelligent_switches}
+        self.ict_ids = frozenset(ident for kind, ident in params if kind == "ict")
 
     def state(self, failed_lines, switch_closed) -> SwitchingState:
         key = (frozenset(failed_lines),
@@ -284,21 +310,10 @@ class SequentialSimulation:
         self.dt = config.increment_h
         self.t_index = 0
 
-        self.line_state = {l: ComponentState() for l in model.line_ids}
-        self.transformer_state = {b.id: ComponentState() for b in model.buses.values()
-                                  if b.transformer is not None and b.transformer.can_fail}
-        self.ict_state = {}
-        ict = model.ict
-        if ict.controller is not None:
-            self.ict_state[ict.controller.id + "/hw"] = ComponentState()
-            self.ict_state[ict.controller.id + "/sw"] = ComponentState()
-        for s in ict.sensors:
-            self.ict_state[s.id] = ComponentState()
-        for i in ict.intelligent_switches:
-            self.ict_state[i.id] = ComponentState()
-
         self.switch_closed = model.normal_switch_states()
-        self.faults = {}  # line id -> _LineFault
+        self.faults = {}   # line id -> _LineFault
+        self.repairs = {}  # ("transformer" | "ict", id) -> (end increment, reported)
+        self.latent = set()  # ICT ids failed silently and not yet called upon
         self.soc = {b_id: draw_battery_soc(bat, rng)
                     for b_id, bat in sorted(model.batteries.items())}
         self.was_islanded = {b_id: False for b_id in model.batteries}
@@ -349,23 +364,13 @@ class SequentialSimulation:
         return self.ledger
 
     def _anything_active(self) -> bool:
-        if self.faults:
-            return True
-        if self.t_index in self.schedule:
-            return True
-        for state in self.transformer_state.values():
-            if state.mode != WORKING:
-                return True
-        for state in self.ict_state.values():
-            if state.mode == UNDER_REPAIR:
-                return True
-        return False
+        return bool(self.faults or self.repairs) or self.t_index in self.schedule
 
     def run_increment(self):
         """Execute one increment of the procedure and advance time."""
         t = self.t_index
         self._process_new_failures(t)
-        self._apply_transitions()
+        self._apply_transitions(t)
         state = self.topology.state(self.faults, self.switch_closed)
         self.switch_closed.update(state.breakers)
 
@@ -377,7 +382,11 @@ class SequentialSimulation:
             for b_id in self.was_islanded:
                 self.was_islanded[b_id] = False
 
-        self._count_down()
+        # unreported repairs end here, after their last down increment, and a
+        # transformer's bus keeps its `was_out` (see `ends_silently`)
+        for key in [k for k, (end, reported) in self.repairs.items()
+                    if end == t + 1 and not reported]:
+            del self.repairs[key]
         self.t_index += 1
 
     # -- failures and switching ---------------------------------------------
@@ -391,9 +400,9 @@ class SequentialSimulation:
             for ident in entries:
                 if ident in self.model.lines:
                     keyed.append(("line", ident))
-                elif ident in self.transformer_state:
+                elif ("transformer", ident) in self.topology.failure_p:
                     keyed.append(("transformer", ident))
-                elif ident in self.ict_state:
+                elif ident in self.topology.ict_ids:
                     keyed.append(("ict", ident))
                 else:
                     self.ledger.warnings.append(
@@ -406,54 +415,55 @@ class SequentialSimulation:
         kind, ident = key
         time_h = t * self.dt
         if kind == "line":
-            if self.line_state[ident].mode != WORKING:
+            if ident in self.faults:
                 return
             plan = plan_sectioning(self.model, ident, self._ict_working(),
                                    self.config.automated_sectioning_h,
                                    self.config.manual_sectioning_h)
             self._discover_latent(plan, time_h)
-            self.line_state[ident] = ComponentState(FAILED, until_repair_h=plan.duration_h)
             self.faults[ident] = _LineFault(
-                ident, plan.duration_h,
+                ident, t + phase_increments(plan.duration_h, self.dt),
                 self.model.sections[ident].boundary_disconnectors)
             self.ledger.events.append((time_h, ident, "line_fault"))
         elif kind == "transformer":
-            if self.transformer_state[ident].mode != WORKING:
+            if key in self.repairs:
                 return
-            repair = self.model.buses[ident].transformer.repair_time_h
-            self.transformer_state[ident] = ComponentState(UNDER_REPAIR,
-                                                           remaining_repair_h=repair)
+            self._start_repair(key, self.model.buses[ident].transformer.repair_time_h)
             self.ledger.events.append((time_h, ident, "transformer_fault"))
         else:
             self._fail_ict(ident, time_h)
 
+    def _start_repair(self, key, duration_h):
+        self.repairs[key] = (self.t_index + phase_increments(duration_h, self.dt),
+                             not ends_silently(duration_h, self.dt))
+
     def _fail_ict(self, ident, time_h):
-        if self.ict_state[ident].mode != WORKING:
+        key = ("ict", ident)
+        if ident in self.latent or key in self.repairs:
             return
         ctrl = self.model.ict.controller
         if ctrl is not None and ident == ctrl.id + "/hw":
-            self.ict_state[ident] = ComponentState(
-                UNDER_REPAIR, remaining_repair_h=ctrl.hardware.repair_time_h)
+            self._start_repair(key, ctrl.hardware.repair_time_h)
             self.ledger.events.append((time_h, ident, "controller_hw_fault"))
         elif ctrl is not None and ident == ctrl.id + "/sw":
             duration, outcome = ict_repair_duration(ctrl.software_phases, self.rng)
-            self.ict_state[ident] = ComponentState(UNDER_REPAIR, remaining_repair_h=duration)
+            self._start_repair(key, duration)
             self.ledger.events.append((time_h, ident, f"controller_sw_fault:{outcome}"))
         else:
             # sensors and intelligent switches fail silently until called upon
-            self.ict_state[ident] = ComponentState(FAILED, until_repair_h=_LATENT)
+            self.latent.add(ident)
             self.ledger.events.append((time_h, ident, "latent_ict_fault"))
 
     def _ict_working(self) -> dict:
+        def working(ident):
+            return ident not in self.latent and ("ict", ident) not in self.repairs
+
         status = {}
         ctrl = self.model.ict.controller
         if ctrl is not None:
-            status[ctrl.id] = (self.ict_state[ctrl.id + "/hw"].working
-                               and self.ict_state[ctrl.id + "/sw"].working)
-        for s in self.model.ict.sensors:
-            status[s.id] = self.ict_state[s.id].working
-        for i in self.model.ict.intelligent_switches:
-            status[i.id] = self.ict_state[i.id].working
+            status[ctrl.id] = working(ctrl.id + "/hw") and working(ctrl.id + "/sw")
+        for ident in (*self.topology.sensors, *self.topology.int_switches):
+            status[ident] = working(ident)
         return status
 
     def _discover_latent(self, plan, time_h):
@@ -461,56 +471,47 @@ class SequentialSimulation:
         sensors = self.topology.sensors
         switches = self.topology.int_switches
         for sid in plan.consulted_sensors:
-            if self.ict_state[sid].mode == FAILED:
+            if sid in self.latent:
+                self.latent.remove(sid)
                 duration, outcome = ict_repair_duration(sensors[sid].phases, self.rng)
-                self.ict_state[sid] = ComponentState(UNDER_REPAIR, remaining_repair_h=duration)
+                self._start_repair(("ict", sid), duration)
                 self.ledger.events.append((time_h, sid, f"latent_discovered:{outcome}"))
         for iid in plan.consulted_switches:
-            if self.ict_state[iid].mode == FAILED:
-                repair = switches[iid].reliability.repair_time_h
-                self.ict_state[iid] = ComponentState(UNDER_REPAIR, remaining_repair_h=repair)
+            if iid in self.latent:
+                self.latent.remove(iid)
+                self._start_repair(("ict", iid), switches[iid].reliability.repair_time_h)
                 self.ledger.events.append((time_h, iid, "latent_discovered:manual"))
 
-    def _apply_transitions(self):
-        """Complete phases whose remaining time is below one increment."""
-        time_h = self.t_index * self.dt
+    def _apply_transitions(self, t):
+        """Complete the phases that end at this increment."""
+        time_h = t * self.dt
         for line_id in sorted(self.faults):
             fault = self.faults[line_id]
-            if fault.remaining_h >= self.dt - _EPS:
+            if fault.end > t:
                 continue
             if fault.phase == "sectioning":
                 for disc in fault.boundary:
                     self.switch_closed[disc] = False
                 repair = self.model.lines[line_id].reliability.repair_time_h
-                self.line_state[line_id] = ComponentState(UNDER_REPAIR,
-                                                          remaining_repair_h=repair)
                 fault.phase = "repairing"
-                fault.remaining_h = repair
+                fault.end = t + phase_increments(repair, self.dt)
                 self.ledger.events.append((time_h, line_id, "isolated"))
-                # the isolation may itself complete within this increment
-                if fault.remaining_h < self.dt - _EPS:
+                # the repair may itself complete within this increment
+                if fault.end == t:
                     self._restore_line(fault, time_h)
             else:
                 self._restore_line(fault, time_h)
 
-        for bus_id in sorted(self.transformer_state):
-            state = self.transformer_state[bus_id]
-            if state.mode == UNDER_REPAIR and state.remaining_repair_h < self.dt - _EPS:
-                self.transformer_state[bus_id] = ComponentState(WORKING)
-                self.ledger.events.append((time_h, bus_id, "transformer_repaired"))
-                self._schedule_after_repair(("transformer", bus_id))
-
-        for ident in sorted(self.ict_state):
-            state = self.ict_state[ident]
-            if state.mode == UNDER_REPAIR and state.remaining_repair_h < self.dt - _EPS:
-                self.ict_state[ident] = ComponentState(WORKING)
-                self.ledger.events.append((time_h, ident, "ict_repaired"))
-                self._schedule_after_repair(("ict", ident))
+        due = [key for key, (end, _) in self.repairs.items() if end == t]
+        # transformers by id, then ICT units by id
+        for key in sorted(due, key=lambda k: (k[0] == "ict", k[1])):
+            del self.repairs[key]
+            self.ledger.events.append((time_h, key[1], f"{key[0]}_repaired"))
+            self._schedule_after_repair(key)
 
     def _restore_line(self, fault, time_h):
         for disc in fault.boundary:
             self.switch_closed[disc] = self.model.switchgear[disc].normal_closed
-        self.line_state[fault.line_id] = ComponentState(WORKING)
         del self.faults[fault.line_id]
         self.ledger.events.append((time_h, fault.line_id, "line_repaired"))
         self._schedule_after_repair(("line", fault.line_id))
@@ -520,30 +521,7 @@ class SequentialSimulation:
             self._schedule_next(key, self.t_index + 1)
 
     def _electrical_fault_active(self) -> bool:
-        if self.faults:
-            return True
-        return any(s.mode != WORKING for s in self.transformer_state.values())
-
-    def _count_down(self):
-        for fault in self.faults.values():
-            fault.remaining_h = max(fault.remaining_h - self.dt, 0.0)
-        for line_id, fault in self.faults.items():
-            state = self.line_state[line_id]
-            if state.mode == FAILED:
-                self.line_state[line_id] = ComponentState(
-                    FAILED, until_repair_h=fault.remaining_h)
-            elif state.mode == UNDER_REPAIR:
-                self.line_state[line_id] = ComponentState(
-                    UNDER_REPAIR, remaining_repair_h=fault.remaining_h)
-        for bus_id, state in self.transformer_state.items():
-            if state.mode != WORKING:
-                params = self.model.buses[bus_id].transformer
-                self.transformer_state[bus_id] = draw_status(state, params, self.dt, self.rng)
-        for ident, state in self.ict_state.items():
-            if state.mode == UNDER_REPAIR:
-                left = state.remaining_repair_h - self.dt
-                self.ict_state[ident] = (ComponentState(UNDER_REPAIR, remaining_repair_h=left)
-                                         if left > _EPS else ComponentState(WORKING))
+        return bool(self.faults) or any(kind == "transformer" for kind, _ in self.repairs)
 
     # -- electrical evaluation ----------------------------------------------
 
@@ -597,8 +575,7 @@ class SequentialSimulation:
         """
         model = self.model
         comp = sub.buses
-        tx_down = {b for b in comp if b in self.transformer_state
-                   and not self.transformer_state[b].mode == WORKING}
+        tx_down = {b for b in comp if ("transformer", b) in self.repairs}
 
         grid_bus, grid_limit = sub.grid_bus, sub.grid_limit
         # a singleton root feeds nothing; islands must be driven by local sources

@@ -82,12 +82,9 @@ class LoadFlowProblem:
 @dataclass(frozen=True)
 class LoadFlowSolution:
     voltage_pu: dict            # bus id -> |V| in p.u.
-    voltage_angle_rad: dict
     line_flow_mw: dict          # line id -> sending-end P, positive toward the child
-    line_flow_mvar: dict
     losses_mw: float
     slack_mw: float
-    slack_mvar: float
     iterations: int
     converged: bool
 
@@ -120,22 +117,18 @@ def solve_fbs(problem: LoadFlowProblem, tolerance: float = 1e-8,
             break
 
     base = problem.base_mva
-    flow_mw, flow_mvar = {}, {}
+    flow_mw = {}
     for i in range(1, n):
         s_send = v[parent[i]] * np.conj(i_branch[i]) * base
         flow_mw[problem.line_ids[i]] = float(s_send.real)
-        flow_mvar[problem.line_ids[i]] = float(s_send.imag)
     losses = float(np.sum(np.abs(i_branch[1:]) ** 2 * z[1:].real) * base)
     s_slack = v[0] * np.conj(i_branch[0]) * base if n else 0j
 
     return LoadFlowSolution(
         voltage_pu={b: float(abs(v[i])) for i, b in enumerate(problem.bus_ids)},
-        voltage_angle_rad={b: float(np.angle(v[i])) for i, b in enumerate(problem.bus_ids)},
         line_flow_mw=flow_mw,
-        line_flow_mvar=flow_mvar,
         losses_mw=losses,
         slack_mw=float(s_slack.real),
-        slack_mvar=float(s_slack.imag),
         iterations=iterations,
         converged=converged,
     )

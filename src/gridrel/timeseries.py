@@ -21,9 +21,8 @@ log = logging.getLogger(__name__)
 
 LOAD = "load"
 PRODUCTION = "production"
-COST = "cost"
 
-_KINDS = (LOAD, PRODUCTION, COST)
+_KINDS = (LOAD, PRODUCTION)
 
 
 class TimeSeriesError(ValueError):
@@ -49,9 +48,6 @@ class TimeSeries:
     @property
     def span_h(self) -> float:
         return self.step_h * (len(self.values) - 1)
-
-    def timestamps(self) -> np.ndarray:
-        return self.start_h + self.step_h * np.arange(len(self.values))
 
 
 def interpolate(series: TimeSeries, target_step_h: float) -> TimeSeries:

@@ -2,8 +2,9 @@
 
 These deliberately share no code with the solvers under test: the AC oracle
 is a damped Newton on the full complex power equations with a finite
-difference Jacobian, the LP oracle is scipy's HiGHS, and the topology
-oracles rescan every line of the model for each question they answer.
+difference Jacobian, the LP oracle is scipy's HiGHS, the topology
+oracles rescan every line of the model for each question they answer, and
+the phase oracles step a float countdown by one increment at a time.
 """
 
 import numpy as np
@@ -177,3 +178,28 @@ def reference_grid_flows_ok(root, lines, demand, eps=1e-9):
         if sum(demand.get(bus, 0.0) for bus in sorted(far)) > capacity + eps:
             return False
     return True
+
+
+def countdown_line_phase(duration_h, dt_h, eps=1e-9):
+    """Increments until a line's sectioning or repair phase completes: the
+    remaining time is checked against `dt - eps` at the start of each
+    increment and stepped down by `dt`, not below 0, at its end."""
+    remaining, increments = duration_h, 0
+    while not remaining < dt_h - eps:
+        remaining = max(remaining - dt_h, 0.0)
+        increments += 1
+    return increments
+
+
+def countdown_repair(duration_h, dt_h, eps=1e-9):
+    """(increments down, reported) for a transformer or ICT repair: completed
+    and reported when the remaining time is below `dt - eps` at the start of
+    an increment; stepped down by `dt` at its end and completed silently,
+    without a report, once at most `eps` is left."""
+    remaining, increments = duration_h, 0
+    while not remaining < dt_h - eps:
+        remaining -= dt_h
+        increments += 1
+        if remaining <= eps:
+            return increments, False
+    return increments, True

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gridrel.engine import (
     CHARGE, DISCHARGE, IDLE, ScriptedFault, SequentialSimulation,
-    SimulationConfig, run_iteration, run_monte_carlo, update_battery_demand,
-    warning_counts,
+    SimulationConfig, ends_silently, phase_increments, run_iteration,
+    run_monte_carlo, update_battery_demand, warning_counts,
 )
 from gridrel.indices import aggregate, iteration_report
 from gridrel.netfile import parse_network_text
@@ -13,6 +15,7 @@ from gridrel.scenarios import apply_scenario
 from gridrel.timeseries import ProfileSet
 
 from conftest import CHAIN4
+from oracles import countdown_line_phase, countdown_repair
 
 CHAIN4_ICT = CHAIN4 + """
 [ict]
@@ -141,6 +144,75 @@ def test_restoration_returns_switches_to_normal_and_is_idempotent():
 def test_outage_truncates_at_horizon():
     _, ledger = _run_scripted(CHAIN4, [(46.0, "L2")], horizon=48.0)
     assert ledger.outage_hours["B4"] == 2.0  # only 2 of the 5 hours fit
+
+
+# -- transformers and phase ends ------------------------------------------
+
+
+def _with_b3_transformer(text, repair):
+    return text.replace("B3 customers=10 load_mw=0.3 load_mvar=0.07 category=general",
+                        "B3 customers=10 load_mw=0.3 load_mvar=0.07 category=general "
+                        f"transformer_rate=0.1 transformer_repair={repair}")
+
+
+@pytest.mark.parametrize("repair, increment_h, down_h, reported", [
+    ("8h", 1.0, 8.0, False),
+    ("2.5h", 1.0, 2.0, True),
+    ("2.5h", 0.5, 2.5, False),
+])
+def test_transformer_outage_takes_out_only_its_bus(repair, increment_h, down_h,
+                                                   reported):
+    model = build_network(parse_network_text(_with_b3_transformer(CHAIN4, repair)))
+    config = _config(increment_h=increment_h)
+    ledger = run_iteration(model, ProfileSet(increment_h, 48.0), config, 0,
+                           script=[ScriptedFault(10.0, "B3")])
+    assert ledger.outage_hours == {"B2": 0.0, "B3": down_h, "B4": 0.0}
+    assert ledger.interruptions == {"B2": 0.0, "B3": 1.0, "B4": 0.0}
+    assert ledger.ens_mwh == pytest.approx({"B2": 0.0, "B3": 0.3 * down_h, "B4": 0.0})
+    # a repair of a whole number of increments ends without an event
+    assert ledger.events == [(10.0, "B3", "transformer_fault"),
+                             (10.0, "B3", "interrupted")] + (
+        [(10.0 + down_h, "B3", "transformer_repaired")] if reported else [])
+
+
+def test_repairs_ending_together_complete_transformers_before_ict():
+    _, ledger = _run_scripted(_with_b3_transformer(CHAIN4_ICT, "2.5h"),
+                              [(10.0, "CTRL/hw"), (10.0, "B3")])
+    assert [ev for ev in ledger.events if ev[2].endswith("_repaired")] == [
+        (12.0, "B3", "transformer_repaired"), (12.0, "CTRL/hw", "ict_repaired")]
+
+
+_INCREMENTS = (1.0, 0.5, 0.25, 1.0 / 6.0)
+_BUNDLED_DURATIONS = (0.0, 2.0 / 3600.0, 5.0 / 60.0, 0.3, 1.0, 2.0, 2.5, 4.0, 8.0,
+                      2.0 / 3600.0 + 5.0 / 60.0 + 2.0)
+
+
+@st.composite
+def _phase(draw):
+    dt = draw(st.sampled_from(_INCREMENTS))
+    on_grid = draw(st.integers(0, 60)) * dt
+    duration = draw(st.one_of(
+        st.sampled_from(_BUNDLED_DURATIONS),
+        # on a multiple, or off it by less than the 1e-9 h tolerance
+        st.sampled_from((0.0, 1e-12, -1e-12, 1e-10, -1e-10)).map(lambda e: on_grid + e),
+        # near a multiple, outside the tolerance
+        st.sampled_from((1e-6, -1e-6, 1e-3, -1e-3)).map(lambda e: on_grid + e),
+        # anywhere between two multiples
+        st.floats(0.0, 1.0).map(lambda f: on_grid + f * dt),
+    ).filter(lambda d: d >= 0.0))
+    # the two rules may round apart within float error of the tolerance edge
+    off = abs(duration - round(duration / dt) * dt)
+    assume(abs(off - 1e-9) > 1e-12)
+    return duration, dt
+
+
+@settings(max_examples=400, deadline=None)
+@given(_phase())
+def test_phase_end_increments_match_the_float_countdown(phase):
+    duration, dt = phase
+    assert phase_increments(duration, dt) == countdown_line_phase(duration, dt)
+    assert (phase_increments(duration, dt), not ends_silently(duration, dt)) == \
+        countdown_repair(duration, dt)
 
 
 # -- ICT behavior -----------------------------------------------------------

@@ -56,11 +56,9 @@ class _CheckedSimulation(SequentialSimulation):
 
     def _evaluate_and_accrue(self, t, state):
         assert all(self.switch_closed[b] == closed for b, closed in state.breakers)
-        failed = {l for l, s in self.line_state.items() if not s.working}
-        assert failed == set(self.faults)
+        failed = set(self.faults)
         demand, _ = self._demand_now(t)
-        live = {b: d for b, d in demand.items()
-                if b not in self.transformer_state or self.transformer_state[b].working}
+        live = {b: d for b, d in demand.items() if ("transformer", b) not in self.repairs}
         _assert_matches_reference(self.model, state, self.switch_closed, failed, live)
         self.checked += 1
         super()._evaluate_and_accrue(t, state)
