@@ -25,7 +25,7 @@ from .shedding import (
 )
 from .stochastic import (
     ComponentState, ReliabilityParams, RepairPhases, draw_battery_soc,
-    draw_status, failure_probability, ict_repair_duration, sectioning_time,
+    draw_status, failure_probability, ict_repair_duration,
 )
 from .timeseries import ProfileSet, TimeSeries, interpolate, read_timeseries_csv
 

@@ -24,8 +24,11 @@ entry is working. Ends are completed at the start of their increment: lines
 by id, then transformers by id, then ICT units by id, and each completion
 draws that component's next failure.
 
-The breaker positions, sub-systems and their conducting lines follow from
-the switching state alone, i.e. from (failed lines, open disconnectors), so
+Switch positions are not stored: they follow from the fault table. A
+disconnector is open while it is normally open or bounds a line fault in its
+repairing phase, so a disconnector shared by two isolated sections stays
+open until both repairs end. The breaker positions, sub-systems and their
+conducting lines follow from (failed lines, open disconnectors) alone, so
 each distinct state is compiled once per run into a `TopologyCache` and
 every later increment in that state looks it up.
 """
@@ -71,8 +74,6 @@ class SimulationConfig:
     automated_sectioning_h: float = 5.0 / 60.0
     manual_sectioning_h: float = 1.0
     worker_count: int = 1
-    loadflow_tolerance: float = 1e-8
-    loadflow_max_iter: int = 50
 
     def __post_init__(self):
         if self.increment_h <= 0 or self.horizon_h <= 0:
@@ -147,13 +148,12 @@ def ends_silently(duration_h: float, dt_h: float) -> bool:
 
 
 class _LineFault:
-    __slots__ = ("line_id", "phase", "end", "boundary")
+    __slots__ = ("line_id", "phase", "end")
 
-    def __init__(self, line_id, end, boundary):
+    def __init__(self, line_id, end):
         self.line_id = line_id
         self.phase = "sectioning"
         self.end = end  # increment at which the current phase ends
-        self.boundary = boundary
 
 
 @dataclass(frozen=True)
@@ -175,20 +175,16 @@ class Subsystem:
         return not any(subtree[bus] > limit for bus, limit in self.feed_limits)
 
 
-@dataclass(frozen=True)
-class SwitchingState:
-    breakers: tuple       # (breaker id, closed) per distribution system
-    subsystems: tuple     # Subsystem per connected component, by lowest bus id
-
-
 class TopologyCache:
     """Lookups one Monte Carlo run derives from its model and increment.
 
-    Switching states are keyed by (failed lines, open non-breaker switches)
-    and compiled on first use; breaker positions are part of the compiled
-    state, not of the key. The cache also holds every failable component's
-    per-increment failure probability and the ICT devices by id. It lives as
-    long as the run that creates it, so nothing outlives the model.
+    Switching states are keyed by (failed lines, open disconnectors), where
+    a disconnector is open while it is normally open or bounds an isolated
+    line, and are compiled on first use into their sub-systems, by lowest
+    bus id; the breaker positions follow from the key. The cache also holds
+    every failable component's per-increment failure probability and the
+    ICT devices by id. It lives as long as the run that creates it, so
+    nothing outlives the model.
     """
 
     def __init__(self, model: NetworkModel, increment_h: float):
@@ -197,8 +193,8 @@ class TopologyCache:
         self.hits = 0
         self.misses = 0
         self._states = {}
-        self._disconnectors = tuple(s.id for s in model.switchgear.values()
-                                    if s.kind != BREAKER)
+        self._normally_open = frozenset(s.id for s in model.switchgear.values()
+                                        if s.kind != BREAKER and not s.normal_closed)
         ict = model.ict
         params = {("line", l.id): l.reliability for l in model.lines.values()}
         params.update((("transformer", b.id), b.transformer)
@@ -215,9 +211,12 @@ class TopologyCache:
         self.int_switches = {i.id: i for i in ict.intelligent_switches}
         self.ict_ids = frozenset(ident for kind, ident in params if kind == "ict")
 
-    def state(self, failed_lines, switch_closed) -> SwitchingState:
-        key = (frozenset(failed_lines),
-               frozenset(s for s in self._disconnectors if not switch_closed[s]))
+    def state(self, failed_lines, isolated_lines) -> tuple:
+        """The sub-systems while `failed_lines` are down and the sections of
+        `isolated_lines` (a subset of them) are cut out."""
+        sections = self.model.sections
+        key = (frozenset(failed_lines), self._normally_open.union(
+            *(sections[l].boundary_disconnectors for l in isolated_lines)))
         entry = self._states.get(key)
         if entry is None:
             self.misses += 1
@@ -226,25 +225,21 @@ class TopologyCache:
             self.hits += 1
         return entry
 
-    def _compile(self, failed, open_switches) -> SwitchingState:
+    def _compile(self, failed, open_switches) -> tuple:
         model = self.model
-        breakers = {}
+        closed = {s: s not in open_switches for s in model.switchgear}
         for dsys in model.distribution_systems:
             # a feeder breaker stays open while its root would feed a fault
-            breakers[model.breaker_of_system[dsys.id]] = not self._root_sees_fault(
+            closed[model.breaker_of_system[dsys.id]] = not self._root_sees_fault(
                 dsys.root_bus, failed, open_switches)
-        closed = {s: s not in open_switches for s in model.switchgear}
-        closed.update(breakers)
         components = connected_components(model, closed, failed)
         comp_of = {b: i for i, comp in enumerate(components) for b in comp}
         lines_in = [[] for _ in components]
         for line in model.lines.values():
             if model.line_conducts(line.id, closed, failed):
                 lines_in[comp_of[line.from_bus]].append(line)
-        return SwitchingState(
-            tuple(breakers.items()),
-            tuple(self._subsystem(comp, tuple(lines), closed)
-                  for comp, lines in zip(components, lines_in)))
+        return tuple(self._subsystem(comp, tuple(lines), closed)
+                     for comp, lines in zip(components, lines_in))
 
     def _root_sees_fault(self, root, failed, open_switches) -> bool:
         """Search from the root over lines whose switches are closed, breakers
@@ -310,7 +305,6 @@ class SequentialSimulation:
         self.dt = config.increment_h
         self.t_index = 0
 
-        self.switch_closed = model.normal_switch_states()
         self.faults = {}   # line id -> _LineFault
         self.repairs = {}  # ("transformer" | "ict", id) -> (end increment, reported)
         self.latent = set()  # ICT ids failed silently and not yet called upon
@@ -332,8 +326,13 @@ class SequentialSimulation:
         self.schedule = {}  # component key -> increment index of next failure
         if self.scripted:
             for ev in script:
-                idx = int(ev.time_h / self.dt + 1e-9)
-                self.schedule.setdefault(idx, []).append(ev.component_id)
+                idx = math.floor(ev.time_h / self.dt + 1e-9)
+                if 0 <= idx < config.n_increments:
+                    self.schedule.setdefault(idx, []).append(ev.component_id)
+                else:
+                    self.ledger.warnings.append(
+                        f"scripted fault on {ev.component_id!r} at {ev.time_h:g}h "
+                        f"outside the horizon")
         else:
             for key in topology.failure_p:
                 self._schedule_next(key, 0)
@@ -356,10 +355,9 @@ class SequentialSimulation:
         n = self.config.n_increments
         while self.t_index < n:
             if not self._anything_active():
-                pending = [i for i in self.schedule if i >= self.t_index]
-                if not pending:
+                if not self.schedule:
                     break
-                self.t_index = min(pending)
+                self.t_index = min(self.schedule)
             self.run_increment()
         return self.ledger
 
@@ -371,11 +369,11 @@ class SequentialSimulation:
         t = self.t_index
         self._process_new_failures(t)
         self._apply_transitions(t)
-        state = self.topology.state(self.faults, self.switch_closed)
-        self.switch_closed.update(state.breakers)
+        subsystems = self.topology.state(
+            self.faults, [l for l, f in self.faults.items() if f.phase == "repairing"])
 
         if self._electrical_fault_active():
-            self._evaluate_and_accrue(t, state)
+            self._evaluate_and_accrue(t, subsystems)
         else:
             for b in self.was_out:
                 self.was_out[b] = False
@@ -422,8 +420,7 @@ class SequentialSimulation:
                                    self.config.manual_sectioning_h)
             self._discover_latent(plan, time_h)
             self.faults[ident] = _LineFault(
-                ident, t + phase_increments(plan.duration_h, self.dt),
-                self.model.sections[ident].boundary_disconnectors)
+                ident, t + phase_increments(plan.duration_h, self.dt))
             self.ledger.events.append((time_h, ident, "line_fault"))
         elif kind == "transformer":
             if key in self.repairs:
@@ -490,8 +487,6 @@ class SequentialSimulation:
             if fault.end > t:
                 continue
             if fault.phase == "sectioning":
-                for disc in fault.boundary:
-                    self.switch_closed[disc] = False
                 repair = self.model.lines[line_id].reliability.repair_time_h
                 fault.phase = "repairing"
                 fault.end = t + phase_increments(repair, self.dt)
@@ -510,8 +505,6 @@ class SequentialSimulation:
             self._schedule_after_repair(key)
 
     def _restore_line(self, fault, time_h):
-        for disc in fault.boundary:
-            self.switch_closed[disc] = self.model.switchgear[disc].normal_closed
         del self.faults[fault.line_id]
         self.ledger.events.append((time_h, fault.line_id, "line_repaired"))
         self._schedule_after_repair(("line", fault.line_id))
@@ -538,14 +531,14 @@ class SequentialSimulation:
             demand_q[b] = load.peak_mvar * mult
         return demand, demand_q
 
-    def _evaluate_and_accrue(self, t, state):
+    def _evaluate_and_accrue(self, t, subsystems):
         model = self.model
         dt = self.dt
         demand, demand_q = self._demand_now(t)
 
         served = {}
         islanded_now = dict.fromkeys(self.was_islanded, False)
-        for sub in state.subsystems:
+        for sub in subsystems:
             self._serve_component(sub, t, demand, demand_q, served, islanded_now)
         self.was_islanded = islanded_now
 
@@ -751,8 +744,7 @@ class SequentialSimulation:
         except NonRadialError as exc:
             self.ledger.warnings.append(f"load flow skipped: {exc}")
             return None
-        return solve_fbs(problem, self.config.loadflow_tolerance,
-                         self.config.loadflow_max_iter)
+        return solve_fbs(problem)
 
 
 def update_battery_demand(subsystem_demand_mw, production_cap_mw, battery, soc,
@@ -792,11 +784,16 @@ def run_iteration(model, profiles, config, iteration_index, script=None,
     """One full pass from t=0 to the horizon, deterministically seeded.
 
     `topology` is the run's `TopologyCache`; a fresh one is made without it.
+    An error raised by the iteration is re-raised as a RuntimeError naming
+    the iteration index and the master seed, which reproduce it.
     """
     rng = np.random.default_rng([config.master_seed, iteration_index])
-    sim = SequentialSimulation(model, profiles, config, rng, script=script,
-                               cost_table=cost_table, topology=topology)
-    return sim.run()
+    try:
+        return SequentialSimulation(model, profiles, config, rng, script=script,
+                                    cost_table=cost_table, topology=topology).run()
+    except Exception as exc:
+        raise RuntimeError(f"iteration {iteration_index} (master seed "
+                           f"{config.master_seed}) failed: {exc!r}") from exc
 
 
 _POOL_STATE = {}

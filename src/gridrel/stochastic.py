@@ -167,11 +167,6 @@ def plan_sectioning(model, fault_line: str, ict_working,
     return SectioningPlan(manual_h, False, (sensor_id,), switch_ids)
 
 
-def sectioning_time(model, fault_line: str, ict_working,
-                    automated_h: float = 5.0 / 60.0, manual_h: float = 1.0) -> float:
-    return plan_sectioning(model, fault_line, ict_working, automated_h, manual_h).duration_h
-
-
 def draw_battery_soc(battery, rng) -> float:
     """State of charge drawn uniformly between the battery's SOC bounds."""
     if battery.soc_min == battery.soc_max:

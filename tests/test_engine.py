@@ -127,6 +127,18 @@ def test_two_simultaneous_faults_each_keep_their_own_timer():
     assert ledger.interruptions == {"B2": 1.0, "B3": 1.0, "B4": 1.0}
 
 
+def test_overlapping_sections_stay_cut_out_until_each_repair_ends():
+    # the sections of L2 and L3 share D3: after L2's repair ends at 15 h, D3
+    # stays open for L3 (repaired at 16 h), so the breaker keeps B2 and B3 fed
+    _, ledger = _run_scripted(CHAIN4, [(10.0, "L2"), (11.0, "L3")])
+    assert ledger.outage_hours == {"B2": 1.0, "B3": 5.0, "B4": 6.0}
+    assert ledger.interruptions == {"B2": 1.0, "B3": 1.0, "B4": 1.0}
+    assert [e for e in ledger.events if e[2] == "interrupted"] == [
+        (10.0, "B2", "interrupted"), (10.0, "B3", "interrupted"),
+        (10.0, "B4", "interrupted")]
+    assert ledger.warnings == []
+
+
 def test_restoration_returns_switches_to_normal_and_is_idempotent():
     model = build_network(parse_network_text(CHAIN4))
     config = _config()
@@ -134,11 +146,37 @@ def test_restoration_returns_switches_to_normal_and_is_idempotent():
                                np.random.default_rng(0),
                                script=[ScriptedFault(5.0, "L2")])
     sim.run()
-    assert sim.switch_closed == model.normal_switch_states()
+    assert sim.faults == {}
+    # the empty fault table compiles to the normal state: one grid-fed feeder
+    (normal,) = sim.topology.state(sim.faults, ())
+    assert normal.buses == ("B1", "B2", "B3", "B4")
+    assert normal.grid_bus == "B1"
+    assert [line.id for line in normal.lines] == ["L1", "L2", "L3"]
     events = list(sim.ledger.events)
     sim.run_increment()  # one more step after the last repair changes nothing
-    assert sim.switch_closed == model.normal_switch_states()
+    assert sim.faults == {}
     assert sim.ledger.events == events
+
+
+@pytest.mark.parametrize("time_h", [-3.0, -0.5, 48.0, 100.0])
+def test_scripted_fault_outside_the_horizon_is_a_warning(time_h):
+    _, ledger = _run_scripted(CHAIN4, [(time_h, "L2")])
+    assert sum(ledger.outage_hours.values()) == 0.0
+    assert ledger.events == []
+    assert ledger.warnings == [
+        f"scripted fault on 'L2' at {time_h:g}h outside the horizon"]
+
+
+def test_scripted_fault_past_a_profiled_horizon_is_not_simulated(ieee33_spec,
+                                                                 bundled_profiles):
+    loads, wind = bundled_profiles
+    model = build_network(apply_scenario(ieee33_spec, "case1"))
+    config = _config()
+    # the profiles end with the horizon: hour 100 has no load to look up
+    ledger = run_iteration(model, ProfileSet(1.0, 48.0, loads, wind), config, 0,
+                           script=[ScriptedFault(100.0, "L03")])
+    assert ledger.events == []
+    assert ledger.warnings == ["scripted fault on 'L03' at 100h outside the horizon"]
 
 
 def test_outage_truncates_at_horizon():
@@ -373,6 +411,36 @@ def test_parallel_equals_sequential(ieee33_spec, bundled_profiles, cost_table):
                           SimulationConfig(iterations=12, master_seed=3,
                                            worker_count=2), cost_table)
     assert seq == par
+
+
+class _ProfilesFailingFrom(ProfileSet):
+    """Flat profiles whose load lookup raises from increment `fail_from` on."""
+
+    def __init__(self, fail_from):
+        super().__init__(1.0, 8760.0)
+        self.fail_from = fail_from
+
+    def load_multiplier(self, name, t_index):
+        if t_index >= self.fail_from:
+            raise ArithmeticError(f"no load at t={t_index}")
+        return super().load_multiplier(name, t_index)
+
+
+def test_failing_iteration_is_named_serial_and_pooled():
+    model = build_network(parse_network_text(CHAIN4.replace("rate=0 ", "rate=1 ")))
+    profiles = _ProfilesFailingFrom(8000)
+    # at master seed 2 only iteration 5 of 0..5 evaluates a fault after 8000 h
+    for index in range(5):
+        run_iteration(model, profiles, _config(horizon_h=8760.0, master_seed=2), index)
+    messages = []
+    for workers in (1, 2):
+        config = _config(horizon_h=8760.0, iterations=6, master_seed=2,
+                         worker_count=workers)
+        with pytest.raises(RuntimeError, match=r"^iteration 5 \(master seed 2\) failed: "
+                                               r"ArithmeticError\('no load at t=8") as info:
+            run_monte_carlo(model, profiles, config)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_aggregate_report_from_single_iteration(chain4):

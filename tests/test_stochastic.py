@@ -10,7 +10,6 @@ from gridrel.stochastic import (
     FAILED, MANUAL, NEW_SIGNAL, REBOOT, UNDER_REPAIR, WORKING,
     ComponentState, ReliabilityParams, RepairPhases, draw_battery_soc,
     draw_status, failure_probability, ict_repair_duration, plan_sectioning,
-    sectioning_time,
 )
 
 TABLE_SENSOR_PHASES = RepairPhases(new_signal_h=2 / 3600, reboot_h=5 / 60,
@@ -164,7 +163,7 @@ def _all_working(model):
 
 
 def test_sectioning_no_ict_is_manual(chain4):
-    assert sectioning_time(chain4, "L2", {}, automated_h=5 / 60, manual_h=1.0) == 1.0
+    assert plan_sectioning(chain4, "L2", {}, 5 / 60, 1.0).duration_h == 1.0
 
 
 def test_sectioning_full_ict_is_automated(ieee33):
@@ -193,4 +192,4 @@ def test_sectioning_dead_switch_is_manual_but_consulted(ieee33):
 
 def test_sectioning_unknown_line(ieee33):
     with pytest.raises(ValueError):
-        sectioning_time(ieee33, "L99", {})
+        plan_sectioning(ieee33, "L99", {}, 5 / 60, 1.0)

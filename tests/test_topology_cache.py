@@ -1,10 +1,11 @@
 """The per-run topology cache against topology computed from scratch.
 
 The engine compiles each switching state (failed lines, open disconnectors)
-once into a `TopologyCache` entry. These tests check the entries the engine
-uses on real IEEE-33 runs, and entries of generated states of IEEE-33 and
-the 6-bus feeder, against oracles that rescan the model, and check that a
-cache lives no longer than its run.
+once into a `TopologyCache` entry, the open disconnectors following from the
+isolated lines. These tests check the entries the engine uses on real IEEE-33
+runs, with the isolated lines replayed from the ledger's events, and entries
+of generated states of IEEE-33 and the 6-bus feeder, against oracles that
+rescan the model, and check that a cache lives no longer than its run.
 """
 
 import gc
@@ -20,21 +21,28 @@ from gridrel.engine import (
     run_monte_carlo,
 )
 from gridrel.netfile import parse_network_file
-from gridrel.network import BREAKER, build_network, connected_components
+from gridrel.network import build_network, connected_components
 from gridrel.scenarios import apply_scenario, bundled_validation_path
 from gridrel.timeseries import ProfileSet
 
 from oracles import reference_breakers, reference_grid_flows_ok, reference_lines_inside
 
 
-def _assert_matches_reference(model, state, switch_closed, failed, demand):
+def _switches_cutting_out(model, isolated):
+    """Switch id -> closed, with the sections of `isolated` cut out; the
+    breakers keep their normal state, which the oracle does not read."""
+    closed = model.normal_switch_states()
+    for line_id in isolated:
+        closed.update(dict.fromkeys(model.sections[line_id].boundary_disconnectors, False))
+    return closed
+
+
+def _assert_matches_reference(model, subsystems, switch_closed, failed, demand):
     """`switch_closed` sets the disconnectors; the breakers come from the oracle."""
-    breakers = reference_breakers(model, switch_closed, failed)
-    assert dict(state.breakers) == breakers
-    closed = {**switch_closed, **breakers}
-    assert [sub.buses for sub in state.subsystems] == connected_components(
+    closed = {**switch_closed, **reference_breakers(model, switch_closed, failed)}
+    assert [sub.buses for sub in subsystems] == connected_components(
         model, closed, failed)
-    for sub in state.subsystems:
+    for sub in subsystems:
         assert [line.id for line in sub.lines] == reference_lines_inside(
             model, set(sub.buses), closed, failed)
         feeders = [d for d in model.distribution_systems
@@ -50,18 +58,28 @@ def _assert_matches_reference(model, state, switch_closed, failed, demand):
 
 
 class _CheckedSimulation(SequentialSimulation):
-    """Checks the switching state of every evaluated increment, then uses it."""
+    """Checks the sub-systems of every evaluated increment, then uses them.
+
+    The isolated lines are replayed from the ledger: a line is isolated from
+    its `isolated` event until its `line_repaired` event.
+    """
 
     checked = 0
 
-    def _evaluate_and_accrue(self, t, state):
-        assert all(self.switch_closed[b] == closed for b, closed in state.breakers)
+    def _evaluate_and_accrue(self, t, subsystems):
+        isolated = set()
+        for _, ident, kind in self.ledger.events:
+            if kind == "isolated":
+                isolated.add(ident)
+            elif kind == "line_repaired":
+                isolated.discard(ident)
         failed = set(self.faults)
         demand, _ = self._demand_now(t)
         live = {b: d for b, d in demand.items() if ("transformer", b) not in self.repairs}
-        _assert_matches_reference(self.model, state, self.switch_closed, failed, live)
+        _assert_matches_reference(self.model, subsystems,
+                                  _switches_cutting_out(self.model, isolated), failed, live)
         self.checked += 1
-        super()._evaluate_and_accrue(t, state)
+        super()._evaluate_and_accrue(t, subsystems)
 
 
 @pytest.mark.parametrize("case", ["case1", "case2", "case3", "case4"])
@@ -89,25 +107,22 @@ def test_cached_states_match_reference_on_ieee33_runs(case, ieee33_spec,
 @given(data=st.data())
 def test_compiled_state_matches_reference_on_generated_states(ieee33, validation6, data):
     model = data.draw(st.sampled_from([ieee33, validation6]))
-    breakers = [s for s, sw in model.switchgear.items() if sw.kind == BREAKER]
-    disconnectors = [s for s, sw in model.switchgear.items() if sw.kind != BREAKER]
     failed = data.draw(st.frozensets(st.sampled_from(model.line_ids)))
-    opened = data.draw(st.frozensets(st.sampled_from(disconnectors)))
-    closed = {s: s not in opened for s in model.switchgear}
-    closed.update((s, data.draw(st.booleans())) for s in breakers)
+    isolated = (data.draw(st.frozensets(st.sampled_from(sorted(failed))))
+                if failed else frozenset())
     # half-MW steps add up exactly in any order, so no verdict rests on rounding
     steps = data.draw(st.lists(st.integers(0, 8), min_size=len(model.bus_ids),
                                max_size=len(model.bus_ids)))
     demand = {b: 0.5 * k for b, k in zip(model.bus_ids, steps)}
 
     cache = TopologyCache(model, 1.0)
-    entry = cache.state(failed, closed)
-    _assert_matches_reference(model, entry, closed, failed, demand)
-    # breaker positions are not part of the key
-    flipped = {**closed, **{s: not closed[s] for s in breakers}}
-    assert cache.state(dict.fromkeys(failed), flipped) is entry
+    entry = cache.state(failed, isolated)
+    _assert_matches_reference(model, entry, _switches_cutting_out(model, isolated),
+                              failed, demand)
+    # the key is the set of failed lines and the set of open disconnectors
+    assert cache.state(dict.fromkeys(failed), sorted(isolated, reverse=True)) is entry
     assert (cache.hits, cache.misses) == (1, 1)
-    assert TopologyCache(model, 1.0).state(failed, closed) == entry
+    assert TopologyCache(model, 1.0).state(failed, isolated) == entry
 
 
 def test_case3_hits_the_cache_at_least_nine_times_in_ten(ieee33_spec, bundled_profiles,
