@@ -24,6 +24,10 @@ RUNS = {
     "hourly": ["--scenario", "case1..case4", "--workers", "2"],
     "half-hourly": ["--scenario", "case3,case4", "--increment", "30min",
                     "--workers", "2"],
+    "five-minute": ["--scenario", "case1,case3", "--increment", "5min",
+                    "--workers", "2"],
+    # relative to each tree, so each runs its own copy of the 6-bus feeder
+    "validation6": ["--network", "src/gridrel/data/validation6.net", "--workers", "2"],
 }
 
 

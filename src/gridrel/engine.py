@@ -7,10 +7,13 @@ decomposes into sub-systems, each energized sub-system gets battery dispatch
 + load flow + cost-minimal shedding, and the history ledger accrues
 interruptions, outage hours and energy not supplied.
 
-Healthy increments change nothing, so the driver skips straight to the next
-scheduled failure; the stochastic draw uses the geometric distribution of
-the first Bernoulli success, which is distribution-identical to drawing
-every increment. Sectioning and repair phases last whole increments
+Health changes only at a scheduled failure or a phase end. With no line
+fault or transformer repair active nothing is evaluated, and the next
+failure is drawn from the geometric distribution of the first Bernoulli
+success, distribution-identical to drawing every increment. A static state
+(`TopologyCache.static`) is accrued up to the next change in one step,
+summed increment by increment as stepping sums; other states are evaluated
+one increment at a time. Sectioning and repair phases last whole increments
 (floor(duration / dt)); sub-increment residue is dropped, so with an hourly
 increment the seconds-to-minutes ICT recoveries are invisible, and outage
 durations are exact when the configured times are increment multiples.
@@ -38,6 +41,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -120,14 +124,6 @@ class HistoryLedger:
             self.outage_hours.setdefault(b, 0.0)
             self.ens_mwh.setdefault(b, 0.0)
 
-    @property
-    def total_ens_mwh(self) -> float:
-        return sum(self.ens_mwh.values())
-
-    @property
-    def total_customers(self) -> int:
-        return sum(self.customers.values())
-
 
 def phase_increments(duration_h: float, dt_h: float) -> int:
     """Whole increments a phase lasts: floor(duration / dt), a duration
@@ -141,7 +137,7 @@ def ends_silently(duration_h: float, dt_h: float) -> bool:
     A repair lasting a whole number n >= 1 of increments ends after the
     evaluation of its last down increment without a `*_repaired` event or a
     next failure draw. This is a known defect, kept because fixing it
-    changes the benchmark's reference results; ROADMAP item 4 records it.
+    changes the benchmark's reference results; ROADMAP item 2 records it.
     """
     n = phase_increments(duration_h, dt_h)
     return n >= 1 and duration_h <= n * dt_h + _EPS
@@ -207,9 +203,12 @@ class TopologyCache:
         # in key order, which is the order of the initial failure draws
         self.failure_p = {key: failure_probability(r.failure_rate, increment_h)
                           for key, r in sorted(params.items()) if r.can_fail}
+        self.initial_keys = tuple(key for key, p in self.failure_p.items() if p > 0.0)
+        self.initial_p = np.array([self.failure_p[key] for key in self.initial_keys])
         self.sensors = {s.id: s for s in ict.sensors}
         self.int_switches = {i.id: i for i in ict.intelligent_switches}
         self.ict_ids = frozenset(ident for kind, ident in params if kind == "ict")
+        self._profiles, self._bound, self._certificates = None, {}, {}  # see `static`
 
     def state(self, failed_lines, isolated_lines) -> tuple:
         """The sub-systems while `failed_lines` are down and the sections of
@@ -224,6 +223,37 @@ class TopologyCache:
         else:
             self.hits += 1
         return entry
+
+    def static(self, subsystems, profiles):
+        """The buses without a source if no bus of this compiled state can
+        change before health does, else None. Every sub-system must be
+        sourceless (no grid, production or battery) or fed by a grid limit
+        above _EPS that the demand bounds fit, summed and through each feed
+        line; sums are monotone in their terms, so `_serve_component`'s grid
+        shortcut then serves each bus whose transformer works."""
+        if profiles is not self._profiles:  # the bounds hold for one profile set
+            self._profiles, self._bound, self._certificates = profiles, {}, {}
+            for b in self.model.load_points:
+                load = self.model.buses[b].load
+                if load is not None:  # peak * mult is monotone in mult
+                    lo, hi = profiles.load_range(load.profile)
+                    self._bound[b] = max(load.peak_mw * lo, load.peak_mw * hi, 0.0)
+        key = id(subsystems)  # compiled states live as long as the cache
+        if key not in self._certificates:
+            model, bound = self.model, self._bound
+            dark = set()
+            for sub in subsystems:
+                if sub.grid_bus is None and not any(
+                        model.production_of_bus[b] or b in model.battery_of_bus
+                        for b in sub.buses):
+                    dark.update(sub.buses)
+                elif not (sub.grid_bus is not None and sub.grid_limit > _EPS
+                          and sum(bound.get(b, 0.0) for b in sub.buses) <= sub.grid_limit
+                          and sub.grid_flows_within_caps(bound)):
+                    dark = None
+                    break
+            self._certificates[key] = dark
+        return self._certificates[key]
 
     def _compile(self, failed, open_switches) -> tuple:
         model = self.model
@@ -334,8 +364,11 @@ class SequentialSimulation:
                         f"scripted fault on {ev.component_id!r} at {ev.time_h:g}h "
                         f"outside the horizon")
         else:
-            for key in topology.failure_p:
-                self._schedule_next(key, 0)
+            n = config.n_increments  # one draw per component, as `_schedule_next` draws
+            draws = self.rng.geometric(topology.initial_p).tolist()
+            for key, k in zip(topology.initial_keys, draws):
+                if k - 1 < n:
+                    self.schedule.setdefault(k - 1, []).append(key)
 
     # -- failure scheduling ------------------------------------------------
 
@@ -365,27 +398,20 @@ class SequentialSimulation:
         return bool(self.faults or self.repairs) or self.t_index in self.schedule
 
     def run_increment(self):
-        """Execute one increment of the procedure and advance time."""
+        """Execute one increment of the procedure, or a run (see `_accrue`)."""
         t = self.t_index
         self._process_new_failures(t)
         self._apply_transitions(t)
         subsystems = self.topology.state(
             self.faults, [l for l, f in self.faults.items() if f.phase == "repairing"])
-
-        if self._electrical_fault_active():
-            self._evaluate_and_accrue(t, subsystems)
-        else:
-            for b in self.was_out:
-                self.was_out[b] = False
-            for b_id in self.was_islanded:
-                self.was_islanded[b_id] = False
+        stop = self._accrue(t, subsystems)
 
         # unreported repairs end here, after their last down increment, and a
         # transformer's bus keeps its `was_out` (see `ends_silently`)
         for key in [k for k, (end, reported) in self.repairs.items()
-                    if end == t + 1 and not reported]:
+                    if end == stop and not reported]:
             del self.repairs[key]
-        self.t_index += 1
+        self.t_index = stop
 
     # -- failures and switching ---------------------------------------------
 
@@ -415,7 +441,8 @@ class SequentialSimulation:
         if kind == "line":
             if ident in self.faults:
                 return
-            plan = plan_sectioning(self.model, ident, self._ict_working(),
+            plan = plan_sectioning(self.model, ident,
+                                   SimpleNamespace(get=self._ict_working),
                                    self.config.automated_sectioning_h,
                                    self.config.manual_sectioning_h)
             self._discover_latent(plan, time_h)
@@ -451,17 +478,18 @@ class SequentialSimulation:
             self.latent.add(ident)
             self.ledger.events.append((time_h, ident, "latent_ict_fault"))
 
-    def _ict_working(self) -> dict:
-        def working(ident):
-            return ident not in self.latent and ("ict", ident) not in self.repairs
+    def _ict_working(self, ident, default=False) -> bool:
+        """Whether ICT unit `ident` works, for `plan_sectioning`'s `.get`;
+        the controller needs both its parts, and unknown ids read `default`."""
+        def working(unit):
+            return unit not in self.latent and ("ict", unit) not in self.repairs
 
-        status = {}
+        if ident in self.topology.sensors or ident in self.topology.int_switches:
+            return working(ident)
         ctrl = self.model.ict.controller
-        if ctrl is not None:
-            status[ctrl.id] = working(ctrl.id + "/hw") and working(ctrl.id + "/sw")
-        for ident in (*self.topology.sensors, *self.topology.int_switches):
-            status[ident] = working(ident)
-        return status
+        if ctrl is not None and ident == ctrl.id:
+            return working(ident + "/hw") and working(ident + "/sw")
+        return default
 
     def _discover_latent(self, plan, time_h):
         """Latent ICT failures start their repair clock when first called upon."""
@@ -517,6 +545,44 @@ class SequentialSimulation:
         return bool(self.faults) or any(kind == "transformer" for kind, _ in self.repairs)
 
     # -- electrical evaluation ----------------------------------------------
+
+    def _accrue(self, t, subsystems) -> int:
+        """Accrue increment t, or the run up to the next change when nothing
+        needs evaluating; return the increment after the last one accrued."""
+        out = []  # without an electrical fault nothing is evaluated
+        if self._electrical_fault_active():
+            dark = self.topology.static(subsystems, self.profiles)
+            if dark is None:
+                self._evaluate_and_accrue(t, subsystems)
+                return t + 1
+            out = [b for b in self.model.load_points
+                   if b in dark or ("transformer", b) in self.repairs]
+        stop = min([self.config.n_increments, *self.schedule,
+                    *(f.end for f in self.faults.values()),
+                    *(end for end, _ in self.repairs.values())])
+        if out:
+            ledger, dt = self.ledger, self.dt
+            loads = [self.model.buses[b].load for b in out]
+            names = [load.profile if load else None for load in loads]
+            mults = {n: self.profiles.load_multipliers(n, t, stop) for n in set(names)}
+            demand = (np.array([load.peak_mw if load else 0.0 for load in loads])[:, None]
+                      * np.array([mults[name] for name in names]))
+            # each out bus's terms in sequence, as stepping adds them (np.sum
+            # would add pairwise); a 0.0 term leaves the sum as skipping does
+            sums = np.empty((2, len(out), stop - t + 1))
+            sums[:, :, 0] = ([ledger.outage_hours[b] for b in out],
+                             [ledger.ens_mwh[b] for b in out])
+            sums[0, :, 1:] = dt
+            sums[1, :, 1:] = np.where(demand > _EPS, demand * dt, 0.0)
+            hours, ens = np.add.accumulate(sums, axis=2)[:, :, -1].tolist()
+            for b, h, e in zip(out, hours, ens):
+                ledger.outage_hours[b], ledger.ens_mwh[b] = h, e
+                if not self.was_out[b]:
+                    ledger.interruptions[b] += 1.0
+                    ledger.events.append((t * dt, b, "interrupted"))
+        self.was_out = dict.fromkeys(self.model.load_points, False) | dict.fromkeys(out, True)
+        self.was_islanded = dict.fromkeys(self.was_islanded, False)
+        return stop
 
     def _demand_now(self, t):
         demand, demand_q = {}, {}

@@ -186,6 +186,20 @@ class ProfileSet:
             return 1.0
         return float(self.load[name][t_index])
 
+    def load_multipliers(self, name, start: int, stop: int) -> np.ndarray:
+        """`load_multiplier` of increments start..stop-1, as one array."""
+        if name is None or name == "flat" or name not in self.load:
+            return np.ones(stop - start)
+        if stop > len(self.load[name]):
+            raise IndexError(f"profile {name!r} has no increment {stop - 1}")
+        return self.load[name][start:stop]
+
+    def load_range(self, name) -> tuple:
+        """Smallest and largest `load_multiplier` of a profile."""
+        if name is None or name == "flat" or name not in self.load:
+            return 1.0, 1.0
+        return float(self.load[name].min()), float(self.load[name].max())
+
     def production_mw(self, name, t_index: int):
         if name is None or name not in self.production:
             return None

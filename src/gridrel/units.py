@@ -36,8 +36,6 @@ _UNIT_TO_HOURS = {
     "years": Fraction(HOURS_PER_YEAR),
 }
 
-_CANONICAL = {"s": "s", "min": "min", "h": "h", "d": "d", "yr": "yr"}
-
 _DURATION_RE = re.compile(r"^\s*([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*([a-zA-Z]*)\s*$")
 
 

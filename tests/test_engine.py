@@ -286,6 +286,22 @@ def test_dead_intelligent_switch_forces_manual_and_is_discovered():
                for _, c, e in ledger.events)
 
 
+def test_ict_lookup_answers_as_a_table_of_every_unit(ieee33_spec):
+    model = build_network(apply_scenario(ieee33_spec, "case3"))
+    sim = SequentialSimulation(model, _flat_profiles(), _config(), np.random.default_rng(0),
+                               script=[])
+    ctrl = model.ict.controller.id
+    units = [s.id for s in model.ict.sensors] + [i.id for i in model.ict.intelligent_switches]
+    for latent, repairs in [((), ()), (("S03", "IS07"), ("IS01", "S30", ctrl + "/sw")),
+                            ((), (ctrl + "/hw",))]:
+        sim.latent = set(latent)
+        sim.repairs = {("ict", ident): (5, True) for ident in repairs}
+        table = {ident: ident not in latent and ident not in repairs for ident in units}
+        table[ctrl] = not any(part in repairs for part in (ctrl + "/hw", ctrl + "/sw"))
+        for ident in [*units, ctrl, ctrl + "/hw", "B05", "nope"]:
+            assert sim._ict_working(ident, False) is table.get(ident, False)
+
+
 def test_sub_increment_ict_repairs_are_invisible_at_hourly_steps():
     text = CHAIN4_ICT.replace("p_new_signal=0 p_reboot=0",
                               "p_new_signal=1 p_reboot=0")
@@ -414,7 +430,7 @@ def test_parallel_equals_sequential(ieee33_spec, bundled_profiles, cost_table):
 
 
 class _ProfilesFailingFrom(ProfileSet):
-    """Flat profiles whose load lookup raises from increment `fail_from` on."""
+    """Flat profiles whose load lookups raise from increment `fail_from` on."""
 
     def __init__(self, fail_from):
         super().__init__(1.0, 8760.0)
@@ -424,6 +440,11 @@ class _ProfilesFailingFrom(ProfileSet):
         if t_index >= self.fail_from:
             raise ArithmeticError(f"no load at t={t_index}")
         return super().load_multiplier(name, t_index)
+
+    def load_multipliers(self, name, start, stop):
+        if stop > self.fail_from:
+            raise ArithmeticError(f"no load at t={max(start, self.fail_from)}")
+        return super().load_multipliers(name, start, stop)
 
 
 def test_failing_iteration_is_named_serial_and_pooled():

@@ -109,3 +109,14 @@ def test_profile_set_lookup_and_mean():
     assert ps.production_mw("wind", 1) == 2.0
     assert ps.production_mw("nope", 1) is None
     assert ps.load_mean("res") == pytest.approx(1.0)
+
+
+def test_profile_set_runs_and_range_agree_with_the_lookup():
+    ps = ProfileSet(1.0, 8.0, {"res": _series([0.5, 1.0, 1.5, 1.0])})
+    for name in ("res", "flat", "nope", None):
+        assert ps.load_multipliers(name, 2, 7).tolist() == [
+            ps.load_multiplier(name, t) for t in range(2, 7)]
+    assert ps.load_range("res") == (0.5, 1.5)
+    assert ps.load_range("flat") == ps.load_range("nope") == (1.0, 1.0)
+    with pytest.raises(IndexError):
+        ps.load_multipliers("res", 6, 9)

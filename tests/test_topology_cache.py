@@ -58,15 +58,21 @@ def _assert_matches_reference(model, subsystems, switch_closed, failed, demand):
 
 
 class _CheckedSimulation(SequentialSimulation):
-    """Checks the sub-systems of every evaluated increment, then uses them.
+    """Checks the sub-systems of every electrically active increment.
 
-    The isolated lines are replayed from the ledger: a line is isolated from
-    its `isolated` event until its `line_repaired` event.
+    The hook sits where both the stepped and the jumped accrual receive the
+    sub-systems; a jumped run keeps them until its last increment, and each
+    of its increments is checked with its own demand. The isolated lines are
+    replayed from the ledger: a line is isolated from its `isolated` event
+    until its `line_repaired` event.
     """
 
     checked = 0
 
-    def _evaluate_and_accrue(self, t, subsystems):
+    def _accrue(self, t, subsystems):
+        stop = super()._accrue(t, subsystems)
+        if not self._electrical_fault_active():
+            return stop
         isolated = set()
         for _, ident, kind in self.ledger.events:
             if kind == "isolated":
@@ -74,12 +80,15 @@ class _CheckedSimulation(SequentialSimulation):
             elif kind == "line_repaired":
                 isolated.discard(ident)
         failed = set(self.faults)
-        demand, _ = self._demand_now(t)
-        live = {b: d for b, d in demand.items() if ("transformer", b) not in self.repairs}
-        _assert_matches_reference(self.model, subsystems,
-                                  _switches_cutting_out(self.model, isolated), failed, live)
-        self.checked += 1
-        super()._evaluate_and_accrue(t, subsystems)
+        for tau in range(t, stop):
+            demand, _ = self._demand_now(tau)
+            live = {b: d for b, d in demand.items()
+                    if ("transformer", b) not in self.repairs}
+            _assert_matches_reference(self.model, subsystems,
+                                      _switches_cutting_out(self.model, isolated),
+                                      failed, live)
+            self.checked += 1
+        return stop
 
 
 @pytest.mark.parametrize("case", ["case1", "case2", "case3", "case4"])
