@@ -26,6 +26,9 @@ RUNS = {
                     "--workers", "2"],
     "five-minute": ["--scenario", "case1,case3", "--increment", "5min",
                     "--workers", "2"],
+    # sub-hour islands with wind and batteries step through the general path
+    "quarter-hourly": ["--scenario", "case2,case4", "--increment", "15min",
+                       "--workers", "2"],
     # relative to each tree, so each runs its own copy of the 6-bus feeder
     "validation6": ["--network", "src/gridrel/data/validation6.net", "--workers", "2"],
 }

@@ -245,6 +245,9 @@ def main(argv=None) -> int:
             TimeSeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except indices.MissingCostCategory as exc:  # a KeyError, whose str() adds quotes
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_VALIDATION
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -11,7 +11,7 @@ Health changes only at a scheduled failure or a phase end. With no line
 fault or transformer repair active nothing is evaluated, and the next
 failure is drawn from the geometric distribution of the first Bernoulli
 success, distribution-identical to drawing every increment. A static state
-(`TopologyCache.static`) is accrued up to the next change in one step,
+(every sub-system `steady`) is accrued up to the next change in one step,
 summed increment by increment as stepping sums; other states are evaluated
 one increment at a time. Sectioning and repair phases last whole increments
 (floor(duration / dt)); sub-increment residue is dropped, so with an hourly
@@ -32,16 +32,17 @@ disconnector is open while it is normally open or bounds a line fault in its
 repairing phase, so a disconnector shared by two isolated sections stays
 open until both repairs end. The breaker positions, sub-systems and their
 conducting lines follow from (failed lines, open disconnectors) alone, so
-each distinct state is compiled once per run into a `TopologyCache` and
-every later increment in that state looks it up.
+each distinct state is compiled once per run into a `TopologyCache`, which
+also decides there whether the state is static, and every later increment
+in that state looks it up. The cache belongs to one model and one profile
+set, and holds the load-point table every iteration of the run reads.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from types import SimpleNamespace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -108,8 +109,8 @@ class HistoryLedger:
     """Per-load-point and per-system accumulators for one iteration."""
 
     load_points: tuple
-    customers: dict
-    categories: dict
+    customers: dict   # the engine's ledgers of one run share these two
+    categories: dict  # read-only; only load points with a load have one
     horizon_h: float
     increment_h: float
     interruptions: dict = field(default_factory=dict)
@@ -162,6 +163,7 @@ class Subsystem:
     lines: tuple          # conducting lines inside, in model line order
     subtree_sums: tuple   # (bus, child) additions in reversed BFS order from the root
     feed_limits: tuple    # (bus, feed-line capacity + eps) in BFS order below the root
+    steady: bool = False  # no bus can change before health does (see `_subsystem`)
 
     def grid_flows_within_caps(self, live_demand) -> bool:
         """Check the lossless radial flows of serving everything from the grid."""
@@ -172,20 +174,24 @@ class Subsystem:
 
 
 class TopologyCache:
-    """Lookups one Monte Carlo run derives from its model and increment.
+    """Lookups one Monte Carlo run derives from its model and profile set.
 
     Switching states are keyed by (failed lines, open disconnectors), where
     a disconnector is open while it is normally open or bounds an isolated
     line, and are compiled on first use into their sub-systems, by lowest
     bus id; the breaker positions follow from the key. The cache also holds
-    every failable component's per-increment failure probability and the
-    ICT devices by id. It lives as long as the run that creates it, so
-    nothing outlives the model.
+    every failable component's per-increment failure probability at the
+    profile set's increment, the ICT devices by id, and the load-point
+    table: per load point (peak MW, peak Mvar, profile), with (0.0, 0.0,
+    None) for one without a load, its demand bound, and the customers and
+    categories every ledger of the run shares read-only. It lives as long
+    as the run that creates it, so nothing outlives the model.
     """
 
-    def __init__(self, model: NetworkModel, increment_h: float):
+    def __init__(self, model: NetworkModel, profiles):
         self.model = model
-        self.increment_h = increment_h
+        self.profiles = profiles
+        increment_h = profiles.increment_h
         self.hits = 0
         self.misses = 0
         self._states = {}
@@ -208,7 +214,17 @@ class TopologyCache:
         self.sensors = {s.id: s for s in ict.sensors}
         self.int_switches = {i.id: i for i in ict.intelligent_switches}
         self.ict_ids = frozenset(ident for kind, ident in params if kind == "ict")
-        self._profiles, self._bound, self._certificates = None, {}, {}  # see `static`
+        self.loads, self.bound, self.customers, self.categories = {}, {}, {}, {}
+        for b in model.load_points:
+            bus = model.buses[b]
+            self.customers[b] = bus.customers
+            if bus.load is None:
+                self.loads[b] = (0.0, 0.0, None)
+                continue
+            self.loads[b] = (bus.load.peak_mw, bus.load.peak_mvar, bus.load.profile)
+            self.categories[b] = bus.load.category
+            lo, hi = profiles.load_range(bus.load.profile)  # peak * mult is monotone in mult
+            self.bound[b] = max(bus.load.peak_mw * lo, bus.load.peak_mw * hi, 0.0)
 
     def state(self, failed_lines, isolated_lines) -> tuple:
         """The sub-systems while `failed_lines` are down and the sections of
@@ -223,37 +239,6 @@ class TopologyCache:
         else:
             self.hits += 1
         return entry
-
-    def static(self, subsystems, profiles):
-        """The buses without a source if no bus of this compiled state can
-        change before health does, else None. Every sub-system must be
-        sourceless (no grid, production or battery) or fed by a grid limit
-        above _EPS that the demand bounds fit, summed and through each feed
-        line; sums are monotone in their terms, so `_serve_component`'s grid
-        shortcut then serves each bus whose transformer works."""
-        if profiles is not self._profiles:  # the bounds hold for one profile set
-            self._profiles, self._bound, self._certificates = profiles, {}, {}
-            for b in self.model.load_points:
-                load = self.model.buses[b].load
-                if load is not None:  # peak * mult is monotone in mult
-                    lo, hi = profiles.load_range(load.profile)
-                    self._bound[b] = max(load.peak_mw * lo, load.peak_mw * hi, 0.0)
-        key = id(subsystems)  # compiled states live as long as the cache
-        if key not in self._certificates:
-            model, bound = self.model, self._bound
-            dark = set()
-            for sub in subsystems:
-                if sub.grid_bus is None and not any(
-                        model.production_of_bus[b] or b in model.battery_of_bus
-                        for b in sub.buses):
-                    dark.update(sub.buses)
-                elif not (sub.grid_bus is not None and sub.grid_limit > _EPS
-                          and sum(bound.get(b, 0.0) for b in sub.buses) <= sub.grid_limit
-                          and sub.grid_flows_within_caps(bound)):
-                    dark = None
-                    break
-            self._certificates[key] = dark
-        return self._certificates[key]
 
     def _compile(self, failed, open_switches) -> tuple:
         model = self.model
@@ -295,8 +280,9 @@ class TopologyCache:
             if dsys.root_bus in comp and closed[model.breaker_of_system[dsys.id]]:
                 grid_bus, grid_limit = dsys.root_bus, model.feeder_capacity[dsys.id]
                 break
-        if grid_bus is None:
-            return Subsystem(comp, None, 0.0, lines, (), ())
+        if grid_bus is None:  # steady while sourceless: no grid, production or battery
+            return Subsystem(comp, None, 0.0, lines, (), (), steady=not any(
+                model.production_of_bus[b] or b in model.battery_of_bus for b in comp))
         adj = {}
         for line in lines:
             adj.setdefault(line.from_bus, []).append((line.to_bus, line))
@@ -310,10 +296,17 @@ class TopologyCache:
                     children[bus].append(other)
                     feed_limit[other] = line.capacity_mw + _EPS
                     order.append(other)
-        return Subsystem(
+        sub = Subsystem(
             comp, grid_bus, grid_limit, lines,
             tuple((bus, child) for bus in reversed(order) for child in children[bus]),
             tuple((bus, feed_limit[bus]) for bus in order[1:]))
+        # steady while the demand bounds fit the grid limit, summed and through
+        # each feed line; sums are monotone in their terms, so `_serve_component`'s
+        # grid shortcut then serves each bus whose transformer works
+        bound = self.bound
+        return replace(sub, steady=grid_limit > _EPS
+                       and sum(bound.get(b, 0.0) for b in comp) <= grid_limit
+                       and sub.grid_flows_within_caps(bound))
 
 
 class SequentialSimulation:
@@ -322,10 +315,13 @@ class SequentialSimulation:
     def __init__(self, model: NetworkModel, profiles, config: SimulationConfig,
                  rng, script: Optional[list] = None, cost_table=None,
                  topology: Optional[TopologyCache] = None):
+        if profiles.increment_h != config.increment_h:
+            raise ValueError(f"profile set has a {profiles.increment_h:g} h increment, "
+                             f"the run {config.increment_h:g} h")
         if topology is None:
-            topology = TopologyCache(model, config.increment_h)
-        elif topology.model is not model or topology.increment_h != config.increment_h:
-            raise ValueError("topology cache belongs to another model or increment")
+            topology = TopologyCache(model, profiles)
+        elif topology.model is not model or topology.profiles is not profiles:
+            raise ValueError("topology cache belongs to another model or profile set")
         self.topology = topology
         self.model = model
         self.profiles = profiles
@@ -345,9 +341,8 @@ class SequentialSimulation:
 
         self.ledger = HistoryLedger(
             load_points=model.load_points,
-            customers={b: model.buses[b].customers for b in model.load_points},
-            categories={b: (model.buses[b].load.category if model.buses[b].load else "general")
-                        for b in model.load_points},
+            customers=topology.customers,
+            categories=topology.categories,
             horizon_h=config.horizon_h,
             increment_h=config.increment_h,
         )
@@ -441,8 +436,7 @@ class SequentialSimulation:
         if kind == "line":
             if ident in self.faults:
                 return
-            plan = plan_sectioning(self.model, ident,
-                                   SimpleNamespace(get=self._ict_working),
+            plan = plan_sectioning(self.model, ident, self._ict_working,
                                    self.config.automated_sectioning_h,
                                    self.config.manual_sectioning_h)
             self._discover_latent(plan, time_h)
@@ -478,9 +472,9 @@ class SequentialSimulation:
             self.latent.add(ident)
             self.ledger.events.append((time_h, ident, "latent_ict_fault"))
 
-    def _ict_working(self, ident, default=False) -> bool:
-        """Whether ICT unit `ident` works, for `plan_sectioning`'s `.get`;
-        the controller needs both its parts, and unknown ids read `default`."""
+    def _ict_working(self, ident) -> bool:
+        """Whether ICT unit `ident` works, for `plan_sectioning`; the
+        controller needs both its parts, and unknown ids read False."""
         def working(unit):
             return unit not in self.latent and ("ict", unit) not in self.repairs
 
@@ -489,7 +483,7 @@ class SequentialSimulation:
         ctrl = self.model.ict.controller
         if ctrl is not None and ident == ctrl.id:
             return working(ident + "/hw") and working(ident + "/sw")
-        return default
+        return False
 
     def _discover_latent(self, plan, time_h):
         """Latent ICT failures start their repair clock when first called upon."""
@@ -551,10 +545,10 @@ class SequentialSimulation:
         needs evaluating; return the increment after the last one accrued."""
         out = []  # without an electrical fault nothing is evaluated
         if self._electrical_fault_active():
-            dark = self.topology.static(subsystems, self.profiles)
-            if dark is None:
+            if not all(sub.steady for sub in subsystems):
                 self._evaluate_and_accrue(t, subsystems)
                 return t + 1
+            dark = {b for sub in subsystems if sub.grid_bus is None for b in sub.buses}
             out = [b for b in self.model.load_points
                    if b in dark or ("transformer", b) in self.repairs]
         stop = min([self.config.n_increments, *self.schedule,
@@ -562,10 +556,10 @@ class SequentialSimulation:
                     *(end for end, _ in self.repairs.values())])
         if out:
             ledger, dt = self.ledger, self.dt
-            loads = [self.model.buses[b].load for b in out]
-            names = [load.profile if load else None for load in loads]
+            loads = [self.topology.loads[b] for b in out]
+            names = [name for _, _, name in loads]
             mults = {n: self.profiles.load_multipliers(n, t, stop) for n in set(names)}
-            demand = (np.array([load.peak_mw if load else 0.0 for load in loads])[:, None]
+            demand = (np.array([peak for peak, _, _ in loads])[:, None]
                       * np.array([mults[name] for name in names]))
             # each out bus's terms in sequence, as stepping adds them (np.sum
             # would add pairwise); a 0.0 term leaves the sum as skipping does
@@ -586,15 +580,10 @@ class SequentialSimulation:
 
     def _demand_now(self, t):
         demand, demand_q = {}, {}
-        for b in self.model.load_points:
-            load = self.model.buses[b].load
-            if load is None:
-                demand[b] = 0.0
-                demand_q[b] = 0.0
-                continue
-            mult = self.profiles.load_multiplier(load.profile, t)
-            demand[b] = load.peak_mw * mult
-            demand_q[b] = load.peak_mvar * mult
+        for b, (peak_mw, peak_mvar, name) in self.topology.loads.items():
+            mult = self.profiles.load_multiplier(name, t)
+            demand[b] = peak_mw * mult
+            demand_q[b] = peak_mvar * mult
         return demand, demand_q
 
     def _evaluate_and_accrue(self, t, subsystems):
@@ -727,10 +716,8 @@ class SequentialSimulation:
                 bat.soc_min), bat.soc_max)
 
     def _shed_cost(self, bus_id) -> float:
-        load = self.model.buses[bus_id].load
-        if load is None:
-            return 0.0
-        return float(self.cost_table.get(load.category, 1.0))
+        category = self.topology.categories.get(bus_id)  # None without a load
+        return 0.0 if category is None else float(self.cost_table.get(category, 1.0))
 
     def _confirm_with_loadflow(self, comp, live_demand, demand_q, lines_here,
                                generators, gen_bus, cost_of, grid_bus, result, t):
@@ -866,13 +853,12 @@ _POOL_STATE = {}
 
 
 def _pool_init(model, profiles, config, cost_table):
-    _POOL_STATE["args"] = (model, profiles, config, cost_table,
-                           TopologyCache(model, config.increment_h))
+    _POOL_STATE["args"] = (config, cost_table, TopologyCache(model, profiles))
 
 
 def _pool_run(index):
-    model, profiles, config, cost_table, topology = _POOL_STATE["args"]
-    return index, run_iteration(model, profiles, config, index,
+    config, cost_table, topology = _POOL_STATE["args"]
+    return index, run_iteration(topology.model, topology.profiles, config, index,
                                 cost_table=cost_table, topology=topology)
 
 
@@ -881,7 +867,7 @@ def run_monte_carlo(model, profiles, config, cost_table=None):
     count produces identical output."""
     indices = list(range(config.iterations))
     if config.worker_count == 1 or config.iterations == 1:
-        topology = TopologyCache(model, config.increment_h)
+        topology = TopologyCache(model, profiles)
         return [run_iteration(model, profiles, config, i, cost_table=cost_table,
                               topology=topology)
                 for i in indices]

@@ -27,13 +27,13 @@ def ens(ledger) -> float:
 
 
 def cens(ledger, cost_table) -> float:
-    """Interruption cost: per-load-point ENS weighted by its category cost."""
+    """Interruption cost: the ENS of each load point with a category (one
+    with a load) weighted by that category's cost."""
     total = 0.0
-    for bus, energy in ledger.ens_mwh.items():
-        category = ledger.categories.get(bus, "general")
+    for bus, category in ledger.categories.items():
         if category not in cost_table:
             raise MissingCostCategory(f"no interruption cost for category {category!r}")
-        total += energy * cost_table[category]
+        total += ledger.ens_mwh[bus] * cost_table[category]
     return float(total)
 
 

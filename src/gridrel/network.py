@@ -214,7 +214,6 @@ class NetworkModel:
         self.parent_line = {}      # bus id -> line id toward the feeder root
         self.children = {b: [] for b in self.bus_ids}
         self.system_of_bus = {}    # bus id -> distribution system id
-        self.root_of_system = {d.id: d.root_bus for d in self.distribution_systems}
         self.breaker_of_system = {}
         self.tree_lines = frozenset()
         self._downstream = {}      # line id -> frozenset of bus ids

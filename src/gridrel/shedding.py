@@ -82,10 +82,6 @@ class SheddingResult:
     line_flow_mw: dict = field(default_factory=dict)   # line id -> MW (from -> to)
     objective: float = 0.0
 
-    @property
-    def total_shed_mw(self) -> float:
-        return sum(self.shed_mw.values())
-
 
 def build_shedding_problem(node_ids, demand_mw, shed_cost, generators=(),
                            lines=()) -> SheddingProblem:

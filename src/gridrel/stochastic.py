@@ -137,21 +137,21 @@ def plan_sectioning(model, fault_line: str, ict_working,
     Automated sectioning needs a working controller, a working sensor on the
     faulted line, and a working intelligent switch on every disconnector that
     bounds the faulted section. Any gap falls back to manual sectioning.
-    `ict_working` maps ICT component id -> bool; consulted units are reported
-    so the caller can start latent-failure discovery.
+    `ict_working(unit_id)` tells whether an ICT unit works; consulted units
+    are reported so the caller can start latent-failure discovery.
     """
     if fault_line not in model.lines:
         raise ValueError(f"unknown line {fault_line!r}")
     ict = model.ict
     if ict.controller is None:
         return SectioningPlan(manual_h, False, (), ())
-    if not ict_working.get(ict.controller.id, False):
+    if not ict_working(ict.controller.id):
         return SectioningPlan(manual_h, False, (), ())
 
     sensor_id = model.sensor_of_line.get(fault_line)
     if sensor_id is None:
         return SectioningPlan(manual_h, False, (), ())
-    if not ict_working.get(sensor_id, False):
+    if not ict_working(sensor_id):
         return SectioningPlan(manual_h, False, (sensor_id,), ())
 
     boundary = model.sections[fault_line].boundary_disconnectors
@@ -162,7 +162,7 @@ def plan_sectioning(model, fault_line: str, ict_working,
             return SectioningPlan(manual_h, False, (sensor_id,), ())
         switch_ids.append(isw)
     switch_ids = tuple(switch_ids)
-    if all(ict_working.get(s, False) for s in switch_ids):
+    if all(ict_working(s) for s in switch_ids):
         return SectioningPlan(automated_h, True, (sensor_id,), switch_ids)
     return SectioningPlan(manual_h, False, (sensor_id,), switch_ids)
 

@@ -109,3 +109,32 @@ def test_simulate_reports_warnings_by_kind_on_stderr(tmp_path, capsys):
     assert counts["other"] == "0"
     meta = json.loads(_read(tmp_path / "out" / "run_metadata.json"))
     assert "warnings" not in json.dumps(meta)
+
+
+_RESIDENTIAL_CHAIN = CHAIN4.replace("category=general", "category=residential")
+
+
+def test_simulate_prices_only_load_points_with_a_load(tmp_path, capsys):
+    # B3 keeps its customers but has no load, so no cost category: its ENS
+    # is always 0 and the cost table needs no entry for it
+    net = tmp_path / "chain.net"
+    net.write_text(_RESIDENTIAL_CHAIN.replace(
+        "B3 customers=10 load_mw=0.3 load_mvar=0.07 category=residential",
+        "B3 customers=10"))
+    rc = main(["simulate", "--network", str(net), "--iterations", "5",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert (tmp_path / "out" / "iterations.csv").exists()
+
+
+def test_simulate_rejects_a_cost_table_missing_a_load_category(tmp_path, capsys):
+    net = tmp_path / "chain.net"
+    net.write_text(_RESIDENTIAL_CHAIN.replace(
+        "B3 customers=10 load_mw=0.3 load_mvar=0.07 category=residential",
+        "B3 customers=10 load_mw=0.3 load_mvar=0.07 category=industrial"))
+    costs = tmp_path / "costs.csv"
+    costs.write_text("category,cost_per_mwh\nresidential,10\n")
+    rc = main(["simulate", "--network", str(net), "--costs", str(costs),
+               "--iterations", "5", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: no interruption cost for category 'industrial'" in capsys.readouterr().err

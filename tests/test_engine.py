@@ -299,7 +299,7 @@ def test_ict_lookup_answers_as_a_table_of_every_unit(ieee33_spec):
         table = {ident: ident not in latent and ident not in repairs for ident in units}
         table[ctrl] = not any(part in repairs for part in (ctrl + "/hw", ctrl + "/sw"))
         for ident in [*units, ctrl, ctrl + "/hw", "B05", "nope"]:
-            assert sim._ict_working(ident, False) is table.get(ident, False)
+            assert sim._ict_working(ident) is table.get(ident, False)
 
 
 def test_sub_increment_ict_repairs_are_invisible_at_hourly_steps():

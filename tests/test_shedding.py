@@ -18,7 +18,7 @@ def test_ample_generation_sheds_nothing():
                  [("G", "A", 0.0, 10.0)], [("L", "A", "B", 10.0)])
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(0.0, abs=1e-9)
-    assert res.total_shed_mw == pytest.approx(0.0, abs=1e-9)
+    assert sum(res.shed_mw.values()) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_single_line_bottleneck():
@@ -44,7 +44,7 @@ def test_islanded_with_no_source_sheds_everything():
     res = _solve(["A", "B"], {"A": 0.5, "B": 0.5}, {"A": 1.0, "B": 1.0},
                  [], [("L", "A", "B", 1.0)])
     assert res.status == OPTIMAL
-    assert res.total_shed_mw == pytest.approx(1.0, abs=1e-9)
+    assert sum(res.shed_mw.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_equal_costs_break_toward_lexicographically_minimal_shed():

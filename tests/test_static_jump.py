@@ -3,7 +3,9 @@
 `SequentialSimulation` accrues a whole run of a static switching state in
 one step. `_Stepping` turns the jump off: it evaluates every electrically
 active increment through the general path, as the engine did before the
-jump. Full ledgers, events and warnings included, must be equal.
+jump. Full ledgers, events and warnings included, must be equal. The
+certificate each compiled sub-system carries (`steady`) is also checked
+against the general path on its own, increment by increment.
 """
 
 from dataclasses import replace
@@ -52,7 +54,7 @@ class _Stepping(_Jumping):
 def _run(cls, model, profiles, config, cost_table=None, script=None):
     """Ledgers of every iteration, seeded as `run_iteration` seeds them, and
     the number of accruing calls."""
-    topology = TopologyCache(model, config.increment_h)
+    topology = TopologyCache(model, profiles)
     ledgers, steps = [], 0
     for i in range(config.iterations):
         sim = cls(model, profiles, config, np.random.default_rng([config.master_seed, i]),
@@ -155,13 +157,13 @@ def test_limits_below_the_peak_keep_their_states_stepping(text, increment_h,
     model = build_network(parse_network_text(text))
     profiles = _profiles("doubled", increment_h, 48.0, bundled_profiles)
     config = SimulationConfig(increment_h=increment_h, horizon_h=48.0)
-    cache = TopologyCache(model, increment_h)
-    assert cache.static(cache.state((), ()), profiles) is None
-    assert cache.static(cache.state({"VL5"}, {"VL5"}), profiles) is None
-    # the certificate follows the profile set it is asked for
-    flat = _profiles("flat", increment_h, 48.0, bundled_profiles)
-    assert cache.static(cache.state((), ()), flat) == set()  # static, no bus out
-    assert cache.static(cache.state((), ()), profiles) is None
+    cache = TopologyCache(model, profiles)
+    assert not all(sub.steady for sub in cache.state((), ()))
+    assert not all(sub.steady for sub in cache.state({"VL5"}, {"VL5"}))
+    # the certificate belongs to the profile set its cache is built for
+    flat = TopologyCache(model, _profiles("flat", increment_h, 48.0, bundled_profiles))
+    (normal,) = flat.state((), ())  # static, and no bus out
+    assert normal.steady and normal.grid_bus is not None
     jumps, steps = _assert_jumping_equals_stepping(
         model, profiles, config, script=[ScriptedFault(10.0, "VL5")])
     # only the 1 h of manual sectioning, with the breaker open, is one run
@@ -199,6 +201,55 @@ def test_jumping_equals_stepping_on_scripted_faults(data, ieee33_spec, bundled_p
                                     script=[ScriptedFault(q / 4.0, c) for q, c in faults])
 
 
+# -- the certificate against the general path ------------------------------
+
+
+_MODELS = {}
+
+
+def _model(source, ieee33_spec):
+    if source not in _MODELS:
+        _MODELS[source] = build_network(
+            apply_scenario(ieee33_spec, source) if source.startswith("case")
+            else parse_network_text(_V6_TEXTS[source]))
+    return _MODELS[source]
+
+
+@pytest.mark.parametrize("profiles", ["bundled", "doubled", "flat"])
+@pytest.mark.parametrize("source", [*SCENARIOS, *_V6_TEXTS])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_steady_subsystems_are_served_in_full_or_dark_at_every_increment(
+        data, source, profiles, ieee33_spec, bundled_profiles):
+    model = _model(source, ieee33_spec)
+    states = [((), ())]  # the normal state, and up to three drawn ones
+    for _ in range(data.draw(st.integers(0, 3))):
+        failed = data.draw(st.frozensets(st.sampled_from(model.line_ids), min_size=1))
+        states.append((failed, data.draw(st.frozensets(st.sampled_from(sorted(failed))))))
+    transformers = [b for b in model.bus_ids if model.buses[b].transformer is not None]
+    tx_down = (data.draw(st.frozensets(st.sampled_from(transformers)))
+               if transformers else frozenset())
+    profiles = _profiles(profiles, 1.0, 168.0, bundled_profiles)
+    config = SimulationConfig(horizon_h=168.0)
+    sim = SequentialSimulation(model, profiles, config, np.random.default_rng(0), script=[])
+    sim.repairs = {("transformer", b): (config.n_increments, True) for b in tx_down}
+    steady = [sub for state in states for sub in sim.topology.state(*state) if sub.steady]
+    rng_state = sim.rng.bit_generator.state
+    for t in range(config.n_increments):
+        demand, demand_q = sim._demand_now(t)
+        for sub in steady:
+            served = {}
+            sim._serve_component(sub, t, demand, demand_q, served,
+                                 dict.fromkeys(sim.was_islanded, False))
+            if sub.grid_bus is None:
+                assert served == dict.fromkeys(sub.buses)
+            else:
+                assert served == {b: None if b in tx_down else demand.get(b, 0.0)
+                                  for b in sub.buses}
+    assert sim.rng.bit_generator.state == rng_state
+    assert not sim.ledger.warnings
+
+
 # -- initial failure draws -------------------------------------------------
 
 
@@ -211,7 +262,7 @@ def test_initial_schedule_is_the_one_scalar_draws_give(case, increment_h, ieee33
         model = build_network(apply_scenario(ieee33_spec, case))
     config = SimulationConfig(increment_h=increment_h)
     profiles = ProfileSet(increment_h, 8760.0)
-    topology = TopologyCache(model, increment_h)
+    topology = TopologyCache(model, profiles)
     for seed in range(40):
         sim = SequentialSimulation(model, profiles, config, np.random.default_rng(seed),
                                    topology=topology)

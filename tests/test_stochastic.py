@@ -163,12 +163,12 @@ def _all_working(model):
 
 
 def test_sectioning_no_ict_is_manual(chain4):
-    assert plan_sectioning(chain4, "L2", {}, 5 / 60, 1.0).duration_h == 1.0
+    assert plan_sectioning(chain4, "L2", {}.get, 5 / 60, 1.0).duration_h == 1.0
 
 
 def test_sectioning_full_ict_is_automated(ieee33):
     status = _all_working(ieee33)
-    plan = plan_sectioning(ieee33, "L05", status, 5 / 60, 1.0)
+    plan = plan_sectioning(ieee33, "L05", status.get, 5 / 60, 1.0)
     assert plan.automated and plan.duration_h == 5 / 60
     assert plan.consulted_sensors == ("S05",)
     assert set(plan.consulted_switches) == {"IS05", "IS06", "IS25"}
@@ -177,7 +177,7 @@ def test_sectioning_full_ict_is_automated(ieee33):
 def test_sectioning_controller_down_is_manual(ieee33):
     status = _all_working(ieee33)
     status[ieee33.ict.controller.id] = False
-    plan = plan_sectioning(ieee33, "L05", status, 5 / 60, 1.0)
+    plan = plan_sectioning(ieee33, "L05", status.get, 5 / 60, 1.0)
     assert not plan.automated and plan.duration_h == 1.0
     assert plan.consulted_sensors == ()
 
@@ -185,11 +185,11 @@ def test_sectioning_controller_down_is_manual(ieee33):
 def test_sectioning_dead_switch_is_manual_but_consulted(ieee33):
     status = _all_working(ieee33)
     status["IS06"] = False
-    plan = plan_sectioning(ieee33, "L05", status, 5 / 60, 1.0)
+    plan = plan_sectioning(ieee33, "L05", status.get, 5 / 60, 1.0)
     assert not plan.automated and plan.duration_h == 1.0
     assert "IS06" in plan.consulted_switches
 
 
 def test_sectioning_unknown_line(ieee33):
     with pytest.raises(ValueError):
-        plan_sectioning(ieee33, "L99", {}, 5 / 60, 1.0)
+        plan_sectioning(ieee33, "L99", {}.get, 5 / 60, 1.0)

@@ -5,7 +5,8 @@ once into a `TopologyCache` entry, the open disconnectors following from the
 isolated lines. These tests check the entries the engine uses on real IEEE-33
 runs, with the isolated lines replayed from the ledger's events, and entries
 of generated states of IEEE-33 and the 6-bus feeder, against oracles that
-rescan the model, and check that a cache lives no longer than its run.
+rescan the model, and check that a cache lives no longer than its run and
+serves only the model and profile set it was built for.
 """
 
 import gc
@@ -98,7 +99,7 @@ def test_cached_states_match_reference_on_ieee33_runs(case, ieee33_spec,
     model = build_network(apply_scenario(ieee33_spec, case))
     profiles = ProfileSet(1.0, 8760.0, loads, wind)
     config = SimulationConfig(iterations=20, master_seed=7)
-    topology = TopologyCache(model, config.increment_h)
+    topology = TopologyCache(model, profiles)
     checked = 0
     for i in range(config.iterations):
         sim = _CheckedSimulation(model, profiles, config,
@@ -124,14 +125,15 @@ def test_compiled_state_matches_reference_on_generated_states(ieee33, validation
                                max_size=len(model.bus_ids)))
     demand = {b: 0.5 * k for b, k in zip(model.bus_ids, steps)}
 
-    cache = TopologyCache(model, 1.0)
+    profiles = ProfileSet(1.0, 48.0)
+    cache = TopologyCache(model, profiles)
     entry = cache.state(failed, isolated)
     _assert_matches_reference(model, entry, _switches_cutting_out(model, isolated),
                               failed, demand)
     # the key is the set of failed lines and the set of open disconnectors
     assert cache.state(dict.fromkeys(failed), sorted(isolated, reverse=True)) is entry
     assert (cache.hits, cache.misses) == (1, 1)
-    assert TopologyCache(model, 1.0).state(failed, isolated) == entry
+    assert TopologyCache(model, profiles).state(failed, isolated) == entry
 
 
 def test_case3_hits_the_cache_at_least_nine_times_in_ten(ieee33_spec, bundled_profiles,
@@ -140,7 +142,7 @@ def test_case3_hits_the_cache_at_least_nine_times_in_ten(ieee33_spec, bundled_pr
     model = build_network(apply_scenario(ieee33_spec, "case3"))
     profiles = ProfileSet(1.0, 8760.0, loads, wind)
     config = SimulationConfig(iterations=200, master_seed=2024)
-    topology = TopologyCache(model, config.increment_h)
+    topology = TopologyCache(model, profiles)
     for i in range(config.iterations):
         run_iteration(model, profiles, config, i, cost_table=cost_table, topology=topology)
     assert topology.misses > 0
@@ -159,7 +161,26 @@ def test_no_cache_outlives_run_monte_carlo():
 
 
 def test_cache_of_another_model_is_rejected(ieee33, validation6):
-    with pytest.raises(ValueError):
-        SequentialSimulation(ieee33, ProfileSet(1.0, 48.0),
+    profiles = ProfileSet(1.0, 48.0)
+    with pytest.raises(ValueError, match="another model or profile set"):
+        SequentialSimulation(ieee33, profiles,
                              SimulationConfig(horizon_h=48.0), np.random.default_rng(0),
-                             topology=TopologyCache(validation6, 1.0))
+                             topology=TopologyCache(validation6, profiles))
+
+
+def test_cache_of_another_profile_set_is_rejected(validation6):
+    # an equal set, but another object: a cache's demand bounds belong to
+    # the one set it was built for
+    with pytest.raises(ValueError, match="another model or profile set"):
+        SequentialSimulation(validation6, ProfileSet(1.0, 48.0),
+                             SimulationConfig(horizon_h=48.0), np.random.default_rng(0),
+                             topology=TopologyCache(validation6, ProfileSet(1.0, 48.0)))
+
+
+@pytest.mark.parametrize("with_cache", [False, True])
+def test_profile_set_of_another_increment_is_rejected(validation6, with_cache):
+    profiles = ProfileSet(0.5, 48.0)
+    topology = TopologyCache(validation6, profiles) if with_cache else None
+    with pytest.raises(ValueError, match="0.5 h increment, the run 1 h"):
+        SequentialSimulation(validation6, profiles, SimulationConfig(horizon_h=48.0),
+                             np.random.default_rng(0), topology=topology)
