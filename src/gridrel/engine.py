@@ -36,6 +36,12 @@ each distinct state is compiled once per run into a `TopologyCache`, which
 also decides there whether the state is static, and every later increment
 in that state looks it up. The cache belongs to one model and one profile
 set, and holds the load-point table every iteration of the run reads.
+
+A sub-system that needs the load flow keeps its layout (BFS order from the
+slack bus, parents, line ids, impedances) in `Subsystem.layouts`, compiled
+on first use for each slack bus it meets: an island's slack is the bus of
+its largest source, which moves with the wind, so only the slacks a run
+meets are compiled. Each sweep then only fills in the injections.
 """
 
 from __future__ import annotations
@@ -113,17 +119,16 @@ class HistoryLedger:
     categories: dict  # read-only; only load points with a load have one
     horizon_h: float
     increment_h: float
-    interruptions: dict = field(default_factory=dict)
-    outage_hours: dict = field(default_factory=dict)
-    ens_mwh: dict = field(default_factory=dict)
+    interruptions: dict = field(init=False)  # these three: per load point, from 0.0
+    outage_hours: dict = field(init=False)
+    ens_mwh: dict = field(init=False)
     events: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
     def __post_init__(self):
-        for b in self.load_points:
-            self.interruptions.setdefault(b, 0.0)
-            self.outage_hours.setdefault(b, 0.0)
-            self.ens_mwh.setdefault(b, 0.0)
+        self.interruptions = dict.fromkeys(self.load_points, 0.0)
+        self.outage_hours = dict.fromkeys(self.load_points, 0.0)
+        self.ens_mwh = dict.fromkeys(self.load_points, 0.0)
 
 
 def phase_increments(duration_h: float, dt_h: float) -> int:
@@ -155,7 +160,11 @@ class _LineFault:
 
 @dataclass(frozen=True)
 class Subsystem:
-    """One connected component of a switching state."""
+    """One connected component of a switching state.
+
+    `layouts` maps each slack bus the load flow has used to the compiled
+    `LoadFlowProblem` layout, or to the `NonRadialError` compiling it raised.
+    """
 
     buses: tuple          # sorted, as `connected_components` returns them
     grid_bus: Optional[str]  # root of the first closed feeder inside, if any
@@ -164,6 +173,7 @@ class Subsystem:
     subtree_sums: tuple   # (bus, child) additions in reversed BFS order from the root
     feed_limits: tuple    # (bus, feed-line capacity + eps) in BFS order below the root
     steady: bool = False  # no bus can change before health does (see `_subsystem`)
+    layouts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def grid_flows_within_caps(self, live_demand) -> bool:
         """Check the lossless radial flows of serving everything from the grid."""
@@ -696,11 +706,8 @@ class SequentialSimulation:
                 served[b] = None
             return
 
-        # first entry wins for a repeated id
-        gen_bus = {g[0]: g[1] for g in reversed(generators)}
-        result = self._confirm_with_loadflow(comp, live_demand, demand_q, lines_here,
-                                             generators, gen_bus, cost_of, grid_bus,
-                                             result, t)
+        result = self._confirm_with_loadflow(sub, live_demand, demand_q, generators,
+                                             cost_of, result, t)
 
         for b in comp:
             if b in tx_down:
@@ -719,12 +726,13 @@ class SequentialSimulation:
         category = self.topology.categories.get(bus_id)  # None without a load
         return 0.0 if category is None else float(self.cost_table.get(category, 1.0))
 
-    def _confirm_with_loadflow(self, comp, live_demand, demand_q, lines_here,
-                               generators, gen_bus, cost_of, grid_bus, result, t):
+    def _confirm_with_loadflow(self, sub, live_demand, demand_q, generators, cost_of,
+                               result, t):
         """Re-run the sweep with the shed applied; one repair pass on overload."""
+        comp, lines_here = sub.buses, sub.lines
         if len(comp) < 2 or not lines_here:
             return result
-        slack = grid_bus
+        slack = sub.grid_bus
         if slack is None:
             # island slack: the bus carrying the largest source
             source_buses = sorted(
@@ -734,8 +742,9 @@ class SequentialSimulation:
                 return result
             slack = source_buses[0]
 
-        solution = self._run_fbs(comp, live_demand, demand_q, lines_here,
-                                 gen_bus, result, slack)
+        # first entry wins for a repeated id
+        gen_bus = {g[0]: g[1] for g in reversed(generators)}
+        solution = self._run_fbs(sub, live_demand, demand_q, gen_bus, result, slack)
         if solution is None:
             return result
         if not solution.converged:
@@ -772,11 +781,22 @@ class SequentialSimulation:
             return retry
         return result
 
-    def _run_fbs(self, comp, live_demand, demand_q, lines_here, gen_bus,
-                 result, slack):
+    def _run_fbs(self, sub, live_demand, demand_q, gen_bus, result, slack):
         base = self.model.base_mva
+        layout = sub.layouts.get(slack)
+        if layout is None:
+            edges = [(l.id, l.from_bus, l.to_bus, complex(l.r_pu, l.x_pu))
+                     for l in sub.lines]
+            try:
+                layout = LoadFlowProblem.from_tree(slack, edges, {}, base)
+            except NonRadialError as exc:
+                layout = exc
+            sub.layouts[slack] = layout
+        if isinstance(layout, NonRadialError):
+            self.ledger.warnings.append(f"load flow skipped: {layout}")
+            return None
         injections = {}
-        for b in comp:
+        for b in sub.buses:
             d = live_demand.get(b, 0.0) - result.shed_mw.get(b, 0.0)
             q = demand_q.get(b, 0.0)
             full = live_demand.get(b, 0.0)
@@ -789,15 +809,8 @@ class SequentialSimulation:
             bus = gen_bus.get(gen_id)
             if bus is not None and bus != slack:
                 injections[bus] -= output  # unity power factor injection
-        injections = {b: s / base for b, s in injections.items()}
-        edges = [(l.id, l.from_bus, l.to_bus, complex(l.r_pu, l.x_pu))
-                 for l in lines_here]
-        try:
-            problem = LoadFlowProblem.from_tree(slack, edges, injections, base)
-        except NonRadialError as exc:
-            self.ledger.warnings.append(f"load flow skipped: {exc}")
-            return None
-        return solve_fbs(problem)
+        return solve_fbs(replace(layout, s_pu=tuple(injections[b] / base
+                                                    for b in layout.bus_ids)))
 
 
 def update_battery_demand(subsystem_demand_mw, production_cap_mw, battery, soc,

@@ -5,13 +5,19 @@ accumulated from the leaves toward the slack bus, voltages are then pushed
 from the slack outward, and the two sweeps repeat until the voltage update
 falls below tolerance. Loads are constant power; injections are given as
 net consumption (demand minus local generation and battery discharge).
+
+The layout of a problem (BFS bus order, parents, line ids, impedances)
+depends only on the lines and the slack bus, so a caller that solves one
+sub-system many times builds it once with `from_tree` and hands each
+injection vector in with `dataclasses.replace`. The sweep itself runs on
+Python complex lists: a sub-system has tens of buses, too few for array
+operations to pay for their per-call overhead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from math import hypot
 
 
 class NonRadialError(ValueError):
@@ -89,46 +95,55 @@ class LoadFlowSolution:
     converged: bool
 
 
+def _magnitudes(values) -> list:
+    """|x| of each complex value, from `hypot` as numpy takes it; Python's
+    `abs` raises beyond the float range, where this reads inf."""
+    try:
+        return [abs(x) for x in values]
+    except OverflowError:
+        return [hypot(x.real, x.imag) for x in values]
+
+
 def solve_fbs(problem: LoadFlowProblem, tolerance: float = 1e-8,
               max_iter: int = 50) -> LoadFlowSolution:
     """Run the sweep. Never raises on non-convergence; check `converged`."""
     n = len(problem.bus_ids)
-    parent = np.asarray(problem.parent, dtype=int)
-    z = np.asarray(problem.z_pu, dtype=complex)
-    s = np.asarray(problem.s_pu, dtype=complex)
+    parent, z, s = problem.parent, problem.z_pu, problem.s_pu
+    v_slack = complex(problem.slack_voltage)
+    below = tuple(zip(range(1, n), parent[1:], z[1:]))  # (bus, parent, z) in BFS order
 
-    v = np.full(n, complex(problem.slack_voltage))
+    v = [v_slack] * n
     converged = False
     iterations = 0
-    i_branch = np.zeros(n, dtype=complex)
+    i_branch = [0j] * n
     for iterations in range(1, max_iter + 1):
-        v_prev = v.copy()
-        safe_v = np.where(np.abs(v) < 1e-9, 1.0, v)
-        i_branch = np.conj(s / safe_v)
+        v_prev = v
+        i_branch = [(si / (1.0 if m < 1e-9 else vi)).conjugate()
+                    for si, vi, m in zip(s, v, _magnitudes(v))]
         # backward: fold each bus's current into its parent branch
         for i in range(n - 1, 0, -1):
             i_branch[parent[i]] += i_branch[i]
         # forward: push voltages out from the slack
-        v[0] = problem.slack_voltage
-        for i in range(1, n):
-            v[i] = v[parent[i]] - z[i] * i_branch[i]
-        if np.max(np.abs(v - v_prev)) < tolerance:
+        v = [v_slack] * n
+        for i, p, zi in below:
+            v[i] = v[p] - zi * i_branch[i]
+        # all(), not max(): a NaN update must never read as converged
+        if all(m < tolerance for m in _magnitudes([a - b for a, b in zip(v, v_prev)])):
             converged = True
             break
 
     base = problem.base_mva
-    flow_mw = {}
-    for i in range(1, n):
-        s_send = v[parent[i]] * np.conj(i_branch[i]) * base
-        flow_mw[problem.line_ids[i]] = float(s_send.real)
-    losses = float(np.sum(np.abs(i_branch[1:]) ** 2 * z[1:].real) * base)
-    s_slack = v[0] * np.conj(i_branch[0]) * base if n else 0j
+    flow_mw = {problem.line_ids[i]: (v[p] * i_branch[i].conjugate() * base).real
+               for i, p, _ in below}
+    currents = _magnitudes(i_branch[1:])
+    losses = sum(m * m * zi.real for m, zi in zip(currents, z[1:])) * base
+    s_slack = v[0] * i_branch[0].conjugate() * base
 
     return LoadFlowSolution(
-        voltage_pu={b: float(abs(v[i])) for i, b in enumerate(problem.bus_ids)},
+        voltage_pu=dict(zip(problem.bus_ids, _magnitudes(v))),
         line_flow_mw=flow_mw,
         losses_mw=losses,
-        slack_mw=float(s_slack.real),
+        slack_mw=s_slack.real,
         iterations=iterations,
         converged=converged,
     )

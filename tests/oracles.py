@@ -5,10 +5,15 @@ is a damped Newton on the full complex power equations with a finite
 difference Jacobian, the LP oracle is scipy's HiGHS, the topology
 oracles rescan every line of the model for each question they answer, and
 the phase oracles step a float countdown by one increment at a time.
+The load-flow oracles are the engine's former per-call path: a layout built
+by `LoadFlowProblem.from_tree` for every sweep, and the sweep on numpy
+arrays.
 """
 
 import numpy as np
 from scipy.optimize import linprog
+
+from gridrel.loadflow import LoadFlowProblem, LoadFlowSolution
 
 
 def newton_ac(bus_ids, edges, s_load_pu, slack, v_slack=1.0,
@@ -203,3 +208,69 @@ def countdown_repair(duration_h, dt_h, eps=1e-9):
         if remaining <= eps:
             return increments, False
     return increments, True
+
+
+def per_call_fbs_problem(buses, live_demand, demand_q, lines, gen_bus, result, slack,
+                         base):
+    """The load-flow problem of one sub-system, built from scratch: net
+    consumption per bus with the shed applied at constant power factor,
+    non-slack generation as unity power factor injection, in per unit."""
+    injections = {}
+    for b in buses:
+        d = live_demand.get(b, 0.0) - result.shed_mw.get(b, 0.0)
+        q = demand_q.get(b, 0.0)
+        full = live_demand.get(b, 0.0)
+        if full > 1e-9:
+            q *= d / full
+        else:
+            q = 0.0
+        injections[b] = complex(d, q)
+    for gen_id, output in result.generation_mw.items():
+        bus = gen_bus.get(gen_id)
+        if bus is not None and bus != slack:
+            injections[bus] -= output
+    injections = {b: s / base for b, s in injections.items()}
+    edges = [(l.id, l.from_bus, l.to_bus, complex(l.r_pu, l.x_pu)) for l in lines]
+    return LoadFlowProblem.from_tree(slack, edges, injections, base)
+
+
+def numpy_fbs(problem, tolerance=1e-8, max_iter=50):
+    """The forward-backward sweep on numpy arrays, one bus at a time."""
+    n = len(problem.bus_ids)
+    parent = np.asarray(problem.parent, dtype=int)
+    z = np.asarray(problem.z_pu, dtype=complex)
+    s = np.asarray(problem.s_pu, dtype=complex)
+
+    v = np.full(n, complex(problem.slack_voltage))
+    converged = False
+    iterations = 0
+    i_branch = np.zeros(n, dtype=complex)
+    with np.errstate(all="ignore"):
+        for iterations in range(1, max_iter + 1):
+            v_prev = v.copy()
+            safe_v = np.where(np.abs(v) < 1e-9, 1.0, v)
+            i_branch = np.conj(s / safe_v)
+            for i in range(n - 1, 0, -1):
+                i_branch[parent[i]] += i_branch[i]
+            v[0] = problem.slack_voltage
+            for i in range(1, n):
+                v[i] = v[parent[i]] - z[i] * i_branch[i]
+            if np.max(np.abs(v - v_prev)) < tolerance:
+                converged = True
+                break
+
+        base = problem.base_mva
+        flow_mw = {}
+        for i in range(1, n):
+            s_send = v[parent[i]] * np.conj(i_branch[i]) * base
+            flow_mw[problem.line_ids[i]] = float(s_send.real)
+        losses = float(np.sum(np.abs(i_branch[1:]) ** 2 * z[1:].real) * base)
+        s_slack = v[0] * np.conj(i_branch[0]) * base
+    return LoadFlowSolution(
+        voltage_pu={b: float(abs(v[i])) for i, b in enumerate(problem.bus_ids)},
+        line_flow_mw=flow_mw,
+        losses_mw=losses,
+        slack_mw=float(s_slack.real),
+        iterations=iterations,
+        converged=converged,
+    )

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridrel.engine import (
-    CHARGE, DISCHARGE, IDLE, ScriptedFault, SequentialSimulation,
+    CHARGE, DISCHARGE, IDLE, HistoryLedger, ScriptedFault, SequentialSimulation,
     SimulationConfig, ends_silently, phase_increments, run_iteration,
     run_monte_carlo, update_battery_demand, warning_counts,
 )
@@ -499,3 +499,14 @@ def test_ledger_accumulators_are_nonnegative(ieee33_spec, bundled_profiles,
     assert all(v >= 0 for v in ledger.outage_hours.values())
     assert all(v >= 0 for v in ledger.ens_mwh.values())
     assert all(v >= 0 for v in ledger.interruptions.values())
+
+
+def test_ledger_starts_every_load_point_at_zero_in_load_point_order():
+    ledger = HistoryLedger(load_points=("B3", "B1"), customers={"B3": 1, "B1": 2},
+                           categories={}, horizon_h=10.0, increment_h=1.0)
+    for sums in (ledger.interruptions, ledger.outage_hours, ledger.ens_mwh):
+        assert list(sums.items()) == [("B3", 0.0), ("B1", 0.0)]
+    assert ledger.interruptions is not ledger.outage_hours
+    with pytest.raises(TypeError):
+        HistoryLedger(load_points=("B1",), customers={"B1": 1}, categories={},
+                      horizon_h=10.0, increment_h=1.0, ens_mwh={"B1": 1.0})

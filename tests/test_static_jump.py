@@ -176,34 +176,6 @@ def test_limits_below_the_peak_keep_their_states_stepping(text, increment_h,
     assert jumps == 3
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_jumping_equals_stepping_on_scripted_faults(data, ieee33_spec, bundled_profiles,
-                                                    cost_table):
-    source = data.draw(st.sampled_from(["case1", "case3", "case4", *_V6_TEXTS]))
-    if source.startswith("case"):
-        model = build_network(apply_scenario(ieee33_spec, source))
-    else:
-        model = build_network(parse_network_text(_V6_TEXTS[source]))
-    components = (*model.line_ids, *(b for b in model.bus_ids
-                                     if model.buses[b].transformer is not None))
-    if model.ict.controller is not None:
-        components += (model.ict.controller.id + "/hw", model.ict.controller.id + "/sw",
-                       *(s.id for s in model.ict.sensors[:4]),
-                       *(i.id for i in model.ict.intelligent_switches[:4]))
-    increment_h = data.draw(st.sampled_from(_INCREMENTS))
-    faults = data.draw(st.lists(st.tuples(st.integers(0, 191), st.sampled_from(components)),
-                                min_size=1, max_size=5))
-    profiles = _profiles(data.draw(st.sampled_from(["bundled", "doubled", "flat"])),
-                         increment_h, 48.0, bundled_profiles)
-    config = SimulationConfig(increment_h=increment_h, horizon_h=48.0)
-    _assert_jumping_equals_stepping(model, profiles, config, cost_table,
-                                    script=[ScriptedFault(q / 4.0, c) for q, c in faults])
-
-
-# -- the certificate against the general path ------------------------------
-
-
 _MODELS = {}
 
 
@@ -213,6 +185,33 @@ def _model(source, ieee33_spec):
             apply_scenario(ieee33_spec, source) if source.startswith("case")
             else parse_network_text(_V6_TEXTS[source]))
     return _MODELS[source]
+
+
+# every (source, profile kind) pair is tried; hypothesis draws the rest
+@pytest.mark.parametrize("profiles", ["bundled", "doubled", "flat"])
+@pytest.mark.parametrize("source", ["case1", "case3", "case4", *_V6_TEXTS])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_jumping_equals_stepping_on_scripted_faults(data, source, profiles, ieee33_spec,
+                                                    bundled_profiles, cost_table):
+    model = _model(source, ieee33_spec)
+    components = (*model.line_ids, *(b for b in model.bus_ids
+                                     if model.buses[b].transformer is not None))
+    if model.ict.controller is not None:
+        components += (model.ict.controller.id + "/hw", model.ict.controller.id + "/sw",
+                       *(s.id for s in model.ict.sensors[:4]),
+                       *(i.id for i in model.ict.intelligent_switches[:4]))
+    increment_h = data.draw(st.sampled_from(_INCREMENTS))
+    faults = data.draw(st.lists(st.tuples(st.integers(0, 191), st.sampled_from(components)),
+                                min_size=1, max_size=5))
+    config = SimulationConfig(increment_h=increment_h, horizon_h=48.0)
+    _assert_jumping_equals_stepping(model, _profiles(profiles, increment_h, 48.0,
+                                                     bundled_profiles),
+                                    config, cost_table,
+                                    script=[ScriptedFault(q / 4.0, c) for q, c in faults])
+
+
+# -- the certificate against the general path ------------------------------
 
 
 @pytest.mark.parametrize("profiles", ["bundled", "doubled", "flat"])
