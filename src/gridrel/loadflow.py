@@ -96,8 +96,8 @@ class LoadFlowSolution:
 
 
 def _magnitudes(values) -> list:
-    """|x| of each complex value, from `hypot` as numpy takes it; Python's
-    `abs` raises beyond the float range, where this reads inf."""
+    """|x| of each complex value. Python's `abs` takes it with `hypot`, as
+    numpy does, but raises past the float range, where this reads inf."""
     try:
         return [abs(x) for x in values]
     except OverflowError:
