@@ -18,7 +18,7 @@ from .netfile import (
 from .network import (
     Battery, Bus, IctSystem, Line, NetworkModel, NetworkSpec,
     NetworkValidationError, ProductionUnit, Switchgear, build_network,
-    connected_components, downstream_buses,
+    connected_components,
 )
 from .shedding import (
     SheddingProblem, SheddingResult, build_shedding_problem, solve_shedding,

@@ -1,7 +1,7 @@
 """Sequential Monte Carlo simulation driver.
 
 Each iteration advances the system over a fixed increment grid. Per
-increment: loads and production come from the profiles, component failures
+increment: loads and production are read off their curves, failures
 are drawn, faults are sectioned and isolated by the switchgear, the network
 decomposes into sub-systems, each energized sub-system gets battery dispatch
 + load flow + cost-minimal shedding, and the history ledger accrues
@@ -35,7 +35,9 @@ conducting lines follow from (failed lines, open disconnectors) alone, so
 each distinct state is compiled once per run into a `TopologyCache`, which
 also decides there whether the state is static, and every later increment
 in that state looks it up. The cache belongs to one model and one profile
-set, and holds the load-point table every iteration of the run reads.
+set, whose horizon and increment must be the run's. It binds every load
+point to its multiplier curve and every production unit to its available MW
+per increment once, so evaluating an increment only indexes arrays.
 
 A sub-system that needs the load flow keeps its layout (BFS order from the
 slack bus, parents, line ids, impedances) in `Subsystem.layouts`, compiled
@@ -191,11 +193,12 @@ class TopologyCache:
     line, and are compiled on first use into their sub-systems, by lowest
     bus id; the breaker positions follow from the key. The cache also holds
     every failable component's per-increment failure probability at the
-    profile set's increment, the ICT devices by id, and the load-point
-    table: per load point (peak MW, peak Mvar, profile), with (0.0, 0.0,
-    None) for one without a load, its demand bound, and the customers and
-    categories every ledger of the run shares read-only. It lives as long
-    as the run that creates it, so nothing outlives the model.
+    profile set's increment, the ICT devices by id, and every profile bound
+    to its user: per load point with a load (peak MW, peak Mvar, multiplier
+    curve) and its demand bound, per production unit its available MW per
+    increment, and the customers and categories every ledger of the run
+    shares read-only. It lives as long as the run that creates it, so
+    nothing outlives the model.
     """
 
     def __init__(self, model: NetworkModel, profiles):
@@ -229,12 +232,17 @@ class TopologyCache:
             bus = model.buses[b]
             self.customers[b] = bus.customers
             if bus.load is None:
-                self.loads[b] = (0.0, 0.0, None)
                 continue
-            self.loads[b] = (bus.load.peak_mw, bus.load.peak_mvar, bus.load.profile)
+            curve = profiles.load_curve(bus.load.profile)
+            self.loads[b] = (bus.load.peak_mw, bus.load.peak_mvar, curve)
             self.categories[b] = bus.load.category
-            lo, hi = profiles.load_range(bus.load.profile)  # peak * mult is monotone in mult
+            lo, hi = float(curve.min()), float(curve.max())  # peak * mult is monotone in mult
             self.bound[b] = max(bus.load.peak_mw * lo, bus.load.peak_mw * hi, 0.0)
+        self.caps = {}
+        for unit in model.production.values():
+            series = profiles.production.get(unit.profile)
+            self.caps[unit.id] = (np.full(profiles.n_increments, unit.max_mw) if series is None
+                                  else np.minimum(unit.max_mw, np.maximum(series, 0.0)))
 
     def state(self, failed_lines, isolated_lines) -> tuple:
         """The sub-systems while `failed_lines` are down and the sections of
@@ -328,13 +336,15 @@ class SequentialSimulation:
         if profiles.increment_h != config.increment_h:
             raise ValueError(f"profile set has a {profiles.increment_h:g} h increment, "
                              f"the run {config.increment_h:g} h")
+        if profiles.n_increments != config.n_increments:
+            raise ValueError(f"profile set spans {profiles.n_increments} increments, "
+                             f"the run {config.n_increments}")
         if topology is None:
             topology = TopologyCache(model, profiles)
         elif topology.model is not model or topology.profiles is not profiles:
             raise ValueError("topology cache belongs to another model or profile set")
         self.topology = topology
         self.model = model
-        self.profiles = profiles
         self.config = config
         self.rng = rng
         self.cost_table = dict(cost_table or {})
@@ -357,17 +367,22 @@ class SequentialSimulation:
             increment_h=config.increment_h,
         )
 
-        self.scripted = script is not None
-        self.schedule = {}  # component key -> increment index of next failure
-        if self.scripted:
+        self.schedule = {}  # increment index -> component keys failing then
+        # a scripted run draws no failures, so it draws no next one either
+        self.failure_p = {} if script is not None else topology.failure_p
+        if script is not None:
             for ev in script:
                 idx = math.floor(ev.time_h / self.dt + 1e-9)
-                if 0 <= idx < config.n_increments:
-                    self.schedule.setdefault(idx, []).append(ev.component_id)
-                else:
+                key = self._component_key(ev.component_id)
+                if not 0 <= idx < config.n_increments:
                     self.ledger.warnings.append(
                         f"scripted fault on {ev.component_id!r} at {ev.time_h:g}h "
                         f"outside the horizon")
+                elif key is None:
+                    self.ledger.warnings.append(
+                        f"scripted fault on unknown component {ev.component_id!r}")
+                else:
+                    self.schedule.setdefault(idx, []).append(key)
         else:
             n = config.n_increments  # one draw per component, as `_schedule_next` draws
             draws = self.rng.geometric(topology.initial_p).tolist()
@@ -377,9 +392,19 @@ class SequentialSimulation:
 
     # -- failure scheduling ------------------------------------------------
 
+    def _component_key(self, ident):
+        """The key of a scripted fault's line, transformer or ICT unit, or None."""
+        if ident in self.model.lines:
+            return ("line", ident)
+        if ("transformer", ident) in self.topology.failure_p:
+            return ("transformer", ident)
+        if ident in self.topology.ict_ids:
+            return ("ict", ident)
+        return None
+
     def _schedule_next(self, key, from_index):
         """First failure increment at or after `from_index` for a working component."""
-        p = self.topology.failure_p[key]
+        p = self.failure_p.get(key, 0.0)
         if p <= 0.0:
             return
         k = int(self.rng.geometric(p))  # trials until first success, >= 1
@@ -421,23 +446,7 @@ class SequentialSimulation:
     # -- failures and switching ---------------------------------------------
 
     def _process_new_failures(self, t):
-        entries = self.schedule.pop(t, [])
-        if not entries:
-            return
-        if self.scripted:
-            keyed = []
-            for ident in entries:
-                if ident in self.model.lines:
-                    keyed.append(("line", ident))
-                elif ("transformer", ident) in self.topology.failure_p:
-                    keyed.append(("transformer", ident))
-                elif ident in self.topology.ict_ids:
-                    keyed.append(("ict", ident))
-                else:
-                    self.ledger.warnings.append(
-                        f"scripted fault on unknown component {ident!r}")
-            entries = keyed
-        for key in sorted(entries):
+        for key in sorted(self.schedule.pop(t, ())):
             self._fail_component(key, t)
 
     def _fail_component(self, key, t):
@@ -534,16 +543,12 @@ class SequentialSimulation:
         for key in sorted(due, key=lambda k: (k[0] == "ict", k[1])):
             del self.repairs[key]
             self.ledger.events.append((time_h, key[1], f"{key[0]}_repaired"))
-            self._schedule_after_repair(key)
+            self._schedule_next(key, t + 1)
 
     def _restore_line(self, fault, time_h):
         del self.faults[fault.line_id]
         self.ledger.events.append((time_h, fault.line_id, "line_repaired"))
-        self._schedule_after_repair(("line", fault.line_id))
-
-    def _schedule_after_repair(self, key):
-        if not self.scripted:
-            self._schedule_next(key, self.t_index + 1)
+        self._schedule_next(("line", fault.line_id), self.t_index + 1)
 
     def _electrical_fault_active(self) -> bool:
         return bool(self.faults) or any(kind == "transformer" for kind, _ in self.repairs)
@@ -565,12 +570,10 @@ class SequentialSimulation:
                     *(f.end for f in self.faults.values()),
                     *(end for end, _ in self.repairs.values())])
         if out:
-            ledger, dt = self.ledger, self.dt
-            loads = [self.topology.loads[b] for b in out]
-            names = [name for _, _, name in loads]
-            mults = {n: self.profiles.load_multipliers(n, t, stop) for n in set(names)}
-            demand = (np.array([peak for peak, _, _ in loads])[:, None]
-                      * np.array([mults[name] for name in names]))
+            ledger, dt, loads = self.ledger, self.dt, self.topology.loads
+            idle = np.zeros(stop - t)  # a load point without a load asks for nothing
+            demand = np.array([loads[b][0] * loads[b][2][t:stop] if b in loads else idle
+                               for b in out])
             # each out bus's terms in sequence, as stepping adds them (np.sum
             # would add pairwise); a 0.0 term leaves the sum as skipping does
             sums = np.empty((2, len(out), stop - t + 1))
@@ -590,8 +593,8 @@ class SequentialSimulation:
 
     def _demand_now(self, t):
         demand, demand_q = {}, {}
-        for b, (peak_mw, peak_mvar, name) in self.topology.loads.items():
-            mult = self.profiles.load_multiplier(name, t)
+        for b, (peak_mw, peak_mvar, curve) in self.topology.loads.items():
+            mult = float(curve[t])
             demand[b] = peak_mw * mult
             demand_q[b] = peak_mvar * mult
         return demand, demand_q
@@ -644,14 +647,10 @@ class SequentialSimulation:
         production_cap = 0.0
         for b in comp:
             for unit_id in model.production_of_bus[b]:
-                unit = model.production[unit_id]
-                cap = unit.max_mw
-                if unit.profile is not None:
-                    prof = self.profiles.production_mw(unit.profile, t)
-                    if prof is not None:
-                        cap = min(cap, max(prof, 0.0))
+                cap = float(self.topology.caps[unit_id][t])
                 production_cap += cap
-                generators.append((unit_id, b, min(unit.min_mw, cap), cap, 0.0))
+                generators.append(
+                    (unit_id, b, min(model.production[unit_id].min_mw, cap), cap, 0.0))
 
         live_demand = {b: demand.get(b, 0.0) for b in comp if b not in tx_down}
         total_demand = sum(live_demand.values())
@@ -742,8 +741,7 @@ class SequentialSimulation:
                 return result
             slack = source_buses[0]
 
-        # first entry wins for a repeated id
-        gen_bus = {g[0]: g[1] for g in reversed(generators)}
+        gen_bus = {g[0]: g[1] for g in generators}
         solution = self._run_fbs(sub, live_demand, demand_q, gen_bus, result, slack)
         if solution is None:
             return result

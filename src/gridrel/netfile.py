@@ -29,7 +29,7 @@ from .network import (
     Line, LoadSpec, Microgrid, NetworkSpec, ProductionUnit, Sensor, Switchgear,
 )
 from .stochastic import ReliabilityParams, RepairPhases
-from .units import duration_hours, parse_rate_per_year
+from .units import duration_hours, finite_float, parse_rate_per_year
 
 _SECTIONS = ("network", "systems", "buses", "lines", "switchgear",
              "production", "batteries", "ict", "reliability")
@@ -79,9 +79,9 @@ def _get_float(fields, key, cur, default=None):
     if key not in fields:
         return default
     try:
-        return float(fields[key])
+        return finite_float(fields[key])
     except ValueError:
-        cur.err(f"field {key!r}: not a number: {fields[key]!r}")
+        cur.err(f"field {key!r}: not a finite number: {fields[key]!r}")
         return default
 
 
@@ -137,9 +137,9 @@ def parse_network_text(text, path="<string>") -> NetworkSpec:
                 network["id"] = value
             else:
                 try:
-                    network[key] = float(value)
+                    network[key] = finite_float(value)
                 except ValueError:
-                    cur.err(f"field {key!r}: not a number: {value!r}")
+                    cur.err(f"field {key!r}: not a finite number: {value!r}")
             continue
         try:
             tokens = _tokens(stripped)

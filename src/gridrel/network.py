@@ -211,12 +211,9 @@ class NetworkModel:
         )
 
         # Filled in by _build_trees / _build_sections.
-        self.parent_line = {}      # bus id -> line id toward the feeder root
-        self.children = {b: [] for b in self.bus_ids}
         self.system_of_bus = {}    # bus id -> distribution system id
         self.breaker_of_system = {}
         self.tree_lines = frozenset()
-        self._downstream = {}      # line id -> frozenset of bus ids
         self.sections = {}         # line id -> Section
         self.sensor_of_line = {}
         self.int_switch_of_disc = {}
@@ -247,7 +244,6 @@ class NetworkModel:
         for dsys in self.distribution_systems:
             root = dsys.root_bus
             self.system_of_bus[root] = dsys.id
-            self.parent_line[root] = None
             seen = {root}
             queue = deque([root])
             tree_lines = set(self.tree_lines)
@@ -258,8 +254,6 @@ class NetworkModel:
                         continue
                     seen.add(other)
                     self.system_of_bus[other] = dsys.id
-                    self.parent_line[other] = line_id
-                    self.children[bus].append(other)
                     tree_lines.add(line_id)
                     queue.append(other)
             self.tree_lines = frozenset(tree_lines)
@@ -339,30 +333,6 @@ class NetworkModel:
 
     # -- queries ----------------------------------------------------------
 
-    def downstream_buses(self, line_id: str) -> frozenset:
-        """Buses fed through `line_id` when its feeder is energized from the root."""
-        if line_id in self._downstream:
-            return self._downstream[line_id]
-        if line_id not in self.tree_lines:
-            raise ValueError(f"line {line_id!r} is not part of a feeder tree")
-        line = self.lines[line_id]
-        # The downstream endpoint is the one whose parent line is this line.
-        if self.parent_line.get(line.to_bus) == line_id:
-            head = line.to_bus
-        elif self.parent_line.get(line.from_bus) == line_id:
-            head = line.from_bus
-        else:  # pragma: no cover - tree construction guarantees one of the two
-            raise ValueError(f"line {line_id!r} has no downstream endpoint")
-        out = set()
-        queue = deque([head])
-        while queue:
-            bus = queue.popleft()
-            out.add(bus)
-            queue.extend(self.children[bus])
-        result = frozenset(out)
-        self._downstream[line_id] = result
-        return result
-
     def line_conducts(self, line_id: str, switch_closed, failed_lines) -> bool:
         if line_id in failed_lines:
             return False
@@ -402,10 +372,6 @@ def connected_components(model: NetworkModel, switch_closed, failed_lines=frozen
     return components
 
 
-def downstream_buses(model: NetworkModel, line_id: str) -> frozenset:
-    return model.downstream_buses(line_id)
-
-
 def build_network(spec: NetworkSpec) -> NetworkModel:
     """Validate a spec and return the immutable model.
 
@@ -437,6 +403,9 @@ def _validate_spec(spec: NetworkSpec):
     yield from _check_duplicates([s.id for s in spec.switchgear], "switchgear")
     yield from _check_duplicates([p.id for p in spec.production], "production unit")
     yield from _check_duplicates([b.id for b in spec.batteries], "battery")
+    # the engine keys both kinds of generator by id in one dict
+    for ident in sorted({p.id for p in spec.production} & {b.id for b in spec.batteries}):
+        yield f"production unit and battery share the id {ident!r}"
     buses = set(bus_ids)
     lines = set(line_ids)
     switches = {s.id: s for s in spec.switchgear}

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .units import duration_hours
+from .units import duration_hours, finite_float
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +42,8 @@ class TimeSeries:
             raise TimeSeriesError(f"series {self.name!r}: step must be > 0")
         if not self.values:
             raise TimeSeriesError(f"series {self.name!r}: no values")
+        if not all(map(math.isfinite, self.values)):
+            raise TimeSeriesError(f"series {self.name!r}: values must be finite")
         if self.kind not in _KINDS:
             raise TimeSeriesError(f"series {self.name!r}: unknown kind {self.kind!r}")
 
@@ -131,7 +133,7 @@ def read_timeseries_csv(path, kind: str = LOAD) -> dict:
             for i, cell in enumerate(row[1:]):
                 if cell.strip() == "":
                     raise ValueError("missing value")
-                columns[i].append(float(cell))
+                columns[i].append(finite_float(cell))
         except ValueError as exc:
             raise TimeSeriesError(f"{path}:{lineno}: {exc}") from None
 
@@ -161,7 +163,7 @@ def read_cost_table(path) -> dict:
         if len(row) < 2:
             raise TimeSeriesError(f"{path}:{lineno}: expected category,cost")
         try:
-            table[row[0].strip()] = float(row[1])
+            table[row[0].strip()] = finite_float(row[1])
         except ValueError:
             raise TimeSeriesError(f"{path}:{lineno}: bad cost value {row[1]!r}") from None
     return table
@@ -176,36 +178,22 @@ class ProfileSet:
         self.n_increments = int(round(horizon_h / increment_h))
         self.load = {}
         self.production = {}
+        self._ones = np.ones(self.n_increments)
+        self._ones.flags.writeable = False
         for name, series in (load_series or {}).items():
             self.load[name] = tile_to_horizon(interpolate(series, increment_h), horizon_h)
         for name, series in (production_series or {}).items():
             self.production[name] = tile_to_horizon(interpolate(series, increment_h), horizon_h)
 
+    def load_curve(self, name) -> np.ndarray:
+        """Multiplier per increment of load profile `name`, not copied; the
+        shared all-ones curve for "flat", None or a name with no series."""
+        if name == "flat" or name not in self.load:
+            return self._ones
+        return self.load[name]
+
     def load_multiplier(self, name, t_index: int) -> float:
-        if name is None or name == "flat" or name not in self.load:
-            return 1.0
-        return float(self.load[name][t_index])
-
-    def load_multipliers(self, name, start: int, stop: int) -> np.ndarray:
-        """`load_multiplier` of increments start..stop-1, as one array."""
-        if name is None or name == "flat" or name not in self.load:
-            return np.ones(stop - start)
-        if stop > len(self.load[name]):
-            raise IndexError(f"profile {name!r} has no increment {stop - 1}")
-        return self.load[name][start:stop]
-
-    def load_range(self, name) -> tuple:
-        """Smallest and largest `load_multiplier` of a profile."""
-        if name is None or name == "flat" or name not in self.load:
-            return 1.0, 1.0
-        return float(self.load[name].min()), float(self.load[name].max())
-
-    def production_mw(self, name, t_index: int):
-        if name is None or name not in self.production:
-            return None
-        return float(self.production[name][t_index])
+        return float(self.load_curve(name)[t_index])
 
     def load_mean(self, name) -> float:
-        if name is None or name == "flat" or name not in self.load:
-            return 1.0
-        return float(np.mean(self.load[name]))
+        return float(np.mean(self.load_curve(name)))

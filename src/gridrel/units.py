@@ -8,6 +8,7 @@ converting to the common unit and back is an identity.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,20 +87,33 @@ def parse_duration(text: str) -> Duration:
     return Duration(Fraction(value), unit)
 
 
+def finite_float(text) -> float:
+    """`float(text)`, refusing nan and infinities with a ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def duration_hours(text) -> float:
     """Shorthand: parse a duration string (or accept a number) and return hours."""
     if isinstance(text, (int, float)) and not isinstance(text, bool):
-        return float(text)
-    return parse_duration(text).hours
+        return finite_float(text)
+    try:
+        return parse_duration(text).hours
+    except OverflowError:  # the exact value is past the float range
+        raise UnitError(f"duration {text!r} is not finite") from None
 
 
 def parse_rate_per_year(text) -> float:
     """Parse a failure rate like "0.07/yr" or a bare number (per year)."""
     if isinstance(text, (int, float)) and not isinstance(text, bool):
-        return float(text)
-    s = str(text).strip()
-    if "/" in s:
-        num, _, unit = s.partition("/")
-        per_hours = float(_factor(unit.strip()))
-        return float(num) * HOURS_PER_YEAR / per_hours
-    return float(s)
+        rate = float(text)
+    elif "/" in str(text):
+        num, _, unit = str(text).strip().partition("/")
+        rate = float(num) * HOURS_PER_YEAR / float(_factor(unit.strip()))
+    else:
+        rate = float(text)
+    if not math.isfinite(rate):
+        raise UnitError(f"rate {text!r} is not finite")
+    return rate

@@ -179,6 +179,32 @@ def test_scripted_fault_past_a_profiled_horizon_is_not_simulated(ieee33_spec,
     assert ledger.warnings == ["scripted fault on 'L03' at 100h outside the horizon"]
 
 
+def test_scripted_fault_on_an_unknown_component_is_a_warning():
+    model = build_network(parse_network_text(CHAIN4))
+    sim = SequentialSimulation(model, _flat_profiles(), _config(),
+                               np.random.default_rng(0),
+                               script=[ScriptedFault(10.0, "NOPE"), ScriptedFault(99.0, "X"),
+                                       ScriptedFault(12.0, "L2")])
+    # known components are scheduled by key, in both modes
+    assert sim.schedule == {12: [("line", "L2")]}
+    assert sim.ledger.warnings == ["scripted fault on unknown component 'NOPE'",
+                                   "scripted fault on 'X' at 99h outside the horizon"]
+    ledger = sim.run()
+    assert [e for e in ledger.events if e[1] == "L2"][0] == (12.0, "L2", "line_fault")
+    assert len(ledger.warnings) == 2
+
+
+def test_profile_set_must_span_the_run(ieee33_spec, bundled_profiles):
+    """A profile set for another horizon is refused before the run starts,
+    whether its loads read a series or are flat."""
+    loads, wind = bundled_profiles
+    model = build_network(apply_scenario(ieee33_spec, "case1"))
+    for profiles in (ProfileSet(1.0, 48.0, loads, wind), ProfileSet(1.0, 48.0)):
+        with pytest.raises(ValueError, match="profile set spans 48 increments, the run 8760"):
+            SequentialSimulation(model, profiles, _config(horizon_h=8760.0),
+                                 np.random.default_rng(0))
+
+
 def test_outage_truncates_at_horizon():
     _, ledger = _run_scripted(CHAIN4, [(46.0, "L2")], horizon=48.0)
     assert ledger.outage_hours["B4"] == 2.0  # only 2 of the 5 hours fit
@@ -429,22 +455,35 @@ def test_parallel_equals_sequential(ieee33_spec, bundled_profiles, cost_table):
     assert seq == par
 
 
+class _CurveFailingFrom:
+    """An all-ones load curve whose reads raise from increment `fail_from` on."""
+
+    def __init__(self, ones, fail_from):
+        self.ones = ones
+        self.fail_from = fail_from
+
+    def __getitem__(self, key):
+        first, last = (key.start, key.stop - 1) if isinstance(key, slice) else (key, key)
+        if last >= self.fail_from:
+            raise ArithmeticError(f"no load at t={max(first, self.fail_from)}")
+        return self.ones[key]
+
+    def min(self):
+        return self.ones.min()
+
+    def max(self):
+        return self.ones.max()
+
+
 class _ProfilesFailingFrom(ProfileSet):
-    """Flat profiles whose load lookups raise from increment `fail_from` on."""
+    """Flat profiles whose load curves raise from increment `fail_from` on."""
 
     def __init__(self, fail_from):
         super().__init__(1.0, 8760.0)
         self.fail_from = fail_from
 
-    def load_multiplier(self, name, t_index):
-        if t_index >= self.fail_from:
-            raise ArithmeticError(f"no load at t={t_index}")
-        return super().load_multiplier(name, t_index)
-
-    def load_multipliers(self, name, start, stop):
-        if stop > self.fail_from:
-            raise ArithmeticError(f"no load at t={max(start, self.fail_from)}")
-        return super().load_multipliers(name, start, stop)
+    def load_curve(self, name):
+        return _CurveFailingFrom(super().load_curve(name), self.fail_from)
 
 
 def test_failing_iteration_is_named_serial_and_pooled():

@@ -65,6 +65,25 @@ def test_missing_field_positioned():
     assert "capacity_mw" in str(err.value)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("capacity_mw=4", "capacity_mw=nan", "field 'capacity_mw': not a finite number: 'nan'"),
+    ("capacity_mw=4", "capacity_mw=inf", "field 'capacity_mw': not a finite number: 'inf'"),
+    ("rate=0.07", "rate=nan", "field 'rate': rate 'nan' is not finite"),
+    ("rate=0.07", "rate=inf/yr", "field 'rate': rate 'inf/yr' is not finite"),
+    ("repair=4h", "repair=1e999h", "field 'repair': duration '1e999h' is not finite"),
+])
+def test_non_finite_numbers_positioned(old, new, message):
+    with pytest.raises(NetworkFileError) as err:
+        parse_network_text(TWO_BUS.replace(old, new), path="net.txt")
+    assert err.value.errors == [f"net.txt:15: {message}"]
+
+
+def test_non_finite_network_field_positioned():
+    with pytest.raises(NetworkFileError) as err:
+        parse_network_text(TWO_BUS.replace("base_mva = 10", "base_mva = nan"), path="net.txt")
+    assert err.value.errors == ["net.txt:4: field 'base_mva': not a finite number: 'nan'"]
+
+
 def test_errors_are_collected_not_first_only():
     text = TWO_BUS + "\n[batteries]\nBT bus=A\nBT2 bus=B\n"
     with pytest.raises(NetworkFileError) as err:

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from gridrel.netfile import parse_network_text
 from gridrel.network import (
-    NetworkValidationError, build_network, connected_components, downstream_buses,
+    NetworkValidationError, build_network, connected_components,
 )
 
 MINIMAL = """
@@ -63,6 +63,16 @@ def test_duplicate_ids_rejected():
     assert any("duplicate bus id 'B'" in v for v in err.value.violations)
 
 
+def test_production_unit_and_battery_ids_must_differ():
+    # the engine keys every generator's output by its id in one dict
+    text = MINIMAL + ("[production]\nX bus=B min_mw=0 max_mw=1\n"
+                      "[batteries]\nX bus=B capacity_mwh=1 inverter_mw=0.5\n")
+    with pytest.raises(NetworkValidationError) as err:
+        build_network(parse_network_text(text))
+    assert err.value.violations == ["production unit and battery share the id 'X'"]
+    build_network(parse_network_text(text.replace("\nX bus=B cap", "\nY bus=B cap")))
+
+
 def test_connected_components_all_closed(chain4):
     comps = connected_components(chain4, chain4.normal_switch_states())
     assert comps == [("B1", "B2", "B3", "B4")]
@@ -82,23 +92,12 @@ def test_connected_components_all_open(chain4):
     assert comps == [("B1",), ("B2",), ("B3",), ("B4",)]
 
 
-def test_downstream_buses(chain4):
-    assert downstream_buses(chain4, "L1") == frozenset({"B2", "B3", "B4"})
-    assert downstream_buses(chain4, "L3") == frozenset({"B4"})
-
-
 def test_downstream_of_ieee33_main_artery(ieee33):
-    behind = downstream_buses(ieee33, "L02")
+    comps = connected_components(ieee33, ieee33.normal_switch_states(),
+                                 failed_lines={"L02"})
+    behind = next(c for c in comps if "B03" in c)
     assert len(behind) == 27
-    assert "B03" in behind and "B19" not in behind and "B01" not in behind
-
-
-def test_downstream_child_is_subset_of_parent(ieee33):
-    for line in ieee33.lines.values():
-        parent = ieee33.parent_line.get(line.from_bus)
-        if parent is None or line.id not in ieee33.tree_lines:
-            continue
-        assert downstream_buses(ieee33, line.id) < downstream_buses(ieee33, parent)
+    assert "B19" not in behind and "B01" not in behind
 
 
 def test_sections_on_per_line_disconnectors(ieee33):

@@ -86,6 +86,21 @@ def test_csv_missing_value_positioned_error(tmp_path):
         read_timeseries_csv(path, LOAD)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_non_finite_value_positioned_error(tmp_path, cell):
+    path = tmp_path / "loads.csv"
+    path.write_text(f"time_h,foo\n0,1\n1,{cell}\n")
+    with pytest.raises(TimeSeriesError, match=r"loads\.csv:3: not a finite number"):
+        read_timeseries_csv(path, LOAD)
+
+
+def test_series_built_in_code_must_be_finite():
+    with pytest.raises(TimeSeriesError, match="finite"):
+        _series([1.0, float("nan")])
+    with pytest.raises(TimeSeriesError, match="finite"):
+        _series([float("inf")], kind=PRODUCTION)
+
+
 def test_csv_nonuniform_spacing_rejected(tmp_path):
     path = tmp_path / "loads.csv"
     path.write_text("time_h,foo\n0,1\n1,2\n3,3\n")
@@ -99,6 +114,13 @@ def test_cost_table(tmp_path):
     assert read_cost_table(path) == {"residential": 12.0, "industrial": 110.0}
 
 
+def test_cost_table_rejects_non_finite_cost(tmp_path):
+    path = tmp_path / "costs.csv"
+    path.write_text("category,cost_per_mwh\nresidential,12\nindustrial,nan\n")
+    with pytest.raises(TimeSeriesError, match=r"costs\.csv:3: bad cost value 'nan'"):
+        read_cost_table(path)
+
+
 def test_profile_set_lookup_and_mean():
     loads = {"res": _series([0.5, 1.0, 1.5, 1.0])}
     wind = {"wind": _series([0.0, 2.0, 0.0, 0.0], kind=PRODUCTION)}
@@ -106,17 +128,21 @@ def test_profile_set_lookup_and_mean():
     assert ps.load_multiplier("res", 2) == 1.5
     assert ps.load_multiplier("res", 6) == 1.5  # wrapped
     assert ps.load_multiplier("flat", 3) == 1.0
-    assert ps.production_mw("wind", 1) == 2.0
-    assert ps.production_mw("nope", 1) is None
     assert ps.load_mean("res") == pytest.approx(1.0)
+    assert ps.load_mean("flat") == 1.0
+    assert ps.production["wind"].tolist() == [0.0, 2.0, 0.0, 0.0] * 2
+    # "flat", None and a name with no series share one read-only ones curve
+    ones = ps.load_curve("flat")
+    assert ps.load_curve(None) is ones and ps.load_curve("wind") is ones
+    assert ones.tolist() == [1.0] * 8
+    with pytest.raises(ValueError):
+        ones[0] = 2.0
+    assert ps.load_curve("res") is ps.load["res"]  # not copied
 
 
-def test_profile_set_runs_and_range_agree_with_the_lookup():
+def test_load_multiplier_reads_the_load_curve():
     ps = ProfileSet(1.0, 8.0, {"res": _series([0.5, 1.0, 1.5, 1.0])})
     for name in ("res", "flat", "nope", None):
-        assert ps.load_multipliers(name, 2, 7).tolist() == [
-            ps.load_multiplier(name, t) for t in range(2, 7)]
-    assert ps.load_range("res") == (0.5, 1.5)
-    assert ps.load_range("flat") == ps.load_range("nope") == (1.0, 1.0)
-    with pytest.raises(IndexError):
-        ps.load_multipliers("res", 6, 9)
+        curve = ps.load_curve(name)
+        assert len(curve) == ps.n_increments
+        assert [ps.load_multiplier(name, t) for t in range(8)] == curve.tolist()

@@ -21,11 +21,12 @@ from gridrel.engine import (
     SequentialSimulation, SimulationConfig, TopologyCache, run_iteration,
     run_monte_carlo,
 )
-from gridrel.netfile import parse_network_file
+from gridrel.netfile import parse_network_file, parse_network_text
 from gridrel.network import build_network, connected_components
 from gridrel.scenarios import apply_scenario, bundled_validation_path
-from gridrel.timeseries import ProfileSet
+from gridrel.timeseries import PRODUCTION, ProfileSet, TimeSeries
 
+from conftest import CHAIN4
 from oracles import reference_breakers, reference_grid_flows_ok, reference_lines_inside
 
 
@@ -175,6 +176,29 @@ def test_cache_of_another_profile_set_is_rejected(validation6):
         SequentialSimulation(validation6, ProfileSet(1.0, 48.0),
                              SimulationConfig(horizon_h=48.0), np.random.default_rng(0),
                              topology=TopologyCache(validation6, ProfileSet(1.0, 48.0)))
+
+
+def test_each_load_point_and_unit_is_bound_to_its_curve_once():
+    model = build_network(parse_network_text(
+        CHAIN4.replace("B4 customers=10 load_mw=0.1 load_mvar=0.02 category=general",
+                       "B4 customers=10 load_mw=0.1 load_mvar=0.02 profile=res\nB5")
+        + "[lines]\nL4 from=B4 to=B5 r_pu=0.01 x_pu=0.01 capacity_mw=10\n"
+        + "[production]\nW bus=B3 max_mw=1.0 profile=wind\nV bus=B4 max_mw=0.4\n"
+        + "U bus=B2 max_mw=2 profile=nope\n"))
+    wind = (-1.0, 0.5, 9.0, 1.0)
+    profiles = ProfileSet(1.0, 8.0, {"res": TimeSeries("res", 0.0, 1.0, (0.5, 1.5))},
+                          {"wind": TimeSeries("wind", 0.0, 1.0, wind, PRODUCTION)})
+    cache = TopologyCache(model, profiles)
+    # B5 has neither a load nor customers; B1 has customers=0 and no load
+    assert list(cache.loads) == ["B2", "B3", "B4"]
+    assert cache.loads["B4"][:2] == (0.1, 0.02)
+    assert cache.loads["B4"][2] is profiles.load["res"]
+    assert cache.loads["B2"][2] is cache.loads["B3"][2] is profiles.load_curve("flat")
+    assert cache.bound == {"B2": 0.2, "B3": 0.3, "B4": 0.1 * 1.5}
+    # available MW: the series clipped to [0, max_mw], or max_mw without one
+    assert cache.caps["W"].tolist() == [0.0, 0.5, 1.0, 1.0] * 2
+    assert cache.caps["V"].tolist() == [0.4] * 8
+    assert cache.caps["U"].tolist() == [2.0] * 8
 
 
 @pytest.mark.parametrize("with_cache", [False, True])

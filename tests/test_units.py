@@ -20,12 +20,22 @@ def test_bad_duration():
         parse_duration("five minutes")
     with pytest.raises(UnitError):
         parse_duration("3 fortnights")
+    with pytest.raises(UnitError, match="not finite"):
+        duration_hours("1e999 h")
+    with pytest.raises(ValueError, match="not a finite number"):
+        duration_hours(float("inf"))
 
 
 def test_rate_per_year():
     assert parse_rate_per_year("0.07/yr") == pytest.approx(0.07)
     assert parse_rate_per_year(12) == 12.0
     assert parse_rate_per_year("1/h") == pytest.approx(8760.0)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf/yr", "-inf", float("nan"), "1e308/s"])
+def test_rate_per_year_must_be_finite(text):
+    with pytest.raises(UnitError, match="not finite"):
+        parse_rate_per_year(text)
 
 
 def test_duration_hours_accepts_numbers():
