@@ -19,10 +19,11 @@ increment the seconds-to-minutes ICT recoveries are invisible, and outage
 durations are exact when the configured times are increment multiples.
 
 Component health is stored once, as the increment at which the current
-phase ends, worked out when the phase starts. A line fault keeps its phase
-(sectioning or repairing) and that end; a transformer or ICT repair keeps
-its end in `repairs`, keyed (kind, id); a latent ICT failure is a member of
-`latent` until a sectioning plan calls on the unit. A component with no
+phase ends, worked out when the phase starts. A line fault keeps that end in
+`faults`, keyed by line id, and its line is in `isolated` once sectioning has
+ended and the repair runs; a transformer or ICT repair keeps its end in
+`repairs`, keyed (kind, id); a latent ICT failure is a member of `latent`
+until a sectioning plan calls on the unit. A component with no
 entry is working. Ends are completed at the start of their increment: lines
 by id, then transformers by id, then ICT units by id, and each completion
 draws that component's next failure.
@@ -64,10 +65,6 @@ from .stochastic import (  # draw_status stays importable: perfbench wraps it he
 )
 
 _EPS = 1e-9
-
-IDLE = "idle"
-CHARGE = "charge"
-DISCHARGE = "discharge"
 
 # ledger warning kinds, each with the text its messages carry
 WARNING_KINDS = (
@@ -151,15 +148,6 @@ def ends_silently(duration_h: float, dt_h: float) -> bool:
     return n >= 1 and duration_h <= n * dt_h + _EPS
 
 
-class _LineFault:
-    __slots__ = ("line_id", "phase", "end")
-
-    def __init__(self, line_id, end):
-        self.line_id = line_id
-        self.phase = "sectioning"
-        self.end = end  # increment at which the current phase ends
-
-
 @dataclass(frozen=True)
 class Subsystem:
     """One connected component of a switching state.
@@ -217,8 +205,8 @@ class TopologyCache:
         if ict.controller is not None:
             params[("ict", ict.controller.id + "/hw")] = ict.controller.hardware
             params[("ict", ict.controller.id + "/sw")] = ict.controller.software
-        for device in (*ict.sensors, *ict.intelligent_switches):
-            params.setdefault(("ict", device.id), device.reliability)
+        params.update((("ict", device.id), device.reliability)
+                      for device in (*ict.sensors, *ict.intelligent_switches))
         # in key order, which is the order of the initial failure draws
         self.failure_p = {key: failure_probability(r.failure_rate, increment_h)
                           for key, r in sorted(params.items()) if r.can_fail}
@@ -351,7 +339,8 @@ class SequentialSimulation:
         self.dt = config.increment_h
         self.t_index = 0
 
-        self.faults = {}   # line id -> _LineFault
+        self.faults = {}   # line id -> increment at which its current phase ends
+        self.isolated = set()  # faulted lines whose sectioning has ended
         self.repairs = {}  # ("transformer" | "ict", id) -> (end increment, reported)
         self.latent = set()  # ICT ids failed silently and not yet called upon
         self.soc = {b_id: draw_battery_soc(bat, rng)
@@ -432,8 +421,7 @@ class SequentialSimulation:
         t = self.t_index
         self._process_new_failures(t)
         self._apply_transitions(t)
-        subsystems = self.topology.state(
-            self.faults, [l for l, f in self.faults.items() if f.phase == "repairing"])
+        subsystems = self.topology.state(self.faults, self.isolated)
         stop = self._accrue(t, subsystems)
 
         # unreported repairs end here, after their last down increment, and a
@@ -459,8 +447,7 @@ class SequentialSimulation:
                                    self.config.automated_sectioning_h,
                                    self.config.manual_sectioning_h)
             self._discover_latent(plan, time_h)
-            self.faults[ident] = _LineFault(
-                ident, t + phase_increments(plan.duration_h, self.dt))
+            self.faults[ident] = t + phase_increments(plan.duration_h, self.dt)
             self.ledger.events.append((time_h, ident, "line_fault"))
         elif kind == "transformer":
             if key in self.repairs:
@@ -524,19 +511,17 @@ class SequentialSimulation:
         """Complete the phases that end at this increment."""
         time_h = t * self.dt
         for line_id in sorted(self.faults):
-            fault = self.faults[line_id]
-            if fault.end > t:
+            if self.faults[line_id] > t:
                 continue
-            if fault.phase == "sectioning":
+            if line_id not in self.isolated:
                 repair = self.model.lines[line_id].reliability.repair_time_h
-                fault.phase = "repairing"
-                fault.end = t + phase_increments(repair, self.dt)
+                self.isolated.add(line_id)
+                self.faults[line_id] = t + phase_increments(repair, self.dt)
                 self.ledger.events.append((time_h, line_id, "isolated"))
                 # the repair may itself complete within this increment
-                if fault.end == t:
-                    self._restore_line(fault, time_h)
-            else:
-                self._restore_line(fault, time_h)
+                if self.faults[line_id] > t:
+                    continue
+            self._restore_line(line_id, time_h)
 
         due = [key for key, (end, _) in self.repairs.items() if end == t]
         # transformers by id, then ICT units by id
@@ -545,10 +530,11 @@ class SequentialSimulation:
             self.ledger.events.append((time_h, key[1], f"{key[0]}_repaired"))
             self._schedule_next(key, t + 1)
 
-    def _restore_line(self, fault, time_h):
-        del self.faults[fault.line_id]
-        self.ledger.events.append((time_h, fault.line_id, "line_repaired"))
-        self._schedule_next(("line", fault.line_id), self.t_index + 1)
+    def _restore_line(self, line_id, time_h):
+        del self.faults[line_id]
+        self.isolated.remove(line_id)
+        self.ledger.events.append((time_h, line_id, "line_repaired"))
+        self._schedule_next(("line", line_id), self.t_index + 1)
 
     def _electrical_fault_active(self) -> bool:
         return bool(self.faults) or any(kind == "transformer" for kind, _ in self.repairs)
@@ -567,7 +553,7 @@ class SequentialSimulation:
             out = [b for b in self.model.load_points
                    if b in dark or ("transformer", b) in self.repairs]
         stop = min([self.config.n_increments, *self.schedule,
-                    *(f.end for f in self.faults.values()),
+                    *self.faults.values(),
                     *(end for end, _ in self.repairs.values())])
         if out:
             ledger, dt, loads = self.ledger, self.dt, self.topology.loads
@@ -592,29 +578,25 @@ class SequentialSimulation:
         return stop
 
     def _demand_now(self, t):
-        demand, demand_q = {}, {}
-        for b, (peak_mw, peak_mvar, curve) in self.topology.loads.items():
-            mult = float(curve[t])
-            demand[b] = peak_mw * mult
-            demand_q[b] = peak_mvar * mult
-        return demand, demand_q
+        return {b: peak_mw * float(curve[t])
+                for b, (peak_mw, _, curve) in self.topology.loads.items()}
 
     def _evaluate_and_accrue(self, t, subsystems):
         model = self.model
         dt = self.dt
-        demand, demand_q = self._demand_now(t)
+        demand = self._demand_now(t)
 
         served = {}
         islanded_now = dict.fromkeys(self.was_islanded, False)
         for sub in subsystems:
-            self._serve_component(sub, t, demand, demand_q, served, islanded_now)
+            self._serve_component(sub, t, demand, served, islanded_now)
         self.was_islanded = islanded_now
 
         time_h = t * dt
-        for b in model.load_points:
+        for b in model.load_points:  # each lies in exactly one sub-system
             d = demand.get(b, 0.0)
-            s = served.get(b, 0.0)
-            unsupplied = served.get(b) is None
+            s = served[b]
+            unsupplied = s is None
             if unsupplied:
                 s = 0.0
             shortfall = max(d - s, 0.0)
@@ -628,16 +610,25 @@ class SequentialSimulation:
                     self.ledger.events.append((time_h, b, "interrupted"))
             self.was_out[b] = fully_out
 
-    def _serve_component(self, sub, t, demand, demand_q, served, islanded_now):
-        """Run dispatch + load flow + shedding for one sub-system.
+    def _serve_component(self, sub, t, demand, served, islanded_now):
+        """Set `served[bus]` for every bus of one sub-system: the supplied MW,
+        or None when the bus has no energized path at all (the sub-system is
+        dark or the bus's transformer is down)."""
+        # a bus whose transformer is down has no live demand and gets nothing
+        live_demand = {b: demand.get(b, 0.0) for b in sub.buses
+                       if ("transformer", b) not in self.repairs}
+        shed_mw = self._shed_verdict(sub, t, live_demand, islanded_now)
+        for b in sub.buses:
+            served[b] = (None if shed_mw is None or b not in live_demand
+                         else live_demand[b] - shed_mw.get(b, 0.0))
 
-        `served[bus]` is set to the supplied MW, or None when the bus has no
-        energized path at all (disconnected or its transformer is down).
-        """
+    def _shed_verdict(self, sub, t, live_demand, islanded_now):
+        """Run dispatch + load flow + shedding for one sub-system and return
+        the MW shed per bus: None when the sub-system is dark (no source, or
+        the shedding problem is infeasible), {} when everything is served (no
+        demand, or the grid alone serves it within every limit)."""
         model = self.model
         comp = sub.buses
-        tx_down = {b for b in comp if ("transformer", b) in self.repairs}
-
         grid_bus, grid_limit = sub.grid_bus, sub.grid_limit
         # a singleton root feeds nothing; islands must be driven by local sources
         generators = []
@@ -652,7 +643,6 @@ class SequentialSimulation:
                 generators.append(
                     (unit_id, b, min(model.production[unit_id].min_mw, cap), cap, 0.0))
 
-        live_demand = {b: demand.get(b, 0.0) for b in comp if b not in tx_down}
         total_demand = sum(live_demand.values())
 
         batteries_here = [(b, model.battery_of_bus[b]) for b in comp
@@ -665,68 +655,48 @@ class SequentialSimulation:
                     # outage begins: market behavior collapses to a fresh SOC draw
                     self.soc[bat_id] = draw_battery_soc(bat, self.rng)
                 islanded_now[bat_id] = True
-            mode, bound = update_battery_demand(
+            lower, upper = update_battery_demand(
                 total_demand, production_cap, bat, self.soc[bat_id],
                 self.dt, grid_connected)
-            if mode == DISCHARGE and bound > _EPS:
+            if upper > _EPS or lower < -_EPS:
                 # faint merit-order cost: the battery backs up free production
-                generators.append((bat_id, bus, 0.0, bound, 1e-7))
-            elif mode == CHARGE and bound > _EPS:
-                generators.append((bat_id, bus, -bound, 0.0, 1e-7))
+                generators.append((bat_id, bus, lower, upper, 1e-7))
 
-        has_source = any(g[3] > _EPS or g[2] < -_EPS for g in generators)
-        if not has_source:
-            for b in comp:
-                served[b] = None
-            return
+        if not any(g[3] > _EPS or g[2] < -_EPS for g in generators):
+            return None
         if total_demand <= _EPS:
-            for b in comp:
-                served[b] = None if b in tx_down else demand.get(b, 0.0)
-            return
-
-        lines_here = sub.lines
+            return {}
         # Grid-connected sub-system whose pure-grid dispatch stays within every
         # limit: zero shed is optimal, skip the optimization and the sweep.
         if (grid_bus is not None and total_demand <= grid_limit + _EPS
                 and sub.grid_flows_within_caps(live_demand)):
-            for b in comp:
-                served[b] = None if b in tx_down else demand.get(b, 0.0)
-            return
+            return {}
 
         cost_of = {b: self._shed_cost(b) for b in comp}
         problem = shed.build_shedding_problem(
             comp, live_demand, cost_of, generators,
-            [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in lines_here])
+            [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in sub.lines])
         result = shed.solve_shedding(problem)
         if result.status != shed.OPTIMAL:
             self.ledger.warnings.append(
                 f"t={t * self.dt:g}h: shedding infeasible in sub-system {comp[0]}")
-            for b in comp:
-                served[b] = None
-            return
+            return None
 
-        result = self._confirm_with_loadflow(sub, live_demand, demand_q, generators,
-                                             cost_of, result, t)
-
-        for b in comp:
-            if b in tx_down:
-                served[b] = None
-            else:
-                served[b] = live_demand.get(b, 0.0) - result.shed_mw.get(b, 0.0)
-
+        result = self._confirm_with_loadflow(sub, live_demand, generators, cost_of,
+                                             result, t)
         for bus, bat_id in batteries_here:
             dispatch = result.generation_mw.get(bat_id, 0.0)
             bat = model.batteries[bat_id]
             self.soc[bat_id] = min(max(
                 self.soc[bat_id] - dispatch * self.dt / bat.capacity_mwh,
                 bat.soc_min), bat.soc_max)
+        return result.shed_mw
 
     def _shed_cost(self, bus_id) -> float:
         category = self.topology.categories.get(bus_id)  # None without a load
         return 0.0 if category is None else float(self.cost_table.get(category, 1.0))
 
-    def _confirm_with_loadflow(self, sub, live_demand, demand_q, generators, cost_of,
-                               result, t):
+    def _confirm_with_loadflow(self, sub, live_demand, generators, cost_of, result, t):
         """Re-run the sweep with the shed applied; one repair pass on overload."""
         comp, lines_here = sub.buses, sub.lines
         if len(comp) < 2 or not lines_here:
@@ -742,7 +712,7 @@ class SequentialSimulation:
             slack = source_buses[0]
 
         gen_bus = {g[0]: g[1] for g in generators}
-        solution = self._run_fbs(sub, live_demand, demand_q, gen_bus, result, slack)
+        solution = self._run_fbs(sub, t, live_demand, gen_bus, result, slack)
         if solution is None:
             return result
         if not solution.converged:
@@ -779,7 +749,7 @@ class SequentialSimulation:
             return retry
         return result
 
-    def _run_fbs(self, sub, live_demand, demand_q, gen_bus, result, slack):
+    def _run_fbs(self, sub, t, live_demand, gen_bus, result, slack):
         base = self.model.base_mva
         layout = sub.layouts.get(slack)
         if layout is None:
@@ -793,44 +763,48 @@ class SequentialSimulation:
         if isinstance(layout, NonRadialError):
             self.ledger.warnings.append(f"load flow skipped: {layout}")
             return None
+        loads = self.topology.loads
         injections = {}
         for b in sub.buses:
-            d = live_demand.get(b, 0.0) - result.shed_mw.get(b, 0.0)
-            q = demand_q.get(b, 0.0)
             full = live_demand.get(b, 0.0)
-            if full > _EPS:
-                q *= d / full  # shed at constant power factor
-            else:
-                q = 0.0
+            d = full - result.shed_mw.get(b, 0.0)
+            q = 0.0
+            if full > _EPS:  # then b has a load; shed at constant power factor
+                _, peak_mvar, curve = loads[b]
+                q = peak_mvar * float(curve[t]) * (d / full)
             injections[b] = complex(d, q)
         for gen_id, output in result.generation_mw.items():
             bus = gen_bus.get(gen_id)
             if bus is not None and bus != slack:
                 injections[bus] -= output  # unity power factor injection
-        return solve_fbs(replace(layout, s_pu=tuple(injections[b] / base
-                                                    for b in layout.bus_ids)))
+        return solve_fbs(LoadFlowProblem(
+            layout.bus_ids, layout.parent, layout.line_ids, layout.z_pu,
+            tuple(injections[b] / base for b in layout.bus_ids),
+            layout.base_mva, layout.slack_voltage))
 
 
 def update_battery_demand(subsystem_demand_mw, production_cap_mw, battery, soc,
                           dt_h, grid_connected):
-    """Dispatch direction and MW bound for one battery this increment.
+    """(lower, upper) MW bounds of one battery's output this increment,
+    negative when it charges.
 
-    Grid-connected batteries idle (their market behavior is captured by the
-    per-outage uniform SOC draw). Islanded batteries discharge into a deficit
-    or charge from a surplus, limited by the inverter and the energy headroom.
+    Grid-connected batteries idle at (0, 0) (their market behavior is
+    captured by the per-outage uniform SOC draw). Islanded batteries
+    discharge into a deficit, (0, upper), or charge from a surplus,
+    (lower, 0), limited by the inverter and the energy headroom.
     """
     if grid_connected:
-        return IDLE, 0.0
+        return 0.0, 0.0
     deficit = subsystem_demand_mw - production_cap_mw
     if deficit > _EPS:
         bound = min(battery.inverter_mw,
                     max(soc - battery.soc_min, 0.0) * battery.capacity_mwh / dt_h)
-        return DISCHARGE, max(bound, 0.0)
+        return 0.0, max(bound, 0.0)
     surplus = -deficit
     bound = min(battery.inverter_mw,
                 max(battery.soc_max - soc, 0.0) * battery.capacity_mwh / dt_h,
                 surplus)
-    return CHARGE, max(bound, 0.0)
+    return -max(bound, 0.0), 0.0
 
 
 def warning_counts(ledgers) -> dict:
@@ -869,25 +843,23 @@ def _pool_init(model, profiles, config, cost_table):
 
 def _pool_run(index):
     config, cost_table, topology = _POOL_STATE["args"]
-    return index, run_iteration(topology.model, topology.profiles, config, index,
-                                cost_table=cost_table, topology=topology)
+    return run_iteration(topology.model, topology.profiles, config, index,
+                         cost_table=cost_table, topology=topology)
 
 
 def run_monte_carlo(model, profiles, config, cost_table=None):
-    """All iterations; results are ordered by iteration index so any worker
-    count produces identical output."""
-    indices = list(range(config.iterations))
+    """All iterations, in iteration index order, so any worker count
+    produces identical output."""
+    indices = range(config.iterations)
     if config.worker_count == 1 or config.iterations == 1:
         topology = TopologyCache(model, profiles)
         return [run_iteration(model, profiles, config, i, cost_table=cost_table,
                               topology=topology)
                 for i in indices]
-    results = {}
     with ProcessPoolExecutor(
             max_workers=config.worker_count,
             initializer=_pool_init,
             initargs=(model, profiles, config, cost_table)) as pool:
-        chunk = max(1, len(indices) // (config.worker_count * 8))
-        for index, ledger in pool.map(_pool_run, indices, chunksize=chunk):
-            results[index] = ledger
-    return [results[i] for i in indices]
+        chunk = max(1, config.iterations // (config.worker_count * 8))
+        # `map` yields in input order, whichever worker finishes first
+        return list(pool.map(_pool_run, indices, chunksize=chunk))

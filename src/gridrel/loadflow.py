@@ -8,8 +8,9 @@ net consumption (demand minus local generation and battery discharge).
 
 The layout of a problem (BFS bus order, parents, line ids, impedances)
 depends only on the lines and the slack bus, so a caller that solves one
-sub-system many times builds it once with `from_tree` and hands each
-injection vector in with `dataclasses.replace`. The sweep itself runs on
+sub-system many times builds it once with `from_tree` and, per sweep, calls
+the constructor with the layout's fields and the new injection vector
+(`dataclasses.replace` costs about three times as much). The sweep runs on
 Python complex lists: a sub-system has tens of buses, too few for array
 operations to pay for their per-call overhead.
 """

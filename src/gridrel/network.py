@@ -64,7 +64,6 @@ class Line:
     x_pu: float
     capacity_mw: float
     reliability: ReliabilityParams = ReliabilityParams(0.0, 0.0)
-    sensor_ref: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ class Switchgear:
     host_line: str
     position: str  # FROM_END or TO_END
     normal_closed: bool = True
-    intelligent_switch_ref: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -164,8 +162,6 @@ class NetworkSpec:
 class Section:
     """Region around a line that the bounding disconnectors can cut out."""
 
-    lines: frozenset
-    buses: frozenset
     boundary_disconnectors: tuple
 
 
@@ -173,9 +169,7 @@ class NetworkModel:
     """Validated network with cached connectivity structures."""
 
     def __init__(self, spec: NetworkSpec):
-        self.power_system_id = spec.power_system_id
         self.base_mva = spec.base_mva
-        self.base_kv = spec.base_kv
         self.buses = {b.id: b for b in sorted(spec.buses, key=lambda b: b.id)}
         self.lines = {l.id: l for l in sorted(spec.lines, key=lambda l: l.id)}
         self.switchgear = {s.id: s for s in sorted(spec.switchgear, key=lambda s: s.id)}
@@ -286,8 +280,6 @@ class NetworkModel:
 
     def _section_around(self, start_line: str) -> Section:
         """Walk outward from a line, stopping at any switchgear position."""
-        lines = {start_line}
-        buses = set()
         boundary = []
         queue = deque([("line", start_line)])
         seen_lines = {start_line}
@@ -302,7 +294,6 @@ class NetworkModel:
                         boundary.append(sw)
                     elif bus not in seen_buses:
                         seen_buses.add(bus)
-                        buses.add(bus)
                         queue.append(("bus", bus))
             else:
                 for line_id, _other in self.adjacency[ident]:
@@ -315,11 +306,9 @@ class NetworkModel:
                         boundary.append(sw)
                     else:
                         seen_lines.add(line_id)
-                        lines.add(line_id)
                         queue.append(("line", line_id))
-        discs = tuple(sorted(s for s in boundary
-                             if self.switchgear[s].kind == DISCONNECTOR))
-        return Section(frozenset(lines), frozenset(buses), discs)
+        return Section(tuple(sorted(s for s in boundary
+                                    if self.switchgear[s].kind == DISCONNECTOR)))
 
     def _bind_attachments(self):
         for sensor in self.ict.sensors:
@@ -460,16 +449,34 @@ def _validate_spec(spec: NetworkSpec):
         if not (0.0 <= unit.min_mw <= unit.max_mw):
             yield f"production unit {unit.id!r}: need 0 <= min <= max output"
 
-    for sensor in spec.ict.sensors:
+    # ICT units share one failure table, and scripted faults name lines,
+    # transformers and ICT units by bare id
+    ict = spec.ict
+    ict_ids = [s.id for s in ict.sensors] + [i.id for i in ict.intelligent_switches]
+    if ict.controller is not None:
+        ict_ids += [ict.controller.id + part for part in ("", "/hw", "/sw")]
+    yield from _check_duplicates(ict_ids, "ICT")
+    transformers = {b.id for b in spec.buses if b.transformer is not None}
+    for ident in sorted(set(ict_ids) & (lines | transformers)):
+        yield f"ICT id {ident!r} is also a line or transformer bus id"
+    sensed = set()
+    for sensor in ict.sensors:
         if sensor.line_ref not in lines:
             yield f"sensor {sensor.id!r} references unknown line {sensor.line_ref!r}"
+        elif sensor.line_ref in sensed:
+            yield f"line {sensor.line_ref!r} has more than one sensor"
+        sensed.add(sensor.line_ref)
         yield from _check_reliability(sensor.reliability, f"sensor {sensor.id!r}")
-    for isw in spec.ict.intelligent_switches:
+    actuated = set()
+    for isw in ict.intelligent_switches:
         disc = switches.get(isw.disconnector_ref)
         if disc is None:
             yield f"intelligent switch {isw.id!r} references unknown switchgear"
         elif disc.kind != DISCONNECTOR:
             yield f"intelligent switch {isw.id!r} must sit on a disconnector, not {disc.kind}"
+        elif isw.disconnector_ref in actuated:
+            yield f"disconnector {isw.disconnector_ref!r} has more than one intelligent switch"
+        actuated.add(isw.disconnector_ref)
         yield from _check_reliability(isw.reliability, f"intelligent switch {isw.id!r}")
 
     if not spec.distribution_systems:

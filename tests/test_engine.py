@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridrel.engine import (
-    CHARGE, DISCHARGE, IDLE, HistoryLedger, ScriptedFault, SequentialSimulation,
+    HistoryLedger, ScriptedFault, SequentialSimulation,
     SimulationConfig, ends_silently, phase_increments, run_iteration,
     run_monte_carlo, update_battery_demand, warning_counts,
 )
@@ -353,6 +353,23 @@ def test_battery_island_covers_part_of_the_demand():
     assert ledger.warnings == []
 
 
+def test_transformer_down_in_a_shedding_island_gets_nothing():
+    text = BATTERY_ISLAND.replace("B4 customers=10 load_mw=0.1 category=general",
+                                  "B4 customers=10 load_mw=0.1 category=general "
+                                  "transformer_rate=0.1 transformer_repair=2.5h")
+    _, ledger = _run_scripted(text, [(10.0, "L1"), (10.0, "B4")], horizon=20.0)
+    # sectioning hour: the island of B2..B4 has 0.4 MW of live demand, B4's
+    # transformer being down, against the battery's 0.3 MW: B2 is served in
+    # full, B3 in part (0.1 MW shed) and B4, down until 12 h, gets nothing
+    assert ledger.ens_mwh["B2"] == pytest.approx(0.8)   # 4 repair hours in-section
+    assert ledger.ens_mwh["B3"] == pytest.approx(0.1)
+    assert ledger.ens_mwh["B4"] == pytest.approx(0.2)
+    assert ledger.outage_hours == {"B2": 4.0, "B3": 0.0, "B4": 2.0}
+    assert ledger.interruptions == {"B2": 1.0, "B3": 0.0, "B4": 1.0}
+    assert (12.0, "B4", "transformer_repaired") in ledger.events
+    assert ledger.warnings == []
+
+
 def test_infeasible_island_is_reported_as_a_warning():
     # 5 MW of forced generation cannot go anywhere in a 0.6 MW island
     forced = CHAIN4 + "[production]\nG bus=B3 min_mw=5 max_mw=6\n"
@@ -381,22 +398,28 @@ def test_island_charging_stores_wind_surplus():
 def test_update_battery_demand_bounds():
     bat = Battery("B", "x", capacity_mwh=1.0, inverter_mw=0.5,
                   soc_min=0.1, soc_max=1.0)
-    assert update_battery_demand(1.0, 0.0, bat, 0.1, 1.0, False) == (DISCHARGE, 0.0)
-    mode, bound = update_battery_demand(1.0, 0.0, bat, 1.0, 1.0, False)
-    assert (mode, bound) == (DISCHARGE, 0.5)  # inverter-limited
-    mode, bound = update_battery_demand(1.0, 0.0, bat, 0.2, 1.0, False)
-    assert mode == DISCHARGE and bound == pytest.approx(0.1)  # energy-limited
-    assert update_battery_demand(1.0, 0.0, bat, 0.5, 1.0, True) == (IDLE, 0.0)
-    mode, bound = update_battery_demand(0.2, 1.0, bat, 0.5, 1.0, False)
-    assert mode == CHARGE and bound == pytest.approx(0.5)
+    # (lower, upper) output bounds: discharging into a deficit, charging
+    # (negative output) from a surplus, idle on the grid
+    assert update_battery_demand(1.0, 0.0, bat, 0.1, 1.0, False) == (0.0, 0.0)
+    assert update_battery_demand(1.0, 0.0, bat, 1.0, 1.0, False) == (0.0, 0.5)  # inverter
+    lower, upper = update_battery_demand(1.0, 0.0, bat, 0.2, 1.0, False)
+    assert lower == 0.0 and upper == pytest.approx(0.1)  # energy-limited
+    assert update_battery_demand(1.0, 0.0, bat, 0.5, 1.0, True) == (0.0, 0.0)
+    lower, upper = update_battery_demand(0.2, 1.0, bat, 0.5, 1.0, False)
+    assert lower == pytest.approx(-0.5) and upper == 0.0  # inverter-limited charge
+    lower, upper = update_battery_demand(0.2, 1.0, bat, 0.9, 1.0, False)
+    assert lower == pytest.approx(-0.1) and upper == 0.0  # headroom-limited charge
+    lower, upper = update_battery_demand(0.8, 1.0, bat, 0.5, 1.0, False)
+    assert lower == pytest.approx(-0.2) and upper == 0.0  # surplus-limited charge
 
 
 def test_discharge_bound_from_bundled_battery_numbers():
     bat = Battery("B", "x", capacity_mwh=1.0, inverter_mw=0.5,
                   soc_min=0.1, soc_max=1.0)
-    _, bound = update_battery_demand(5.0, 0.0, bat, 0.55, 1.0, False)
-    assert bound == pytest.approx(min(0.5, (0.55 - 0.1) * 1.0 / 1.0))
-    assert bound == pytest.approx(0.45)
+    lower, upper = update_battery_demand(5.0, 0.0, bat, 0.55, 1.0, False)
+    assert lower == 0.0
+    assert upper == pytest.approx(min(0.5, (0.55 - 0.1) * 1.0 / 1.0))
+    assert upper == pytest.approx(0.45)
 
 
 # -- stochastic behavior -----------------------------------------------------

@@ -37,11 +37,13 @@ class _Replay(SequentialSimulation):
 
     expected = None  # list shared by the iterations of one replay
 
-    def _run_fbs(self, sub, live_demand, demand_q, gen_bus, result, slack):
+    def _run_fbs(self, sub, t, live_demand, gen_bus, result, slack):
+        demand_q = {b: peak_mvar * float(curve[t])
+                    for b, (_, peak_mvar, curve) in self.topology.loads.items()}
         self.expected.append(per_call_fbs_problem(
             sub.buses, live_demand, demand_q, sub.lines, gen_bus, result, slack,
             self.model.base_mva))
-        return super()._run_fbs(sub, live_demand, demand_q, gen_bus, result, slack)
+        return super()._run_fbs(sub, t, live_demand, gen_bus, result, slack)
 
 
 def _replay(monkeypatch, model, profiles, config, cost_table, script=None):
@@ -149,7 +151,7 @@ def test_a_mesh_is_compiled_once_and_skipped_at_every_sweep(chain4, monkeypatch)
                         lambda *args: builds.append(args) or from_tree(*args))
     nothing = SimpleNamespace(shed_mw={}, generation_mw={})
     for _ in range(3):
-        assert sim._run_fbs(sub, {"B2": 0.1}, {}, {}, nothing, "B1") is None
+        assert sim._run_fbs(sub, 0, {"B2": 0.1}, {}, nothing, "B1") is None
     assert len(builds) == 1 and isinstance(sub.layouts["B1"], NonRadialError)
     assert sim.ledger.warnings == ["load flow skipped: cycle through line 'R1'"] * 3
 

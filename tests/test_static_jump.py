@@ -235,10 +235,10 @@ def test_steady_subsystems_are_served_in_full_or_dark_at_every_increment(
     steady = [sub for state in states for sub in sim.topology.state(*state) if sub.steady]
     rng_state = sim.rng.bit_generator.state
     for t in range(config.n_increments):
-        demand, demand_q = sim._demand_now(t)
+        demand = sim._demand_now(t)
         for sub in steady:
             served = {}
-            sim._serve_component(sub, t, demand, demand_q, served,
+            sim._serve_component(sub, t, demand, served,
                                  dict.fromkeys(sim.was_islanded, False))
             if sub.grid_bus is None:
                 assert served == dict.fromkeys(sub.buses)

@@ -83,7 +83,7 @@ class _CheckedSimulation(SequentialSimulation):
                 isolated.discard(ident)
         failed = set(self.faults)
         for tau in range(t, stop):
-            demand, _ = self._demand_now(tau)
+            demand = self._demand_now(tau)
             live = {b: d for b, d in demand.items()
                     if ("transformer", b) not in self.repairs}
             _assert_matches_reference(self.model, subsystems,
