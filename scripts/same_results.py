@@ -42,7 +42,8 @@ RUNS = {
 # ledgers are compared, each run serially at the given seed and iterations
 LEDGER_STUDIES = [(case, increment_h) for increment_h in (1.0, 0.25)
                   for case in ("case1", "case2", "case3", "case4")]
-LEDGER_STUDIES.append(("validation6", 1.0))
+# dark islands run longest at sub-hour increments
+LEDGER_STUDIES += [("case2", 1.0 / 12.0), ("case4", 1.0 / 12.0), ("validation6", 1.0)]
 LEDGER_FIELDS = ("interruptions", "outage_hours", "ens_mwh", "events", "warnings")
 
 

@@ -10,13 +10,16 @@ interruptions, outage hours and energy not supplied.
 Health changes only at a scheduled failure or a phase end. With no line
 fault or transformer repair active nothing is evaluated, and the next
 failure is drawn from the geometric distribution of the first Bernoulli
-success, distribution-identical to drawing every increment. A static state
-(every sub-system `steady`) is accrued up to the next change in one step,
-summed increment by increment as stepping sums; other states are evaluated
-one increment at a time. Sectioning and repair phases last whole increments
-(floor(duration / dt)); sub-increment residue is dropped, so with an hourly
-increment the seconds-to-minutes ICT recoveries are invisible, and outage
-durations are exact when the configured times are increment multiples.
+success, distribution-identical to drawing every increment. Otherwise a
+`steady` sub-system takes its certificate's verdict (dark, or served in
+full) and every other one is evaluated. A state whose sub-systems are all
+steady is accrued up to the next change in one step, any other state one
+increment at a time; either way each load point's sums are taken in
+increment order, so a jumped run adds what stepping adds. Sectioning and
+repair phases last whole increments (floor(duration / dt)); sub-increment
+residue is dropped, so with an hourly increment the seconds-to-minutes ICT
+recoveries are invisible, and outage durations are exact when the
+configured times are increment multiples.
 
 Component health is stored once, as the increment at which the current
 phase ends, worked out when the phase starts. A line fault keeps that end in
@@ -95,6 +98,8 @@ class SimulationConfig:
             raise ValueError("need at least one iteration")
         if self.worker_count < 1:
             raise ValueError("need at least one worker")
+        if self.automated_sectioning_h < 0 or self.manual_sectioning_h < 0:
+            raise ValueError("sectioning times must be >= 0")
 
     @property
     def n_increments(self) -> int:
@@ -307,7 +312,7 @@ class TopologyCache:
             tuple((bus, child) for bus in reversed(order) for child in children[bus]),
             tuple((bus, feed_limit[bus]) for bus in order[1:]))
         # steady while the demand bounds fit the grid limit, summed and through
-        # each feed line; sums are monotone in their terms, so `_serve_component`'s
+        # each feed line; sums are monotone in their terms, so `_shed_verdict`'s
         # grid shortcut then serves each bus whose transformer works
         bound = self.bound
         return replace(sub, steady=grid_limit > _EPS
@@ -542,85 +547,57 @@ class SequentialSimulation:
     # -- electrical evaluation ----------------------------------------------
 
     def _accrue(self, t, subsystems) -> int:
-        """Accrue increment t, or the run up to the next change when nothing
-        needs evaluating; return the increment after the last one accrued."""
-        out = []  # without an electrical fault nothing is evaluated
-        if self._electrical_fault_active():
-            if not all(sub.steady for sub in subsystems):
-                self._evaluate_and_accrue(t, subsystems)
-                return t + 1
-            dark = {b for sub in subsystems if sub.grid_bus is None for b in sub.buses}
-            out = [b for b in self.model.load_points
-                   if b in dark or ("transformer", b) in self.repairs]
+        """Accrue every load point over the increments from t to the next
+        change, or over t alone when a sub-system is not steady; return the
+        increment after the last one accrued."""
         stop = min([self.config.n_increments, *self.schedule,
                     *self.faults.values(),
                     *(end for end, _ in self.repairs.values())])
-        if out:
-            ledger, dt, loads = self.ledger, self.dt, self.topology.loads
-            idle = np.zeros(stop - t)  # a load point without a load asks for nothing
-            demand = np.array([loads[b][0] * loads[b][2][t:stop] if b in loads else idle
-                               for b in out])
-            # each out bus's terms in sequence, as stepping adds them (np.sum
-            # would add pairwise); a 0.0 term leaves the sum as skipping does
-            sums = np.empty((2, len(out), stop - t + 1))
-            sums[:, :, 0] = ([ledger.outage_hours[b] for b in out],
-                             [ledger.ens_mwh[b] for b in out])
-            sums[0, :, 1:] = dt
-            sums[1, :, 1:] = np.where(demand > _EPS, demand * dt, 0.0)
-            hours, ens = np.add.accumulate(sums, axis=2)[:, :, -1].tolist()
-            for b, h, e in zip(out, hours, ens):
-                ledger.outage_hours[b], ledger.ens_mwh[b] = h, e
-                if not self.was_out[b]:
-                    ledger.interruptions[b] += 1.0
-                    ledger.events.append((t * dt, b, "interrupted"))
-        self.was_out = dict.fromkeys(self.model.load_points, False) | dict.fromkeys(out, True)
-        self.was_islanded = dict.fromkeys(self.was_islanded, False)
-        return stop
-
-    def _demand_now(self, t):
-        return {b: peak_mw * float(curve[t])
-                for b, (peak_mw, _, curve) in self.topology.loads.items()}
-
-    def _evaluate_and_accrue(self, t, subsystems):
-        model = self.model
-        dt = self.dt
-        demand = self._demand_now(t)
-
-        served = {}
+        loads = self.topology.loads
+        shed = {}  # MW shed per load point, None while it is out; others are served
         islanded_now = dict.fromkeys(self.was_islanded, False)
-        for sub in subsystems:
-            self._serve_component(sub, t, demand, served, islanded_now)
+        if self._electrical_fault_active():  # otherwise everything is served
+            # a bus whose transformer is down has no live demand and gets nothing
+            shed = {b: None for kind, b in self.repairs if kind == "transformer"}
+            for sub in subsystems:
+                if sub.steady:  # dark without a grid root, served in full with one
+                    verdict = None if sub.grid_bus is None else {}
+                else:
+                    stop = t + 1
+                    live_demand = {b: loads[b][0] * float(loads[b][2][t]) if b in loads
+                                   else 0.0 for b in sub.buses if b not in shed}
+                    verdict = self._shed_verdict(sub, t, live_demand, islanded_now)
+                if verdict is None:
+                    shed.update(dict.fromkeys(sub.buses))
+                else:  # a down transformer's None stands
+                    shed = verdict | shed
         self.was_islanded = islanded_now
 
-        time_h = t * dt
-        for b in model.load_points:  # each lies in exactly one sub-system
-            d = demand.get(b, 0.0)
-            s = served[b]
-            unsupplied = s is None
-            if unsupplied:
-                s = 0.0
-            shortfall = max(d - s, 0.0)
-            if shortfall > _EPS:
-                self.ledger.ens_mwh[b] += shortfall * dt
-            fully_out = unsupplied or (d > _EPS and s <= _EPS)
-            if fully_out:
-                self.ledger.outage_hours[b] += dt
-                if not self.was_out[b]:
-                    self.ledger.interruptions[b] += 1.0
-                    self.ledger.events.append((time_h, b, "interrupted"))
-            self.was_out[b] = fully_out
-
-    def _serve_component(self, sub, t, demand, served, islanded_now):
-        """Set `served[bus]` for every bus of one sub-system: the supplied MW,
-        or None when the bus has no energized path at all (the sub-system is
-        dark or the bus's transformer is down)."""
-        # a bus whose transformer is down has no live demand and gets nothing
-        live_demand = {b: demand.get(b, 0.0) for b in sub.buses
-                       if ("transformer", b) not in self.repairs}
-        shed_mw = self._shed_verdict(sub, t, live_demand, islanded_now)
-        for b in sub.buses:
-            served[b] = (None if shed_mw is None or b not in live_demand
-                         else live_demand[b] - shed_mw.get(b, 0.0))
+        ledger, dt, was_out = self.ledger, self.dt, self.was_out
+        for b in self.model.load_points:
+            mw = shed.get(b, 0.0)
+            out = mw is None
+            if out:  # out over [t, stop): its terms in sequence, as stepping adds them
+                hours, ens = ledger.outage_hours[b], ledger.ens_mwh[b]
+                for d in ((loads[b][0] * loads[b][2][t:stop]).tolist() if b in loads
+                          else [0.0] * (stop - t)):
+                    hours += dt
+                    if d > _EPS:
+                        ens += d * dt
+                ledger.outage_hours[b], ledger.ens_mwh[b] = hours, ens
+            elif mw:  # shed in part, at t alone
+                d = loads[b][0] * float(loads[b][2][t]) if b in loads else 0.0
+                served = d - mw
+                if d - served > _EPS:
+                    ledger.ens_mwh[b] += (d - served) * dt
+                out = d > _EPS and served <= _EPS
+                if out:
+                    ledger.outage_hours[b] += dt
+            if out and not was_out[b]:
+                ledger.interruptions[b] += 1.0
+                ledger.events.append((t * dt, b, "interrupted"))
+            was_out[b] = out
+        return stop
 
     def _shed_verdict(self, sub, t, live_demand, islanded_now):
         """Run dispatch + load flow + shedding for one sub-system and return
@@ -703,13 +680,11 @@ class SequentialSimulation:
             return result
         slack = sub.grid_bus
         if slack is None:
-            # island slack: the bus carrying the largest source
-            source_buses = sorted(
-                {g[1] for g in generators if g[3] > _EPS},
-                key=lambda b: (-max(g[3] for g in generators if g[1] == b), b))
-            if not source_buses:
+            # island slack: the bus carrying the largest source, the lowest on a tie
+            sources = [(-g[3], g[1]) for g in generators if g[3] > _EPS]
+            if not sources:
                 return result
-            slack = source_buses[0]
+            slack = min(sources)[1]
 
         gen_bus = {g[0]: g[1] for g in generators}
         solution = self._run_fbs(sub, t, live_demand, gen_bus, result, slack)

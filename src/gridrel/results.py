@@ -67,8 +67,8 @@ def write_results(out_dir, reports, summary, metadata) -> list:
     return written
 
 
-def run_metadata(config, network_path, scenario=None, extra=None) -> dict:
-    meta = {
+def run_metadata(config, network_path, scenario=None) -> dict:
+    return {
         "network_file": os.path.basename(str(network_path)),
         "scenario": scenario,
         "master_seed": config.master_seed,
@@ -97,6 +97,3 @@ def run_metadata(config, network_path, scenario=None, extra=None) -> dict:
                 "each islanding onset"),
         },
     }
-    if extra:
-        meta.update(extra)
-    return meta

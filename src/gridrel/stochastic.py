@@ -1,6 +1,10 @@
-"""Stochastic component behavior: failure draws, the three-state
-working/failed/under-repair machine, the multi-phase ICT recovery, fault
-sectioning-time selection and the uniform battery SOC draw.
+"""Stochastic component behavior: failure draws, the multi-phase ICT
+recovery, fault sectioning-time selection and the uniform battery SOC draw.
+
+The engine no longer runs the three-state working/failed/under-repair
+machine (`ComponentState`, `draw_status`): it stores each phase's end
+increment instead. `draw_status` stays only because the benchmark wraps
+`engine.draw_status` to count its calls.
 
 All functions are pure given an explicit numpy Generator; the simulation
 engine owns one generator per iteration and never shares it across workers.

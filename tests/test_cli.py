@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from gridrel.cli import main
 
 from conftest import CHAIN4
@@ -24,6 +26,14 @@ def test_validation_error_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["simulate", "--network", "/does/not/exist.net"]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "analytical"])
+@pytest.mark.parametrize("flag", ["--manual-sectioning", "--automated-sectioning"])
+def test_negative_sectioning_time_is_a_usage_error(command, flag, tmp_path, capsys):
+    assert main([command, f"{flag}=-1h", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: sectioning times must be >= 0\n"
+    assert not os.listdir(tmp_path)
 
 
 def test_simulate_is_deterministic_byte_for_byte(tmp_path, capsys):

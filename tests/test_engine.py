@@ -91,6 +91,13 @@ def _config(**kw):
     return SimulationConfig(**defaults)
 
 
+@pytest.mark.parametrize("field", ["automated_sectioning_h", "manual_sectioning_h"])
+def test_sectioning_times_must_not_be_negative(field):
+    with pytest.raises(ValueError, match="sectioning times must be >= 0"):
+        _config(**{field: -1.0})
+    assert getattr(_config(**{field: 0.0}), field) == 0.0
+
+
 def _run_scripted(text, faults, horizon=48.0, **cfg):
     model = build_network(parse_network_text(text))
     config = _config(horizon_h=horizon, **cfg)

@@ -1,11 +1,12 @@
 """Jumping over static runs against stepping every increment.
 
 `SequentialSimulation` accrues a whole run of a static switching state in
-one step. `_Stepping` turns the jump off: it evaluates every electrically
-active increment through the general path, as the engine did before the
-jump. Full ledgers, events and warnings included, must be equal. The
-certificate each compiled sub-system carries (`steady`) is also checked
-against the general path on its own, increment by increment.
+one step, and in a stepped increment gives each steady sub-system its
+certificate's verdict. `_Stepping` turns both off by withdrawing every
+certificate (`steady`) from the compiled states, so `_shed_verdict` judges
+every sub-system of every electrically active increment. Full ledgers,
+events and warnings included, must be equal. The certificate is also
+checked against `_shed_verdict` on its own, increment by increment.
 """
 
 from dataclasses import replace
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridrel.engine import (
-    ScriptedFault, SequentialSimulation, SimulationConfig, TopologyCache,
+    ScriptedFault, SequentialSimulation, SimulationConfig, TopologyCache, run_iteration,
 )
 from gridrel.netfile import parse_network_file, parse_network_text
 from gridrel.network import build_network
@@ -29,48 +30,59 @@ _INCREMENTS = (1.0, 0.5, 0.25, 1.0 / 12.0)
 
 
 class _Jumping(SequentialSimulation):
-    """The engine as it is, counting the calls that accrue."""
+    """The engine as it is, counting the calls that accrue, and the stepped
+    ones among them that hold a steady sub-system."""
 
+    cache = TopologyCache
     steps = 0
+    mixed = 0
 
     def _accrue(self, t, subsystems):
         self.steps += 1
+        steady = [sub.steady for sub in subsystems]
+        if self._electrical_fault_active() and any(steady) and not all(steady):
+            self.mixed += 1
         return super()._accrue(t, subsystems)
 
 
-class _Stepping(_Jumping):
-    """The engine with the jump turned off."""
+class _UncertifiedCache(TopologyCache):
+    """Every compiled state with the certificates of its sub-systems withdrawn."""
 
-    def _accrue(self, t, subsystems):
-        self.steps += 1
-        if self._electrical_fault_active():
-            self._evaluate_and_accrue(t, subsystems)
-        else:
-            self.was_out = dict.fromkeys(self.was_out, False)
-            self.was_islanded = dict.fromkeys(self.was_islanded, False)
-        return t + 1
+    def _compile(self, failed, open_switches):
+        return tuple(replace(sub, steady=False)
+                     for sub in super()._compile(failed, open_switches))
+
+
+class _Stepping(_Jumping):
+    """The engine with the jump turned off: no sub-system is steady, so
+    `_shed_verdict` judges every sub-system of every electrically active
+    increment."""
+
+    cache = _UncertifiedCache
 
 
 def _run(cls, model, profiles, config, cost_table=None, script=None):
-    """Ledgers of every iteration, seeded as `run_iteration` seeds them, and
-    the number of accruing calls."""
-    topology = TopologyCache(model, profiles)
-    ledgers, steps = [], 0
+    """Ledgers of every iteration, seeded as `run_iteration` seeds them, the
+    number of accruing calls and the number of stepped ones holding a steady
+    sub-system."""
+    topology = cls.cache(model, profiles)
+    ledgers, steps, mixed = [], 0, 0
     for i in range(config.iterations):
         sim = cls(model, profiles, config, np.random.default_rng([config.master_seed, i]),
                   script=script, cost_table=cost_table, topology=topology)
         ledgers.append(sim.run())
         steps += sim.steps
-    return ledgers, steps
+        mixed += sim.mixed
+    return ledgers, steps, mixed
 
 
 def _assert_jumping_equals_stepping(model, profiles, config, cost_table=None,
                                     script=None):
-    jumped, jumps = _run(_Jumping, model, profiles, config, cost_table, script)
-    stepped, steps = _run(_Stepping, model, profiles, config, cost_table, script)
+    jumped, jumps, mixed = _run(_Jumping, model, profiles, config, cost_table, script)
+    stepped, steps, _ = _run(_Stepping, model, profiles, config, cost_table, script)
     for a, b in zip(jumped, stepped):
         assert a == b
-    return jumps, steps
+    return jumps, steps, mixed
 
 
 # -- the presets and the 6-bus feeder -------------------------------------
@@ -90,14 +102,17 @@ def test_presets_jump_to_the_ledgers_stepping_writes(case, increment_h, iteratio
     profiles = ProfileSet(increment_h, 8760.0, loads, wind)
     config = SimulationConfig(increment_h=increment_h, iterations=iterations,
                               master_seed=17)
-    jumps, steps = _assert_jumping_equals_stepping(model, profiles, config, cost_table)
+    jumps, steps, mixed = _assert_jumping_equals_stepping(model, profiles, config,
+                                                          cost_table)
     assert jumps < steps
+    # islands with sources step beside the steady grid-fed part
+    assert (mixed > 0) == (case in ("case2", "case4"))
 
 
 def test_validation_feeder_jumps_to_the_ledgers_stepping_writes(validation6):
     config = SimulationConfig(iterations=200, master_seed=17)
-    jumps, steps = _assert_jumping_equals_stepping(validation6, ProfileSet(1.0, 8760.0),
-                                                   config)
+    jumps, steps, _ = _assert_jumping_equals_stepping(validation6, ProfileSet(1.0, 8760.0),
+                                                      config)
     assert jumps < steps
 
 
@@ -149,6 +164,31 @@ def test_scripted_timelines_jump_to_the_ledgers_stepping_writes(
         script=script)
 
 
+def test_wind_island_steps_beside_a_transformer_repair_in_the_grid_fed_part(
+        ieee33_spec, bundled_profiles, cost_table):
+    # B05's transformer is down from 8 h to 16 h. L13 fails at 10 h; after
+    # the hour of manual sectioning its section is cut out, and until 15 h
+    # B15..B18 run islanded on the wind unit at B15, while the grid-fed part,
+    # B05 in it, and B14, cut off alone, are steady
+    model = _model("case2", ieee33_spec)
+    profiles = _profiles("bundled", 1.0, 48.0, bundled_profiles)
+    config = SimulationConfig(horizon_h=48.0)
+    script = [ScriptedFault(8.0, "B05"), ScriptedFault(10.0, "L13")]
+    _, _, mixed = _assert_jumping_equals_stepping(model, profiles, config, cost_table,
+                                                  script)
+    # stepped, each beside a steady sub-system: the sectioning hour, B01 dark
+    # behind the open breaker, and the four repair hours
+    assert mixed == 5
+    ledger = run_iteration(model, profiles, config, 0, script=script,
+                           cost_table=cost_table)
+    assert ledger.outage_hours["B05"] == 8.0
+    assert ledger.interruptions["B05"] == 1.0
+    assert [ev for ev in ledger.events if ev[1] == "B05"] == [
+        (8.0, "B05", "transformer_fault"), (8.0, "B05", "interrupted")]
+    peak_mw, _, curve = TopologyCache(model, profiles).loads["B05"]
+    assert ledger.ens_mwh["B05"] == pytest.approx(peak_mw * curve[8:16].sum())
+
+
 @pytest.mark.parametrize("increment_h", _INCREMENTS)
 @pytest.mark.parametrize("text", [_V6_SMALL_LINE, _V6_SMALL_FEEDER],
                          ids=["small-line", "small-feeder"])
@@ -164,13 +204,13 @@ def test_limits_below_the_peak_keep_their_states_stepping(text, increment_h,
     flat = TopologyCache(model, _profiles("flat", increment_h, 48.0, bundled_profiles))
     (normal,) = flat.state((), ())  # static, and no bus out
     assert normal.steady and normal.grid_bus is not None
-    jumps, steps = _assert_jumping_equals_stepping(
+    jumps, steps, _ = _assert_jumping_equals_stepping(
         model, profiles, config, script=[ScriptedFault(10.0, "VL5")])
     # only the 1 h of manual sectioning, with the breaker open, is one run
     assert jumps == steps - (round(1.0 / increment_h) - 1)
     # with the bundled residential profile the limits carry the peak: one
     # run for sectioning, one for the repair, one from the repair's end on
-    jumps, steps = _assert_jumping_equals_stepping(
+    jumps, steps, _ = _assert_jumping_equals_stepping(
         model, _profiles("bundled", increment_h, 48.0, bundled_profiles), config,
         script=[ScriptedFault(10.0, "VL5")])
     assert jumps == 3
@@ -234,17 +274,14 @@ def test_steady_subsystems_are_served_in_full_or_dark_at_every_increment(
     sim.repairs = {("transformer", b): (config.n_increments, True) for b in tx_down}
     steady = [sub for state in states for sub in sim.topology.state(*state) if sub.steady]
     rng_state = sim.rng.bit_generator.state
+    loads = sim.topology.loads
     for t in range(config.n_increments):
-        demand = sim._demand_now(t)
         for sub in steady:
-            served = {}
-            sim._serve_component(sub, t, demand, served,
-                                 dict.fromkeys(sim.was_islanded, False))
-            if sub.grid_bus is None:
-                assert served == dict.fromkeys(sub.buses)
-            else:
-                assert served == {b: None if b in tx_down else demand.get(b, 0.0)
-                                  for b in sub.buses}
+            live_demand = {b: loads[b][0] * float(loads[b][2][t]) if b in loads else 0.0
+                           for b in sub.buses if b not in tx_down}
+            verdict = sim._shed_verdict(sub, t, live_demand,
+                                        dict.fromkeys(sim.was_islanded, False))
+            assert verdict == (None if sub.grid_bus is None else {})
     assert sim.rng.bit_generator.state == rng_state
     assert not sim.ledger.warnings
 

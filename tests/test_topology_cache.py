@@ -83,8 +83,8 @@ class _CheckedSimulation(SequentialSimulation):
                 isolated.discard(ident)
         failed = set(self.faults)
         for tau in range(t, stop):
-            demand = self._demand_now(tau)
-            live = {b: d for b, d in demand.items()
+            live = {b: peak_mw * float(curve[tau])
+                    for b, (peak_mw, _, curve) in self.topology.loads.items()
                     if ("transformer", b) not in self.repairs}
             _assert_matches_reference(self.model, subsystems,
                                       _switches_cutting_out(self.model, isolated),
