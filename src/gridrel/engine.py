@@ -237,6 +237,13 @@ class TopologyCache:
             self.caps[unit.id] = (np.full(profiles.n_increments, unit.max_mw) if series is None
                                   else np.minimum(unit.max_mw, np.maximum(series, 0.0)))
 
+    def live_demand(self, buses, t, down) -> dict:
+        """MW demand at increment t of each of `buses` not in `down`; a bus
+        without a load demands 0.0."""
+        loads = self.loads
+        return {b: loads[b][0] * float(loads[b][2][t]) if b in loads else 0.0
+                for b in buses if b not in down}
+
     def state(self, failed_lines, isolated_lines) -> tuple:
         """The sub-systems while `failed_lines` are down and the sections of
         `isolated_lines` (a subset of them) are cut out."""
@@ -555,6 +562,7 @@ class SequentialSimulation:
                     *(end for end, _ in self.repairs.values())])
         loads = self.topology.loads
         shed = {}  # MW shed per load point, None while it is out; others are served
+        demand = {}  # MW demand at t of each bus of a stepped sub-system
         islanded_now = dict.fromkeys(self.was_islanded, False)
         if self._electrical_fault_active():  # otherwise everything is served
             # a bus whose transformer is down has no live demand and gets nothing
@@ -564,8 +572,8 @@ class SequentialSimulation:
                     verdict = None if sub.grid_bus is None else {}
                 else:
                     stop = t + 1
-                    live_demand = {b: loads[b][0] * float(loads[b][2][t]) if b in loads
-                                   else 0.0 for b in sub.buses if b not in shed}
+                    live_demand = self.topology.live_demand(sub.buses, t, shed)
+                    demand.update(live_demand)
                     verdict = self._shed_verdict(sub, t, live_demand, islanded_now)
                 if verdict is None:
                     shed.update(dict.fromkeys(sub.buses))
@@ -586,7 +594,7 @@ class SequentialSimulation:
                         ens += d * dt
                 ledger.outage_hours[b], ledger.ens_mwh[b] = hours, ens
             elif mw:  # shed in part, at t alone
-                d = loads[b][0] * float(loads[b][2][t]) if b in loads else 0.0
+                d = demand[b]
                 served = d - mw
                 if d - served > _EPS:
                     ledger.ens_mwh[b] += (d - served) * dt

@@ -2,9 +2,10 @@
 
 `SequentialSimulation` accrues a whole run of a static switching state in
 one step, and in a stepped increment gives each steady sub-system its
-certificate's verdict. `_Stepping` turns both off by withdrawing every
-certificate (`steady`) from the compiled states, so `_shed_verdict` judges
-every sub-system of every electrically active increment. Full ledgers,
+certificate's verdict. `_Stepping` turns both off: it accrues every
+increment on its own and withdraws every certificate (`steady`) from the
+compiled states, so `_shed_verdict` judges every sub-system of every
+electrically active increment. Full ledgers,
 events and warnings included, must be equal. The certificate is also
 checked against `_shed_verdict` on its own, increment by increment.
 """
@@ -54,11 +55,15 @@ class _UncertifiedCache(TopologyCache):
 
 
 class _Stepping(_Jumping):
-    """The engine with the jump turned off: no sub-system is steady, so
-    `_shed_verdict` judges every sub-system of every electrically active
-    increment."""
+    """The engine with the jump turned off: every increment is accrued on
+    its own, and no sub-system is steady, so `_shed_verdict` judges every
+    sub-system of every electrically active increment."""
 
     cache = _UncertifiedCache
+
+    def _accrue(self, t, subsystems):
+        super()._accrue(t, subsystems)
+        return t + 1
 
 
 def _run(cls, model, profiles, config, cost_table=None, script=None):
@@ -274,11 +279,9 @@ def test_steady_subsystems_are_served_in_full_or_dark_at_every_increment(
     sim.repairs = {("transformer", b): (config.n_increments, True) for b in tx_down}
     steady = [sub for state in states for sub in sim.topology.state(*state) if sub.steady]
     rng_state = sim.rng.bit_generator.state
-    loads = sim.topology.loads
     for t in range(config.n_increments):
         for sub in steady:
-            live_demand = {b: loads[b][0] * float(loads[b][2][t]) if b in loads else 0.0
-                           for b in sub.buses if b not in tx_down}
+            live_demand = sim.topology.live_demand(sub.buses, t, tx_down)
             verdict = sim._shed_verdict(sub, t, live_demand,
                                         dict.fromkeys(sim.was_islanded, False))
             assert verdict == (None if sub.grid_bus is None else {})

@@ -82,10 +82,9 @@ class _CheckedSimulation(SequentialSimulation):
             elif kind == "line_repaired":
                 isolated.discard(ident)
         failed = set(self.faults)
+        down = {b for kind, b in self.repairs if kind == "transformer"}
         for tau in range(t, stop):
-            live = {b: peak_mw * float(curve[tau])
-                    for b, (peak_mw, _, curve) in self.topology.loads.items()
-                    if ("transformer", b) not in self.repairs}
+            live = self.topology.live_demand(self.topology.loads, tau, down)
             _assert_matches_reference(self.model, subsystems,
                                       _switches_cutting_out(self.model, isolated),
                                       failed, live)
