@@ -38,12 +38,14 @@ RUNS = {
     "validation6": ["--network", "src/gridrel/data/validation6.net", "--workers", "2"],
 }
 
-# (preset, or "validation6" for the 6-bus feeder, increment in hours) whose
-# ledgers are compared, each run serially at the given seed and iterations
-LEDGER_STUDIES = [(case, increment_h) for increment_h in (1.0, 0.25)
+# (preset, or "validation6" for the 6-bus feeder, increment in hours, workers)
+# whose ledgers are compared, each run at the given seed and iterations
+LEDGER_STUDIES = [(case, increment_h, 1) for increment_h in (1.0, 0.25)
                   for case in ("case1", "case2", "case3", "case4")]
 # dark islands run longest at sub-hour increments
-LEDGER_STUDIES += [("case2", 1.0 / 12.0), ("case4", 1.0 / 12.0), ("validation6", 1.0)]
+LEDGER_STUDIES += [("case2", 1.0 / 12.0, 1), ("case4", 1.0 / 12.0, 1), ("validation6", 1.0, 1)]
+# the process pool receives the compiled run
+LEDGER_STUDIES += [("case4", 1.0, 2)]
 LEDGER_FIELDS = ("interruptions", "outage_hours", "ens_mwh", "events", "warnings")
 
 
@@ -87,16 +89,16 @@ def dump_ledgers(out, seed, iterations):
     feeder6 = parse_network_file(scenarios.bundled_validation_path())
     feeder6_costs = {b.load.category: 1.0 for b in feeder6.buses if b.load is not None}
     studies = {}
-    for case, increment_h in LEDGER_STUDIES:
+    for case, increment_h, workers in LEDGER_STUDIES:
         if case == "validation6":
             spec, profiles, cost_table = feeder6, ProfileSet(increment_h, 8760.0), feeder6_costs
         else:
             spec = scenarios.apply_scenario(ieee33, case)
             profiles, cost_table = ProfileSet(increment_h, 8760.0, loads, wind), costs
         config = engine.SimulationConfig(increment_h=increment_h, iterations=iterations,
-                                         master_seed=seed)
+                                         master_seed=seed, worker_count=workers)
         ledgers = engine.run_monte_carlo(build_network(spec), profiles, config, cost_table)
-        studies[f"{case}@{increment_h:g}h"] = [
+        studies[f"{case}@{increment_h:g}h/{workers}w"] = [
             {name: getattr(ledger, name) for name in LEDGER_FIELDS} for ledger in ledgers]
     with open(out, "wb") as fh:
         pickle.dump(studies, fh)

@@ -4,7 +4,7 @@ generation, batteries and ICT, by sequential Monte Carlo simulation."""
 from .analytical import AnalyticalReport, analytical_indices
 from .engine import (
     HistoryLedger, ScriptedFault, SequentialSimulation, SimulationConfig,
-    run_iteration, run_monte_carlo, update_battery_demand,
+    TopologyCache, run_iteration, run_monte_carlo, update_battery_demand,
 )
 from .indices import (
     IndexReport, IterationIndices, aggregate, caidi, cens, ens,

@@ -36,18 +36,20 @@ disconnector is open while it is normally open or bounds a line fault in its
 repairing phase, so a disconnector shared by two isolated sections stays
 open until both repairs end. The breaker positions, sub-systems and their
 conducting lines follow from (failed lines, open disconnectors) alone, so
-each distinct state is compiled once per run into a `TopologyCache`, which
-also decides there whether the state is static, and every later increment
-in that state looks it up. The cache belongs to one model and one profile
-set, whose horizon and increment must be the run's. It binds every load
-point to its multiplier curve and every production unit to its available MW
-per increment once, so evaluating an increment only indexes arrays.
+each distinct state is compiled once per run, and decided static or not,
+and every later increment in that state looks it up.
 
-A sub-system that needs the load flow keeps its layout (BFS order from the
-slack bus, parents, line ids, impedances) in `Subsystem.layouts`, compiled
-on first use for each slack bus it meets: an island's slack is the bus of
-its largest source, which moves with the wind, so only the slacks a run
-meets are compiled. Each sweep then only fills in the injections.
+The engine is handed one `TopologyCache`, the compiled run: it checks its
+inputs against each other once, before the first iteration, and binds every
+load point to its multiplier curve and shed cost and every production unit
+to its available MW per increment, so an increment only indexes arrays.
+
+Only normally closed lines conduct (a normally open breaker is refused at
+build time), so every switching state is a forest. A sub-system that needs
+the load flow keeps its layout (BFS order from the slack bus, parents, line
+ids, impedances) in `Subsystem.layouts`, compiled on first use for each
+slack bus it meets: an island's slack is the bus of its largest source,
+which moves with the wind. Each sweep then only fills in the injections.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ from typing import Optional
 import numpy as np
 
 from . import shedding as shed
-from .loadflow import LoadFlowProblem, NonRadialError, solve_fbs
+from .indices import MissingCostCategory
+from .loadflow import LoadFlowProblem, solve_fbs
 from .network import BREAKER, NetworkModel, connected_components
 from .stochastic import (  # draw_status stays importable: perfbench wraps it here
     draw_battery_soc, draw_status, failure_probability, ict_repair_duration,
@@ -74,7 +77,6 @@ WARNING_KINDS = (
     ("shedding infeasible", "shedding infeasible"),
     ("load flow non-converged", "load flow did not converge"),
     ("power balance", "power balance residual"),
-    ("load flow skipped", "load flow skipped"),
 )
 
 
@@ -158,7 +160,7 @@ class Subsystem:
     """One connected component of a switching state.
 
     `layouts` maps each slack bus the load flow has used to the compiled
-    `LoadFlowProblem` layout, or to the `NonRadialError` compiling it raised.
+    `LoadFlowProblem` layout.
     """
 
     buses: tuple          # sorted, as `connected_components` returns them
@@ -179,25 +181,37 @@ class Subsystem:
 
 
 class TopologyCache:
-    """Lookups one Monte Carlo run derives from its model and profile set.
+    """The compiled form of one Monte Carlo run, and all the engine is handed.
+
+    The constructor checks once that the profile set has the config's
+    increment and span, and that a given cost table prices every load's
+    category (`MissingCostCategory` names the first missing, in load-point
+    order); without a table every load sheds at unit cost.
 
     Switching states are keyed by (failed lines, open disconnectors), where
     a disconnector is open while it is normally open or bounds an isolated
     line, and are compiled on first use into their sub-systems, by lowest
     bus id; the breaker positions follow from the key. The cache also holds
-    every failable component's per-increment failure probability at the
-    profile set's increment, the ICT devices by id, and every profile bound
-    to its user: per load point with a load (peak MW, peak Mvar, multiplier
-    curve) and its demand bound, per production unit its available MW per
-    increment, and the customers and categories every ledger of the run
-    shares read-only. It lives as long as the run that creates it, so
-    nothing outlives the model.
+    the model and config, every failable component's per-increment failure
+    probability, the ICT devices by id, and every input bound to its user:
+    per load point with a load (peak MW, peak Mvar, multiplier curve) and
+    its demand bound, per bus its shed cost (0.0 without a load), per
+    production unit its available MW per increment, and the customers and
+    categories every ledger of the run shares read-only. It lives as long as
+    the run that creates it, so nothing outlives the model.
     """
 
-    def __init__(self, model: NetworkModel, profiles):
+    def __init__(self, model: NetworkModel, profiles, config: SimulationConfig,
+                 cost_table=None):
+        if profiles.increment_h != config.increment_h:
+            raise ValueError(f"profile set has a {profiles.increment_h:g} h increment, "
+                             f"the run {config.increment_h:g} h")
+        if profiles.n_increments != config.n_increments:
+            raise ValueError(f"profile set spans {profiles.n_increments} increments, "
+                             f"the run {config.n_increments}")
         self.model = model
-        self.profiles = profiles
-        increment_h = profiles.increment_h
+        self.config = config
+        increment_h = config.increment_h
         self.hits = 0
         self.misses = 0
         self._states = {}
@@ -231,6 +245,13 @@ class TopologyCache:
             self.categories[b] = bus.load.category
             lo, hi = float(curve.min()), float(curve.max())  # peak * mult is monotone in mult
             self.bound[b] = max(bus.load.peak_mw * lo, bus.load.peak_mw * hi, 0.0)
+        costs = (dict.fromkeys(self.categories.values(), 1.0) if cost_table is None
+                 else cost_table)
+        for category in self.categories.values():
+            if category not in costs:
+                raise MissingCostCategory(f"no interruption cost for category {category!r}")
+        self.shed_cost = {b: float(costs[self.categories[b]]) if b in self.categories else 0.0
+                          for b in model.bus_ids}
         self.caps = {}
         for unit in model.production.values():
             series = profiles.production.get(unit.profile)
@@ -330,24 +351,11 @@ class TopologyCache:
 class SequentialSimulation:
     """Mutable runtime for one iteration; `run()` drives it to the horizon."""
 
-    def __init__(self, model: NetworkModel, profiles, config: SimulationConfig,
-                 rng, script: Optional[list] = None, cost_table=None,
-                 topology: Optional[TopologyCache] = None):
-        if profiles.increment_h != config.increment_h:
-            raise ValueError(f"profile set has a {profiles.increment_h:g} h increment, "
-                             f"the run {config.increment_h:g} h")
-        if profiles.n_increments != config.n_increments:
-            raise ValueError(f"profile set spans {profiles.n_increments} increments, "
-                             f"the run {config.n_increments}")
-        if topology is None:
-            topology = TopologyCache(model, profiles)
-        elif topology.model is not model or topology.profiles is not profiles:
-            raise ValueError("topology cache belongs to another model or profile set")
+    def __init__(self, topology: TopologyCache, rng, script: Optional[list] = None):
         self.topology = topology
-        self.model = model
-        self.config = config
+        self.model = model = topology.model
+        self.config = config = topology.config
         self.rng = rng
-        self.cost_table = dict(cost_table or {})
         self.dt = config.increment_h
         self.t_index = 0
 
@@ -657,9 +665,8 @@ class SequentialSimulation:
                 and sub.grid_flows_within_caps(live_demand)):
             return {}
 
-        cost_of = {b: self._shed_cost(b) for b in comp}
         problem = shed.build_shedding_problem(
-            comp, live_demand, cost_of, generators,
+            comp, live_demand, self.topology.shed_cost, generators,
             [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in sub.lines])
         result = shed.solve_shedding(problem)
         if result.status != shed.OPTIMAL:
@@ -667,8 +674,7 @@ class SequentialSimulation:
                 f"t={t * self.dt:g}h: shedding infeasible in sub-system {comp[0]}")
             return None
 
-        result = self._confirm_with_loadflow(sub, live_demand, generators, cost_of,
-                                             result, t)
+        result = self._confirm_with_loadflow(sub, live_demand, generators, result, t)
         for bus, bat_id in batteries_here:
             dispatch = result.generation_mw.get(bat_id, 0.0)
             bat = model.batteries[bat_id]
@@ -677,11 +683,7 @@ class SequentialSimulation:
                 bat.soc_min), bat.soc_max)
         return result.shed_mw
 
-    def _shed_cost(self, bus_id) -> float:
-        category = self.topology.categories.get(bus_id)  # None without a load
-        return 0.0 if category is None else float(self.cost_table.get(category, 1.0))
-
-    def _confirm_with_loadflow(self, sub, live_demand, generators, cost_of, result, t):
+    def _confirm_with_loadflow(self, sub, live_demand, generators, result, t):
         """Re-run the sweep with the shed applied; one repair pass on overload."""
         comp, lines_here = sub.buses, sub.lines
         if len(comp) < 2 or not lines_here:
@@ -696,8 +698,6 @@ class SequentialSimulation:
 
         gen_bus = {g[0]: g[1] for g in generators}
         solution = self._run_fbs(sub, t, live_demand, gen_bus, result, slack)
-        if solution is None:
-            return result
         if not solution.converged:
             self.ledger.warnings.append(
                 f"t={t * self.dt:g}h: load flow did not converge in sub-system {comp[0]}")
@@ -725,7 +725,7 @@ class SequentialSimulation:
         # one repair pass with a tightened capacity margin covering the overshoot
         margin = 1.0 / (1.0 + worst + 0.01)
         problem = shed.build_shedding_problem(
-            comp, live_demand, cost_of, generators,
+            comp, live_demand, self.topology.shed_cost, generators,
             [(l.id, l.from_bus, l.to_bus, l.capacity_mw * margin) for l in lines_here])
         retry = shed.solve_shedding(problem)
         if retry.status == shed.OPTIMAL:
@@ -738,14 +738,7 @@ class SequentialSimulation:
         if layout is None:
             edges = [(l.id, l.from_bus, l.to_bus, complex(l.r_pu, l.x_pu))
                      for l in sub.lines]
-            try:
-                layout = LoadFlowProblem.from_tree(slack, edges, {}, base)
-            except NonRadialError as exc:
-                layout = exc
-            sub.layouts[slack] = layout
-        if isinstance(layout, NonRadialError):
-            self.ledger.warnings.append(f"load flow skipped: {layout}")
-            return None
+            layout = sub.layouts[slack] = LoadFlowProblem.from_tree(slack, edges, {}, base)
         loads = self.topology.loads
         injections = {}
         for b in sub.buses:
@@ -800,49 +793,46 @@ def warning_counts(ledgers) -> dict:
     return counts
 
 
-def run_iteration(model, profiles, config, iteration_index, script=None,
-                  cost_table=None, topology=None) -> HistoryLedger:
-    """One full pass from t=0 to the horizon, deterministically seeded.
+def run_iteration(topology: TopologyCache, iteration_index, script=None) -> HistoryLedger:
+    """One full pass of the compiled run from t=0 to the horizon,
+    deterministically seeded.
 
-    `topology` is the run's `TopologyCache`; a fresh one is made without it.
     An error raised by the iteration is re-raised as a RuntimeError naming
     the iteration index and the master seed, which reproduce it.
     """
-    rng = np.random.default_rng([config.master_seed, iteration_index])
+    seed = topology.config.master_seed
+    rng = np.random.default_rng([seed, iteration_index])
     try:
-        return SequentialSimulation(model, profiles, config, rng, script=script,
-                                    cost_table=cost_table, topology=topology).run()
+        return SequentialSimulation(topology, rng, script=script).run()
     except Exception as exc:
         raise RuntimeError(f"iteration {iteration_index} (master seed "
-                           f"{config.master_seed}) failed: {exc!r}") from exc
+                           f"{seed}) failed: {exc!r}") from exc
 
 
-_POOL_STATE = {}
+_pool_topology = None  # a pool worker's copy of the run
 
 
-def _pool_init(model, profiles, config, cost_table):
-    _POOL_STATE["args"] = (config, cost_table, TopologyCache(model, profiles))
+def _pool_init(topology):
+    global _pool_topology
+    _pool_topology = topology
 
 
 def _pool_run(index):
-    config, cost_table, topology = _POOL_STATE["args"]
-    return run_iteration(topology.model, topology.profiles, config, index,
-                         cost_table=cost_table, topology=topology)
+    return run_iteration(_pool_topology, index)
 
 
 def run_monte_carlo(model, profiles, config, cost_table=None):
     """All iterations, in iteration index order, so any worker count
-    produces identical output."""
+    produces identical output. The run is compiled, and its inputs checked,
+    once in the calling process, before the first iteration."""
+    topology = TopologyCache(model, profiles, config, cost_table)
     indices = range(config.iterations)
     if config.worker_count == 1 or config.iterations == 1:
-        topology = TopologyCache(model, profiles)
-        return [run_iteration(model, profiles, config, i, cost_table=cost_table,
-                              topology=topology)
-                for i in indices]
+        return [run_iteration(topology, i) for i in indices]
     with ProcessPoolExecutor(
             max_workers=config.worker_count,
             initializer=_pool_init,
-            initargs=(model, profiles, config, cost_table)) as pool:
+            initargs=(topology,)) as pool:
         chunk = max(1, config.iterations // (config.worker_count * 8))
         # `map` yields in input order, whichever worker finishes first
         return list(pool.map(_pool_run, indices, chunksize=chunk))

@@ -440,6 +440,8 @@ def _validate_spec(spec: NetworkSpec):
             host = next(l for l in spec.lines if l.id == sw.host_line)
             if host.from_bus not in roots and host.to_bus not in roots:
                 yield f"circuit breaker {sw.id!r} is not at a feeder root"
+        if sw.kind == BREAKER and not sw.normal_closed:  # only the engine opens breakers
+            yield f"circuit breaker {sw.id!r} must be normally closed"
         if sw.position not in (FROM_END, TO_END):
             yield f"switchgear {sw.id!r}: position must be from/to"
 

@@ -32,7 +32,6 @@ class TimeSeriesError(ValueError):
 @dataclass(frozen=True)
 class TimeSeries:
     name: str
-    start_h: float
     step_h: float
     values: tuple
     kind: str = LOAD
@@ -109,7 +108,8 @@ def tile_to_horizon(series: TimeSeries, horizon_h: float) -> np.ndarray:
 
 def read_timeseries_csv(path, kind: str = LOAD) -> dict:
     """Read a CSV whose first column is time (unit suffix in the header, e.g.
-    ``time_h``) and every other column one named series."""
+    ``time_h``) and every other column one named series. The first data row
+    is the run's first increment; the timestamps set only the step."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r and not r[0].lstrip().startswith("#")]
@@ -147,17 +147,16 @@ def read_timeseries_csv(path, kind: str = LOAD) -> dict:
         step = float(steps[0])
     else:
         step = 1.0
-    return {name: TimeSeries(name, float(t[0]), step, tuple(col), kind)
+    return {name: TimeSeries(name, step, tuple(col), kind)
             for name, col in zip(names, columns)}
 
 
 def read_cost_table(path) -> dict:
-    """Read the per-category interruption cost table (category, cost_per_mwh)."""
+    """Read the per-category interruption cost table (category, cost_per_mwh),
+    refusing one without entries."""
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
-        raise TimeSeriesError(f"{path}: empty cost table")
-    start = 1 if rows[0][0].strip().lower() in ("category", "load_type") else 0
+    start = 1 if rows and rows[0][0].strip().lower() in ("category", "load_type") else 0
     table = {}
     for lineno, row in enumerate(rows[start:], start=start + 1):
         if len(row) < 2:
@@ -166,6 +165,8 @@ def read_cost_table(path) -> dict:
             table[row[0].strip()] = finite_float(row[1])
         except ValueError:
             raise TimeSeriesError(f"{path}:{lineno}: bad cost value {row[1]!r}") from None
+    if not table:  # a header alone prices nothing
+        raise TimeSeriesError(f"{path}: empty cost table")
     return table
 
 

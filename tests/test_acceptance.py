@@ -15,7 +15,7 @@ import pytest
 
 from gridrel.analytical import analytical_indices
 from gridrel.engine import (
-    ScriptedFault, SimulationConfig, run_iteration, run_monte_carlo,
+    ScriptedFault, SimulationConfig, TopologyCache, run_iteration, run_monte_carlo,
 )
 from gridrel.indices import aggregate, caidi, iteration_report
 from gridrel.loadflow import LoadFlowProblem, solve_fbs
@@ -213,7 +213,7 @@ def test_criterion_6_scripted_timelines():
     model = build_network(parse_network_text(CHAIN4))
     config = SimulationConfig(increment_h=1.0, horizon_h=48.0, iterations=1,
                               master_seed=0)
-    ledger = run_iteration(model, ProfileSet(1.0, 48.0), config, 0,
+    ledger = run_iteration(TopologyCache(model, ProfileSet(1.0, 48.0), config), 0,
                            script=[ScriptedFault(10.0, "L2")])
     timeline_ok = (ledger.outage_hours == {"B2": 1.0, "B3": 5.0, "B4": 5.0})
 

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from gridrel import engine
 from gridrel.cli import main
 
 from conftest import CHAIN4
@@ -114,7 +115,7 @@ def test_simulate_reports_warnings_by_kind_on_stderr(tmp_path, capsys):
     counts = dict(item.rsplit(" ", 1)
                   for item in line[len("run: warnings: "):].split(", "))
     assert list(counts) == ["shedding infeasible", "load flow non-converged",
-                            "power balance", "load flow skipped", "other"]
+                            "power balance", "other"]
     assert int(counts["shedding infeasible"]) > 0
     assert counts["other"] == "0"
     meta = json.loads(_read(tmp_path / "out" / "run_metadata.json"))
@@ -137,14 +138,25 @@ def test_simulate_prices_only_load_points_with_a_load(tmp_path, capsys):
     assert (tmp_path / "out" / "iterations.csv").exists()
 
 
-def test_simulate_rejects_a_cost_table_missing_a_load_category(tmp_path, capsys):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_rejects_a_cost_table_missing_a_load_category(tmp_path, capsys,
+                                                              monkeypatch, workers):
+    # the table is checked when the run is compiled, before any iteration
+    def no_iteration(*args, **kwargs):
+        pytest.fail("an iteration ran before the cost table was checked")
+
+    monkeypatch.setattr(engine, "run_iteration", no_iteration)
     net = tmp_path / "chain.net"
     net.write_text(_RESIDENTIAL_CHAIN.replace(
         "B3 customers=10 load_mw=0.3 load_mvar=0.07 category=residential",
         "B3 customers=10 load_mw=0.3 load_mvar=0.07 category=industrial"))
     costs = tmp_path / "costs.csv"
+    argv = ["simulate", "--network", str(net), "--costs", str(costs),
+            "--iterations", "5", "--workers", workers, "--out", str(tmp_path / "out")]
     costs.write_text("category,cost_per_mwh\nresidential,10\n")
-    rc = main(["simulate", "--network", str(net), "--costs", str(costs),
-               "--iterations", "5", "--out", str(tmp_path / "out")])
-    assert rc == 2
+    assert main(argv) == 2
     assert "error: no interruption cost for category 'industrial'" in capsys.readouterr().err
+    # a header alone prices nothing
+    costs.write_text("category,cost_per_mwh\n")
+    assert main(argv) == 2
+    assert f"error: {costs}: empty cost table" in capsys.readouterr().err

@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridrel.engine import (
-    HistoryLedger, ScriptedFault, SequentialSimulation,
-    SimulationConfig, ends_silently, phase_increments, run_iteration,
+    HistoryLedger, ScriptedFault, SequentialSimulation, SimulationConfig,
+    TopologyCache, ends_silently, phase_increments, run_iteration,
     run_monte_carlo, update_battery_demand, warning_counts,
 )
 from gridrel.indices import aggregate, iteration_report
@@ -101,7 +101,7 @@ def test_sectioning_times_must_not_be_negative(field):
 def _run_scripted(text, faults, horizon=48.0, **cfg):
     model = build_network(parse_network_text(text))
     config = _config(horizon_h=horizon, **cfg)
-    ledger = run_iteration(model, _flat_profiles(horizon), config, 0,
+    ledger = run_iteration(TopologyCache(model, _flat_profiles(horizon), config), 0,
                            script=[ScriptedFault(t, c) for t, c in faults])
     return model, ledger
 
@@ -149,7 +149,7 @@ def test_overlapping_sections_stay_cut_out_until_each_repair_ends():
 def test_restoration_returns_switches_to_normal_and_is_idempotent():
     model = build_network(parse_network_text(CHAIN4))
     config = _config()
-    sim = SequentialSimulation(model, _flat_profiles(), config,
+    sim = SequentialSimulation(TopologyCache(model, _flat_profiles(), config),
                                np.random.default_rng(0),
                                script=[ScriptedFault(5.0, "L2")])
     sim.run()
@@ -180,15 +180,15 @@ def test_scripted_fault_past_a_profiled_horizon_is_not_simulated(ieee33_spec,
     model = build_network(apply_scenario(ieee33_spec, "case1"))
     config = _config()
     # the profiles end with the horizon: hour 100 has no load to look up
-    ledger = run_iteration(model, ProfileSet(1.0, 48.0, loads, wind), config, 0,
-                           script=[ScriptedFault(100.0, "L03")])
+    ledger = run_iteration(TopologyCache(model, ProfileSet(1.0, 48.0, loads, wind), config),
+                           0, script=[ScriptedFault(100.0, "L03")])
     assert ledger.events == []
     assert ledger.warnings == ["scripted fault on 'L03' at 100h outside the horizon"]
 
 
 def test_scripted_fault_on_an_unknown_component_is_a_warning():
     model = build_network(parse_network_text(CHAIN4))
-    sim = SequentialSimulation(model, _flat_profiles(), _config(),
+    sim = SequentialSimulation(TopologyCache(model, _flat_profiles(), _config()),
                                np.random.default_rng(0),
                                script=[ScriptedFault(10.0, "NOPE"), ScriptedFault(99.0, "X"),
                                        ScriptedFault(12.0, "L2")])
@@ -208,8 +208,7 @@ def test_profile_set_must_span_the_run(ieee33_spec, bundled_profiles):
     model = build_network(apply_scenario(ieee33_spec, "case1"))
     for profiles in (ProfileSet(1.0, 48.0, loads, wind), ProfileSet(1.0, 48.0)):
         with pytest.raises(ValueError, match="profile set spans 48 increments, the run 8760"):
-            SequentialSimulation(model, profiles, _config(horizon_h=8760.0),
-                                 np.random.default_rng(0))
+            TopologyCache(model, profiles, _config(horizon_h=8760.0))
 
 
 def test_outage_truncates_at_horizon():
@@ -235,7 +234,7 @@ def test_transformer_outage_takes_out_only_its_bus(repair, increment_h, down_h,
                                                    reported):
     model = build_network(parse_network_text(_with_b3_transformer(CHAIN4, repair)))
     config = _config(increment_h=increment_h)
-    ledger = run_iteration(model, ProfileSet(increment_h, 48.0), config, 0,
+    ledger = run_iteration(TopologyCache(model, ProfileSet(increment_h, 48.0), config), 0,
                            script=[ScriptedFault(10.0, "B3")])
     assert ledger.outage_hours == {"B2": 0.0, "B3": down_h, "B4": 0.0}
     assert ledger.interruptions == {"B2": 0.0, "B3": 1.0, "B4": 0.0}
@@ -321,8 +320,8 @@ def test_dead_intelligent_switch_forces_manual_and_is_discovered():
 
 def test_ict_lookup_answers_as_a_table_of_every_unit(ieee33_spec):
     model = build_network(apply_scenario(ieee33_spec, "case3"))
-    sim = SequentialSimulation(model, _flat_profiles(), _config(), np.random.default_rng(0),
-                               script=[])
+    sim = SequentialSimulation(TopologyCache(model, _flat_profiles(), _config()),
+                               np.random.default_rng(0), script=[])
     ctrl = model.ict.controller.id
     units = [s.id for s in model.ict.sensors] + [i.id for i in model.ict.intelligent_switches]
     for latent, repairs in [((), ()), (("S03", "IS07"), ("IS01", "S30", ctrl + "/sw")),
@@ -385,8 +384,7 @@ def test_infeasible_island_is_reported_as_a_warning():
     assert all("shedding infeasible" in w for w in ledger.warnings)
     assert warning_counts([ledger, ledger]) == {
         "shedding infeasible": 2 * len(ledger.warnings),
-        "load flow non-converged": 0, "power balance": 0,
-        "load flow skipped": 0, "other": 0}
+        "load flow non-converged": 0, "power balance": 0, "other": 0}
     assert ledger.outage_hours["B4"] == 5.0
 
 
@@ -394,7 +392,7 @@ def test_island_charging_stores_wind_surplus():
     model = build_network(parse_network_text(WIND_CHARGE))
     config = _config(horizon_h=11.0)
     rng = np.random.default_rng(0)
-    sim = SequentialSimulation(model, _flat_profiles(11.0), config, rng,
+    sim = SequentialSimulation(TopologyCache(model, _flat_profiles(11.0), config), rng,
                                script=[ScriptedFault(10.0, "L1")])
     sim.run()
     # islanded with 1.0 MW wind against 0.2 MW demand: the battery soaks up
@@ -434,7 +432,7 @@ def test_discharge_bound_from_bundled_battery_numbers():
 
 def test_zero_rates_give_empty_ledger(chain4):
     config = _config(horizon_h=8760.0)
-    ledger = run_iteration(chain4, _flat_profiles(8760.0), config, 0)
+    ledger = run_iteration(TopologyCache(chain4, _flat_profiles(8760.0), config), 0)
     assert sum(ledger.outage_hours.values()) == 0.0
     assert sum(ledger.interruptions.values()) == 0.0
     assert ledger.events == []
@@ -443,18 +441,18 @@ def test_zero_rates_give_empty_ledger(chain4):
 def test_identical_seeds_identical_ledgers(ieee33_spec):
     model = build_network(apply_scenario(ieee33_spec, "case4"))
     config = SimulationConfig(iterations=1, master_seed=77)
-    profiles = ProfileSet(1.0, 8760.0)
-    a = run_iteration(model, profiles, config, 0, cost_table={})
-    b = run_iteration(model, profiles, config, 0, cost_table={})
+    topology = TopologyCache(model, ProfileSet(1.0, 8760.0), config)
+    a = run_iteration(topology, 0)
+    b = run_iteration(topology, 0)
     assert a == b
 
 
 def test_different_iterations_differ(ieee33_spec):
     model = build_network(apply_scenario(ieee33_spec, "case1"))
     config = SimulationConfig(iterations=1, master_seed=77)
-    profiles = ProfileSet(1.0, 8760.0)
-    a = run_iteration(model, profiles, config, 0, cost_table={})
-    b = run_iteration(model, profiles, config, 1, cost_table={})
+    topology = TopologyCache(model, ProfileSet(1.0, 8760.0), config)
+    a = run_iteration(topology, 0)
+    b = run_iteration(topology, 1)
     assert a.events != b.events
 
 
@@ -520,8 +518,9 @@ def test_failing_iteration_is_named_serial_and_pooled():
     model = build_network(parse_network_text(CHAIN4.replace("rate=0 ", "rate=1 ")))
     profiles = _ProfilesFailingFrom(8000)
     # at master seed 2 only iteration 5 of 0..5 evaluates a fault after 8000 h
+    topology = TopologyCache(model, profiles, _config(horizon_h=8760.0, master_seed=2))
     for index in range(5):
-        run_iteration(model, profiles, _config(horizon_h=8760.0, master_seed=2), index)
+        run_iteration(topology, index)
     messages = []
     for workers in (1, 2):
         config = _config(horizon_h=8760.0, iterations=6, master_seed=2,
@@ -535,7 +534,7 @@ def test_failing_iteration_is_named_serial_and_pooled():
 
 def test_aggregate_report_from_single_iteration(chain4):
     config = _config()
-    ledger = run_iteration(chain4, _flat_profiles(), config, 0,
+    ledger = run_iteration(TopologyCache(chain4, _flat_profiles(), config), 0,
                            script=[ScriptedFault(10.0, "L2")])
     report = iteration_report(ledger, {"general": 10.0})
     agg = aggregate([report])
@@ -551,8 +550,8 @@ def test_ens_is_linear_in_load_scaling():
     big_model = build_network(parse_network_text(doubled))
     config = _config()
     script = [ScriptedFault(10.0, "L2")]
-    a = run_iteration(base_model, _flat_profiles(), config, 0, script=script)
-    b = run_iteration(big_model, _flat_profiles(), config, 0, script=script)
+    a = run_iteration(TopologyCache(base_model, _flat_profiles(), config), 0, script=script)
+    b = run_iteration(TopologyCache(big_model, _flat_profiles(), config), 0, script=script)
     for bus in a.ens_mwh:
         assert b.ens_mwh[bus] == pytest.approx(2 * a.ens_mwh[bus], rel=1e-12)
 
@@ -562,9 +561,8 @@ def test_ledger_accumulators_are_nonnegative(ieee33_spec, bundled_profiles,
     loads, wind = bundled_profiles
     model = build_network(apply_scenario(ieee33_spec, "case2"))
     profiles = ProfileSet(1.0, 8760.0, loads, wind)
-    ledger = run_iteration(model, profiles,
-                           SimulationConfig(iterations=1, master_seed=8),
-                           0, cost_table=cost_table)
+    config = SimulationConfig(iterations=1, master_seed=8)
+    ledger = run_iteration(TopologyCache(model, profiles, config, cost_table), 0)
     assert all(v >= 0 for v in ledger.outage_hours.values())
     assert all(v >= 0 for v in ledger.ens_mwh.values())
     assert all(v >= 0 for v in ledger.interruptions.values())

@@ -11,7 +11,6 @@ roundings an ulp apart and numpy sums the losses pairwise.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +19,9 @@ from hypothesis import strategies as st
 
 from gridrel import engine
 from gridrel.engine import (
-    ScriptedFault, SequentialSimulation, SimulationConfig, Subsystem, TopologyCache,
+    ScriptedFault, SequentialSimulation, SimulationConfig, TopologyCache,
 )
-from gridrel.loadflow import LoadFlowProblem, NonRadialError, solve_fbs
+from gridrel.loadflow import LoadFlowProblem, solve_fbs
 from gridrel.network import build_network
 from gridrel.scenarios import apply_scenario
 from gridrel.timeseries import ProfileSet
@@ -58,11 +57,10 @@ def _replay(monkeypatch, model, profiles, config, cost_table, script=None):
         return solution
 
     monkeypatch.setattr(engine, "solve_fbs", recording_solve_fbs)
-    topology = TopologyCache(model, profiles)
+    topology = TopologyCache(model, profiles, config, cost_table)
     expected = []
     for i in range(config.iterations):
-        sim = _Replay(model, profiles, config, np.random.default_rng([config.master_seed, i]),
-                      script=script, cost_table=cost_table, topology=topology)
+        sim = _Replay(topology, np.random.default_rng([config.master_seed, i]), script=script)
         sim.expected = expected
         sim.run()
     return expected, seen, topology
@@ -136,24 +134,6 @@ def test_island_slack_moving_with_the_wind_uses_two_layouts(monkeypatch, ieee33_
     slacks = [problem.bus_ids[0] for problem, _ in seen
               if sorted(problem.bus_ids) == list(island.buses)]
     assert slacks == ["B30", "B15", "B15", "B15"]
-
-
-def test_a_mesh_is_compiled_once_and_skipped_at_every_sweep(chain4, monkeypatch):
-    # validated networks operate radially, so only a hand-made sub-system meshes
-    sim = SequentialSimulation(chain4, ProfileSet(1.0, 8760.0), SimulationConfig(),
-                               np.random.default_rng(0), script=[])
-    ring = tuple(SimpleNamespace(id=f"R{i}", from_bus=a, to_bus=b, r_pu=0.01, x_pu=0.01)
-                 for i, (a, b) in enumerate([("B1", "B2"), ("B2", "B3"), ("B3", "B1")]))
-    sub = Subsystem(("B1", "B2", "B3"), "B1", 10.0, ring, (), ())
-    builds = []
-    from_tree = LoadFlowProblem.from_tree
-    monkeypatch.setattr(LoadFlowProblem, "from_tree",
-                        lambda *args: builds.append(args) or from_tree(*args))
-    nothing = SimpleNamespace(shed_mw={}, generation_mw={})
-    for _ in range(3):
-        assert sim._run_fbs(sub, 0, {"B2": 0.1}, {}, nothing, "B1") is None
-    assert len(builds) == 1 and isinstance(sub.layouts["B1"], NonRadialError)
-    assert sim.ledger.warnings == ["load flow skipped: cycle through line 'R1'"] * 3
 
 
 # -- random radial trees ---------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridrel import shedding
-from gridrel.engine import SimulationConfig, run_iteration
+from gridrel.engine import SimulationConfig, TopologyCache, run_iteration
 from gridrel.network import build_network
 from gridrel.scenarios import apply_scenario
 from gridrel.shedding import INFEASIBLE, OPTIMAL, build_shedding_problem
@@ -48,8 +48,9 @@ def test_greedy_matches_simplex_on_ieee33_lp_stream(case, ieee33_spec,
         return solve(problem)
 
     monkeypatch.setattr(shedding, "solve_shedding", recording)
+    topology = TopologyCache(model, profiles, config, cost_table)
     for i in range(config.iterations):
-        run_iteration(model, profiles, config, i, cost_table=cost_table)
+        run_iteration(topology, i)
     monkeypatch.undo()
 
     assert len(problems) > 20

@@ -70,11 +70,10 @@ def _run(cls, model, profiles, config, cost_table=None, script=None):
     """Ledgers of every iteration, seeded as `run_iteration` seeds them, the
     number of accruing calls and the number of stepped ones holding a steady
     sub-system."""
-    topology = cls.cache(model, profiles)
+    topology = cls.cache(model, profiles, config, cost_table)
     ledgers, steps, mixed = [], 0, 0
     for i in range(config.iterations):
-        sim = cls(model, profiles, config, np.random.default_rng([config.master_seed, i]),
-                  script=script, cost_table=cost_table, topology=topology)
+        sim = cls(topology, np.random.default_rng([config.master_seed, i]), script=script)
         ledgers.append(sim.run())
         steps += sim.steps
         mixed += sim.mixed
@@ -184,13 +183,13 @@ def test_wind_island_steps_beside_a_transformer_repair_in_the_grid_fed_part(
     # stepped, each beside a steady sub-system: the sectioning hour, B01 dark
     # behind the open breaker, and the four repair hours
     assert mixed == 5
-    ledger = run_iteration(model, profiles, config, 0, script=script,
-                           cost_table=cost_table)
+    topology = TopologyCache(model, profiles, config, cost_table)
+    ledger = run_iteration(topology, 0, script=script)
     assert ledger.outage_hours["B05"] == 8.0
     assert ledger.interruptions["B05"] == 1.0
     assert [ev for ev in ledger.events if ev[1] == "B05"] == [
         (8.0, "B05", "transformer_fault"), (8.0, "B05", "interrupted")]
-    peak_mw, _, curve = TopologyCache(model, profiles).loads["B05"]
+    peak_mw, _, curve = topology.loads["B05"]
     assert ledger.ens_mwh["B05"] == pytest.approx(peak_mw * curve[8:16].sum())
 
 
@@ -202,11 +201,12 @@ def test_limits_below_the_peak_keep_their_states_stepping(text, increment_h,
     model = build_network(parse_network_text(text))
     profiles = _profiles("doubled", increment_h, 48.0, bundled_profiles)
     config = SimulationConfig(increment_h=increment_h, horizon_h=48.0)
-    cache = TopologyCache(model, profiles)
+    cache = TopologyCache(model, profiles, config)
     assert not all(sub.steady for sub in cache.state((), ()))
     assert not all(sub.steady for sub in cache.state({"VL5"}, {"VL5"}))
     # the certificate belongs to the profile set its cache is built for
-    flat = TopologyCache(model, _profiles("flat", increment_h, 48.0, bundled_profiles))
+    flat = TopologyCache(model, _profiles("flat", increment_h, 48.0, bundled_profiles),
+                         config)
     (normal,) = flat.state((), ())  # static, and no bus out
     assert normal.steady and normal.grid_bus is not None
     jumps, steps, _ = _assert_jumping_equals_stepping(
@@ -275,7 +275,8 @@ def test_steady_subsystems_are_served_in_full_or_dark_at_every_increment(
                if transformers else frozenset())
     profiles = _profiles(profiles, 1.0, 168.0, bundled_profiles)
     config = SimulationConfig(horizon_h=168.0)
-    sim = SequentialSimulation(model, profiles, config, np.random.default_rng(0), script=[])
+    sim = SequentialSimulation(TopologyCache(model, profiles, config),
+                               np.random.default_rng(0), script=[])
     sim.repairs = {("transformer", b): (config.n_increments, True) for b in tx_down}
     steady = [sub for state in states for sub in sim.topology.state(*state) if sub.steady]
     rng_state = sim.rng.bit_generator.state
@@ -301,10 +302,9 @@ def test_initial_schedule_is_the_one_scalar_draws_give(case, increment_h, ieee33
         model = build_network(apply_scenario(ieee33_spec, case))
     config = SimulationConfig(increment_h=increment_h)
     profiles = ProfileSet(increment_h, 8760.0)
-    topology = TopologyCache(model, profiles)
+    topology = TopologyCache(model, profiles, config)
     for seed in range(40):
-        sim = SequentialSimulation(model, profiles, config, np.random.default_rng(seed),
-                                   topology=topology)
+        sim = SequentialSimulation(topology, np.random.default_rng(seed))
         # one scalar draw per component in key order, after the SOC draws
         rng = np.random.default_rng(seed)
         for _, bat in sorted(model.batteries.items()):

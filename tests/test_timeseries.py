@@ -8,7 +8,7 @@ from gridrel.timeseries import (
 
 
 def _series(values, step=1.0, kind=LOAD):
-    return TimeSeries("x", 0.0, step, tuple(values), kind)
+    return TimeSeries("x", step, tuple(values), kind)
 
 
 def test_identity_when_steps_match():

@@ -6,7 +6,7 @@ isolated lines. These tests check the entries the engine uses on real IEEE-33
 runs, with the isolated lines replayed from the ledger's events, and entries
 of generated states of IEEE-33 and the 6-bus feeder, against oracles that
 rescan the model, and check that a cache lives no longer than its run and
-serves only the model and profile set it was built for.
+that its constructor refuses inputs that disagree.
 """
 
 import gc
@@ -21,6 +21,7 @@ from gridrel.engine import (
     SequentialSimulation, SimulationConfig, TopologyCache, run_iteration,
     run_monte_carlo,
 )
+from gridrel.indices import MissingCostCategory
 from gridrel.netfile import parse_network_file, parse_network_text
 from gridrel.network import build_network, connected_components
 from gridrel.scenarios import apply_scenario, bundled_validation_path
@@ -99,16 +100,14 @@ def test_cached_states_match_reference_on_ieee33_runs(case, ieee33_spec,
     model = build_network(apply_scenario(ieee33_spec, case))
     profiles = ProfileSet(1.0, 8760.0, loads, wind)
     config = SimulationConfig(iterations=20, master_seed=7)
-    topology = TopologyCache(model, profiles)
+    topology = TopologyCache(model, profiles, config, cost_table)
     checked = 0
     for i in range(config.iterations):
-        sim = _CheckedSimulation(model, profiles, config,
-                                 np.random.default_rng([config.master_seed, i]),
-                                 cost_table=cost_table, topology=topology)
+        sim = _CheckedSimulation(topology, np.random.default_rng([config.master_seed, i]))
         ledger = sim.run()
         checked += sim.checked
         # a cache shared across iterations gives what a fresh one gives
-        assert ledger == run_iteration(model, profiles, config, i, cost_table=cost_table)
+        assert ledger == run_iteration(TopologyCache(model, profiles, config, cost_table), i)
     assert checked > 100
     assert topology.hits > topology.misses > 0
 
@@ -126,14 +125,15 @@ def test_compiled_state_matches_reference_on_generated_states(ieee33, validation
     demand = {b: 0.5 * k for b, k in zip(model.bus_ids, steps)}
 
     profiles = ProfileSet(1.0, 48.0)
-    cache = TopologyCache(model, profiles)
+    config = SimulationConfig(horizon_h=48.0)
+    cache = TopologyCache(model, profiles, config)
     entry = cache.state(failed, isolated)
     _assert_matches_reference(model, entry, _switches_cutting_out(model, isolated),
                               failed, demand)
     # the key is the set of failed lines and the set of open disconnectors
     assert cache.state(dict.fromkeys(failed), sorted(isolated, reverse=True)) is entry
     assert (cache.hits, cache.misses) == (1, 1)
-    assert TopologyCache(model, profiles).state(failed, isolated) == entry
+    assert TopologyCache(model, profiles, config).state(failed, isolated) == entry
 
 
 def test_case3_hits_the_cache_at_least_nine_times_in_ten(ieee33_spec, bundled_profiles,
@@ -142,9 +142,9 @@ def test_case3_hits_the_cache_at_least_nine_times_in_ten(ieee33_spec, bundled_pr
     model = build_network(apply_scenario(ieee33_spec, "case3"))
     profiles = ProfileSet(1.0, 8760.0, loads, wind)
     config = SimulationConfig(iterations=200, master_seed=2024)
-    topology = TopologyCache(model, profiles)
+    topology = TopologyCache(model, profiles, config, cost_table)
     for i in range(config.iterations):
-        run_iteration(model, profiles, config, i, cost_table=cost_table, topology=topology)
+        run_iteration(topology, i)
     assert topology.misses > 0
     assert topology.hits >= 0.9 * (topology.hits + topology.misses)
 
@@ -160,23 +160,6 @@ def test_no_cache_outlives_run_monte_carlo():
     assert alive() is None
 
 
-def test_cache_of_another_model_is_rejected(ieee33, validation6):
-    profiles = ProfileSet(1.0, 48.0)
-    with pytest.raises(ValueError, match="another model or profile set"):
-        SequentialSimulation(ieee33, profiles,
-                             SimulationConfig(horizon_h=48.0), np.random.default_rng(0),
-                             topology=TopologyCache(validation6, profiles))
-
-
-def test_cache_of_another_profile_set_is_rejected(validation6):
-    # an equal set, but another object: a cache's demand bounds belong to
-    # the one set it was built for
-    with pytest.raises(ValueError, match="another model or profile set"):
-        SequentialSimulation(validation6, ProfileSet(1.0, 48.0),
-                             SimulationConfig(horizon_h=48.0), np.random.default_rng(0),
-                             topology=TopologyCache(validation6, ProfileSet(1.0, 48.0)))
-
-
 def test_each_load_point_and_unit_is_bound_to_its_curve_once():
     model = build_network(parse_network_text(
         CHAIN4.replace("B4 customers=10 load_mw=0.1 load_mvar=0.02 category=general",
@@ -185,9 +168,9 @@ def test_each_load_point_and_unit_is_bound_to_its_curve_once():
         + "[production]\nW bus=B3 max_mw=1.0 profile=wind\nV bus=B4 max_mw=0.4\n"
         + "U bus=B2 max_mw=2 profile=nope\n"))
     wind = (-1.0, 0.5, 9.0, 1.0)
-    profiles = ProfileSet(1.0, 8.0, {"res": TimeSeries("res", 0.0, 1.0, (0.5, 1.5))},
-                          {"wind": TimeSeries("wind", 0.0, 1.0, wind, PRODUCTION)})
-    cache = TopologyCache(model, profiles)
+    profiles = ProfileSet(1.0, 8.0, {"res": TimeSeries("res", 1.0, (0.5, 1.5))},
+                          {"wind": TimeSeries("wind", 1.0, wind, PRODUCTION)})
+    cache = TopologyCache(model, profiles, SimulationConfig(horizon_h=8.0))
     # B5 has neither a load nor customers; B1 has customers=0 and no load
     assert list(cache.loads) == ["B2", "B3", "B4"]
     assert cache.loads["B4"][:2] == (0.1, 0.02)
@@ -200,10 +183,25 @@ def test_each_load_point_and_unit_is_bound_to_its_curve_once():
     assert cache.caps["U"].tolist() == [2.0] * 8
 
 
-@pytest.mark.parametrize("with_cache", [False, True])
-def test_profile_set_of_another_increment_is_rejected(validation6, with_cache):
-    profiles = ProfileSet(0.5, 48.0)
-    topology = TopologyCache(validation6, profiles) if with_cache else None
+def test_a_cost_table_is_checked_and_each_bus_priced_once():
+    model = build_network(parse_network_text(CHAIN4.replace(
+        "B4 customers=10 load_mw=0.1 load_mvar=0.02 category=general",
+        "B4 customers=10 load_mw=0.1 load_mvar=0.02 category=industrial")))
+    profiles, config = ProfileSet(1.0, 8.0), SimulationConfig(horizon_h=8.0)
+    # B1 has no load, so no category, and sheds at no cost; without a table
+    # every load sheds at unit cost
+    assert TopologyCache(model, profiles, config).shed_cost == {
+        "B1": 0.0, "B2": 1.0, "B3": 1.0, "B4": 1.0}
+    priced = TopologyCache(model, profiles, config,
+                           {"general": 5.0, "industrial": 50.0, "unused": 2.0})
+    assert priced.shed_cost == {"B1": 0.0, "B2": 5.0, "B3": 5.0, "B4": 50.0}
+    # the first category missing in load-point order is named
+    for table, missing in [({}, "general"), ({"general": 5.0}, "industrial")]:
+        with pytest.raises(MissingCostCategory) as info:
+            TopologyCache(model, profiles, config, table)
+        assert info.value.args == (f"no interruption cost for category {missing!r}",)
+
+
+def test_profile_set_of_another_increment_is_rejected(validation6):
     with pytest.raises(ValueError, match="0.5 h increment, the run 1 h"):
-        SequentialSimulation(validation6, profiles, SimulationConfig(horizon_h=48.0),
-                             np.random.default_rng(0), topology=topology)
+        TopologyCache(validation6, ProfileSet(0.5, 48.0), SimulationConfig(horizon_h=48.0))
