@@ -13,13 +13,16 @@ failure is drawn from the geometric distribution of the first Bernoulli
 success, distribution-identical to drawing every increment. Otherwise a
 `steady` sub-system takes its certificate's verdict (dark, or served in
 full) and every other one is evaluated. A state whose sub-systems are all
-steady is accrued up to the next change in one step, any other state one
-increment at a time; either way each load point's sums are taken in
-increment order, so a jumped run adds what stepping adds. Sectioning and
-repair phases last whole increments (floor(duration / dt)); sub-increment
-residue is dropped, so with an hourly increment the seconds-to-minutes ICT
-recoveries are invisible, and outage durations are exact when the
-configured times are increment multiples.
+steady is accrued up to the next change in one step. A sub-system with no
+source at t whose batteries can neither discharge nor charge from a load
+below zero stays dark until one of its production units has power, so it
+lets the state run up to the earlier of that increment and the next
+change (see `_dark_until`); every other verdict holds for t alone. Either
+way each load point's sums are taken in increment order, so a jumped run
+adds what stepping adds. Sectioning and repair phases last whole increments
+(floor(duration / dt)); sub-increment residue is dropped, so with an hourly
+increment the seconds-to-minutes ICT recoveries are invisible, and outage
+durations are exact when the configured times are increment multiples.
 
 Component health is stored once, as the increment at which the current
 phase ends, worked out when the phase starts. A line fault keeps that end in
@@ -37,7 +40,8 @@ repairing phase, so a disconnector shared by two isolated sections stays
 open until both repairs end. The breaker positions, sub-systems and their
 conducting lines follow from (failed lines, open disconnectors) alone, so
 each distinct state is compiled once per run, and decided static or not,
-and every later increment in that state looks it up.
+and every later increment in that state looks it up. A sub-system shared
+by several states is compiled once per run as well.
 
 The engine is handed one `TopologyCache`, the compiled run: it checks its
 inputs against each other once, before the first iteration, and binds every
@@ -50,6 +54,9 @@ the load flow keeps its layout (BFS order from the slack bus, parents, line
 ids, impedances) in `Subsystem.layouts`, compiled on first use for each
 slack bus it meets: an island's slack is the bus of its largest source,
 which moves with the wind. Each sweep then only fills in the injections.
+Likewise a sub-system's shedding skeleton (see `shedding`) is compiled on
+its first shedding problem, and each problem fills in only the demands and
+the generators.
 """
 
 from __future__ import annotations
@@ -160,7 +167,8 @@ class Subsystem:
     """One connected component of a switching state.
 
     `layouts` maps each slack bus the load flow has used to the compiled
-    `LoadFlowProblem` layout.
+    `LoadFlowProblem` layout, and `shedding` holds the compiled shedding
+    skeleton once an LP has needed it.
     """
 
     buses: tuple          # sorted, as `connected_components` returns them
@@ -171,6 +179,17 @@ class Subsystem:
     feed_limits: tuple    # (bus, feed-line capacity + eps) in BFS order below the root
     steady: bool = False  # no bus can change before health does (see `_subsystem`)
     layouts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    shedding: Optional[shed.ShedSkeleton] = field(default=None, init=False, compare=False,
+                                                  repr=False)
+
+    def shedding_skeleton(self, shed_cost) -> shed.ShedSkeleton:
+        """The fixed part of this sub-system's shedding problems, compiled on
+        first use with these per-bus shed costs, which a run never changes."""
+        if self.shedding is None:  # a lazy field of a frozen dataclass
+            object.__setattr__(self, "shedding", shed.compile_skeleton(
+                self.buses, shed_cost,
+                [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in self.lines]))
+        return self.shedding
 
     def grid_flows_within_caps(self, live_demand) -> bool:
         """Check the lossless radial flows of serving everything from the grid."""
@@ -191,14 +210,18 @@ class TopologyCache:
     Switching states are keyed by (failed lines, open disconnectors), where
     a disconnector is open while it is normally open or bounds an isolated
     line, and are compiled on first use into their sub-systems, by lowest
-    bus id; the breaker positions follow from the key. The cache also holds
-    the model and config, every failable component's per-increment failure
-    probability, the ICT devices by id, and every input bound to its user:
-    per load point with a load (peak MW, peak Mvar, multiplier curve) and
-    its demand bound, per bus its shed cost (0.0 without a load), per
-    production unit its available MW per increment, and the customers and
-    categories every ledger of the run shares read-only. It lives as long as
-    the run that creates it, so nothing outlives the model.
+    bus id; the breaker positions follow from the key. A sub-system met in
+    several states is one object, keyed by (buses, line ids, grid bus), so
+    it and its load-flow layouts and shedding skeleton are compiled once per
+    run. The cache also holds the model and config, every failable
+    component's per-increment failure probability, the ICT devices by id,
+    and every input bound to its user: per load point with a load (peak MW,
+    peak Mvar, multiplier curve) and its demand bound, the load points
+    whose demand can fall below zero, per bus its shed cost (0.0 without a
+    load), per production unit its available MW per increment and the next
+    increment at which that is above 0.0, and the customers and categories
+    every ledger of the run shares read-only. It lives as long as the run
+    that creates it, so nothing outlives the model.
     """
 
     def __init__(self, model: NetworkModel, profiles, config: SimulationConfig,
@@ -215,6 +238,7 @@ class TopologyCache:
         self.hits = 0
         self.misses = 0
         self._states = {}
+        self._subsystems = {}
         self._normally_open = frozenset(s.id for s in model.switchgear.values()
                                         if s.kind != BREAKER and not s.normal_closed)
         ict = model.ict
@@ -235,6 +259,7 @@ class TopologyCache:
         self.int_switches = {i.id: i for i in ict.intelligent_switches}
         self.ict_ids = frozenset(ident for kind, ident in params if kind == "ict")
         self.loads, self.bound, self.customers, self.categories = {}, {}, {}, {}
+        negative_loads = set()
         for b in model.load_points:
             bus = model.buses[b]
             self.customers[b] = bus.customers
@@ -245,6 +270,9 @@ class TopologyCache:
             self.categories[b] = bus.load.category
             lo, hi = float(curve.min()), float(curve.max())  # peak * mult is monotone in mult
             self.bound[b] = max(bus.load.peak_mw * lo, bus.load.peak_mw * hi, 0.0)
+            if min(bus.load.peak_mw * lo, bus.load.peak_mw * hi) < 0.0:
+                negative_loads.add(b)
+        self.negative_loads = frozenset(negative_loads)
         costs = (dict.fromkeys(self.categories.values(), 1.0) if cost_table is None
                  else cost_table)
         for category in self.categories.values():
@@ -252,11 +280,22 @@ class TopologyCache:
                 raise MissingCostCategory(f"no interruption cost for category {category!r}")
         self.shed_cost = {b: float(costs[self.categories[b]]) if b in self.categories else 0.0
                           for b in model.bus_ids}
-        self.caps = {}
+        self.caps, self.next_on = {}, {}
+        n = profiles.n_increments
         for unit in model.production.values():
             series = profiles.production.get(unit.profile)
-            self.caps[unit.id] = (np.full(profiles.n_increments, unit.max_mw) if series is None
-                                  else np.minimum(unit.max_mw, np.maximum(series, 0.0)))
+            cap = self.caps[unit.id] = (np.full(n, unit.max_mw) if series is None
+                                        else np.minimum(unit.max_mw, np.maximum(series, 0.0)))
+            # entry t: the first increment from t on with cap > 0.0, or n; entry n is n
+            on = np.where(cap > 0.0, np.arange(n), n)
+            self.next_on[unit.id] = np.append(np.minimum.accumulate(on[::-1])[::-1], n)
+
+    def next_production(self, buses, t) -> int:
+        """The first increment after t at which a production unit at one of
+        `buses` has power (cap > 0.0), or the horizon."""
+        next_on, production_of_bus = self.next_on, self.model.production_of_bus
+        return min((int(next_on[u][t + 1]) for b in buses for u in production_of_bus[b]),
+                   default=self.config.n_increments)
 
     def live_demand(self, buses, t, down) -> dict:
         """MW demand at increment t of each of `buses` not in `down`; a bus
@@ -286,14 +325,28 @@ class TopologyCache:
             # a feeder breaker stays open while its root would feed a fault
             closed[model.breaker_of_system[dsys.id]] = not self._root_sees_fault(
                 dsys.root_bus, failed, open_switches)
-        components = connected_components(model, closed, failed)
+        conducting = [line for line in model.lines.values()
+                      if model.line_conducts(line.id, closed, failed)]
+        components = connected_components(model, closed, failed,
+                                          {line.id for line in conducting})
         comp_of = {b: i for i, comp in enumerate(components) for b in comp}
         lines_in = [[] for _ in components]
-        for line in model.lines.values():
-            if model.line_conducts(line.id, closed, failed):
-                lines_in[comp_of[line.from_bus]].append(line)
-        return tuple(self._subsystem(comp, tuple(lines), closed)
-                     for comp, lines in zip(components, lines_in))
+        for line in conducting:
+            lines_in[comp_of[line.from_bus]].append(line)
+        subsystems = []
+        for comp, lines in zip(components, lines_in):
+            grid_bus, grid_limit = None, 0.0
+            for dsys in model.distribution_systems:
+                if dsys.root_bus in comp and closed[model.breaker_of_system[dsys.id]]:
+                    grid_bus, grid_limit = dsys.root_bus, model.feeder_capacity[dsys.id]
+                    break
+            key = (comp, tuple(line.id for line in lines), grid_bus)
+            sub = self._subsystems.get(key)
+            if sub is None:
+                sub = self._subsystems[key] = self._subsystem(comp, tuple(lines), grid_bus,
+                                                              grid_limit)
+            subsystems.append(sub)
+        return tuple(subsystems)
 
     def _root_sees_fault(self, root, failed, open_switches) -> bool:
         """Search from the root over lines whose switches are closed, breakers
@@ -312,13 +365,8 @@ class TopologyCache:
                     stack.append(other)
         return False
 
-    def _subsystem(self, comp, lines, closed) -> Subsystem:
+    def _subsystem(self, comp, lines, grid_bus, grid_limit) -> Subsystem:
         model = self.model
-        grid_bus, grid_limit = None, 0.0
-        for dsys in model.distribution_systems:
-            if dsys.root_bus in comp and closed[model.breaker_of_system[dsys.id]]:
-                grid_bus, grid_limit = dsys.root_bus, model.feeder_capacity[dsys.id]
-                break
         if grid_bus is None:  # steady while sourceless: no grid, production or battery
             return Subsystem(comp, None, 0.0, lines, (), (), steady=not any(
                 model.production_of_bus[b] or b in model.battery_of_bus for b in comp))
@@ -563,8 +611,9 @@ class SequentialSimulation:
 
     def _accrue(self, t, subsystems) -> int:
         """Accrue every load point over the increments from t to the next
-        change, or over t alone when a sub-system is not steady; return the
-        increment after the last one accrued."""
+        change, or, when a sub-system is not steady, to the earliest end of
+        its verdict (see `_shed_verdict`); return the increment after the
+        last one accrued."""
         stop = min([self.config.n_increments, *self.schedule,
                     *self.faults.values(),
                     *(end for end, _ in self.repairs.values())])
@@ -579,10 +628,10 @@ class SequentialSimulation:
                 if sub.steady:  # dark without a grid root, served in full with one
                     verdict = None if sub.grid_bus is None else {}
                 else:
-                    stop = t + 1
                     live_demand = self.topology.live_demand(sub.buses, t, shed)
                     demand.update(live_demand)
-                    verdict = self._shed_verdict(sub, t, live_demand, islanded_now)
+                    verdict, until = self._shed_verdict(sub, t, live_demand, islanded_now)
+                    stop = min(stop, until)
                 if verdict is None:
                     shed.update(dict.fromkeys(sub.buses))
                 else:  # a down transformer's None stands
@@ -617,9 +666,11 @@ class SequentialSimulation:
 
     def _shed_verdict(self, sub, t, live_demand, islanded_now):
         """Run dispatch + load flow + shedding for one sub-system and return
-        the MW shed per bus: None when the sub-system is dark (no source, or
-        the shedding problem is infeasible), {} when everything is served (no
-        demand, or the grid alone serves it within every limit)."""
+        the MW shed per bus, with the increment up to which that verdict
+        stands: None when the sub-system is dark (no source, or the shedding
+        problem is infeasible), {} when everything is served (no demand, or
+        the grid alone serves it within every limit). Only a verdict of no
+        source can stand past t (see `_dark_until`)."""
         model = self.model
         comp = sub.buses
         grid_bus, grid_limit = sub.grid_bus, sub.grid_limit
@@ -656,23 +707,23 @@ class SequentialSimulation:
                 generators.append((bat_id, bus, lower, upper, 1e-7))
 
         if not any(g[3] > _EPS or g[2] < -_EPS for g in generators):
-            return None
+            return None, self._dark_until(sub, t, batteries_here)
         if total_demand <= _EPS:
-            return {}
+            return {}, t + 1
         # Grid-connected sub-system whose pure-grid dispatch stays within every
         # limit: zero shed is optimal, skip the optimization and the sweep.
         if (grid_bus is not None and total_demand <= grid_limit + _EPS
                 and sub.grid_flows_within_caps(live_demand)):
-            return {}
+            return {}, t + 1
 
         problem = shed.build_shedding_problem(
-            comp, live_demand, self.topology.shed_cost, generators,
-            [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in sub.lines])
+            comp, live_demand, generators=generators,
+            skeleton=sub.shedding_skeleton(self.topology.shed_cost))
         result = shed.solve_shedding(problem)
         if result.status != shed.OPTIMAL:
             self.ledger.warnings.append(
                 f"t={t * self.dt:g}h: shedding infeasible in sub-system {comp[0]}")
-            return None
+            return None, t + 1
 
         result = self._confirm_with_loadflow(sub, live_demand, generators, result, t)
         for bus, bat_id in batteries_here:
@@ -681,7 +732,24 @@ class SequentialSimulation:
             self.soc[bat_id] = min(max(
                 self.soc[bat_id] - dispatch * self.dt / bat.capacity_mwh,
                 bat.soc_min), bat.soc_max)
-        return result.shed_mw
+        return result.shed_mw, t + 1
+
+    def _dark_until(self, sub, t, batteries):
+        """The increment up to which a sub-system with no source at t stays
+        dark: t + 1 while one of its batteries could discharge, or could
+        charge from a load below zero; otherwise the next increment at which
+        one of its units has power. Until then every unit's cap is 0.0, a
+        battery's discharge bound keeps its value (SOC moves only after an
+        LP) and a load at or above zero lets no battery charge, so each
+        increment's verdict is again None."""
+        for _, bat_id in batteries:
+            bat = self.model.batteries[bat_id]
+            if min(bat.inverter_mw, max(self.soc[bat_id] - bat.soc_min, 0.0)
+                   * bat.capacity_mwh / self.dt) > _EPS:
+                return t + 1
+        if batteries and not self.topology.negative_loads.isdisjoint(sub.buses):
+            return t + 1
+        return self.topology.next_production(sub.buses, t)
 
     def _confirm_with_loadflow(self, sub, live_demand, generators, result, t):
         """Re-run the sweep with the shed applied; one repair pass on overload."""

@@ -332,15 +332,20 @@ class NetworkModel:
         return {s.id: s.normal_closed for s in self.switchgear.values()}
 
 
-def connected_components(model: NetworkModel, switch_closed, failed_lines=frozenset()):
+def connected_components(model: NetworkModel, switch_closed, failed_lines=frozenset(),
+                         conducting=None):
     """Partition buses into maximal sets joined by conducting lines.
 
     `switch_closed` maps switch id -> bool; missing entries default to the
-    normal state. Components are returned as sorted tuples, ordered by their
-    lowest bus id, so the output is deterministic.
+    normal state. A caller that has found the conducting lines already may
+    pass their ids as `conducting`, which then stands in for the other two.
+    Components are returned as sorted tuples, ordered by their lowest bus
+    id, so the output is deterministic.
     """
-    failed = frozenset(failed_lines)
-    ok_line = {l: model.line_conducts(l, switch_closed, failed) for l in model.line_ids}
+    if conducting is None:
+        failed = frozenset(failed_lines)
+        conducting = {l for l in model.line_ids
+                      if model.line_conducts(l, switch_closed, failed)}
     unseen = set(model.bus_ids)
     components = []
     for start in model.bus_ids:  # canonical order
@@ -352,7 +357,7 @@ def connected_components(model: NetworkModel, switch_closed, failed_lines=frozen
         while queue:
             bus = queue.popleft()
             for line_id, other in model.adjacency[bus]:
-                if ok_line[line_id] and other in unseen:
+                if line_id in conducting and other in unseen:
                     unseen.discard(other)
                     comp.append(other)
                     queue.append(other)

@@ -11,6 +11,13 @@ smallest shed vector (in canonical node order) via a vanishing cost
 perturbation: node k of n costs `cost + eps * (n - k) / n` to shed. The
 reported objective is always recomputed from the unperturbed costs.
 
+What the problems of one sub-system share, its node order, shed costs and
+lines and what follows from them (the perturbed costs, the merit order of
+the nodes, the spanning tree and the smallest line capacity), is compiled
+once by `compile_skeleton`. Given that `ShedSkeleton`,
+`build_shedding_problem` fills in only the demands and the generators; a
+problem built without one compiles its own.
+
 Two solvers share that rule:
 
 * A merit-order greedy, exact when the lines form a spanning tree and the
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -59,19 +67,73 @@ class LineVar:
 
 
 @dataclass(frozen=True)
+class ShedSkeleton:
+    """The fixed part of a sub-system's shedding problems."""
+
+    node_ids: tuple
+    index: dict           # node id -> position in `node_ids`
+    shed_cost: tuple
+    lines: tuple          # LineVar
+    value: tuple          # perturbed shed costs (see `_perturbed_costs`)
+    merit: tuple          # every node, by decreasing perturbed cost, then position
+    # below node 0, in reversed BFS order: (node, parent, line index, whether
+    # the line runs from the parent); None unless the lines form a spanning tree
+    tree: Optional[tuple]
+    min_capacity: float   # of the lines, inf without one
+
+    @classmethod
+    def of(cls, node_ids, shed_cost, lines):
+        """From node ids, per-node shed costs and `LineVar`s."""
+        n = len(node_ids)
+        assert len(shed_cost) == n
+        for line in lines:
+            assert 0 <= line.from_node < n and 0 <= line.to_node < n
+            assert line.from_node != line.to_node
+        value = tuple(_perturbed_costs(shed_cost))
+        return cls(node_ids, {b: i for i, b in enumerate(node_ids)}, shed_cost, lines,
+                   value, tuple(sorted(range(n), key=lambda k: (-value[k], k))),
+                   _spanning_tree(n, lines),
+                   min((l.capacity_mw for l in lines), default=math.inf))
+
+
+def _spanning_tree(n, lines):
+    """Breadth first from node 0: n - 1 lines reaching every node form a tree."""
+    if n == 0 or len(lines) != n - 1:
+        return None
+    adjacent = [[] for _ in range(n)]
+    for j, l in enumerate(lines):
+        adjacent[l.from_node].append((l.to_node, j))
+        adjacent[l.to_node].append((l.from_node, j))
+    parent = {0: None}
+    order = [0]
+    for k in order:
+        for m, j in adjacent[k]:
+            if m not in parent:
+                parent[m] = (k, j)
+                order.append(m)
+    if len(order) < n:
+        return None
+    tree = []
+    for m in reversed(order[1:]):
+        k, j = parent[m]
+        tree.append((m, k, j, lines[j].from_node == k))
+    return tuple(tree)
+
+
+@dataclass(frozen=True)
 class SheddingProblem:
     node_ids: tuple
     demand_mw: tuple
     shed_cost: tuple
     generators: tuple = ()
     lines: tuple = ()
+    skeleton: Optional[ShedSkeleton] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.node_ids)
-        assert len(self.demand_mw) == n and len(self.shed_cost) == n
-        for line in self.lines:
-            assert 0 <= line.from_node < n and 0 <= line.to_node < n
-            assert line.from_node != line.to_node
+        assert len(self.demand_mw) == len(self.node_ids)
+        if self.skeleton is None:
+            object.__setattr__(self, "skeleton", ShedSkeleton.of(
+                self.node_ids, self.shed_cost, self.lines))
 
 
 @dataclass(frozen=True)
@@ -83,27 +145,39 @@ class SheddingResult:
     objective: float = 0.0
 
 
-def build_shedding_problem(node_ids, demand_mw, shed_cost, generators=(),
-                           lines=()) -> SheddingProblem:
+def compile_skeleton(node_ids, shed_cost, lines=()) -> ShedSkeleton:
+    """The fixed part of the problems `build_shedding_problem` makes from
+    these node ids, shed costs and lines."""
+    ids = tuple(node_ids)
+    order = {b: i for i, b in enumerate(ids)}
+    return ShedSkeleton.of(
+        ids, tuple(float(shed_cost.get(b, 0.0)) for b in ids),
+        tuple(LineVar(l[0], order[l[1]], order[l[2]], float(l[3])) for l in lines))
+
+
+def build_shedding_problem(node_ids, demand_mw, shed_cost=None, generators=(),
+                           lines=(), skeleton=None) -> SheddingProblem:
     """Assemble the LP for one sub-system.
 
     `generators` includes every supply path into the sub-system: production
     units capped at their drawn profile value, batteries at their dispatch
     bound (a negative lower bound means the battery may charge), and the
     upstream grid connection as a generator bounded by the feeder capacity.
+    A `skeleton` compiled by `compile_skeleton` from these node ids stands in
+    for `shed_cost` and `lines`, which are then not read.
     """
-    ids = tuple(node_ids)
-    order = {b: i for i, b in enumerate(ids)}
-    gens = tuple(GeneratorVar(g[0], order[g[1]], float(g[2]), float(g[3]),
-                              float(g[4]) if len(g) > 4 else 0.0)
-                 for g in generators)
-    lns = tuple(LineVar(l[0], order[l[1]], order[l[2]], float(l[3])) for l in lines)
+    if skeleton is None:
+        skeleton = compile_skeleton(node_ids, shed_cost, lines)
+    order = skeleton.index
     return SheddingProblem(
-        node_ids=ids,
-        demand_mw=tuple(float(demand_mw.get(b, 0.0)) for b in ids),
-        shed_cost=tuple(float(shed_cost.get(b, 0.0)) for b in ids),
-        generators=gens,
-        lines=lns,
+        node_ids=skeleton.node_ids,
+        demand_mw=tuple(float(demand_mw.get(b, 0.0)) for b in skeleton.node_ids),
+        shed_cost=skeleton.shed_cost,
+        generators=tuple(GeneratorVar(g[0], order[g[1]], float(g[2]), float(g[3]),
+                                      float(g[4]) if len(g) > 4 else 0.0)
+                         for g in generators),
+        lines=skeleton.lines,
+        skeleton=skeleton,
     )
 
 
@@ -128,7 +202,7 @@ def _solve_dense(problem: SheddingProblem) -> SheddingResult:
     c = np.zeros(nv)
     lo[:n] = 0.0
     hi[:n] = demand
-    c[:n] = _perturbed_costs(problem.shed_cost)
+    c[:n] = problem.skeleton.value
     for j, g in enumerate(problem.generators):
         lo[n + j] = g.min_mw
         hi[n + j] = g.max_mw
@@ -170,36 +244,22 @@ def _perturbed_costs(shed_cost):
 def _solve_tree_greedy(problem):
     """Merit-order solution when the lines form a spanning tree none of whose
     limits can bind; None when the problem is not of that kind."""
-    n = len(problem.node_ids)
+    skeleton = problem.skeleton
     demand, gens, lines = problem.demand_mw, problem.generators, problem.lines
-    if n == 0 or len(lines) != n - 1 or min(demand) < 0.0:
+    if skeleton.tree is None or min(demand) < 0.0:
         return None
     if any(g.min_mw > g.max_mw for g in gens):
         return None
-    if sum(max(g.max_mw, 0.0) for g in gens) > min(
-            (l.capacity_mw for l in lines), default=math.inf):
+    if sum(max(g.max_mw, 0.0) for g in gens) > skeleton.min_capacity:
         return None
     movable = sorted((j for j, g in enumerate(gens) if g.max_mw - g.min_mw > _TOL),
                      key=lambda j: gens[j].cost)
     if any(gens[a].cost == gens[b].cost for a, b in zip(movable, movable[1:])):
         return None
-    # breadth-first from node 0: n - 1 lines reaching every node form a tree
-    adjacent = [[] for _ in range(n)]
-    for j, l in enumerate(lines):
-        adjacent[l.from_node].append((l.to_node, j))
-        adjacent[l.to_node].append((l.from_node, j))
-    parent = {0: None}
-    order = [0]
-    for k in order:
-        for m, j in adjacent[k]:
-            if m not in parent:
-                parent[m] = (k, j)
-                order.append(m)
-    if len(order) < n:
-        return None
 
-    value = _perturbed_costs(problem.shed_cost)
-    loads = sorted((k for k in range(n) if demand[k] > 0.0), key=lambda k: (-value[k], k))
+    n = len(demand)
+    value = skeleton.value
+    loads = [k for k in skeleton.merit if demand[k] > 0.0]
     top = [g.max_mw for g in gens]
     out = [g.min_mw for g in gens]
     served = [0.0] * n
@@ -221,9 +281,8 @@ def _solve_tree_greedy(problem):
     for g, p in zip(gens, out):
         inject[g.node] += p
     flow = [0.0] * len(lines)
-    for m in reversed(order[1:]):
-        k, j = parent[m]
-        flow[j] = -inject[m] if lines[j].from_node == k else inject[m]
+    for m, k, j, from_parent in skeleton.tree:
+        flow[j] = -inject[m] if from_parent else inject[m]
         inject[k] += inject[m]
 
     shed = [d - u for d, u in zip(demand, served)]

@@ -1,8 +1,10 @@
-"""The merit-order greedy against the dense simplex and HiGHS.
+"""The merit-order greedy against the dense simplex and HiGHS, and
+compiled shedding skeletons against problems built from scratch.
 
 `solve_shedding` answers radial problems whose line limits cannot bind with
 a greedy and everything else with the dense simplex. These tests replay the
-LPs of real IEEE-33 runs through both solvers, and check generated eligible
+LPs of real IEEE-33 runs through both solvers and through a problem built
+without the sub-system's compiled skeleton, and check generated eligible
 trees against HiGHS.
 """
 
@@ -31,10 +33,8 @@ def _assert_agree(fast, dense):
             assert a[key] == pytest.approx(b[key], abs=1e-12), (field, key)
 
 
-@pytest.mark.parametrize("case", ["case2", "case4"])
-def test_greedy_matches_simplex_on_ieee33_lp_stream(case, ieee33_spec,
-                                                    bundled_profiles, cost_table,
-                                                    monkeypatch):
+def _lp_stream(case, ieee33_spec, bundled_profiles, cost_table, monkeypatch):
+    """Every shedding problem 40 iterations of the preset solve, in order."""
     loads, wind = bundled_profiles
     profiles = ProfileSet(1.0, 8760.0, loads, wind)
     config = SimulationConfig(iterations=40, master_seed=11)
@@ -52,12 +52,60 @@ def test_greedy_matches_simplex_on_ieee33_lp_stream(case, ieee33_spec,
     for i in range(config.iterations):
         run_iteration(topology, i)
     monkeypatch.undo()
+    return problems
 
+
+def _from_scratch(problem):
+    """The problem built again without a skeleton, from its own fields."""
+    ids = problem.node_ids
+    return build_shedding_problem(
+        ids, dict(zip(ids, problem.demand_mw)), dict(zip(ids, problem.shed_cost)),
+        [(g.id, ids[g.node], g.min_mw, g.max_mw, g.cost) for g in problem.generators],
+        [(l.id, ids[l.from_node], ids[l.to_node], l.capacity_mw) for l in problem.lines])
+
+
+@pytest.mark.parametrize("case", ["case2", "case4"])
+def test_greedy_matches_simplex_on_ieee33_lp_stream(case, ieee33_spec,
+                                                    bundled_profiles, cost_table,
+                                                    monkeypatch):
+    problems = _lp_stream(case, ieee33_spec, bundled_profiles, cost_table, monkeypatch)
     assert len(problems) > 20
     for problem in problems:
         fast = shedding._solve_tree_greedy(problem)
         assert fast is not None, "an IEEE-33 preset LP missed the fast path"
         _assert_agree(fast, shedding._solve_dense(problem))
+
+
+@pytest.mark.parametrize("case", ["case2", "case4"])
+def test_compiled_skeletons_solve_the_ieee33_lp_stream_as_built_from_scratch(
+        case, ieee33_spec, bundled_profiles, cost_table, monkeypatch):
+    problems = _lp_stream(case, ieee33_spec, bundled_profiles, cost_table, monkeypatch)
+    # the engine fills each sub-system's one skeleton again and again
+    assert len({id(problem.skeleton) for problem in problems}) < len(problems) / 2
+    for problem in problems:
+        fresh = _from_scratch(problem)
+        assert fresh == problem and fresh.skeleton is not problem.skeleton
+        assert shedding.solve_shedding(problem) == shedding.solve_shedding(fresh)
+
+
+@pytest.mark.parametrize("lines", [
+    # the 1.0 MW line binds below the sources
+    [("L1", "A", "B", 1.0), ("L2", "B", "C", 5.0)],
+    # three lines over three nodes: a mesh
+    [("L1", "A", "B", 5.0), ("L2", "B", "C", 5.0), ("L3", "C", "A", 0.3)],
+], ids=["line-bound", "mesh"])
+def test_a_compiled_skeleton_solves_as_built_from_scratch_on_the_simplex(lines):
+    nodes, cost = ["A", "B", "C"], {"A": 1.0, "B": 2.0, "C": 3.0}
+    skeleton = shedding.compile_skeleton(nodes, cost, lines)
+    for demand, gens in [
+            ({"A": 0.5, "B": 0.7, "C": 0.4}, [("G", "A", 0.0, 2.0)]),
+            ({"A": 0.2, "B": 1.4, "C": 0.9}, [("G", "A", 0.0, 1.5), ("S", "C", -0.3, 0.4, 1e-7)]),
+            ({"B": 3.0}, [("G", "A", 0.2, 0.6), ("S", "C", 0.0, 1.2, 5.5)])]:
+        compiled = build_shedding_problem(nodes, demand, generators=gens, skeleton=skeleton)
+        fresh = build_shedding_problem(nodes, demand, cost, gens, lines)
+        assert shedding._solve_tree_greedy(compiled) is None
+        assert compiled == fresh
+        assert shedding.solve_shedding(compiled) == shedding.solve_shedding(fresh)
 
 
 # MW on a 0.05 grid, so that no sum falls within a solver tolerance of

@@ -1,12 +1,14 @@
-"""Jumping over static runs against stepping every increment.
+"""Jumping over static runs and dark islands against stepping every increment.
 
 `SequentialSimulation` accrues a whole run of a static switching state in
-one step, and in a stepped increment gives each steady sub-system its
-certificate's verdict. `_Stepping` turns both off: it accrues every
-increment on its own and withdraws every certificate (`steady`) from the
-compiled states, so `_shed_verdict` judges every sub-system of every
-electrically active increment. Full ledgers,
-events and warnings included, must be equal. The certificate is also
+one step, in a stepped increment gives each steady sub-system its
+certificate's verdict, and accrues a sub-system dark for want of a source up
+to the next increment at which one of its units has power. `_Stepping` turns
+all three off: it accrues every increment on its own, withdraws every
+certificate (`steady`) from the compiled states, so `_shed_verdict` judges
+every sub-system of every electrically active increment, and ends every dark
+run after its first increment. Full ledgers, events and warnings included,
+and the random streams left behind must be equal. The certificate is also
 checked against `_shed_verdict` on its own, increment by increment.
 """
 
@@ -25,33 +27,42 @@ from gridrel.netfile import parse_network_file, parse_network_text
 from gridrel.network import build_network
 from gridrel.scenarios import SCENARIOS, apply_scenario, bundled_validation_path
 from gridrel.stochastic import draw_battery_soc
-from gridrel.timeseries import ProfileSet
+from gridrel.timeseries import PRODUCTION, ProfileSet, TimeSeries
 
 _INCREMENTS = (1.0, 0.5, 0.25, 1.0 / 12.0)
 
 
 class _Jumping(SequentialSimulation):
-    """The engine as it is, counting the calls that accrue, and the stepped
-    ones among them that hold a steady sub-system."""
+    """The engine as it is, recording the (start, stop) of each call that
+    accrues, and counting the ones among them that hold both a steady and a
+    judged sub-system."""
 
     cache = TopologyCache
-    steps = 0
     mixed = 0
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.runs = []
+
     def _accrue(self, t, subsystems):
-        self.steps += 1
         steady = [sub.steady for sub in subsystems]
         if self._electrical_fault_active() and any(steady) and not all(steady):
             self.mixed += 1
-        return super()._accrue(t, subsystems)
+        stop = super()._accrue(t, subsystems)
+        self.runs.append((t, stop))
+        return stop
 
 
 class _UncertifiedCache(TopologyCache):
-    """Every compiled state with the certificates of its sub-systems withdrawn."""
+    """Every compiled state with the certificates of its sub-systems withdrawn,
+    and no dark run lasting past its first increment."""
 
     def _compile(self, failed, open_switches):
         return tuple(replace(sub, steady=False)
                      for sub in super()._compile(failed, open_switches))
+
+    def next_production(self, buses, t):
+        return t + 1
 
 
 class _Stepping(_Jumping):
@@ -67,26 +78,32 @@ class _Stepping(_Jumping):
 
 
 def _run(cls, model, profiles, config, cost_table=None, script=None):
-    """Ledgers of every iteration, seeded as `run_iteration` seeds them, the
-    number of accruing calls and the number of stepped ones holding a steady
-    sub-system."""
+    """Ledgers and random-stream states of every iteration, seeded as
+    `run_iteration` seeds them, the (start, stop) of every accruing call and
+    the number of them holding both a steady and a judged sub-system."""
     topology = cls.cache(model, profiles, config, cost_table)
-    ledgers, steps, mixed = [], 0, 0
+    ledgers, streams, runs, mixed = [], [], [], 0
     for i in range(config.iterations):
         sim = cls(topology, np.random.default_rng([config.master_seed, i]), script=script)
         ledgers.append(sim.run())
-        steps += sim.steps
+        streams.append(sim.rng.bit_generator.state)
+        runs += sim.runs
         mixed += sim.mixed
-    return ledgers, steps, mixed
+    return ledgers, streams, runs, mixed
 
 
 def _assert_jumping_equals_stepping(model, profiles, config, cost_table=None,
                                     script=None):
-    jumped, jumps, mixed = _run(_Jumping, model, profiles, config, cost_table, script)
-    stepped, steps, _ = _run(_Stepping, model, profiles, config, cost_table, script)
+    """Number of accruing calls jumping and stepping, the jumping ones
+    holding both a steady and a judged sub-system, and the jumping runs."""
+    jumped, jumped_streams, runs, mixed = _run(_Jumping, model, profiles, config,
+                                               cost_table, script)
+    stepped, stepped_streams, steps, _ = _run(_Stepping, model, profiles, config,
+                                              cost_table, script)
     for a, b in zip(jumped, stepped):
         assert a == b
-    return jumps, steps, mixed
+    assert jumped_streams == stepped_streams
+    return len(runs), len(steps), mixed, runs
 
 
 # -- the presets and the 6-bus feeder -------------------------------------
@@ -106,8 +123,8 @@ def test_presets_jump_to_the_ledgers_stepping_writes(case, increment_h, iteratio
     profiles = ProfileSet(increment_h, 8760.0, loads, wind)
     config = SimulationConfig(increment_h=increment_h, iterations=iterations,
                               master_seed=17)
-    jumps, steps, mixed = _assert_jumping_equals_stepping(model, profiles, config,
-                                                          cost_table)
+    jumps, steps, mixed, _ = _assert_jumping_equals_stepping(model, profiles, config,
+                                                             cost_table)
     assert jumps < steps
     # islands with sources step beside the steady grid-fed part
     assert (mixed > 0) == (case in ("case2", "case4"))
@@ -115,8 +132,8 @@ def test_presets_jump_to_the_ledgers_stepping_writes(case, increment_h, iteratio
 
 def test_validation_feeder_jumps_to_the_ledgers_stepping_writes(validation6):
     config = SimulationConfig(iterations=200, master_seed=17)
-    jumps, steps, _ = _assert_jumping_equals_stepping(validation6, ProfileSet(1.0, 8760.0),
-                                                      config)
+    jumps, steps, _, _ = _assert_jumping_equals_stepping(
+        validation6, ProfileSet(1.0, 8760.0), config)
     assert jumps < steps
 
 
@@ -178,11 +195,12 @@ def test_wind_island_steps_beside_a_transformer_repair_in_the_grid_fed_part(
     profiles = _profiles("bundled", 1.0, 48.0, bundled_profiles)
     config = SimulationConfig(horizon_h=48.0)
     script = [ScriptedFault(8.0, "B05"), ScriptedFault(10.0, "L13")]
-    _, _, mixed = _assert_jumping_equals_stepping(model, profiles, config, cost_table,
-                                                  script)
-    # stepped, each beside a steady sub-system: the sectioning hour, B01 dark
-    # behind the open breaker, and the four repair hours
-    assert mixed == 5
+    _, _, mixed, _ = _assert_jumping_equals_stepping(model, profiles, config, cost_table,
+                                                     script)
+    # beside a steady sub-system: the sectioning hour, stepped, B01 dark behind
+    # the open breaker, and the four repair hours as one dark run, because the
+    # wind unit has no power before 16 h
+    assert mixed == 2
     topology = TopologyCache(model, profiles, config, cost_table)
     ledger = run_iteration(topology, 0, script=script)
     assert ledger.outage_hours["B05"] == 8.0
@@ -209,16 +227,156 @@ def test_limits_below_the_peak_keep_their_states_stepping(text, increment_h,
                          config)
     (normal,) = flat.state((), ())  # static, and no bus out
     assert normal.steady and normal.grid_bus is not None
-    jumps, steps, _ = _assert_jumping_equals_stepping(
+    jumps, steps, _, _ = _assert_jumping_equals_stepping(
         model, profiles, config, script=[ScriptedFault(10.0, "VL5")])
     # only the 1 h of manual sectioning, with the breaker open, is one run
     assert jumps == steps - (round(1.0 / increment_h) - 1)
     # with the bundled residential profile the limits carry the peak: one
     # run for sectioning, one for the repair, one from the repair's end on
-    jumps, steps, _ = _assert_jumping_equals_stepping(
+    jumps, steps, _, _ = _assert_jumping_equals_stepping(
         model, _profiles("bundled", increment_h, 48.0, bundled_profiles), config,
         script=[ScriptedFault(10.0, "VL5")])
     assert jumps == 3
+
+
+# -- dark islands -------------------------------------------------------------
+
+# L2's sectioning hour islands B3..B6 behind the open breaker, and its repair
+# B4..B6, B3 being cut out with L2's section; L4's repair leaves B5 alone
+# with its battery. W1 and W2 follow the "wind" and "wind2" series, every
+# load the "load" series.
+_ISLAND = """
+[network]
+id = ISL
+base_mva = 10
+base_kv = 12.66
+[systems]
+dist DS1 root=B1
+[buses]
+B1 customers=0
+B2 customers=10 load_mw=0.2 load_mvar=0.05 category=general profile=load
+B3 customers=10 load_mw=0.3 load_mvar=0.07 category=general profile=load
+B4 customers=10 load_mw=0.1 load_mvar=0.02 category=general profile=load
+B5 customers=10 load_mw=0.1 load_mvar=0.02 category=general profile=load
+B6 customers=10 load_mw=0.1 load_mvar=0.02 category=general profile=load
+[lines]
+L1 from=B1 to=B2 r_pu=0.01 x_pu=0.01 capacity_mw=10 rate=0 repair=4h
+L2 from=B2 to=B3 r_pu=0.01 x_pu=0.01 capacity_mw=10 rate=0 repair=20h
+L3 from=B3 to=B4 r_pu=0.01 x_pu=0.01 capacity_mw=10 rate=0 repair=4h
+L4 from=B4 to=B5 r_pu=0.01 x_pu=0.01 capacity_mw=10 rate=0 repair=12h
+L5 from=B4 to=B6 r_pu=0.01 x_pu=0.01 capacity_mw=10 rate=0 repair=4h
+[switchgear]
+CB kind=breaker line=L1 end=from state=closed
+D1 kind=disconnector line=L1 end=from state=closed
+D2 kind=disconnector line=L2 end=from state=closed
+D3 kind=disconnector line=L3 end=from state=closed
+D4 kind=disconnector line=L4 end=from state=closed
+[production]
+W1 bus=B4 max_mw=1.0 profile=wind
+W2 bus=B6 max_mw=1.0 profile=wind2
+[batteries]
+BAT bus=B5 capacity_mwh=0.3 inverter_mw=0.5 soc_min=0.2 soc_max=0.9
+"""
+
+
+def _step_profiles(increment_h, load=lambda h: 1.0, wind=lambda h: 0.0,
+                   wind2=lambda h: 0.0):
+    """Series over 48 h at the increment itself, so no value is interpolated,
+    each a function of the hour an increment starts at."""
+    hours = [i * increment_h for i in range(round(48.0 / increment_h))]
+    return ProfileSet(increment_h, 48.0,
+                      {"load": TimeSeries("load", increment_h, tuple(map(load, hours)))},
+                      {name: TimeSeries(name, increment_h, tuple(map(f, hours)), PRODUCTION)
+                       for name, f in (("wind", wind), ("wind2", wind2))})
+
+
+def _jumped_runs(text, profiles, faults):
+    """The (start, stop) hours of every accruing call, after checking that
+    jumping writes the ledgers and leaves the random stream stepping does."""
+    model = build_network(parse_network_text(text))
+    config = SimulationConfig(increment_h=profiles.increment_h, horizon_h=48.0)
+    *_, runs = _assert_jumping_equals_stepping(
+        model, profiles, config, script=[ScriptedFault(t, c) for t, c in faults])
+    return [(t * config.increment_h, stop * config.increment_h) for t, stop in runs]
+
+
+_DARK_INCREMENTS = (1.0, 0.25, 1.0 / 12.0)
+
+
+@pytest.mark.parametrize("increment_h", _DARK_INCREMENTS)
+def test_dark_island_runs_until_the_wind_returns(increment_h):
+    # B4..B6 is islanded from 11 h to 31 h; its battery drains, then the
+    # island is dark until the wind returns at 18 h and charges it, and is
+    # dark again once the battery has drained after 22 h
+    profiles = _step_profiles(increment_h, wind=lambda h: 0.8 if 18.0 <= h < 22.0 else 0.0)
+    runs = _jumped_runs(_ISLAND, profiles, [(10.0, "L2")])
+    assert any(start <= 12.0 and stop == 18.0 for start, stop in runs)
+    assert any(22.0 < start <= 24.0 and stop == 31.0 for start, stop in runs)
+
+
+@pytest.mark.parametrize("increment_h", _DARK_INCREMENTS)
+def test_dark_island_with_its_battery_at_soc_min(increment_h):
+    # no wind: the battery discharges to soc_min and the island stays dark
+    # until L2's repair ends
+    runs = _jumped_runs(_ISLAND, _step_profiles(increment_h), [(10.0, "L2")])
+    assert any(start <= 12.0 and stop == 31.0 for start, stop in runs)
+
+
+@pytest.mark.parametrize("increment_h", _DARK_INCREMENTS)
+def test_islanding_onset_starts_a_dark_run(increment_h):
+    # a battery with soc_min = soc_max can neither discharge nor charge, so
+    # the island is dark from the increment that draws its SOC, which the
+    # stream comparison sees, until the wind comes at 20 h; L4's fault at
+    # 40 h islands the battery again, and draws again
+    text = _ISLAND.replace("soc_min=0.2 soc_max=0.9", "soc_min=0.2 soc_max=0.2")
+    profiles = _step_profiles(increment_h, wind=lambda h: 0.8 if h >= 20.0 else 0.0)
+    runs = _jumped_runs(text, profiles, [(10.0, "L2"), (40.0, "L4")])
+    assert (10.0, 11.0) in runs and (11.0, 20.0) in runs
+
+
+@pytest.mark.parametrize("increment_h", _DARK_INCREMENTS)
+def test_battery_only_island_runs_to_the_next_health_change(increment_h):
+    # B5 is alone with its battery from 11 h until L4's repair ends at 23 h;
+    # the wind unit at B4 feeds the grid-fed part, not B5
+    profiles = _step_profiles(increment_h, wind=lambda h: 0.8)
+    runs = _jumped_runs(_ISLAND, profiles, [(10.0, "L4")])
+    assert any(start <= 12.0 and stop == 23.0 for start, stop in runs)
+
+
+@pytest.mark.parametrize("increment_h", _DARK_INCREMENTS)
+def test_units_below_the_source_threshold_end_a_dark_run(increment_h):
+    # in the 15 h hour W1 and W2 each have 6e-10 MW, no source alone, and the
+    # loads demand nothing: together the units leave a 1.2e-9 MW surplus that
+    # the drained battery could store, which makes it a source, so the island
+    # is served in full, not dark, and the dark run must end there
+    profiles = _step_profiles(increment_h,
+                              load=lambda h: 0.0 if 15.0 <= h < 16.0 else 1.0,
+                              wind=lambda h: 6e-10 if 15.0 <= h < 16.0 else 0.0,
+                              wind2=lambda h: 6e-10 if 15.0 <= h < 16.0 else 0.0)
+    runs = _jumped_runs(_ISLAND, profiles, [(10.0, "L2")])
+    assert any(start <= 12.0 and stop == 15.0 for start, stop in runs)
+    assert (16.0, 31.0) in runs
+
+
+@pytest.mark.parametrize("increment_h", _DARK_INCREMENTS)
+def test_a_battery_that_can_discharge_keeps_its_dark_island_stepping(increment_h):
+    # the loads demand nothing before 12 h, so the island has no source and is
+    # dark, although its battery holds energy that it discharges from 12 h on
+    profiles = _step_profiles(increment_h, load=lambda h: 0.0 if h < 12.0 else 1.0)
+    runs = _jumped_runs(_ISLAND, profiles, [(10.0, "L2")])
+    assert all(stop - start == pytest.approx(increment_h)
+               for start, stop in runs if 10.0 <= start < 12.0)
+
+
+@pytest.mark.parametrize("increment_h", _DARK_INCREMENTS)
+def test_an_island_with_a_battery_and_a_load_below_zero_is_stepped(increment_h):
+    # in the 15 h hour every load is below zero, so the drained battery may
+    # charge and the island is served; an island holding a battery and a
+    # load that can fall below zero is stepped throughout
+    profiles = _step_profiles(increment_h, load=lambda h: -0.5 if 15.0 <= h < 16.0 else 1.0)
+    runs = _jumped_runs(_ISLAND, profiles, [(10.0, "L2")])
+    assert all(stop - start == pytest.approx(increment_h)
+               for start, stop in runs if 10.0 <= start < 31.0)
 
 
 _MODELS = {}
@@ -283,9 +441,11 @@ def test_steady_subsystems_are_served_in_full_or_dark_at_every_increment(
     for t in range(config.n_increments):
         for sub in steady:
             live_demand = sim.topology.live_demand(sub.buses, t, tx_down)
-            verdict = sim._shed_verdict(sub, t, live_demand,
-                                        dict.fromkeys(sim.was_islanded, False))
+            verdict, until = sim._shed_verdict(sub, t, live_demand,
+                                               dict.fromkeys(sim.was_islanded, False))
             assert verdict == (None if sub.grid_bus is None else {})
+            # a sourceless island is dark to the horizon
+            assert until == (config.n_increments if sub.grid_bus is None else t + 1)
     assert sim.rng.bit_generator.state == rng_state
     assert not sim.ledger.warnings
 

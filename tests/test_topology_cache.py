@@ -5,8 +5,9 @@ once into a `TopologyCache` entry, the open disconnectors following from the
 isolated lines. These tests check the entries the engine uses on real IEEE-33
 runs, with the isolated lines replayed from the ledger's events, and entries
 of generated states of IEEE-33 and the 6-bus feeder, against oracles that
-rescan the model, and check that a cache lives no longer than its run and
-that its constructor refuses inputs that disagree.
+rescan the model, and check that a cache lives no longer than its run, that
+a sub-system met in several states is compiled once, and that its
+constructor refuses inputs that disagree.
 """
 
 import gc
@@ -17,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridrel import shedding
 from gridrel.engine import (
     SequentialSimulation, SimulationConfig, TopologyCache, run_iteration,
     run_monte_carlo,
 )
+from gridrel.loadflow import LoadFlowProblem
 from gridrel.indices import MissingCostCategory
 from gridrel.netfile import parse_network_file, parse_network_text
 from gridrel.network import build_network, connected_components
@@ -147,6 +150,48 @@ def test_case3_hits_the_cache_at_least_nine_times_in_ten(ieee33_spec, bundled_pr
         run_iteration(topology, i)
     assert topology.misses > 0
     assert topology.hits >= 0.9 * (topology.hits + topology.misses)
+
+
+def test_a_subsystem_met_in_several_states_is_compiled_once(ieee33_spec, bundled_profiles,
+                                                           cost_table, monkeypatch):
+    loads, wind = bundled_profiles
+    model = build_network(apply_scenario(ieee33_spec, "case2"))
+    profiles = ProfileSet(1.0, 8760.0, loads, wind)
+    config = SimulationConfig(iterations=40, master_seed=2024)
+    layouts, skeletons = [], []
+    from_tree, compile_skeleton = LoadFlowProblem.from_tree, shedding.compile_skeleton
+
+    def counted_layout(slack, edges, *args):
+        layouts.append((slack, tuple(edge[0] for edge in edges)))
+        return from_tree(slack, edges, *args)
+
+    def counted_skeleton(node_ids, shed_cost, lines=()):
+        skeletons.append((tuple(node_ids), tuple(line[0] for line in lines)))
+        return compile_skeleton(node_ids, shed_cost, lines)
+
+    monkeypatch.setattr(LoadFlowProblem, "from_tree", counted_layout)
+    monkeypatch.setattr(shedding, "compile_skeleton", counted_skeleton)
+    topology = TopologyCache(model, profiles, config, cost_table)
+    for i in range(config.iterations):
+        run_iteration(topology, i)
+    monkeypatch.undo()
+
+    # one object per (buses, line ids, grid bus), whichever states hold it
+    held_by = {}
+    for (failed, open_switches), entry in topology._states.items():
+        for sub in entry:
+            key = (sub.buses, tuple(line.id for line in sub.lines), sub.grid_bus)
+            held_by.setdefault(key, []).append(sub)
+        # the partition is still the one `connected_components` gives
+        closed = {s: s not in open_switches for s in model.switchgear}
+        closed.update(reference_breakers(model, closed, failed))
+        assert [sub.buses for sub in entry] == connected_components(model, closed, failed)
+    assert all(sub is subs[0] for subs in held_by.values() for sub in subs)
+    assert any(len(subs) > 1 for subs in held_by.values())
+    # so each layout and each shedding skeleton is compiled once
+    assert layouts and len(layouts) == len(set(layouts))
+    assert skeletons and len(skeletons) == len(set(skeletons))
+    assert len(topology._subsystems) == len(held_by)
 
 
 def test_no_cache_outlives_run_monte_carlo():
