@@ -7,10 +7,13 @@ decomposes into sub-systems, each energized sub-system gets battery dispatch
 + load flow + cost-minimal shedding, and the history ledger accrues
 interruptions, outage hours and energy not supplied.
 
-Health changes only at a scheduled failure or a phase end. With no line
-fault or transformer repair active nothing is evaluated, and the next
+Health changes only at a scheduled failure or a phase end, and the next
 failure is drawn from the geometric distribution of the first Bernoulli
-success, distribution-identical to drawing every increment. Otherwise a
+success, distribution-identical to drawing every increment. An increment
+with no line fault or transformer repair active once its failures and
+phase ends are applied is fault-free: it applies its ICT events and repair
+ends, resets the outage flags and runs to the next change; it looks up no
+state and walks no load point, as everything is served. Otherwise a
 `steady` sub-system takes its certificate's verdict (dark, or served in
 full) and every other one is evaluated. A state whose sub-systems are all
 steady is accrued up to the next change in one step. A sub-system with no
@@ -235,6 +238,7 @@ class TopologyCache:
         self.model = model
         self.config = config
         increment_h = config.increment_h
+        self.n_increments = config.n_increments
         self.hits = 0
         self.misses = 0
         self._states = {}
@@ -295,7 +299,7 @@ class TopologyCache:
         `buses` has power (cap > 0.0), or the horizon."""
         next_on, production_of_bus = self.next_on, self.model.production_of_bus
         return min((int(next_on[u][t + 1]) for b in buses for u in production_of_bus[b]),
-                   default=self.config.n_increments)
+                   default=self.n_increments)
 
     def live_demand(self, buses, t, down) -> dict:
         """MW demand at increment t of each of `buses` not in `down`; a bus
@@ -405,6 +409,7 @@ class SequentialSimulation:
         self.config = config = topology.config
         self.rng = rng
         self.dt = config.increment_h
+        self.n_increments = n = topology.n_increments
         self.t_index = 0
 
         self.faults = {}   # line id -> increment at which its current phase ends
@@ -431,7 +436,7 @@ class SequentialSimulation:
             for ev in script:
                 idx = math.floor(ev.time_h / self.dt + 1e-9)
                 key = self._component_key(ev.component_id)
-                if not 0 <= idx < config.n_increments:
+                if not 0 <= idx < n:
                     self.ledger.warnings.append(
                         f"scripted fault on {ev.component_id!r} at {ev.time_h:g}h "
                         f"outside the horizon")
@@ -440,8 +445,7 @@ class SequentialSimulation:
                         f"scripted fault on unknown component {ev.component_id!r}")
                 else:
                     self.schedule.setdefault(idx, []).append(key)
-        else:
-            n = config.n_increments  # one draw per component, as `_schedule_next` draws
+        else:  # one draw per component, as `_schedule_next` draws
             draws = self.rng.geometric(topology.initial_p).tolist()
             for key, k in zip(topology.initial_keys, draws):
                 if k - 1 < n:
@@ -466,13 +470,13 @@ class SequentialSimulation:
             return
         k = int(self.rng.geometric(p))  # trials until first success, >= 1
         idx = from_index + k - 1
-        if idx < self.config.n_increments:
+        if idx < self.n_increments:
             self.schedule.setdefault(idx, []).append(key)
 
     # -- driving -----------------------------------------------------------
 
     def run(self) -> HistoryLedger:
-        n = self.config.n_increments
+        n = self.n_increments
         while self.t_index < n:
             if not self._anything_active():
                 if not self.schedule:
@@ -489,7 +493,8 @@ class SequentialSimulation:
         t = self.t_index
         self._process_new_failures(t)
         self._apply_transitions(t)
-        subsystems = self.topology.state(self.faults, self.isolated)
+        subsystems = (self.topology.state(self.faults, self.isolated)
+                      if self._electrical_fault_active() else ())
         stop = self._accrue(t, subsystems)
 
         # unreported repairs end here, after their last down increment, and a
@@ -613,29 +618,33 @@ class SequentialSimulation:
         """Accrue every load point over the increments from t to the next
         change, or, when a sub-system is not steady, to the earliest end of
         its verdict (see `_shed_verdict`); return the increment after the
-        last one accrued."""
-        stop = min([self.config.n_increments, *self.schedule,
+        last one accrued. A fault-free increment, whose `subsystems` are (),
+        only resets the outage flags: everything is served, so no sum moves."""
+        stop = min([self.n_increments, *self.schedule,
                     *self.faults.values(),
                     *(end for end, _ in self.repairs.values())])
+        if not subsystems:
+            self.was_out = dict.fromkeys(self.was_out, False)
+            self.was_islanded = dict.fromkeys(self.was_islanded, False)
+            return stop
         loads = self.topology.loads
-        shed = {}  # MW shed per load point, None while it is out; others are served
+        # MW shed per load point, None while it is out; others are served. A
+        # bus whose transformer is down has no live demand and gets nothing
+        shed = {b: None for kind, b in self.repairs if kind == "transformer"}
         demand = {}  # MW demand at t of each bus of a stepped sub-system
         islanded_now = dict.fromkeys(self.was_islanded, False)
-        if self._electrical_fault_active():  # otherwise everything is served
-            # a bus whose transformer is down has no live demand and gets nothing
-            shed = {b: None for kind, b in self.repairs if kind == "transformer"}
-            for sub in subsystems:
-                if sub.steady:  # dark without a grid root, served in full with one
-                    verdict = None if sub.grid_bus is None else {}
-                else:
-                    live_demand = self.topology.live_demand(sub.buses, t, shed)
-                    demand.update(live_demand)
-                    verdict, until = self._shed_verdict(sub, t, live_demand, islanded_now)
-                    stop = min(stop, until)
-                if verdict is None:
-                    shed.update(dict.fromkeys(sub.buses))
-                else:  # a down transformer's None stands
-                    shed = verdict | shed
+        for sub in subsystems:
+            if sub.steady:  # dark without a grid root, served in full with one
+                verdict = None if sub.grid_bus is None else {}
+            else:
+                live_demand = self.topology.live_demand(sub.buses, t, shed)
+                demand.update(live_demand)
+                verdict, until = self._shed_verdict(sub, t, live_demand, islanded_now)
+                stop = min(stop, until)
+            if verdict is None:
+                shed.update(dict.fromkeys(sub.buses))
+            else:  # a down transformer's None stands
+                shed = verdict | shed
         self.was_islanded = islanded_now
 
         ledger, dt, was_out = self.ledger, self.dt, self.was_out

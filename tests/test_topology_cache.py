@@ -70,10 +70,16 @@ class _CheckedSimulation(SequentialSimulation):
     sub-systems; a jumped run keeps them until its last increment, and each
     of its increments is checked with its own demand. The isolated lines are
     replayed from the ledger: a line is isolated from its `isolated` event
-    until its `line_repaired` event.
+    until its `line_repaired` event. `active` counts the electrically active
+    accruing calls and `keys` collects their (failed lines, open switches).
     """
 
     checked = 0
+    active = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.keys = set()
 
     def _accrue(self, t, subsystems):
         stop = super()._accrue(t, subsystems)
@@ -87,11 +93,13 @@ class _CheckedSimulation(SequentialSimulation):
                 isolated.discard(ident)
         failed = set(self.faults)
         down = {b for kind, b in self.repairs if kind == "transformer"}
+        switches = _switches_cutting_out(self.model, isolated)
+        self.active += 1
+        self.keys.add((frozenset(failed),
+                       frozenset(s for s, closed in switches.items() if not closed)))
         for tau in range(t, stop):
             live = self.topology.live_demand(self.topology.loads, tau, down)
-            _assert_matches_reference(self.model, subsystems,
-                                      _switches_cutting_out(self.model, isolated),
-                                      failed, live)
+            _assert_matches_reference(self.model, subsystems, switches, failed, live)
             self.checked += 1
         return stop
 
@@ -104,15 +112,18 @@ def test_cached_states_match_reference_on_ieee33_runs(case, ieee33_spec,
     profiles = ProfileSet(1.0, 8760.0, loads, wind)
     config = SimulationConfig(iterations=20, master_seed=7)
     topology = TopologyCache(model, profiles, config, cost_table)
-    checked = 0
+    checked, active, keys = 0, 0, set()
     for i in range(config.iterations):
         sim = _CheckedSimulation(topology, np.random.default_rng([config.master_seed, i]))
         ledger = sim.run()
-        checked += sim.checked
+        checked, active, keys = checked + sim.checked, active + sim.active, keys | sim.keys
         # a cache shared across iterations gives what a fresh one gives
         assert ledger == run_iteration(TopologyCache(model, profiles, config, cost_table), i)
     assert checked > 100
-    assert topology.hits > topology.misses > 0
+    # only an electrically active increment looks its state up, and each
+    # distinct state is compiled once per run
+    assert topology.hits + topology.misses == active
+    assert topology.misses == len(keys) > 0
 
 
 @settings(max_examples=150, deadline=None)
