@@ -27,15 +27,16 @@ adds what stepping adds. Sectioning and repair phases last whole increments
 increment the seconds-to-minutes ICT recoveries are invisible, and outage
 durations are exact when the configured times are increment multiples.
 
-Component health is stored once, as the increment at which the current
-phase ends, worked out when the phase starts. A line fault keeps that end in
+Component health is stored as the increment at which the current phase
+ends, worked out when the phase starts. A line fault keeps that end in
 `faults`, keyed by line id, and its line is in `isolated` once sectioning has
 ended and the repair runs; a transformer or ICT repair keeps its end in
 `repairs`, keyed (kind, id); a latent ICT failure is a member of `latent`
-until a sectioning plan calls on the unit. A component with no
-entry is working. Ends are completed at the start of their increment: lines
-by id, then transformers by id, then ICT units by id, and each completion
-draws that component's next failure.
+until a sectioning plan calls on the unit. A component with no entry is
+working. `ends` lists each end's key under its increment (`silent_ends`
+an unreported repair's), so an increment touches only the phases ending
+at it, completed at its start: lines by id, then transformers by id, then
+ICT units by id, and each completion draws that component's next failure.
 
 Switch positions are not stored: they follow from the fault table. A
 disconnector is open while it is normally open or bounds a line fault in its
@@ -44,7 +45,8 @@ open until both repairs end. The breaker positions, sub-systems and their
 conducting lines follow from (failed lines, open disconnectors) alone, so
 each distinct state is compiled once per run, and decided static or not,
 and every later increment in that state looks it up. A sub-system shared
-by several states is compiled once per run as well.
+by several states is compiled once per run as well, and a state in one
+pass over the feeder forest the network records (see `TopologyCache`).
 
 The engine is handed one `TopologyCache`, the compiled run: it checks its
 inputs against each other once, before the first iteration, and binds every
@@ -74,6 +76,7 @@ import numpy as np
 from . import shedding as shed
 from .indices import MissingCostCategory
 from .loadflow import LoadFlowProblem, solve_fbs
+# connected_components stays importable: perfbench wraps it here
 from .network import BREAKER, NetworkModel, connected_components
 from .stochastic import (  # draw_status stays importable: perfbench wraps it here
     draw_battery_soc, draw_status, failure_probability, ict_repair_duration,
@@ -174,7 +177,7 @@ class Subsystem:
     skeleton once an LP has needed it.
     """
 
-    buses: tuple          # sorted, as `connected_components` returns them
+    buses: tuple          # sorted
     grid_bus: Optional[str]  # root of the first closed feeder inside, if any
     grid_limit: float
     lines: tuple          # conducting lines inside, in model line order
@@ -213,18 +216,23 @@ class TopologyCache:
     Switching states are keyed by (failed lines, open disconnectors), where
     a disconnector is open while it is normally open or bounds an isolated
     line, and are compiled on first use into their sub-systems, by lowest
-    bus id; the breaker positions follow from the key. A sub-system met in
-    several states is one object, keyed by (buses, line ids, grid bus), so
-    it and its load-flow layouts and shedding skeleton are compiled once per
-    run. The cache also holds the model and config, every failable
-    component's per-increment failure probability, the ICT devices by id,
-    and every input bound to its user: per load point with a load (peak MW,
-    peak Mvar, multiplier curve) and its demand bound, the load points
-    whose demand can fall below zero, per bus its shed cost (0.0 without a
-    load), per production unit its available MW per increment and the next
-    increment at which that is above 0.0, and the customers and categories
-    every ledger of the run shares read-only. It lives as long as the run
-    that creates it, so nothing outlives the model.
+    bus id; the breaker positions follow from the key. A state is one pass
+    over the feeder forest the model records (`tree_order`, `tree_parent`,
+    `feed_line`): each bus joins its parent's sub-system unless its feed
+    line is failed, carries an open disconnector, or carries a breaker that
+    a failed line with no open switch of its own reaches up the parents
+    across no open switch. A sub-system met in several states is one
+    object, keyed by (buses, line ids, grid bus), so it and its load-flow
+    layouts and shedding skeleton are compiled once per run. The cache also
+    holds the model and config, every failable component's per-increment
+    failure probability, the ICT devices by id, and every input bound to
+    its user: per load point with a load (peak MW, peak Mvar, multiplier
+    curve) and its demand bound, the load points whose demand can fall
+    below zero, per bus its shed cost (0.0 without a load), per production
+    unit its available MW per increment and the next increment at which
+    that is above 0.0, and the customers and categories every ledger of the
+    run shares read-only. It lives as long as the run that creates it, so
+    nothing outlives the model.
     """
 
     def __init__(self, model: NetworkModel, profiles, config: SimulationConfig,
@@ -324,73 +332,58 @@ class TopologyCache:
 
     def _compile(self, failed, open_switches) -> tuple:
         model = self.model
-        closed = {s: s not in open_switches for s in model.switchgear}
-        for dsys in model.distribution_systems:
-            # a feeder breaker stays open while its root would feed a fault
-            closed[model.breaker_of_system[dsys.id]] = not self._root_sees_fault(
-                dsys.root_bus, failed, open_switches)
-        conducting = [line for line in model.lines.values()
-                      if model.line_conducts(line.id, closed, failed)]
-        components = connected_components(model, closed, failed,
-                                          {line.id for line in conducting})
-        comp_of = {b: i for i, comp in enumerate(components) for b in comp}
-        lines_in = [[] for _ in components]
-        for line in conducting:
-            lines_in[comp_of[line.from_bus]].append(line)
+        parent, feed_line = model.tree_parent, model.feed_line
+        open_lines = {model.switchgear[s].host_line for s in open_switches}
+        # roots whose breaker stays open: a failed line none of whose switches
+        # is open reaches them, up from either of its ends, across no open switch
+        tripped = set()
+        for bus in (model.lines[l].from_bus for l in failed if l not in open_lines):
+            while feed_line[bus] is not None and feed_line[bus] not in open_lines:
+                bus = parent[bus]
+            if feed_line[bus] is None:
+                tripped.add(bus)
+        cut = open_lines.union(failed, (
+            model.switchgear[model.breaker_of_system[model.system_of_bus[root]]].host_line
+            for root in tripped))
+        # each bus joins its parent's sub-system unless its feed line is cut,
+        # so a sub-system's buses come in BFS order from its top bus
+        orders, order_of = [], {}
+        for bus in model.tree_order:
+            line = feed_line[bus]
+            if line is None or line in cut:
+                order = [bus]
+                orders.append(order)
+            else:
+                order = order_of[parent[bus]]
+                order.append(bus)
+            order_of[bus] = order
         subsystems = []
-        for comp, lines in zip(components, lines_in):
-            grid_bus, grid_limit = None, 0.0
-            for dsys in model.distribution_systems:
-                if dsys.root_bus in comp and closed[model.breaker_of_system[dsys.id]]:
-                    grid_bus, grid_limit = dsys.root_bus, model.feeder_capacity[dsys.id]
-                    break
+        for order in sorted(orders, key=min):
+            comp, top = tuple(sorted(order)), order[0]
+            # its conducting lines are the feed lines below its top bus
+            lines = tuple(model.lines[l] for l in sorted(feed_line[b] for b in order[1:]))
+            grid_bus = top if feed_line[top] is None and top not in tripped else None
             key = (comp, tuple(line.id for line in lines), grid_bus)
             sub = self._subsystems.get(key)
             if sub is None:
-                sub = self._subsystems[key] = self._subsystem(comp, tuple(lines), grid_bus,
-                                                              grid_limit)
+                sub = self._subsystems[key] = self._subsystem(comp, lines, grid_bus, order)
             subsystems.append(sub)
         return tuple(subsystems)
 
-    def _root_sees_fault(self, root, failed, open_switches) -> bool:
-        """Search from the root over lines whose switches are closed, breakers
-        counting as closed, for a failed line."""
-        seen = {root}
-        stack = [root]
-        while stack:
-            bus = stack.pop()
-            for line_id, other in self.model.adjacency[bus]:
-                if any(s in open_switches for s in self.model.line_switches[line_id]):
-                    continue
-                if line_id in failed:
-                    return True
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        return False
-
-    def _subsystem(self, comp, lines, grid_bus, grid_limit) -> Subsystem:
+    def _subsystem(self, comp, lines, grid_bus, order) -> Subsystem:
         model = self.model
         if grid_bus is None:  # steady while sourceless: no grid, production or battery
             return Subsystem(comp, None, 0.0, lines, (), (), steady=not any(
                 model.production_of_bus[b] or b in model.battery_of_bus for b in comp))
-        adj = {}
-        for line in lines:
-            adj.setdefault(line.from_bus, []).append((line.to_bus, line))
-            adj.setdefault(line.to_bus, []).append((line.from_bus, line))
-        children = {b: [] for b in comp}
-        feed_limit = {grid_bus: None}
-        order = [grid_bus]
-        for bus in order:  # breadth first: `order` grows while it is walked
-            for other, line in adj.get(bus, ()):
-                if other not in feed_limit:
-                    children[bus].append(other)
-                    feed_limit[other] = line.capacity_mw + _EPS
-                    order.append(other)
+        children = {}  # in BFS order from the grid bus, as the sums need them
+        for bus in order[1:]:
+            children.setdefault(model.tree_parent[bus], []).append(bus)
+        grid_limit = model.feeder_capacity[model.system_of_bus[grid_bus]]
         sub = Subsystem(
             comp, grid_bus, grid_limit, lines,
-            tuple((bus, child) for bus in reversed(order) for child in children[bus]),
-            tuple((bus, feed_limit[bus]) for bus in order[1:]))
+            tuple((bus, child) for bus in reversed(order) for child in children.get(bus, ())),
+            tuple((bus, model.lines[model.feed_line[bus]].capacity_mw + _EPS)
+                  for bus in order[1:]))
         # steady while the demand bounds fit the grid limit, summed and through
         # each feed line; sums are monotone in their terms, so `_shed_verdict`'s
         # grid shortcut then serves each bus whose transformer works
@@ -414,8 +407,9 @@ class SequentialSimulation:
 
         self.faults = {}   # line id -> increment at which its current phase ends
         self.isolated = set()  # faulted lines whose sectioning has ended
-        self.repairs = {}  # ("transformer" | "ict", id) -> (end increment, reported)
+        self.repairs = {}  # ("transformer" | "ict", id) -> end increment
         self.latent = set()  # ICT ids failed silently and not yet called upon
+        self.ends, self.silent_ends = {}, {}  # increment -> keys ending then
         self.soc = {b_id: draw_battery_soc(bat, rng)
                     for b_id, bat in sorted(model.batteries.items())}
         self.was_islanded = {b_id: False for b_id in model.batteries}
@@ -499,8 +493,7 @@ class SequentialSimulation:
 
         # unreported repairs end here, after their last down increment, and a
         # transformer's bus keeps its `was_out` (see `ends_silently`)
-        for key in [k for k, (end, reported) in self.repairs.items()
-                    if end == stop and not reported]:
+        for key in self.silent_ends.pop(stop, ()):
             del self.repairs[key]
         self.t_index = stop
 
@@ -520,7 +513,8 @@ class SequentialSimulation:
                                    self.config.automated_sectioning_h,
                                    self.config.manual_sectioning_h)
             self._discover_latent(plan, time_h)
-            self.faults[ident] = t + phase_increments(plan.duration_h, self.dt)
+            self.faults[ident] = end = t + phase_increments(plan.duration_h, self.dt)
+            self.ends.setdefault(end, []).append(key)
             self.ledger.events.append((time_h, ident, "line_fault"))
         elif kind == "transformer":
             if key in self.repairs:
@@ -531,8 +525,9 @@ class SequentialSimulation:
             self._fail_ict(ident, time_h)
 
     def _start_repair(self, key, duration_h):
-        self.repairs[key] = (self.t_index + phase_increments(duration_h, self.dt),
-                             not ends_silently(duration_h, self.dt))
+        end = self.repairs[key] = self.t_index + phase_increments(duration_h, self.dt)
+        ends = self.silent_ends if ends_silently(duration_h, self.dt) else self.ends
+        ends.setdefault(end, []).append(key)
 
     def _fail_ict(self, ident, time_h):
         key = ("ict", ident)
@@ -581,27 +576,29 @@ class SequentialSimulation:
                 self.ledger.events.append((time_h, iid, "latent_discovered:manual"))
 
     def _apply_transitions(self, t):
-        """Complete the phases that end at this increment."""
+        """Complete the phases that end at this increment: lines by id, then
+        transformers by id, then ICT units by id."""
+        due = self.ends.pop(t, None)
+        if due is None:
+            return
         time_h = t * self.dt
-        for line_id in sorted(self.faults):
-            if self.faults[line_id] > t:
+        for key in sorted(due, key=lambda k: (k[0] != "line", k[0] == "ict", k[1])):
+            kind, ident = key
+            if kind != "line":
+                del self.repairs[key]
+                self.ledger.events.append((time_h, ident, f"{kind}_repaired"))
+                self._schedule_next(key, t + 1)
                 continue
-            if line_id not in self.isolated:
-                repair = self.model.lines[line_id].reliability.repair_time_h
-                self.isolated.add(line_id)
-                self.faults[line_id] = t + phase_increments(repair, self.dt)
-                self.ledger.events.append((time_h, line_id, "isolated"))
-                # the repair may itself complete within this increment
-                if self.faults[line_id] > t:
+            if ident not in self.isolated:
+                repair = self.model.lines[ident].reliability.repair_time_h
+                self.isolated.add(ident)
+                self.ledger.events.append((time_h, ident, "isolated"))
+                self.faults[ident] = end = t + phase_increments(repair, self.dt)
+                if end > t:
+                    self.ends.setdefault(end, []).append(key)
                     continue
-            self._restore_line(line_id, time_h)
-
-        due = [key for key, (end, _) in self.repairs.items() if end == t]
-        # transformers by id, then ICT units by id
-        for key in sorted(due, key=lambda k: (k[0] == "ict", k[1])):
-            del self.repairs[key]
-            self.ledger.events.append((time_h, key[1], f"{key[0]}_repaired"))
-            self._schedule_next(key, t + 1)
+                # the repair completes within this increment too
+            self._restore_line(ident, time_h)
 
     def _restore_line(self, line_id, time_h):
         del self.faults[line_id]
@@ -622,7 +619,7 @@ class SequentialSimulation:
         only resets the outage flags: everything is served, so no sum moves."""
         stop = min([self.n_increments, *self.schedule,
                     *self.faults.values(),
-                    *(end for end, _ in self.repairs.values())])
+                    *self.repairs.values()])
         if not subsystems:
             self.was_out = dict.fromkeys(self.was_out, False)
             self.was_islanded = dict.fromkeys(self.was_islanded, False)

@@ -208,6 +208,9 @@ class NetworkModel:
         self.system_of_bus = {}    # bus id -> distribution system id
         self.breaker_of_system = {}
         self.tree_lines = frozenset()
+        self.tree_order = ()       # buses breadth first from each root, feeder by feeder
+        self.tree_parent = {}      # bus id -> parent bus id in its feeder tree, None at a root
+        self.feed_line = {}        # bus id -> id of the line from its parent, None at a root
         self.sections = {}         # line id -> Section
         self.sensor_of_line = {}
         self.int_switch_of_disc = {}
@@ -234,23 +237,27 @@ class NetworkModel:
         return adj
 
     def _build_trees(self):
+        """Record each feeder's breadth-first walk, neighbours in line id order."""
         adj = self._tree_adjacency()
+        order, tree_lines = [], set()
         for dsys in self.distribution_systems:
             root = dsys.root_bus
             self.system_of_bus[root] = dsys.id
+            self.tree_parent[root] = self.feed_line[root] = None
+            feeder = [root]
             seen = {root}
-            queue = deque([root])
-            tree_lines = set(self.tree_lines)
-            while queue:
-                bus = queue.popleft()
+            for bus in feeder:  # breadth first: `feeder` grows while it is walked
                 for line_id, other in adj[bus]:
                     if other in seen:
                         continue
                     seen.add(other)
                     self.system_of_bus[other] = dsys.id
+                    self.tree_parent[other], self.feed_line[other] = bus, line_id
                     tree_lines.add(line_id)
-                    queue.append(other)
-            self.tree_lines = frozenset(tree_lines)
+                    feeder.append(other)
+            order += feeder
+        self.tree_order = tuple(order)
+        self.tree_lines = frozenset(tree_lines)
 
         for dsys in self.distribution_systems:
             for sw in self.switchgear.values():
@@ -332,20 +339,16 @@ class NetworkModel:
         return {s.id: s.normal_closed for s in self.switchgear.values()}
 
 
-def connected_components(model: NetworkModel, switch_closed, failed_lines=frozenset(),
-                         conducting=None):
+def connected_components(model: NetworkModel, switch_closed, failed_lines=frozenset()):
     """Partition buses into maximal sets joined by conducting lines.
 
     `switch_closed` maps switch id -> bool; missing entries default to the
-    normal state. A caller that has found the conducting lines already may
-    pass their ids as `conducting`, which then stands in for the other two.
-    Components are returned as sorted tuples, ordered by their lowest bus
-    id, so the output is deterministic.
+    normal state. Components are returned as sorted tuples, ordered by their
+    lowest bus id, so the output is deterministic.
     """
-    if conducting is None:
-        failed = frozenset(failed_lines)
-        conducting = {l for l in model.line_ids
-                      if model.line_conducts(l, switch_closed, failed)}
+    failed = frozenset(failed_lines)
+    conducting = {l for l in model.line_ids
+                  if model.line_conducts(l, switch_closed, failed)}
     unseen = set(model.bus_ids)
     components = []
     for start in model.bus_ids:  # canonical order

@@ -33,6 +33,30 @@ D2 kind=disconnector line=L2 end=from state=closed
 D3 kind=disconnector line=L3 end=from state=closed
 """
 
+# two feeders, whose ends a normally open tie line joins
+TIE = """
+[network]
+id = TIE
+[systems]
+dist DS1 root=A1
+dist DS2 root=C1
+[buses]
+A1 customers=0
+A2 customers=10 load_mw=0.2 category=general
+C1 customers=0
+C2 customers=10 load_mw=0.2 category=general
+[lines]
+LA from=A1 to=A2 r_pu=0.01 x_pu=0.01 capacity_mw=10 rate=0 repair=4h
+LC from=C1 to=C2 r_pu=0.01 x_pu=0.01 capacity_mw=10 rate=0 repair=4h
+LT from=A2 to=C2 r_pu=0.01 x_pu=0.01 capacity_mw=10 rate=0 repair=4h
+[switchgear]
+CBA kind=breaker line=LA end=from state=closed
+CBC kind=breaker line=LC end=from state=closed
+DA kind=disconnector line=LA end=from state=closed
+DC kind=disconnector line=LC end=from state=closed
+DT kind=disconnector line=LT end=from state=open
+"""
+
 
 @pytest.fixture
 def chain4():
@@ -52,6 +76,11 @@ def ieee33(ieee33_spec):
 @pytest.fixture(scope="session")
 def validation6():
     return build_network(parse_network_file(bundled_validation_path()))
+
+
+@pytest.fixture(scope="session")
+def tie():
+    return build_network(parse_network_text(TIE))
 
 
 @pytest.fixture(scope="session")

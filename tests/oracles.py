@@ -7,13 +7,15 @@ oracles rescan every line of the model for each question they answer, and
 the phase oracles step a float countdown by one increment at a time.
 The load-flow oracles are the engine's former per-call path: a layout built
 by `LoadFlowProblem.from_tree` for every sweep, and the sweep on numpy
-arrays.
+arrays. `reference_state` is the engine's former state compiler, which
+searched the network afresh for each switching state.
 """
 
 import numpy as np
 from scipy.optimize import linprog
 
 from gridrel.loadflow import LoadFlowProblem, LoadFlowSolution
+from gridrel.network import connected_components
 
 
 def newton_ac(bus_ids, edges, s_load_pu, slack, v_slack=1.0,
@@ -274,3 +276,71 @@ def numpy_fbs(problem, tolerance=1e-8, max_iter=50):
         iterations=iterations,
         converged=converged,
     )
+
+
+def reference_state(topology, failed, open_switches, eps=1e-9):
+    """The sub-systems of the switching state (failed lines, open
+    disconnectors) of a `TopologyCache`, each as a dict of its `Subsystem`
+    fields, compiled from scratch: each breaker by a search from its root,
+    the conducting lines by scanning every line, the buses by
+    `connected_components`, and a grid-fed sub-system's sums and limits by a
+    breadth-first walk of its lines from the grid bus."""
+    model = topology.model
+
+    def root_sees_fault(root):
+        seen, stack = {root}, [root]
+        while stack:
+            bus = stack.pop()
+            for line_id, other in model.adjacency[bus]:
+                if any(s in open_switches for s in model.line_switches[line_id]):
+                    continue
+                if line_id in failed:
+                    return True
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        return False
+
+    closed = {s: s not in open_switches for s in model.switchgear}
+    for dsys in model.distribution_systems:
+        closed[model.breaker_of_system[dsys.id]] = not root_sees_fault(dsys.root_bus)
+    conducting = [line for line in model.lines.values()
+                  if model.line_conducts(line.id, closed, failed)]
+    subsystems = []
+    for comp in connected_components(model, closed, failed):
+        lines = tuple(line for line in conducting if line.from_bus in comp)
+        feeders = [d for d in model.distribution_systems
+                   if d.root_bus in comp and closed[model.breaker_of_system[d.id]]]
+        sub = {"buses": comp, "grid_bus": None, "grid_limit": 0.0, "lines": lines,
+               "subtree_sums": (), "feed_limits": (),
+               "steady": not any(model.production_of_bus[b] or b in model.battery_of_bus
+                                 for b in comp)}
+        subsystems.append(sub)
+        if not feeders:
+            continue
+        grid_bus = feeders[0].root_bus
+        adj = {}
+        for line in lines:
+            adj.setdefault(line.from_bus, []).append((line.to_bus, line))
+            adj.setdefault(line.to_bus, []).append((line.from_bus, line))
+        children = {b: [] for b in comp}
+        feed_limit = {grid_bus: None}
+        order = [grid_bus]
+        for bus in order:
+            for other, line in adj.get(bus, ()):
+                if other not in feed_limit:
+                    children[bus].append(other)
+                    feed_limit[other] = line.capacity_mw + eps
+                    order.append(other)
+        sums = tuple((bus, child) for bus in reversed(order) for child in children[bus])
+        limits = tuple((bus, feed_limit[bus]) for bus in order[1:])
+        grid_limit = model.feeder_capacity[feeders[0].id]
+        bound = {b: topology.bound.get(b, 0.0) for b in comp}
+        for bus, child in sums:
+            bound[bus] += bound[child]
+        sub.update(grid_bus=grid_bus, grid_limit=grid_limit, subtree_sums=sums,
+                   feed_limits=limits, steady=(
+                       grid_limit > eps
+                       and sum(topology.bound.get(b, 0.0) for b in comp) <= grid_limit
+                       and not any(bound[bus] > limit for bus, limit in limits)))
+    return subsystems

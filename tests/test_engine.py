@@ -327,7 +327,7 @@ def test_ict_lookup_answers_as_a_table_of_every_unit(ieee33_spec):
     for latent, repairs in [((), ()), (("S03", "IS07"), ("IS01", "S30", ctrl + "/sw")),
                             ((), (ctrl + "/hw",))]:
         sim.latent = set(latent)
-        sim.repairs = {("ict", ident): (5, True) for ident in repairs}
+        sim.repairs = {("ict", ident): 5 for ident in repairs}
         table = {ident: ident not in latent and ident not in repairs for ident in units}
         table[ctrl] = not any(part in repairs for part in (ctrl + "/hw", ctrl + "/sw"))
         for ident in [*units, ctrl, ctrl + "/hw", "B05", "nope"]:

@@ -41,7 +41,7 @@ class _Walking(_Counting):
         assert subsystems == ()
         self.fault_free += 1
         stop = min([self.config.n_increments, *self.schedule, *self.faults.values(),
-                    *(end for end, _ in self.repairs.values())])
+                    *self.repairs.values()])
         self.was_islanded = {b: False for b in self.was_islanded}
         # with nothing shed a load point is served in full: no sum moves, no
         # interruption starts, and it is no longer out

@@ -435,7 +435,7 @@ def test_steady_subsystems_are_served_in_full_or_dark_at_every_increment(
     config = SimulationConfig(horizon_h=168.0)
     sim = SequentialSimulation(TopologyCache(model, profiles, config),
                                np.random.default_rng(0), script=[])
-    sim.repairs = {("transformer", b): (config.n_increments, True) for b in tx_down}
+    sim.repairs = dict.fromkeys((("transformer", b) for b in tx_down), config.n_increments)
     steady = [sub for state in states for sub in sim.topology.state(*state) if sub.steady]
     rng_state = sim.rng.bit_generator.state
     for t in range(config.n_increments):

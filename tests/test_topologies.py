@@ -14,6 +14,8 @@ from gridrel.network import (
 from gridrel.scenarios import apply_scenario
 from gridrel.timeseries import ProfileSet
 
+from conftest import TIE
+
 MICROGRID = """
 [network]
 id = MG
@@ -35,29 +37,6 @@ D1 kind=disconnector line=L1 end=from state=closed
 DM kind=disconnector line=LM end=from state=closed
 [batteries]
 MBAT bus=M3 capacity_mwh=1000 inverter_mw=0.5 soc_min=0.1 soc_max=0.9
-"""
-
-TIE = """
-[network]
-id = TIE
-[systems]
-dist DS1 root=A1
-dist DS2 root=C1
-[buses]
-A1 customers=0
-A2 customers=10 load_mw=0.2 category=general
-C1 customers=0
-C2 customers=10 load_mw=0.2 category=general
-[lines]
-LA from=A1 to=A2 r_pu=0.01 x_pu=0.01 capacity_mw=10 rate=0 repair=4h
-LC from=C1 to=C2 r_pu=0.01 x_pu=0.01 capacity_mw=10 rate=0 repair=4h
-LT from=A2 to=C2 r_pu=0.01 x_pu=0.01 capacity_mw=10 rate=0 repair=4h
-[switchgear]
-CBA kind=breaker line=LA end=from state=closed
-CBC kind=breaker line=LC end=from state=closed
-DA kind=disconnector line=LA end=from state=closed
-DC kind=disconnector line=LC end=from state=closed
-DT kind=disconnector line=LT end=from state=open
 """
 
 
@@ -90,6 +69,10 @@ def test_normally_open_tie_keeps_feeders_separate():
     assert "LT" in model.normally_open_lines
     assert model.system_of_bus["A2"] == "DS1"
     assert model.system_of_bus["C2"] == "DS2"
+    # the forest each state is compiled over: one breadth-first walk per feeder
+    assert model.tree_order == ("A1", "A2", "C1", "C2")
+    assert model.tree_parent == {"A1": None, "A2": "A1", "C1": None, "C2": "C1"}
+    assert model.feed_line == {"A1": None, "A2": "LA", "C1": None, "C2": "LC"}
 
 
 def test_closed_tie_between_feeders_is_rejected():

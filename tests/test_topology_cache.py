@@ -2,15 +2,19 @@
 
 The engine compiles each switching state (failed lines, open disconnectors)
 once into a `TopologyCache` entry, the open disconnectors following from the
-isolated lines. These tests check the entries the engine uses on real IEEE-33
-runs, with the isolated lines replayed from the ledger's events, and entries
-of generated states of IEEE-33 and the 6-bus feeder, against oracles that
-rescan the model, and check that a cache lives no longer than its run, that
-a sub-system met in several states is compiled once, and that its
-constructor refuses inputs that disagree.
+isolated lines, in one pass over the feeder forest. These tests check the
+entries the engine uses on real IEEE-33 runs, with the isolated lines
+replayed from the ledger's events, and entries of generated states of
+IEEE-33, the 6-bus feeder and the two-feeder network, against oracles that
+rescan the model; check every field of every sub-system, in order, against
+the former compiler `reference_state` on each state met in real runs and on
+generated ones; and check that a cache lives no longer than its run, that a
+sub-system met in several states is compiled once, and that its constructor
+refuses inputs that disagree.
 """
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -31,7 +35,12 @@ from gridrel.scenarios import apply_scenario, bundled_validation_path
 from gridrel.timeseries import PRODUCTION, ProfileSet, TimeSeries
 
 from conftest import CHAIN4
-from oracles import reference_breakers, reference_grid_flows_ok, reference_lines_inside
+from oracles import (
+    reference_breakers, reference_grid_flows_ok, reference_lines_inside, reference_state,
+)
+
+SUBSYSTEM_FIELDS = ("buses", "grid_bus", "grid_limit", "lines", "subtree_sums",
+                    "feed_limits", "steady")
 
 
 def _switches_cutting_out(model, isolated):
@@ -61,6 +70,16 @@ def _assert_matches_reference(model, subsystems, switch_closed, failed, demand):
         lines = [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in sub.lines]
         assert sub.grid_flows_within_caps(demand) == reference_grid_flows_ok(
             sub.grid_bus, lines, demand)
+
+
+def _assert_fields_match_former_compiler(topology, key, entry):
+    """Every field of every sub-system of the state `key`, in order, is the
+    one `reference_state` compiles; the sums' order fixes their bits."""
+    reference = reference_state(topology, *key)
+    assert [sub.buses for sub in entry] == [ref["buses"] for ref in reference]
+    for sub, ref in zip(entry, reference):
+        for name in SUBSYSTEM_FIELDS:
+            assert getattr(sub, name) == ref[name], (key, sub.buses, name)
 
 
 class _CheckedSimulation(SequentialSimulation):
@@ -126,10 +145,34 @@ def test_cached_states_match_reference_on_ieee33_runs(case, ieee33_spec,
     assert topology.misses == len(keys) > 0
 
 
+@pytest.mark.parametrize("case, increment_h", [
+    *((case, increment_h) for increment_h in (1.0, 0.25)
+      for case in ("case1", "case2", "case3", "case4")),
+    ("validation6", 1.0),
+])
+def test_every_state_met_in_real_runs_compiles_as_the_former_compiler(
+        case, increment_h, ieee33_spec, validation6, bundled_profiles, cost_table):
+    loads, wind = bundled_profiles
+    if case == "validation6":  # as `gridrel validate` runs it
+        model, profiles = validation6, ProfileSet(increment_h, 8760.0)
+        cost_table = None
+    else:
+        model = build_network(apply_scenario(ieee33_spec, case))
+        profiles = ProfileSet(increment_h, 8760.0, loads, wind)
+    config = SimulationConfig(increment_h=increment_h, iterations=50, master_seed=1515)
+    topology = TopologyCache(model, profiles, config, cost_table)
+    for i in range(config.iterations):
+        run_iteration(topology, i)
+    assert len(topology._states) > 10
+    for key, entry in topology._states.items():
+        _assert_fields_match_former_compiler(topology, key, entry)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_compiled_state_matches_reference_on_generated_states(ieee33, validation6, data):
-    model = data.draw(st.sampled_from([ieee33, validation6]))
+def test_compiled_state_matches_reference_on_generated_states(ieee33, validation6, tie,
+                                                              data):
+    model = data.draw(st.sampled_from([ieee33, validation6, tie]))
     failed = data.draw(st.frozensets(st.sampled_from(model.line_ids)))
     isolated = (data.draw(st.frozensets(st.sampled_from(sorted(failed))))
                 if failed else frozenset())
@@ -144,10 +187,52 @@ def test_compiled_state_matches_reference_on_generated_states(ieee33, validation
     entry = cache.state(failed, isolated)
     _assert_matches_reference(model, entry, _switches_cutting_out(model, isolated),
                               failed, demand)
+    (key,) = cache._states
+    _assert_fields_match_former_compiler(cache, key, entry)
     # the key is the set of failed lines and the set of open disconnectors
     assert cache.state(dict.fromkeys(failed), sorted(isolated, reverse=True)) is entry
     assert (cache.hits, cache.misses) == (1, 1)
     assert TopologyCache(model, profiles, config).state(failed, isolated) == entry
+
+
+def _subsets(items):
+    return [frozenset(c) for k in range(len(items) + 1)
+            for c in itertools.combinations(items, k)]
+
+
+@pytest.mark.parametrize("name", ["tie", "validation6"])
+def test_every_key_of_a_small_network_compiles_as_the_former_compiler(name, request):
+    """Every set of failed lines with every set of open disconnectors that
+    holds the normally open ones, whether isolation can open them or not:
+    faults with their own switch open, faults below another open switch,
+    and on the two-feeder network a failed tie."""
+    model = request.getfixturevalue(name)
+    cache = TopologyCache(model, ProfileSet(1.0, 48.0), SimulationConfig(horizon_h=48.0))
+    disconnectors = [s.id for s in model.switchgear.values() if s.kind == "disconnector"]
+    for failed in _subsets(model.line_ids):
+        for opened in _subsets(disconnectors):
+            key = (failed, opened | cache._normally_open)
+            _assert_fields_match_former_compiler(cache, key, cache._compile(*key))
+
+
+def test_breakers_of_the_two_feeder_network(tie):
+    cache = TopologyCache(tie, ProfileSet(1.0, 48.0), SimulationConfig(horizon_h=48.0))
+
+    def grid_buses(failed, open_switches):
+        return [(sub.buses, sub.grid_bus)
+                for sub in cache._compile(frozenset(failed), frozenset(open_switches))]
+
+    # a failed tie is cut off by its normally open switch: no breaker trips
+    assert grid_buses({"LT"}, {"DT"}) == grid_buses((), {"DT"}) == [
+        (("A1", "A2"), "A1"), (("C1", "C2"), "C1")]
+    # a fault trips its own feeder's breaker, and only that one
+    assert grid_buses({"LA", "LT"}, {"DT"}) == [
+        (("A1",), None), (("A2",), None), (("C1", "C2"), "C1")]
+    # with its own switch open the fault is cut off, and the breaker closes
+    assert grid_buses({"LA", "LT"}, {"DA", "DT"}) == [
+        (("A1",), "A1"), (("A2",), None), (("C1", "C2"), "C1")]
+    assert grid_buses((), {"DA", "DC", "DT"}) == [
+        (("A1",), "A1"), (("A2",), None), (("C1",), "C1"), (("C2",), None)]
 
 
 def test_case3_hits_the_cache_at_least_nine_times_in_ten(ieee33_spec, bundled_profiles,
