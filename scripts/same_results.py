@@ -5,9 +5,10 @@
 
 Extracts the git revision REF with `git archive` into a temporary
 directory, runs the byte-identity set of `gridrel simulate` commands (see
-RUNS) with the source of REF and with the source of the working tree, and
-prints each result file that differs, with the `iterations.csv` rows that
-differ. It then runs the studies of LEDGER_STUDIES with each tree in its
+RUNS) and the closed form's commands on the 6-bus feeder (see
+CLOSED_FORM_RUNS) with the source of REF and with the source of the working
+tree, and prints each result file or stdout that differs, with the rows of
+a CSV or stdout that differ. It then runs the studies of LEDGER_STUDIES with each tree in its
 own process and compares every iteration's full ledger (see LEDGER_FIELDS,
 events and warnings included, every float to the bit), printing the first
 iteration and field that differ in each study. Exits 0 when every file is
@@ -24,6 +25,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+FEEDER6 = "src/gridrel/data/validation6.net"
 # name -> `gridrel simulate` arguments besides seed, iterations and output
 RUNS = {
     "hourly": ["--scenario", "case1..case4", "--workers", "2"],
@@ -35,7 +37,13 @@ RUNS = {
     "quarter-hourly": ["--scenario", "case2,case4", "--increment", "15min",
                        "--workers", "2"],
     # relative to each tree, so each runs its own copy of the 6-bus feeder
-    "validation6": ["--network", "src/gridrel/data/validation6.net", "--workers", "2"],
+    "validation6": ["--network", FEEDER6, "--workers", "2"],
+}
+# name -> all `gridrel` arguments, "{out}" standing for the output directory
+# and "{seed}" for the seed: the closed form, and its comparison table
+CLOSED_FORM_RUNS = {
+    "analytical": ["analytical", "--network", FEEDER6, "--out", "{out}"],
+    "validate": ["validate", "--network", FEEDER6, "--iterations", "400", "--seed", "{seed}"],
 }
 
 # (preset, or "validation6" for the 6-bus feeder, increment in hours, workers)
@@ -49,13 +57,17 @@ LEDGER_STUDIES += [("case4", 1.0, 2)]
 LEDGER_FIELDS = ("interruptions", "outage_hours", "ens_mwh", "events", "warnings")
 
 
-def simulate(tree, out, args):
+def gridrel(tree, out, args):
+    """Run `gridrel` from `tree` with its source, and write its stdout, with
+    `out` written as OUT, to `out`/stdout.txt."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    proc = subprocess.run([sys.executable, "-m", "gridrel", "simulate", *args, "--out", out],
-                          cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True)
+    proc = subprocess.run([sys.executable, "-m", "gridrel", *args], cwd=tree, env=env,
+                          capture_output=True, text=True)
     if proc.returncode:
-        sys.exit(f"gridrel simulate failed on {tree}:\n{proc.stderr}")
+        sys.exit(f"gridrel {args[0]} failed on {tree}:\n{proc.stderr}")
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "stdout.txt"), "w") as fh:
+        fh.write(proc.stdout.replace(out, "OUT"))
 
 
 def result_files(top):
@@ -171,13 +183,16 @@ def main(argv=None):
             parser.error(f"git archive {args.ref} failed")
 
         differ = []
-        for name, run_args in RUNS.items():
-            common = [*run_args, "--seed", str(args.seed),
-                      "--iterations", str(args.iterations)]
+        runs = {name: ["simulate", *run_args, "--seed", "{seed}",
+                       "--iterations", str(args.iterations), "--out", "{out}"]
+                for name, run_args in RUNS.items()}
+        runs.update(CLOSED_FORM_RUNS)
+        for name, run_args in runs.items():
             outs = {}
             for label, tree in (("ref", ref_tree), ("tree", ROOT)):
                 outs[label] = os.path.join(tmp, label + "-" + name)
-                simulate(tree, outs[label], common)
+                gridrel(tree, outs[label],
+                        [a.format(out=outs[label], seed=args.seed) for a in run_args])
             files = sorted(set(result_files(outs["ref"])) | set(result_files(outs["tree"])))
             for rel in files:
                 a, b = os.path.join(outs["ref"], rel), os.path.join(outs["tree"], rel)
@@ -185,7 +200,7 @@ def main(argv=None):
                     continue
                 differ.append(rel)
                 print(f"{name}/{rel} differs")
-                if rel.endswith("iterations.csv") and os.path.exists(a) and os.path.exists(b):
+                if rel.endswith((".csv", ".txt")) and os.path.exists(a) and os.path.exists(b):
                     for x, y in differing_rows(a, b):
                         print(f"  - {x}\n  + {y}")
             print(f"{name}: {len(files)} files compared", file=sys.stderr)

@@ -3,9 +3,14 @@
 For each load point the failure rate sums the rates of every component whose
 failure interrupts it; the annual outage time weighs each contribution by
 the repair time when the point stays isolated for the whole repair, else by
-the sectioning time. This is only valid without local sources or ICT (no
-restoration paths, one fixed sectioning time), which is exactly the setting
-used to validate the Monte Carlo engine's convergence.
+the sectioning time. Who a line fault interrupts, and who stays dark for its
+repair, is read off the switching-state partition the simulation engine
+uses (`NetworkModel.split`): the buses with no grid bus while the line is
+failed with only the normally open switches open, and while the
+disconnectors bounding its section are open as well. This is only valid
+without local sources or ICT (no restoration paths, one fixed sectioning
+time), which is exactly the setting used to validate the Monte Carlo
+engine's convergence.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .indices import caidi
-from .network import NetworkModel, connected_components
+from .network import NetworkModel
 
 
 class ActiveComponentsError(ValueError):
@@ -53,10 +58,11 @@ def analytical_indices(model: NetworkModel, mean_loads_mw,
         if rate <= 0:
             continue
         repair = line.reliability.repair_time_h
-        system = model.system_of_bus.get(line.from_bus)
-        isolated = _isolated_for_repair(model, line.id)
+        dark = _dark(model, line.id, model.normally_open)
+        isolated = _dark(model, line.id, model.normally_open.union(
+            model.sections[line.id].boundary_disconnectors))
         for b in load_points:
-            if model.system_of_bus.get(b) != system:
+            if b not in dark:
                 continue
             lam[b] += rate
             u[b] += rate * (sectioning_h + (repair if b in isolated else 0.0))
@@ -87,23 +93,8 @@ def analytical_indices(model: NetworkModel, mean_loads_mw,
     )
 
 
-def _isolated_for_repair(model: NetworkModel, line_id: str) -> frozenset:
-    """Buses that stay dark for the whole repair of a fault on `line_id`."""
-    switch_closed = model.normal_switch_states()
-    for disc in model.sections[line_id].boundary_disconnectors:
-        switch_closed[disc] = False
-    components = connected_components(model, switch_closed, failed_lines={line_id})
-    energized = set()
-    by_bus = {}
-    for comp in components:
-        for b in comp:
-            by_bus[b] = comp
-    for dsys in model.distribution_systems:
-        comp = by_bus.get(dsys.root_bus, ())
-        # the breaker recloses only if no failed line is left in the root's
-        # component; with the section cut out this is the healthy upstream part
-        if line_id not in {l for l in model.line_ids
-                           if model.lines[l].from_bus in comp
-                           and model.lines[l].to_bus in comp}:
-            energized.update(comp)
-    return frozenset(b for b in model.bus_ids if b not in energized)
+def _dark(model: NetworkModel, line_id: str, open_switches) -> frozenset:
+    """Buses without a grid bus while `line_id` is failed and `open_switches`
+    are open."""
+    return frozenset(b for order, grid_bus in model.split((line_id,), open_switches)
+                     if grid_bus is None for b in order)

@@ -46,7 +46,7 @@ conducting lines follow from (failed lines, open disconnectors) alone, so
 each distinct state is compiled once per run, and decided static or not,
 and every later increment in that state looks it up. A sub-system shared
 by several states is compiled once per run as well, and a state in one
-pass over the feeder forest the network records (see `TopologyCache`).
+pass over the feeder forest the network records (`NetworkModel.split`).
 
 The engine is handed one `TopologyCache`, the compiled run: it checks its
 inputs against each other once, before the first iteration, and binds every
@@ -76,8 +76,9 @@ import numpy as np
 from . import shedding as shed
 from .indices import MissingCostCategory
 from .loadflow import LoadFlowProblem, solve_fbs
-# connected_components stays importable: perfbench wraps it here
-from .network import BREAKER, NetworkModel, connected_components
+# connected_components, the test oracles' partition, stays importable
+# because perfbench wraps it here
+from .network import NetworkModel, connected_components
 from .stochastic import (  # draw_status stays importable: perfbench wraps it here
     draw_battery_soc, draw_status, failure_probability, ict_repair_duration,
     plan_sectioning,
@@ -216,23 +217,20 @@ class TopologyCache:
     Switching states are keyed by (failed lines, open disconnectors), where
     a disconnector is open while it is normally open or bounds an isolated
     line, and are compiled on first use into their sub-systems, by lowest
-    bus id; the breaker positions follow from the key. A state is one pass
-    over the feeder forest the model records (`tree_order`, `tree_parent`,
-    `feed_line`): each bus joins its parent's sub-system unless its feed
-    line is failed, carries an open disconnector, or carries a breaker that
-    a failed line with no open switch of its own reaches up the parents
-    across no open switch. A sub-system met in several states is one
-    object, keyed by (buses, line ids, grid bus), so it and its load-flow
-    layouts and shedding skeleton are compiled once per run. The cache also
-    holds the model and config, every failable component's per-increment
-    failure probability, the ICT devices by id, and every input bound to
-    its user: per load point with a load (peak MW, peak Mvar, multiplier
-    curve) and its demand bound, the load points whose demand can fall
-    below zero, per bus its shed cost (0.0 without a load), per production
-    unit its available MW per increment and the next increment at which
-    that is above 0.0, and the customers and categories every ledger of the
-    run shares read-only. It lives as long as the run that creates it, so
-    nothing outlives the model.
+    bus id; the breaker positions follow from the key. The partition is the
+    model's `split`, one pass over its feeder forest, which the closed form
+    reads too. A sub-system met in several states is one object, keyed by
+    (buses, line ids, grid bus), so it and its load-flow layouts and
+    shedding skeleton are compiled once per run. The cache also holds the
+    model and config, every failable component's per-increment failure
+    probability, the ICT devices by id, and every input bound to its user:
+    per load point with a load (peak MW, peak Mvar, multiplier curve) and
+    its demand bound, the load points whose demand can fall below zero, per
+    bus its shed cost (0.0 without a load), per production unit its
+    available MW per increment and the next increment at which that is above
+    0.0, and the customers and categories every ledger of the run shares
+    read-only. It lives as long as the run that creates it, so nothing
+    outlives the model.
     """
 
     def __init__(self, model: NetworkModel, profiles, config: SimulationConfig,
@@ -251,8 +249,6 @@ class TopologyCache:
         self.misses = 0
         self._states = {}
         self._subsystems = {}
-        self._normally_open = frozenset(s.id for s in model.switchgear.values()
-                                        if s.kind != BREAKER and not s.normal_closed)
         ict = model.ict
         params = {("line", l.id): l.reliability for l in model.lines.values()}
         params.update((("transformer", b.id), b.transformer)
@@ -319,8 +315,9 @@ class TopologyCache:
     def state(self, failed_lines, isolated_lines) -> tuple:
         """The sub-systems while `failed_lines` are down and the sections of
         `isolated_lines` (a subset of them) are cut out."""
-        sections = self.model.sections
-        key = (frozenset(failed_lines), self._normally_open.union(
+        model = self.model
+        sections = model.sections
+        key = (frozenset(failed_lines), model.normally_open.union(
             *(sections[l].boundary_disconnectors for l in isolated_lines)))
         entry = self._states.get(key)
         if entry is None:
@@ -332,37 +329,11 @@ class TopologyCache:
 
     def _compile(self, failed, open_switches) -> tuple:
         model = self.model
-        parent, feed_line = model.tree_parent, model.feed_line
-        open_lines = {model.switchgear[s].host_line for s in open_switches}
-        # roots whose breaker stays open: a failed line none of whose switches
-        # is open reaches them, up from either of its ends, across no open switch
-        tripped = set()
-        for bus in (model.lines[l].from_bus for l in failed if l not in open_lines):
-            while feed_line[bus] is not None and feed_line[bus] not in open_lines:
-                bus = parent[bus]
-            if feed_line[bus] is None:
-                tripped.add(bus)
-        cut = open_lines.union(failed, (
-            model.switchgear[model.breaker_of_system[model.system_of_bus[root]]].host_line
-            for root in tripped))
-        # each bus joins its parent's sub-system unless its feed line is cut,
-        # so a sub-system's buses come in BFS order from its top bus
-        orders, order_of = [], {}
-        for bus in model.tree_order:
-            line = feed_line[bus]
-            if line is None or line in cut:
-                order = [bus]
-                orders.append(order)
-            else:
-                order = order_of[parent[bus]]
-                order.append(bus)
-            order_of[bus] = order
         subsystems = []
-        for order in sorted(orders, key=min):
-            comp, top = tuple(sorted(order)), order[0]
+        for order, grid_bus in model.split(failed, open_switches):
+            comp = tuple(sorted(order))
             # its conducting lines are the feed lines below its top bus
-            lines = tuple(model.lines[l] for l in sorted(feed_line[b] for b in order[1:]))
-            grid_bus = top if feed_line[top] is None and top not in tripped else None
+            lines = tuple(model.lines[l] for l in sorted(model.feed_line[b] for b in order[1:]))
             key = (comp, tuple(line.id for line in lines), grid_bus)
             sub = self._subsystems.get(key)
             if sub is None:

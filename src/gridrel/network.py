@@ -199,10 +199,11 @@ class NetworkModel:
         for lst in self.line_switches.values():
             lst.sort()
 
-        self.normally_open_lines = frozenset(
-            l for l in self.line_ids
-            if any(not self.switchgear[s].normal_closed for s in self.line_switches[l])
-        )
+        # switch ids; `build_network` refuses a normally open breaker
+        self.normally_open = frozenset(s.id for s in self.switchgear.values()
+                                       if not s.normal_closed)
+        self.normally_open_lines = frozenset(self.switchgear[s].host_line
+                                             for s in self.normally_open)
 
         # Filled in by _build_trees / _build_sections.
         self.system_of_bus = {}    # bus id -> distribution system id
@@ -335,13 +336,49 @@ class NetworkModel:
         return all(switch_closed.get(s, self.switchgear[s].normal_closed)
                    for s in self.line_switches[line_id])
 
-    def normal_switch_states(self) -> dict:
-        return {s.id: s.normal_closed for s in self.switchgear.values()}
+    def split(self, failed_lines, open_switches) -> tuple:
+        """The sub-systems while `failed_lines` are down and `open_switches`,
+        which hold `normally_open`, are open: by lowest bus id, each as (its
+        buses in BFS order from its top bus, its grid bus or None).
+
+        One pass over the feeder forest (`tree_order`, `tree_parent`,
+        `feed_line`): each bus joins its parent's sub-system unless its feed
+        line is cut. The cut lines are the failed ones, those that carry an
+        open switch, and the breaker line of each root that a failed line
+        with no open switch of its own reaches up the parents across no open
+        switch; such a root's breaker stays open, so it has no grid bus.
+        """
+        parent, feed_line = self.tree_parent, self.feed_line
+        open_lines = {self.switchgear[s].host_line for s in open_switches}
+        tripped = set()
+        for bus in (self.lines[l].from_bus for l in failed_lines if l not in open_lines):
+            while feed_line[bus] is not None and feed_line[bus] not in open_lines:
+                bus = parent[bus]
+            if feed_line[bus] is None:
+                tripped.add(bus)
+        cut = open_lines.union(failed_lines, (
+            self.switchgear[self.breaker_of_system[self.system_of_bus[root]]].host_line
+            for root in tripped))
+        orders, order_of = [], {}
+        for bus in self.tree_order:
+            line = feed_line[bus]
+            if line is None or line in cut:
+                order = [bus]
+                orders.append(order)
+            else:
+                order = order_of[parent[bus]]
+                order.append(bus)
+            order_of[bus] = order
+        return tuple((tuple(order), order[0] if feed_line[order[0]] is None
+                      and order[0] not in tripped else None)
+                     for order in sorted(orders, key=min))
 
 
 def connected_components(model: NetworkModel, switch_closed, failed_lines=frozenset()):
-    """Partition buses into maximal sets joined by conducting lines.
+    """Partition buses into maximal sets joined by conducting lines, by a
+    search over every line; the engine and the closed form use `split`.
 
+    This is the test oracles' partition, which the benchmark's tracer wraps.
     `switch_closed` maps switch id -> bool; missing entries default to the
     normal state. Components are returned as sorted tuples, ordered by their
     lowest bus id, so the output is deterministic.

@@ -8,7 +8,8 @@ the phase oracles step a float countdown by one increment at a time.
 The load-flow oracles are the engine's former per-call path: a layout built
 by `LoadFlowProblem.from_tree` for every sweep, and the sweep on numpy
 arrays. `reference_state` is the engine's former state compiler, which
-searched the network afresh for each switching state.
+searched the network afresh for each switching state, and
+`reference_isolation` the closed form's former isolation rule.
 """
 
 import numpy as np
@@ -344,3 +345,24 @@ def reference_state(topology, failed, open_switches, eps=1e-9):
                        and sum(topology.bound.get(b, 0.0) for b in comp) <= grid_limit
                        and not any(bound[bus] > limit for bus, limit in limits)))
     return subsystems
+
+
+def reference_isolation(model, line_id):
+    """Buses that stay dark for the whole repair of a fault on `line_id`, by
+    the closed form's former rule: the components with the section's
+    boundary disconnectors open, less each feeder root's component, whose
+    breaker recloses as long as the failed line is not inside it."""
+    switch_closed = dict.fromkeys(model.sections[line_id].boundary_disconnectors, False)
+    components = connected_components(model, switch_closed, failed_lines={line_id})
+    energized = set()
+    by_bus = {}
+    for comp in components:
+        for b in comp:
+            by_bus[b] = comp
+    for dsys in model.distribution_systems:
+        comp = by_bus.get(dsys.root_bus, ())
+        if line_id not in {l for l in model.line_ids
+                           if model.lines[l].from_bus in comp
+                           and model.lines[l].to_bus in comp}:
+            energized.update(comp)
+    return frozenset(b for b in model.bus_ids if b not in energized)

@@ -130,27 +130,23 @@ def test_ict_ids_differ_from_line_and_transformer_ids():
 
 
 def test_connected_components_all_closed(chain4):
-    comps = connected_components(chain4, chain4.normal_switch_states())
+    comps = connected_components(chain4, {})
     assert comps == [("B1", "B2", "B3", "B4")]
 
 
 def test_connected_components_failed_line_and_open_switches(chain4):
     # five-bus style check on the 4-bus chain: fail L2 and open its disconnector
-    states = chain4.normal_switch_states()
-    states["D2"] = False
-    comps = connected_components(chain4, states, failed_lines={"L2"})
+    comps = connected_components(chain4, {"D2": False}, failed_lines={"L2"})
     assert comps == [("B1", "B2"), ("B3", "B4")]
 
 
 def test_connected_components_all_open(chain4):
-    states = {s: False for s in chain4.normal_switch_states()}
-    comps = connected_components(chain4, states)
+    comps = connected_components(chain4, dict.fromkeys(chain4.switchgear, False))
     assert comps == [("B1",), ("B2",), ("B3",), ("B4",)]
 
 
 def test_downstream_of_ieee33_main_artery(ieee33):
-    comps = connected_components(ieee33, ieee33.normal_switch_states(),
-                                 failed_lines={"L02"})
+    comps = connected_components(ieee33, {}, failed_lines={"L02"})
     behind = next(c for c in comps if "B03" in c)
     assert len(behind) == 27
     assert "B19" not in behind and "B01" not in behind
@@ -183,11 +179,8 @@ def test_components_always_partition(ieee33, open_mask, failed_mask):
 
 
 def test_opening_one_switch_splits_one_component(ieee33):
-    base = ieee33.normal_switch_states()
-    n0 = len(connected_components(ieee33, base))
+    n0 = len(connected_components(ieee33, {}))
     for sw_id, sw in ieee33.switchgear.items():
         if not sw.normal_closed:
             continue
-        states = dict(base)
-        states[sw_id] = False
-        assert len(connected_components(ieee33, states)) == n0 + 1
+        assert len(connected_components(ieee33, {sw_id: False})) == n0 + 1

@@ -64,9 +64,10 @@ def test_microgrid_must_join_through_normally_closed_disconnector():
 
 def test_normally_open_tie_keeps_feeders_separate():
     model = build_network(parse_network_text(TIE))
-    comps = connected_components(model, model.normal_switch_states())
+    comps = connected_components(model, {})
     assert comps == [("A1", "A2"), ("C1", "C2")]
-    assert "LT" in model.normally_open_lines
+    assert model.normally_open == {"DT"}
+    assert model.normally_open_lines == {"LT"}
     assert model.system_of_bus["A2"] == "DS1"
     assert model.system_of_bus["C2"] == "DS2"
     # the forest each state is compiled over: one breadth-first walk per feeder

@@ -46,7 +46,7 @@ SUBSYSTEM_FIELDS = ("buses", "grid_bus", "grid_limit", "lines", "subtree_sums",
 def _switches_cutting_out(model, isolated):
     """Switch id -> closed, with the sections of `isolated` cut out; the
     breakers keep their normal state, which the oracle does not read."""
-    closed = model.normal_switch_states()
+    closed = {s: s not in model.normally_open for s in model.switchgear}
     for line_id in isolated:
         closed.update(dict.fromkeys(model.sections[line_id].boundary_disconnectors, False))
     return closed
@@ -211,7 +211,7 @@ def test_every_key_of_a_small_network_compiles_as_the_former_compiler(name, requ
     disconnectors = [s.id for s in model.switchgear.values() if s.kind == "disconnector"]
     for failed in _subsets(model.line_ids):
         for opened in _subsets(disconnectors):
-            key = (failed, opened | cache._normally_open)
+            key = (failed, opened | model.normally_open)
             _assert_fields_match_former_compiler(cache, key, cache._compile(*key))
 
 
