@@ -11,12 +11,15 @@ tree, and prints each result file or stdout that differs, with the rows of
 a CSV or stdout that differ. It then runs the studies of LEDGER_STUDIES with each tree in its
 own process and compares every iteration's full ledger (see LEDGER_FIELDS,
 events and warnings included, every float to the bit), printing the first
-iteration and field that differ in each study. Exits 0 when every file is
-byte-identical and every ledger equal, 1 otherwise.
+iteration and field that differ in each study. Beside its verdict it prints
+the line total of `src/gridrel/*.py` in REF and in the working tree, as
+`wc -l` counts it. Exits 0 when every file is byte-identical and every
+ledger equal, 1 otherwise.
 """
 
 import argparse
 import filecmp
+import glob
 import os
 import pickle
 import subprocess
@@ -68,6 +71,15 @@ def gridrel(tree, out, args):
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "stdout.txt"), "w") as fh:
         fh.write(proc.stdout.replace(out, "OUT"))
+
+
+def source_lines(tree):
+    """Newlines in `tree`'s src/gridrel/*.py, the total `wc -l` prints."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "gridrel", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def result_files(top):
@@ -205,9 +217,12 @@ def main(argv=None):
                         print(f"  - {x}\n  + {y}")
             print(f"{name}: {len(files)} files compared", file=sys.stderr)
         ledgers_differ = compare_ledgers(ref_tree, tmp, args.seed, args.iterations)
+        ref_lines = source_lines(ref_tree)
     print("byte-identical" if not differ else f"{len(differ)} files differ")
     print("ledgers equal" if not ledgers_differ
           else f"ledgers differ in {len(ledgers_differ)} studies")
+    print(f"src/gridrel/*.py: {ref_lines} lines in {args.ref}, "
+          f"{source_lines(ROOT)} in the working tree")
     return 1 if differ or ledgers_differ else 0
 
 

@@ -59,8 +59,7 @@ def analytical_indices(model: NetworkModel, mean_loads_mw,
             continue
         repair = line.reliability.repair_time_h
         dark = _dark(model, line.id, model.normally_open)
-        isolated = _dark(model, line.id, model.normally_open.union(
-            model.sections[line.id].boundary_disconnectors))
+        isolated = _dark(model, line.id, model.normally_open.union(model.sections[line.id]))
         for b in load_points:
             if b not in dark:
                 continue

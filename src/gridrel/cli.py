@@ -186,12 +186,8 @@ def _cmd_analytical(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "analytical.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("load_point,lambda_per_year,outage_hours_per_year,r_hours\n")
-            for b in model.load_points:
-                r = report.r_i[b]
-                fh.write(f"{b},{report.lambda_i[b]:.10g},{report.u_i[b]:.10g},"
-                         f"{'' if r is None else format(r, '.10g')}\n")
+        results.write_load_points(path, [
+            (b, report.lambda_i[b], report.u_i[b], report.r_i[b]) for b in model.load_points])
         print(f"  wrote {path}")
     return EXIT_OK
 

@@ -316,9 +316,8 @@ class TopologyCache:
         """The sub-systems while `failed_lines` are down and the sections of
         `isolated_lines` (a subset of them) are cut out."""
         model = self.model
-        sections = model.sections
         key = (frozenset(failed_lines), model.normally_open.union(
-            *(sections[l].boundary_disconnectors for l in isolated_lines)))
+            *(model.sections[l] for l in isolated_lines)))
         entry = self._states.get(key)
         if entry is None:
             self.misses += 1
@@ -422,7 +421,8 @@ class SequentialSimulation:
         """The key of a scripted fault's line, transformer or ICT unit, or None."""
         if ident in self.model.lines:
             return ("line", ident)
-        if ("transformer", ident) in self.topology.failure_p:
+        bus = self.model.buses.get(ident)
+        if bus is not None and bus.transformer is not None:
             return ("transformer", ident)
         if ident in self.topology.ict_ids:
             return ("ict", ident)

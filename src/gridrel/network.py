@@ -158,13 +158,6 @@ class NetworkSpec:
     microgrids: tuple = ()
 
 
-@dataclass(frozen=True)
-class Section:
-    """Region around a line that the bounding disconnectors can cut out."""
-
-    boundary_disconnectors: tuple
-
-
 class NetworkModel:
     """Validated network with cached connectivity structures."""
 
@@ -205,14 +198,15 @@ class NetworkModel:
         self.normally_open_lines = frozenset(self.switchgear[s].host_line
                                              for s in self.normally_open)
 
-        # Filled in by _build_trees / _build_sections.
+        # Filled in by _build_trees and _bind_attachments.
         self.system_of_bus = {}    # bus id -> distribution system id
-        self.breaker_of_system = {}
+        self.breakers_of_system = {}  # system id -> ids of the breakers on its root's lines
+        self.breaker_of_system = {}   # system id -> the last of them by id
         self.tree_lines = frozenset()
+        self.cycle_lines = frozenset()  # normally closed lines that close a cycle in a walk
         self.tree_order = ()       # buses breadth first from each root, feeder by feeder
         self.tree_parent = {}      # bus id -> parent bus id in its feeder tree, None at a root
         self.feed_line = {}        # bus id -> id of the line from its parent, None at a root
-        self.sections = {}         # line id -> Section
         self.sensor_of_line = {}
         self.int_switch_of_disc = {}
         self.battery_of_bus = {}
@@ -220,27 +214,20 @@ class NetworkModel:
         self.feeder_capacity = {}
 
         self._build_trees()
-        self._build_sections()
+        # line id -> the sorted ids of the disconnectors that bound its section
+        self.sections = {l: self._section_around(l) for l in self.line_ids}
         self._bind_attachments()
 
     # -- construction ---------------------------------------------------
 
-    def _tree_adjacency(self):
-        """Adjacency restricted to normally closed lines."""
-        adj = {b: [] for b in self.bus_ids}
-        for line in self.lines.values():
-            if line.id in self.normally_open_lines:
-                continue
-            adj[line.from_bus].append((line.id, line.to_bus))
-            adj[line.to_bus].append((line.id, line.from_bus))
-        for lst in adj.values():
-            lst.sort()
-        return adj
-
     def _build_trees(self):
-        """Record each feeder's breadth-first walk, neighbours in line id order."""
-        adj = self._tree_adjacency()
-        order, tree_lines = [], set()
+        """Walk each feeder breadth first from its root over the normally
+        closed lines, neighbours in line id order; record its capacity and,
+        in one scan, its breakers. A line that reaches a bus its walk holds,
+        other than the walked bus's feed line, closes a cycle. Feeders walk
+        on their own, so one that reaches another claims its buses again,
+        root included. `_validate_topology` checks radiality on both."""
+        order, tree_lines, cycle_lines = [], set(), set()
         for dsys in self.distribution_systems:
             root = dsys.root_bus
             self.system_of_bus[root] = dsys.id
@@ -248,8 +235,11 @@ class NetworkModel:
             feeder = [root]
             seen = {root}
             for bus in feeder:  # breadth first: `feeder` grows while it is walked
-                for line_id, other in adj[bus]:
+                for line_id, other in self.adjacency[bus]:
+                    if line_id in self.normally_open_lines or line_id == self.feed_line[bus]:
+                        continue
                     if other in seen:
+                        cycle_lines.add(line_id)
                         continue
                     seen.add(other)
                     self.system_of_bus[other] = dsys.id
@@ -257,28 +247,23 @@ class NetworkModel:
                     tree_lines.add(line_id)
                     feeder.append(other)
             order += feeder
-        self.tree_order = tuple(order)
-        self.tree_lines = frozenset(tree_lines)
-
-        for dsys in self.distribution_systems:
-            for sw in self.switchgear.values():
-                if sw.kind != BREAKER:
-                    continue
-                host = self.lines[sw.host_line]
-                if dsys.root_bus in (host.from_bus, host.to_bus):
-                    self.breaker_of_system[dsys.id] = sw.id
-
-        for dsys in self.distribution_systems:
             if dsys.feeder_capacity_mw is not None:
                 self.feeder_capacity[dsys.id] = dsys.feeder_capacity_mw
             else:
-                incident = [self.lines[l].capacity_mw
-                            for l, _ in self.adjacency[dsys.root_bus]]
-                self.feeder_capacity[dsys.id] = sum(incident) if incident else 0.0
+                self.feeder_capacity[dsys.id] = sum(
+                    (self.lines[l].capacity_mw for l, _ in self.adjacency[root]), 0.0)
+        self.tree_order = tuple(order)
+        self.tree_lines = frozenset(tree_lines)
+        self.cycle_lines = frozenset(cycle_lines)
 
-    def _build_sections(self):
-        for line_id in self.line_ids:
-            self.sections[line_id] = self._section_around(line_id)
+        for sw in self.switchgear.values():
+            if sw.kind != BREAKER:
+                continue
+            host = self.lines[sw.host_line]
+            for dsys in self.distribution_systems:
+                if dsys.root_bus in (host.from_bus, host.to_bus):
+                    self.breakers_of_system.setdefault(dsys.id, []).append(sw.id)
+                    self.breaker_of_system[dsys.id] = sw.id
 
     def _switch_at(self, line_id: str, end: str) -> Optional[str]:
         for sw_id in self.line_switches[line_id]:
@@ -286,7 +271,7 @@ class NetworkModel:
                 return sw_id
         return None
 
-    def _section_around(self, start_line: str) -> Section:
+    def _section_around(self, start_line: str) -> tuple:
         """Walk outward from a line, stopping at any switchgear position."""
         boundary = []
         queue = deque([("line", start_line)])
@@ -315,8 +300,8 @@ class NetworkModel:
                     else:
                         seen_lines.add(line_id)
                         queue.append(("line", line_id))
-        return Section(tuple(sorted(s for s in boundary
-                                    if self.switchgear[s].kind == DISCONNECTOR)))
+        return tuple(sorted(s for s in boundary
+                            if self.switchgear[s].kind == DISCONNECTOR))
 
     def _bind_attachments(self):
         for sensor in self.ict.sensors:
@@ -407,7 +392,8 @@ def connected_components(model: NetworkModel, switch_closed, failed_lines=frozen
 
 
 def build_network(spec: NetworkSpec) -> NetworkModel:
-    """Validate a spec and return the immutable model.
+    """Validate a spec, then the model's feeder walk, and return the
+    immutable model.
 
     Raises NetworkValidationError carrying the full list of violations.
     """
@@ -553,31 +539,17 @@ def _validate_topology(model: NetworkModel, spec: NetworkSpec):
         yield ("buses not fed by any distribution system "
                f"(normally closed path to a root missing): {', '.join(orphans)}")
 
-    # radiality: the normally closed lines reachable from the roots form a forest
-    n_tree_edges = len(model.tree_lines)
-    n_claimed = len(model.system_of_bus)
-    n_roots = len(model.distribution_systems)
-    closed_lines = [
-        l for l in model.line_ids
-        if l not in model.normally_open_lines
-        and model.lines[l].from_bus in model.system_of_bus
-    ]
-    if len(closed_lines) != n_tree_edges or n_tree_edges != n_claimed - n_roots:
+    # radiality: a cycle inside a feeder's walk, or a root that another
+    # feeder's walk claimed
+    if model.cycle_lines or any(model.system_of_bus[d.root_bus] != d.id
+                                for d in model.distribution_systems):
         yield ("normally closed lines contain a cycle or join two feeders: "
                "radial operation requires a tree per distribution system")
 
     for dsys in model.distribution_systems:
         if dsys.id not in model.breaker_of_system:
             yield f"distribution system {dsys.id!r} has no circuit breaker at its root"
-
-    breakers = [s for s in model.switchgear.values() if s.kind == BREAKER]
-    by_system = {}
-    for sw in breakers:
-        host = model.lines[sw.host_line]
-        for dsys in model.distribution_systems:
-            if dsys.root_bus in (host.from_bus, host.to_bus):
-                by_system.setdefault(dsys.id, []).append(sw.id)
-    for sys_id, found in by_system.items():
+    for sys_id, found in model.breakers_of_system.items():
         if len(found) > 1:
             yield f"distribution system {sys_id!r} has more than one circuit breaker"
 

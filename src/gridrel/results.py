@@ -50,13 +50,10 @@ def write_results(out_dir, reports, summary, metadata) -> list:
     written.append(path)
 
     path = os.path.join(out_dir, "load_points.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("load_point,lambda_per_year,outage_hours_per_year,r_hours\n")
-        for bus, (lam, u, r) in summary.load_points.items():
-            fh.write(",".join([bus, _fmt(lam), _fmt(u), _fmt(r)]) + "\n")
-        if summary.system_average is not None:
-            lam, u, r = summary.system_average
-            fh.write(",".join(["system_average", _fmt(lam), _fmt(u), _fmt(r)]) + "\n")
+    rows = [(bus, *values) for bus, values in summary.load_points.items()]
+    if summary.system_average is not None:
+        rows.append(("system_average", *summary.system_average))
+    write_load_points(path, rows)
     written.append(path)
 
     path = os.path.join(out_dir, "run_metadata.json")
@@ -65,6 +62,15 @@ def write_results(out_dir, reports, summary, metadata) -> list:
         fh.write("\n")
     written.append(path)
     return written
+
+
+def write_load_points(path, rows):
+    """Write a load-point table: one (name, failure rate per year, outage
+    hours per year, mean outage duration in hours or None) row each."""
+    with open(path, "w", newline="") as fh:
+        fh.write("load_point,lambda_per_year,outage_hours_per_year,r_hours\n")
+        for name, lam, u, r in rows:
+            fh.write(",".join([name, _fmt(lam), _fmt(u), _fmt(r)]) + "\n")
 
 
 def run_metadata(config, network_path, scenario=None) -> dict:

@@ -15,8 +15,8 @@ What the problems of one sub-system share, its node order, shed costs and
 lines and what follows from them (the perturbed costs, the merit order of
 the nodes, the spanning tree and the smallest line capacity), is compiled
 once by `compile_skeleton`. Given that `ShedSkeleton`,
-`build_shedding_problem` fills in only the demands and the generators; a
-problem built without one compiles its own.
+`build_shedding_problem` fills in only the demands and the generators;
+called without one, it compiles one first.
 
 Two solvers share that rule:
 
@@ -81,20 +81,6 @@ class ShedSkeleton:
     tree: Optional[tuple]
     min_capacity: float   # of the lines, inf without one
 
-    @classmethod
-    def of(cls, node_ids, shed_cost, lines):
-        """From node ids, per-node shed costs and `LineVar`s."""
-        n = len(node_ids)
-        assert len(shed_cost) == n
-        for line in lines:
-            assert 0 <= line.from_node < n and 0 <= line.to_node < n
-            assert line.from_node != line.to_node
-        value = tuple(_perturbed_costs(shed_cost))
-        return cls(node_ids, {b: i for i, b in enumerate(node_ids)}, shed_cost, lines,
-                   value, tuple(sorted(range(n), key=lambda k: (-value[k], k))),
-                   _spanning_tree(n, lines),
-                   min((l.capacity_mw for l in lines), default=math.inf))
-
 
 def _spanning_tree(n, lines):
     """Breadth first from node 0: n - 1 lines reaching every node form a tree."""
@@ -125,15 +111,9 @@ class SheddingProblem:
     node_ids: tuple
     demand_mw: tuple
     shed_cost: tuple
-    generators: tuple = ()
-    lines: tuple = ()
-    skeleton: Optional[ShedSkeleton] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        assert len(self.demand_mw) == len(self.node_ids)
-        if self.skeleton is None:
-            object.__setattr__(self, "skeleton", ShedSkeleton.of(
-                self.node_ids, self.shed_cost, self.lines))
+    generators: tuple
+    lines: tuple
+    skeleton: ShedSkeleton = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -149,10 +129,15 @@ def compile_skeleton(node_ids, shed_cost, lines=()) -> ShedSkeleton:
     """The fixed part of the problems `build_shedding_problem` makes from
     these node ids, shed costs and lines."""
     ids = tuple(node_ids)
-    order = {b: i for i, b in enumerate(ids)}
-    return ShedSkeleton.of(
-        ids, tuple(float(shed_cost.get(b, 0.0)) for b in ids),
-        tuple(LineVar(l[0], order[l[1]], order[l[2]], float(l[3])) for l in lines))
+    index = {b: i for i, b in enumerate(ids)}
+    costs = tuple(float(shed_cost.get(b, 0.0)) for b in ids)
+    line_vars = tuple(LineVar(l[0], index[l[1]], index[l[2]], float(l[3])) for l in lines)
+    assert all(l.from_node != l.to_node for l in line_vars)
+    value = tuple(_perturbed_costs(costs))
+    return ShedSkeleton(ids, index, costs, line_vars, value,
+                        tuple(sorted(range(len(ids)), key=lambda k: (-value[k], k))),
+                        _spanning_tree(len(ids), line_vars),
+                        min((l.capacity_mw for l in line_vars), default=math.inf))
 
 
 def build_shedding_problem(node_ids, demand_mw, shed_cost=None, generators=(),

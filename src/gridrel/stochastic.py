@@ -158,7 +158,7 @@ def plan_sectioning(model, fault_line: str, ict_working,
     if not ict_working(sensor_id):
         return SectioningPlan(manual_h, False, (sensor_id,), ())
 
-    boundary = model.sections[fault_line].boundary_disconnectors
+    boundary = model.sections[fault_line]
     switch_ids = []
     for disc in boundary:
         isw = model.int_switch_of_disc.get(disc)

@@ -58,11 +58,6 @@ class Duration:
     value: Fraction
     unit: str = "h"
 
-    @classmethod
-    def of(cls, value, unit: str = "h") -> "Duration":
-        _factor(unit)  # validate
-        return cls(Fraction(str(value)) if not isinstance(value, Fraction) else value, unit)
-
     def to(self, unit: str) -> "Duration":
         new = self.value * _factor(self.unit) / _factor(unit)
         return Duration(new, unit)
@@ -70,11 +65,6 @@ class Duration:
     @property
     def hours(self) -> float:
         return float(self.value * _factor(self.unit))
-
-    def __str__(self) -> str:
-        v = self.value
-        text = str(float(v)) if v.denominator != 1 else str(v.numerator)
-        return f"{text} {self.unit}"
 
 
 def parse_duration(text: str) -> Duration:

@@ -8,8 +8,9 @@ the phase oracles step a float countdown by one increment at a time.
 The load-flow oracles are the engine's former per-call path: a layout built
 by `LoadFlowProblem.from_tree` for every sweep, and the sweep on numpy
 arrays. `reference_state` is the engine's former state compiler, which
-searched the network afresh for each switching state, and
-`reference_isolation` the closed form's former isolation rule.
+searched the network afresh for each switching state,
+`reference_isolation` the closed form's former isolation rule, and
+`reference_forest` the network model's former feeder walk and checks.
 """
 
 import numpy as np
@@ -352,7 +353,7 @@ def reference_isolation(model, line_id):
     the closed form's former rule: the components with the section's
     boundary disconnectors open, less each feeder root's component, whose
     breaker recloses as long as the failed line is not inside it."""
-    switch_closed = dict.fromkeys(model.sections[line_id].boundary_disconnectors, False)
+    switch_closed = dict.fromkeys(model.sections[line_id], False)
     components = connected_components(model, switch_closed, failed_lines={line_id})
     energized = set()
     by_bus = {}
@@ -366,3 +367,71 @@ def reference_isolation(model, line_id):
                            and model.lines[l].to_bus in comp}:
             energized.update(comp)
     return frozenset(b for b in model.bus_ids if b not in energized)
+
+
+def reference_forest(model):
+    """The feeder forest, breakers and topology violations of a
+    `NetworkModel` built without validation, by the model's former rules:
+    each feeder walked breadth first over an adjacency of the normally
+    closed lines alone, the breakers scanned once per feeder and again for
+    the checks, and radiality judged by counting lines. Returns a dict of
+    the model's forest attributes and `violations`, in the order
+    `build_network` reports them."""
+    adj = {b: [] for b in model.bus_ids}
+    for line in model.lines.values():
+        if line.id not in model.normally_open_lines:
+            adj[line.from_bus].append((line.id, line.to_bus))
+            adj[line.to_bus].append((line.id, line.from_bus))
+    for lst in adj.values():
+        lst.sort()
+    system_of_bus, tree_parent, feed_line, order, tree_lines = {}, {}, {}, [], set()
+    for dsys in model.distribution_systems:
+        root = dsys.root_bus
+        system_of_bus[root] = dsys.id
+        tree_parent[root] = feed_line[root] = None
+        feeder, seen = [root], {root}
+        for bus in feeder:
+            for line_id, other in adj[bus]:
+                if other not in seen:
+                    seen.add(other)
+                    system_of_bus[other] = dsys.id
+                    tree_parent[other], feed_line[other] = bus, line_id
+                    tree_lines.add(line_id)
+                    feeder.append(other)
+        order += feeder
+    breakers = [s for s in model.switchgear.values() if s.kind == "breaker"]
+    breaker_of_system = {}
+    for dsys in model.distribution_systems:
+        for sw in breakers:
+            host = model.lines[sw.host_line]
+            if dsys.root_bus in (host.from_bus, host.to_bus):
+                breaker_of_system[dsys.id] = sw.id
+
+    violations = []
+    orphans = [b for b in model.bus_ids if b not in system_of_bus]
+    if orphans:
+        violations.append("buses not fed by any distribution system "
+                          f"(normally closed path to a root missing): {', '.join(orphans)}")
+    closed_lines = [l for l in model.line_ids if l not in model.normally_open_lines
+                    and model.lines[l].from_bus in system_of_bus]
+    n_roots = len(model.distribution_systems)
+    if len(closed_lines) != len(tree_lines) or len(tree_lines) != len(system_of_bus) - n_roots:
+        violations.append("normally closed lines contain a cycle or join two feeders: "
+                          "radial operation requires a tree per distribution system")
+    violations += [f"distribution system {d.id!r} has no circuit breaker at its root"
+                   for d in model.distribution_systems if d.id not in breaker_of_system]
+    by_system = {}
+    for sw in breakers:
+        host = model.lines[sw.host_line]
+        for dsys in model.distribution_systems:
+            if dsys.root_bus in (host.from_bus, host.to_bus):
+                by_system.setdefault(dsys.id, []).append(sw.id)
+    violations += [f"distribution system {sys_id!r} has more than one circuit breaker"
+                   for sys_id, found in by_system.items() if len(found) > 1]
+    for mg in model.microgrids:
+        sw = model.switchgear.get(mg.via_disconnector)
+        if sw is not None and sw.host_line not in tree_lines:
+            violations.append(f"microgrid {mg.id!r} joining line is not in the feeder tree")
+    return {"tree_order": tuple(order), "tree_parent": tree_parent, "feed_line": feed_line,
+            "system_of_bus": system_of_bus, "tree_lines": frozenset(tree_lines),
+            "breaker_of_system": breaker_of_system, "violations": violations}

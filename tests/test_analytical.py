@@ -134,8 +134,7 @@ def test_exposure_read_off_the_engine_partition_matches_the_former_rule(name, li
     model = ISOLATION_MODELS[name]
     feeder = model.system_of_bus[model.lines[line_id].from_bus]
     root = next(d.root_bus for d in model.distribution_systems if d.id == feeder)
-    isolated = _dark(model, line_id, model.normally_open.union(
-        model.sections[line_id].boundary_disconnectors))
+    isolated = _dark(model, line_id, model.normally_open.union(model.sections[line_id]))
     differ = isolated ^ reference_isolation(model, line_id)
     assert differ <= {root}
     assert differ.isdisjoint(model.load_points)

@@ -219,10 +219,10 @@ def test_outage_truncates_at_horizon():
 # -- transformers and phase ends ------------------------------------------
 
 
-def _with_b3_transformer(text, repair):
+def _with_b3_transformer(text, repair, rate=0.1):
     return text.replace("B3 customers=10 load_mw=0.3 load_mvar=0.07 category=general",
                         "B3 customers=10 load_mw=0.3 load_mvar=0.07 category=general "
-                        f"transformer_rate=0.1 transformer_repair={repair}")
+                        f"transformer_rate={rate} transformer_repair={repair}")
 
 
 @pytest.mark.parametrize("repair, increment_h, down_h, reported", [
@@ -243,6 +243,15 @@ def test_transformer_outage_takes_out_only_its_bus(repair, increment_h, down_h,
     assert ledger.events == [(10.0, "B3", "transformer_fault"),
                              (10.0, "B3", "interrupted")] + (
         [(10.0 + down_h, "B3", "transformer_repaired")] if reported else [])
+
+
+def test_a_scripted_fault_reaches_a_transformer_that_never_fails_by_itself():
+    # scripted faults name any bus with a transformer, as they name any line
+    model, ledger = _run_scripted(_with_b3_transformer(CHAIN4, "4h", rate=0), [(10.0, "B3")])
+    assert not model.buses["B3"].transformer.can_fail
+    assert ledger.warnings == []
+    assert ledger.outage_hours == {"B2": 0.0, "B3": 4.0, "B4": 0.0}
+    assert ledger.interruptions == {"B2": 0.0, "B3": 1.0, "B4": 0.0}
 
 
 def test_repairs_ending_together_complete_transformers_before_ict():

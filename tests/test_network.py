@@ -1,13 +1,21 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridrel.netfile import parse_network_text
+from gridrel.netfile import parse_network_file, parse_network_text
 from gridrel.network import (
-    NetworkValidationError, build_network, connected_components,
+    BREAKER, DISCONNECTOR, Bus, DistributionSystem, Line, Microgrid,
+    NetworkModel, NetworkSpec, NetworkValidationError, Switchgear,
+    build_network, connected_components,
+)
+from gridrel.scenarios import (
+    SCENARIOS, apply_scenario, bundled_network_path, bundled_validation_path,
 )
 
-from conftest import CHAIN4
+from conftest import CHAIN4, TIE
+from oracles import reference_forest
 
 MINIMAL = """
 [network]
@@ -155,8 +163,14 @@ def test_downstream_of_ieee33_main_artery(ieee33):
 def test_sections_on_per_line_disconnectors(ieee33):
     # one disconnector at each line's from-end: a fault takes out the line
     # and its to-bus; the boundary is its own switch plus the children's
-    section = ieee33.sections["L02"]
-    assert set(section.boundary_disconnectors) == {"D02", "D03", "D22"}
+    assert ieee33.sections["L02"] == ("D02", "D03", "D22")
+    for line_id, line in ieee33.lines.items():
+        children = [l for b, l in ieee33.feed_line.items()
+                    if ieee33.tree_parent[b] == line.to_bus]
+        # L01's from end carries CB1 before D01, and a line end yields its
+        # first switch only
+        own = [] if line_id == "L01" else ["D" + line_id[1:]]
+        assert ieee33.sections[line_id] == tuple(sorted(own + ["D" + l[1:] for l in children]))
 
 
 def test_ieee33_shape(ieee33):
@@ -184,3 +198,115 @@ def test_opening_one_switch_splits_one_component(ieee33):
         if not sw.normal_closed:
             continue
         assert len(connected_components(ieee33, {sw_id: False})) == n0 + 1
+
+
+# -- the feeder forest against the former walk and checks ------------------
+
+FOREST = ("tree_order", "tree_parent", "feed_line", "system_of_bus", "tree_lines",
+          "breaker_of_system")
+
+
+def _check_forest(spec):
+    """`build_network`'s forest and violations equal `reference_forest`'s;
+    the forest of an invalid spec is compared on a model built without
+    validation."""
+    expected = reference_forest(NetworkModel(spec))
+    try:
+        model = build_network(spec)
+        violations = []
+    except NetworkValidationError as err:
+        model, violations = NetworkModel(spec), err.violations
+    assert violations == expected["violations"]
+    assert {name: getattr(model, name) for name in FOREST} == {
+        name: expected[name] for name in FOREST}
+    return violations
+
+
+def _bundled_and_test_specs():
+    ieee33 = parse_network_file(bundled_network_path())
+    yield "ieee33", ieee33
+    for case in SCENARIOS:
+        yield case, apply_scenario(ieee33, case)
+    yield "validation6", parse_network_file(bundled_validation_path())
+    for name, text in (("CHAIN4", CHAIN4), ("TIE", TIE), ("MINIMAL", MINIMAL)):
+        yield name, parse_network_text(text)
+
+
+@pytest.mark.parametrize("name, spec", list(_bundled_and_test_specs()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_forest_of_the_bundled_and_test_networks_matches_the_reference(name, spec):
+    assert _check_forest(spec) == []
+
+
+@st.composite
+def feeder_variants(draw):
+    """One or two random radial feeders, each line with a disconnector at its
+    from end and each root line a breaker, then any of: a closed line making
+    a cycle, a line in parallel, a tie joining the two feeders (closed or
+    open), another system on a root or on any bus, a second breaker at a
+    root, an orphan bus, normally open disconnectors and a microgrid."""
+    n = draw(st.integers(2, 7))
+    # shuffled ids, so id order differs from the walk's order
+    bus_ids = draw(st.permutations([f"B{i}" for i in range(n)]))
+    line_names = iter(draw(st.permutations([f"L{i:02d}" for i in range(n + 4)])))
+    n_feeders = draw(st.integers(1, min(2, n // 2)))
+    roots = bus_ids[:n_feeders]
+    feeder = {r: i for i, r in enumerate(roots)}
+    lines, switchgear = [], []
+
+    def add_line(a, b, closed=True):
+        line = Line(next(line_names), a, b, 0.01, 0.01, 1.0)
+        lines.append(line)
+        switchgear.append(Switchgear("D" + line.id, DISCONNECTOR, line.id, "from", closed))
+        return line
+
+    for i in range(n_feeders, n):
+        parent = bus_ids[draw(st.integers(0, i - 1))]
+        feeder[bus_ids[i]] = feeder[parent]
+        add_line(parent, bus_ids[i])
+    for root in roots:
+        root_line = next((l for l in lines if root in (l.from_bus, l.to_bus)), None)
+        if root_line is not None:
+            switchgear.append(Switchgear("CB" + root, BREAKER, root_line.id, "from"))
+    systems = [DistributionSystem(f"DS{i}", r) for i, r in enumerate(roots)]
+    buses = list(bus_ids)
+
+    pair = st.tuples(st.sampled_from(bus_ids), st.sampled_from(bus_ids))
+    if draw(st.booleans()):  # a closed line between two buses of one feeder
+        a, b = draw(pair.filter(lambda p: p[0] != p[1] and feeder[p[0]] == feeder[p[1]]))
+        add_line(a, b)
+    if draw(st.booleans()):
+        twin = draw(st.sampled_from(lines))
+        add_line(twin.from_bus, twin.to_bus)
+    if n_feeders == 2 and draw(st.booleans()):
+        a, b = draw(pair.filter(lambda p: feeder[p[0]] != feeder[p[1]]))
+        add_line(a, b, closed=draw(st.booleans()))
+    if draw(st.booleans()):  # another system, on a root or on any bus
+        systems.append(DistributionSystem("DS9", draw(st.sampled_from(bus_ids))))
+    for root in draw(st.sets(st.sampled_from(roots))):  # a second breaker
+        at_root = [l for l in lines if root in (l.from_bus, l.to_bus)]
+        if at_root:
+            switchgear.append(Switchgear("CB9" + root, BREAKER,
+                                         draw(st.sampled_from(at_root)).id,
+                                         draw(st.sampled_from(["from", "to"]))))
+    if draw(st.booleans()):
+        buses.append("ORPHAN")
+        if draw(st.booleans()):  # reached over a normally open line only
+            add_line(draw(st.sampled_from(bus_ids)), "ORPHAN", closed=False)
+    opened = draw(st.sets(st.sampled_from(
+        [s.id for s in switchgear if s.kind == DISCONNECTOR]), max_size=2))
+    switchgear = [replace(s, normal_closed=False) if s.id in opened else s
+                  for s in switchgear]
+    microgrids = ()
+    closed_discs = [s for s in switchgear if s.kind == DISCONNECTOR and s.normal_closed]
+    if closed_discs and draw(st.booleans()):
+        microgrids = (Microgrid("MG", draw(st.sampled_from(closed_discs)).id),)
+    return NetworkSpec(buses=tuple(Bus(b) for b in buses), lines=tuple(lines),
+                       switchgear=tuple(switchgear), distribution_systems=tuple(systems),
+                       microgrids=microgrids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=feeder_variants())
+def test_forest_and_violations_match_the_reference_on_feeder_variants(spec):
+    _check_forest(spec)

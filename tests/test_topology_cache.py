@@ -48,7 +48,7 @@ def _switches_cutting_out(model, isolated):
     breakers keep their normal state, which the oracle does not read."""
     closed = {s: s not in model.normally_open for s in model.switchgear}
     for line_id in isolated:
-        closed.update(dict.fromkeys(model.sections[line_id].boundary_disconnectors, False))
+        closed.update(dict.fromkeys(model.sections[line_id], False))
     return closed
 
 
