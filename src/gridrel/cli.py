@@ -73,7 +73,9 @@ def _build_parser():
     return parser
 
 
-def _load_inputs(args, default_network):
+def _load_inputs(args, default_network, iterations=1, workers=1):
+    """(network path, spec, config, profile set, cost table) of a command;
+    the input files are read before the options are checked."""
     network_path = args.network or default_network
     spec = parse_network_file(network_path)
 
@@ -91,11 +93,7 @@ def _load_inputs(args, default_network):
     else:
         categories = {b.load.category for b in spec.buses if b.load is not None}
         cost_table = {c: 1.0 for c in categories}
-    return network_path, spec, load_series, production_series, cost_table
-
-
-def _config(args, iterations=1, workers=1):
-    return engine.SimulationConfig(
+    config = engine.SimulationConfig(
         increment_h=duration_hours(args.increment),
         horizon_h=duration_hours(args.horizon),
         iterations=iterations,
@@ -104,9 +102,15 @@ def _config(args, iterations=1, workers=1):
         manual_sectioning_h=duration_hours(args.manual_sectioning),
         worker_count=workers,
     )
+    profiles = ProfileSet(config.increment_h, config.horizon_h,
+                          load_series, production_series)
+    return network_path, spec, config, profiles, cost_table
 
 
-def _warn_missing_profiles(model, profiles):
+def _build_model(spec, profiles):
+    """The network model of `spec`, with a warning for each profile it names
+    that `profiles` lacks."""
+    model = build_network(spec)
     wanted = {b.load.profile for b in model.buses.values()
               if b.load is not None and b.load.profile != "flat"}
     missing = sorted(wanted - set(profiles.load))
@@ -117,20 +121,24 @@ def _warn_missing_profiles(model, profiles):
         if unit.profile and unit.profile not in profiles.production:
             log.warning("no production profile for %r; unit runs at its rated "
                         "maximum", unit.profile)
+    return model
+
+
+def _print_warnings(name, ledgers):
+    counts = engine.warning_counts(ledgers)
+    print(f"{name}: warnings: "
+          + ", ".join(f"{kind} {count}" for kind, count in counts.items()),
+          file=sys.stderr)
 
 
 def _cmd_simulate(args) -> int:
-    network_path, base_spec, load_series, production_series, cost_table = \
-        _load_inputs(args, scenarios.bundled_network_path())
-    config = _config(args, iterations=args.iterations, workers=args.workers)
-    profiles = ProfileSet(config.increment_h, config.horizon_h,
-                          load_series, production_series)
+    network_path, base_spec, config, profiles, cost_table = _load_inputs(
+        args, scenarios.bundled_network_path(), args.iterations, args.workers)
 
     names = scenarios.parse_scenario_list(args.scenario) if args.scenario else (None,)
     for name in names:
         spec = scenarios.apply_scenario(base_spec, name) if name else base_spec
-        model = build_network(spec)
-        _warn_missing_profiles(model, profiles)
+        model = _build_model(spec, profiles)
         ledgers = engine.run_monte_carlo(model, profiles, config, cost_table)
         reports = [indices.iteration_report(l, cost_table) for l in ledgers]
         summary = indices.aggregate(reports)
@@ -145,10 +153,7 @@ def _cmd_simulate(args) -> int:
               f"SAIDI {summary.saidi.mean:.4f}  CAIDI {caidi_text}")
         for path in written:
             print(f"  wrote {path}")
-        counts = engine.warning_counts(ledgers)
-        print(f"{name or 'run'}: warnings: "
-              + ", ".join(f"{kind} {count}" for kind, count in counts.items()),
-              file=sys.stderr)
+        _print_warnings(name or "run", ledgers)
     return EXIT_OK
 
 
@@ -164,12 +169,9 @@ def _mean_loads(model, profiles):
 
 
 def _cmd_analytical(args) -> int:
-    network_path, spec, load_series, production_series, _costs = \
-        _load_inputs(args, scenarios.bundled_validation_path())
-    config = _config(args)
-    profiles = ProfileSet(config.increment_h, config.horizon_h,
-                          load_series, production_series)
-    model = build_network(spec)
+    network_path, spec, config, profiles, _costs = _load_inputs(
+        args, scenarios.bundled_validation_path())
+    model = _build_model(spec, profiles)
     report = analytical_indices(model, _mean_loads(model, profiles),
                                 sectioning_h=config.manual_sectioning_h)
 
@@ -193,12 +195,9 @@ def _cmd_analytical(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    network_path, spec, load_series, production_series, cost_table = \
-        _load_inputs(args, scenarios.bundled_validation_path())
-    config = _config(args, iterations=args.iterations, workers=args.workers)
-    profiles = ProfileSet(config.increment_h, config.horizon_h,
-                          load_series, production_series)
-    model = build_network(spec)
+    network_path, spec, config, profiles, cost_table = _load_inputs(
+        args, scenarios.bundled_validation_path(), args.iterations, args.workers)
+    model = _build_model(spec, profiles)
 
     analytical = analytical_indices(model, _mean_loads(model, profiles),
                                     sectioning_h=config.manual_sectioning_h)
@@ -220,6 +219,7 @@ def _cmd_validate(args) -> int:
             continue
         diff = 100.0 * (sim - ana) / ana
         print(f"{name:<8}{ana:>14.4f}{sim:>14.4f}{diff:>16.2f}")
+    _print_warnings("run", ledgers)
     return EXIT_OK
 
 

@@ -50,8 +50,10 @@ pass over the feeder forest the network records (`NetworkModel.split`).
 
 The engine is handed one `TopologyCache`, the compiled run: it checks its
 inputs against each other once, before the first iteration, and binds every
-load point to its multiplier curve and shed cost and every production unit
-to its available MW per increment, so an increment only indexes arrays.
+load point to its multiplier curve and shed cost, every production unit
+to its available MW per increment, every component to its repair rule and
+fault event, and every sub-system to its production units and batteries,
+so an increment only indexes arrays and tables.
 
 Only normally closed lines conduct (a normally open breaker is refused at
 build time), so every switching state is a forest. A sub-system that needs
@@ -80,8 +82,8 @@ from .loadflow import LoadFlowProblem, solve_fbs
 # because perfbench wraps it here
 from .network import NetworkModel, connected_components
 from .stochastic import (  # draw_status stays importable: perfbench wraps it here
-    draw_battery_soc, draw_status, failure_probability, ict_repair_duration,
-    plan_sectioning,
+    MANUAL, RepairPhases, draw_battery_soc, draw_status, failure_probability,
+    ict_repair_duration, plan_sectioning,
 )
 
 _EPS = 1e-9
@@ -173,9 +175,10 @@ def ends_silently(duration_h: float, dt_h: float) -> bool:
 class Subsystem:
     """One connected component of a switching state.
 
-    `layouts` maps each slack bus the load flow has used to the compiled
-    `LoadFlowProblem` layout, and `shedding` holds the compiled shedding
-    skeleton once an LP has needed it.
+    `units` and `batteries` are the sources at its buses; only an island's
+    batteries dispatch, a grid-fed one idles. `layouts` maps each slack bus
+    the load flow has used to the compiled `LoadFlowProblem` layout, and
+    `shedding` holds the compiled shedding skeleton once an LP has needed it.
     """
 
     buses: tuple          # sorted
@@ -184,6 +187,8 @@ class Subsystem:
     lines: tuple          # conducting lines inside, in model line order
     subtree_sums: tuple   # (bus, child) additions in reversed BFS order from the root
     feed_limits: tuple    # (bus, feed-line capacity + eps) in BFS order below the root
+    units: tuple = ()      # (unit id, bus, min MW), by bus then by id
+    batteries: tuple = ()  # (bus, Battery), by bus
     steady: bool = False  # no bus can change before health does (see `_subsystem`)
     layouts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     shedding: Optional[shed.ShedSkeleton] = field(default=None, init=False, compare=False,
@@ -223,7 +228,10 @@ class TopologyCache:
     (buses, line ids, grid bus), so it and its load-flow layouts and
     shedding skeleton are compiled once per run. The cache also holds the
     model and config, every failable component's per-increment failure
-    probability, the ICT devices by id, and every input bound to its user:
+    probability, one repair table (per component key its repair, fixed hours
+    or the `RepairPhases` drawn when it starts, and its fault event), the
+    ids of the ICT units that fail latently and the controller's id, and
+    every input bound to its user:
     per load point with a load (peak MW, peak Mvar, multiplier curve) and
     its demand bound, the load points whose demand can fall below zero, per
     bus its shed cost (0.0 without a load), per production unit its
@@ -249,23 +257,34 @@ class TopologyCache:
         self.misses = 0
         self._states = {}
         self._subsystems = {}
-        ict = model.ict
-        params = {("line", l.id): l.reliability for l in model.lines.values()}
-        params.update((("transformer", b.id), b.transformer)
-                      for b in model.buses.values() if b.transformer is not None)
-        if ict.controller is not None:
-            params[("ict", ict.controller.id + "/hw")] = ict.controller.hardware
-            params[("ict", ict.controller.id + "/sw")] = ict.controller.software
-        params.update((("ict", device.id), device.reliability)
-                      for device in (*ict.sensors, *ict.intelligent_switches))
+        ict, ctrl = model.ict, model.ict.controller
+
+        def fixed(reliability, event):
+            return reliability, reliability.repair_time_h, event
+
+        # key -> (reliability, repair: hours, or the `RepairPhases` drawn when
+        # it starts, fault event with "{}" standing for the repair's outcome)
+        table = {("line", l.id): fixed(l.reliability, "line_fault")
+                 for l in model.lines.values()}
+        table.update((("transformer", b.id), fixed(b.transformer, "transformer_fault"))
+                     for b in model.buses.values() if b.transformer is not None)
+        if ctrl is not None:
+            table[("ict", ctrl.id + "/hw")] = fixed(ctrl.hardware, "controller_hw_fault")
+            table[("ict", ctrl.id + "/sw")] = (ctrl.software, ctrl.software_phases,
+                                               "controller_sw_fault:{}")
+        # sensors and intelligent switches fail silently until called upon
+        table.update((("ict", s.id), (s.reliability, s.phases, "latent_ict_fault"))
+                     for s in ict.sensors)
+        table.update((("ict", i.id), fixed(i.reliability, "latent_ict_fault"))
+                     for i in ict.intelligent_switches)
+        self.repair_table = {key: (repair, event) for key, (_, repair, event) in table.items()}
+        self.latent_ict = frozenset(s.id for s in (*ict.sensors, *ict.intelligent_switches))
+        self.controller_id = None if ctrl is None else ctrl.id
         # in key order, which is the order of the initial failure draws
         self.failure_p = {key: failure_probability(r.failure_rate, increment_h)
-                          for key, r in sorted(params.items()) if r.can_fail}
+                          for key, (r, _, _) in sorted(table.items()) if r.can_fail}
         self.initial_keys = tuple(key for key, p in self.failure_p.items() if p > 0.0)
         self.initial_p = np.array([self.failure_p[key] for key in self.initial_keys])
-        self.sensors = {s.id: s for s in ict.sensors}
-        self.int_switches = {i.id: i for i in ict.intelligent_switches}
-        self.ict_ids = frozenset(ident for kind, ident in params if kind == "ict")
         self.loads, self.bound, self.customers, self.categories = {}, {}, {}, {}
         negative_loads = set()
         for b in model.load_points:
@@ -298,12 +317,11 @@ class TopologyCache:
             on = np.where(cap > 0.0, np.arange(n), n)
             self.next_on[unit.id] = np.append(np.minimum.accumulate(on[::-1])[::-1], n)
 
-    def next_production(self, buses, t) -> int:
-        """The first increment after t at which a production unit at one of
-        `buses` has power (cap > 0.0), or the horizon."""
-        next_on, production_of_bus = self.next_on, self.model.production_of_bus
-        return min((int(next_on[u][t + 1]) for b in buses for u in production_of_bus[b]),
-                   default=self.n_increments)
+    def next_production(self, units, t) -> int:
+        """The first increment after t at which one of a sub-system's
+        `units` has power (cap > 0.0), or the horizon."""
+        next_on = self.next_on
+        return min((int(next_on[u][t + 1]) for u, _, _ in units), default=self.n_increments)
 
     def live_demand(self, buses, t, down) -> dict:
         """MW demand at increment t of each of `buses` not in `down`; a bus
@@ -342,9 +360,13 @@ class TopologyCache:
 
     def _subsystem(self, comp, lines, grid_bus, order) -> Subsystem:
         model = self.model
+        units = tuple((u, b, model.production[u].min_mw)
+                      for b in comp for u in model.production_of_bus[b])
+        batteries = tuple((b, model.batteries[model.battery_of_bus[b]])
+                          for b in comp if b in model.battery_of_bus)
         if grid_bus is None:  # steady while sourceless: no grid, production or battery
-            return Subsystem(comp, None, 0.0, lines, (), (), steady=not any(
-                model.production_of_bus[b] or b in model.battery_of_bus for b in comp))
+            return Subsystem(comp, None, 0.0, lines, (), (), units, batteries,
+                             steady=not (units or batteries))
         children = {}  # in BFS order from the grid bus, as the sums need them
         for bus in order[1:]:
             children.setdefault(model.tree_parent[bus], []).append(bus)
@@ -353,7 +375,8 @@ class TopologyCache:
             comp, grid_bus, grid_limit, lines,
             tuple((bus, child) for bus in reversed(order) for child in children.get(bus, ())),
             tuple((bus, model.lines[model.feed_line[bus]].capacity_mw + _EPS)
-                  for bus in order[1:]))
+                  for bus in order[1:]),
+            units, batteries)
         # steady while the demand bounds fit the grid limit, summed and through
         # each feed line; sums are monotone in their terms, so `_shed_verdict`'s
         # grid shortcut then serves each bus whose transformer works
@@ -419,14 +442,8 @@ class SequentialSimulation:
 
     def _component_key(self, ident):
         """The key of a scripted fault's line, transformer or ICT unit, or None."""
-        if ident in self.model.lines:
-            return ("line", ident)
-        bus = self.model.buses.get(ident)
-        if bus is not None and bus.transformer is not None:
-            return ("transformer", ident)
-        if ident in self.topology.ict_ids:
-            return ("ict", ident)
-        return None
+        return next((key for key in (("line", ident), ("transformer", ident), ("ict", ident))
+                     if key in self.topology.repair_table), None)
 
     def _schedule_next(self, key, from_index):
         """First failure increment at or after `from_index` for a working component."""
@@ -477,6 +494,7 @@ class SequentialSimulation:
     def _fail_component(self, key, t):
         kind, ident = key
         time_h = t * self.dt
+        event = self.topology.repair_table[key][1]
         if kind == "line":
             if ident in self.faults:
                 return
@@ -486,36 +504,27 @@ class SequentialSimulation:
             self._discover_latent(plan, time_h)
             self.faults[ident] = end = t + phase_increments(plan.duration_h, self.dt)
             self.ends.setdefault(end, []).append(key)
-            self.ledger.events.append((time_h, ident, "line_fault"))
-        elif kind == "transformer":
-            if key in self.repairs:
-                return
-            self._start_repair(key, self.model.buses[ident].transformer.repair_time_h)
-            self.ledger.events.append((time_h, ident, "transformer_fault"))
+        elif key in self.repairs or ident in self.latent:
+            return
+        elif ident in self.topology.latent_ict:
+            self.latent.add(ident)
         else:
-            self._fail_ict(ident, time_h)
+            event = event.format(self._start_repair(key))
+        self.ledger.events.append((time_h, ident, event))
 
-    def _start_repair(self, key, duration_h):
+    def _start_repair(self, key) -> str:
+        """Start `key`'s repair at the current increment and return its
+        outcome: the staged recovery's, drawn now, or manual for a repair of
+        fixed hours."""
+        repair = self.topology.repair_table[key][0]
+        if isinstance(repair, RepairPhases):
+            duration_h, outcome = ict_repair_duration(repair, self.rng)
+        else:
+            duration_h, outcome = repair, MANUAL
         end = self.repairs[key] = self.t_index + phase_increments(duration_h, self.dt)
         ends = self.silent_ends if ends_silently(duration_h, self.dt) else self.ends
         ends.setdefault(end, []).append(key)
-
-    def _fail_ict(self, ident, time_h):
-        key = ("ict", ident)
-        if ident in self.latent or key in self.repairs:
-            return
-        ctrl = self.model.ict.controller
-        if ctrl is not None and ident == ctrl.id + "/hw":
-            self._start_repair(key, ctrl.hardware.repair_time_h)
-            self.ledger.events.append((time_h, ident, "controller_hw_fault"))
-        elif ctrl is not None and ident == ctrl.id + "/sw":
-            duration, outcome = ict_repair_duration(ctrl.software_phases, self.rng)
-            self._start_repair(key, duration)
-            self.ledger.events.append((time_h, ident, f"controller_sw_fault:{outcome}"))
-        else:
-            # sensors and intelligent switches fail silently until called upon
-            self.latent.add(ident)
-            self.ledger.events.append((time_h, ident, "latent_ict_fault"))
+        return outcome
 
     def _ict_working(self, ident) -> bool:
         """Whether ICT unit `ident` works, for `plan_sectioning`; the
@@ -523,28 +532,19 @@ class SequentialSimulation:
         def working(unit):
             return unit not in self.latent and ("ict", unit) not in self.repairs
 
-        if ident in self.topology.sensors or ident in self.topology.int_switches:
+        if ident in self.topology.latent_ict:
             return working(ident)
-        ctrl = self.model.ict.controller
-        if ctrl is not None and ident == ctrl.id:
+        if ident == self.topology.controller_id:
             return working(ident + "/hw") and working(ident + "/sw")
         return False
 
     def _discover_latent(self, plan, time_h):
         """Latent ICT failures start their repair clock when first called upon."""
-        sensors = self.topology.sensors
-        switches = self.topology.int_switches
-        for sid in plan.consulted_sensors:
-            if sid in self.latent:
-                self.latent.remove(sid)
-                duration, outcome = ict_repair_duration(sensors[sid].phases, self.rng)
-                self._start_repair(("ict", sid), duration)
-                self.ledger.events.append((time_h, sid, f"latent_discovered:{outcome}"))
-        for iid in plan.consulted_switches:
-            if iid in self.latent:
-                self.latent.remove(iid)
-                self._start_repair(("ict", iid), switches[iid].reliability.repair_time_h)
-                self.ledger.events.append((time_h, iid, "latent_discovered:manual"))
+        for ident in (*plan.consulted_sensors, *plan.consulted_switches):
+            if ident in self.latent:
+                self.latent.remove(ident)
+                outcome = self._start_repair(("ict", ident))
+                self.ledger.events.append((time_h, ident, f"latent_discovered:{outcome}"))
 
     def _apply_transitions(self, t):
         """Complete the phases that end at this increment: lines by id, then
@@ -555,27 +555,22 @@ class SequentialSimulation:
         time_h = t * self.dt
         for key in sorted(due, key=lambda k: (k[0] != "line", k[0] == "ict", k[1])):
             kind, ident = key
-            if kind != "line":
-                del self.repairs[key]
-                self.ledger.events.append((time_h, ident, f"{kind}_repaired"))
-                self._schedule_next(key, t + 1)
-                continue
-            if ident not in self.isolated:
-                repair = self.model.lines[ident].reliability.repair_time_h
+            if kind == "line" and ident not in self.isolated:
                 self.isolated.add(ident)
                 self.ledger.events.append((time_h, ident, "isolated"))
-                self.faults[ident] = end = t + phase_increments(repair, self.dt)
+                self.faults[ident] = end = t + phase_increments(
+                    self.topology.repair_table[key][0], self.dt)
                 if end > t:
                     self.ends.setdefault(end, []).append(key)
                     continue
                 # the repair completes within this increment too
-            self._restore_line(ident, time_h)
-
-    def _restore_line(self, line_id, time_h):
-        del self.faults[line_id]
-        self.isolated.remove(line_id)
-        self.ledger.events.append((time_h, line_id, "line_repaired"))
-        self._schedule_next(("line", line_id), self.t_index + 1)
+            if kind == "line":
+                del self.faults[ident]
+                self.isolated.remove(ident)
+            else:
+                del self.repairs[key]
+            self.ledger.events.append((time_h, ident, f"{kind}_repaired"))
+            self._schedule_next(key, t + 1)
 
     def _electrical_fault_active(self) -> bool:
         return bool(self.faults) or any(kind == "transformer" for kind, _ in self.repairs)
@@ -648,7 +643,6 @@ class SequentialSimulation:
         problem is infeasible), {} when everything is served (no demand, or
         the grid alone serves it within every limit). Only a verdict of no
         source can stand past t (see `_dark_until`)."""
-        model = self.model
         comp = sub.buses
         grid_bus, grid_limit = sub.grid_bus, sub.grid_limit
         # a singleton root feeds nothing; islands must be driven by local sources
@@ -657,34 +651,27 @@ class SequentialSimulation:
             generators.append((f"grid:{grid_bus}", grid_bus, 0.0, grid_limit, 0.0))
 
         production_cap = 0.0
-        for b in comp:
-            for unit_id in model.production_of_bus[b]:
-                cap = float(self.topology.caps[unit_id][t])
-                production_cap += cap
-                generators.append(
-                    (unit_id, b, min(model.production[unit_id].min_mw, cap), cap, 0.0))
+        caps = self.topology.caps
+        for unit_id, b, min_mw in sub.units:
+            cap = float(caps[unit_id][t])
+            production_cap += cap
+            generators.append((unit_id, b, min(min_mw, cap), cap, 0.0))
 
         total_demand = sum(live_demand.values())
 
-        batteries_here = [(b, model.battery_of_bus[b]) for b in comp
-                          if b in model.battery_of_bus]
-        grid_connected = grid_bus is not None
-        for bus, bat_id in sorted(batteries_here):
-            bat = model.batteries[bat_id]
-            if not grid_connected:
-                if not self.was_islanded[bat_id]:
-                    # outage begins: market behavior collapses to a fresh SOC draw
-                    self.soc[bat_id] = draw_battery_soc(bat, self.rng)
-                islanded_now[bat_id] = True
+        for bus, bat in sub.batteries if grid_bus is None else ():  # grid-fed ones idle
+            if not self.was_islanded[bat.id]:
+                # outage begins: market behavior collapses to a fresh SOC draw
+                self.soc[bat.id] = draw_battery_soc(bat, self.rng)
+            islanded_now[bat.id] = True
             lower, upper = update_battery_demand(
-                total_demand, production_cap, bat, self.soc[bat_id],
-                self.dt, grid_connected)
+                total_demand, production_cap, bat, self.soc[bat.id], self.dt)
             if upper > _EPS or lower < -_EPS:
                 # faint merit-order cost: the battery backs up free production
-                generators.append((bat_id, bus, lower, upper, 1e-7))
+                generators.append((bat.id, bus, lower, upper, 1e-7))
 
         if not any(g[3] > _EPS or g[2] < -_EPS for g in generators):
-            return None, self._dark_until(sub, t, batteries_here)
+            return None, self._dark_until(sub, t)
         if total_demand <= _EPS:
             return {}, t + 1
         # Grid-connected sub-system whose pure-grid dispatch stays within every
@@ -703,15 +690,14 @@ class SequentialSimulation:
             return None, t + 1
 
         result = self._confirm_with_loadflow(sub, live_demand, generators, result, t)
-        for bus, bat_id in batteries_here:
-            dispatch = result.generation_mw.get(bat_id, 0.0)
-            bat = model.batteries[bat_id]
-            self.soc[bat_id] = min(max(
-                self.soc[bat_id] - dispatch * self.dt / bat.capacity_mwh,
+        for _, bat in sub.batteries:
+            dispatch = result.generation_mw.get(bat.id, 0.0)
+            self.soc[bat.id] = min(max(
+                self.soc[bat.id] - dispatch * self.dt / bat.capacity_mwh,
                 bat.soc_min), bat.soc_max)
         return result.shed_mw, t + 1
 
-    def _dark_until(self, sub, t, batteries):
+    def _dark_until(self, sub, t):
         """The increment up to which a sub-system with no source at t stays
         dark: t + 1 while one of its batteries could discharge, or could
         charge from a load below zero; otherwise the next increment at which
@@ -719,14 +705,13 @@ class SequentialSimulation:
         battery's discharge bound keeps its value (SOC moves only after an
         LP) and a load at or above zero lets no battery charge, so each
         increment's verdict is again None."""
-        for _, bat_id in batteries:
-            bat = self.model.batteries[bat_id]
-            if min(bat.inverter_mw, max(self.soc[bat_id] - bat.soc_min, 0.0)
+        for _, bat in sub.batteries:
+            if min(bat.inverter_mw, max(self.soc[bat.id] - bat.soc_min, 0.0)
                    * bat.capacity_mwh / self.dt) > _EPS:
                 return t + 1
-        if batteries and not self.topology.negative_loads.isdisjoint(sub.buses):
+        if sub.batteries and not self.topology.negative_loads.isdisjoint(sub.buses):
             return t + 1
-        return self.topology.next_production(sub.buses, t)
+        return self.topology.next_production(sub.units, t)
 
     def _confirm_with_loadflow(self, sub, live_demand, generators, result, t):
         """Re-run the sweep with the shed applied; one repair pass on overload."""
@@ -804,18 +789,11 @@ class SequentialSimulation:
             layout.base_mva, layout.slack_voltage))
 
 
-def update_battery_demand(subsystem_demand_mw, production_cap_mw, battery, soc,
-                          dt_h, grid_connected):
-    """(lower, upper) MW bounds of one battery's output this increment,
-    negative when it charges.
-
-    Grid-connected batteries idle at (0, 0) (their market behavior is
-    captured by the per-outage uniform SOC draw). Islanded batteries
-    discharge into a deficit, (0, upper), or charge from a surplus,
-    (lower, 0), limited by the inverter and the energy headroom.
-    """
-    if grid_connected:
-        return 0.0, 0.0
+def update_battery_demand(subsystem_demand_mw, production_cap_mw, battery, soc, dt_h):
+    """(lower, upper) MW bounds of one islanded battery's output this
+    increment, negative when it charges: it discharges into a deficit,
+    (0, upper), or charges from a surplus, (lower, 0), limited by the
+    inverter and the energy headroom. Grid-fed batteries idle unasked."""
     deficit = subsystem_demand_mw - production_cap_mw
     if deficit > _EPS:
         bound = min(battery.inverter_mw,

@@ -285,8 +285,9 @@ def reference_state(topology, failed, open_switches, eps=1e-9):
     disconnectors) of a `TopologyCache`, each as a dict of its `Subsystem`
     fields, compiled from scratch: each breaker by a search from its root,
     the conducting lines by scanning every line, the buses by
-    `connected_components`, and a grid-fed sub-system's sums and limits by a
-    breadth-first walk of its lines from the grid bus."""
+    `connected_components`, the units and batteries by scanning every one,
+    and a grid-fed sub-system's sums and limits by a breadth-first walk of
+    its lines from the grid bus."""
     model = topology.model
 
     def root_sees_fault(root):
@@ -313,10 +314,13 @@ def reference_state(topology, failed, open_switches, eps=1e-9):
         lines = tuple(line for line in conducting if line.from_bus in comp)
         feeders = [d for d in model.distribution_systems
                    if d.root_bus in comp and closed[model.breaker_of_system[d.id]]]
+        units = tuple((u.id, u.bus, u.min_mw) for u in sorted(
+            model.production.values(), key=lambda u: (u.bus, u.id)) if u.bus in comp)
+        batteries = tuple(sorted(((bat.bus, bat) for bat in model.batteries.values()
+                                  if bat.bus in comp), key=lambda pair: pair[0]))
         sub = {"buses": comp, "grid_bus": None, "grid_limit": 0.0, "lines": lines,
-               "subtree_sums": (), "feed_limits": (),
-               "steady": not any(model.production_of_bus[b] or b in model.battery_of_bus
-                                 for b in comp)}
+               "subtree_sums": (), "feed_limits": (), "units": units,
+               "batteries": batteries, "steady": not (units or batteries)}
         subsystems.append(sub)
         if not feeders:
             continue

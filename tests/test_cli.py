@@ -160,3 +160,34 @@ def test_simulate_rejects_a_cost_table_missing_a_load_category(tmp_path, capsys,
     costs.write_text("category,cost_per_mwh\n")
     assert main(argv) == 2
     assert f"error: {costs}: empty cost table" in capsys.readouterr().err
+
+
+def _residential_feeder6(tmp_path):
+    """The bundled 6-bus feeder with every load on a profile no CSV gives."""
+    text = _read(os.path.join(os.path.dirname(__file__), "..", "src", "gridrel",
+                              "data", "validation6.net")).decode()
+    net = tmp_path / "residential6.net"
+    net.write_text(text.replace("profile=flat", "profile=residential"))
+    return str(net)
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--iterations", "2"], ["analytical"], ["validate", "--iterations", "2"]])
+def test_every_command_warns_about_a_missing_load_profile(command, tmp_path, capsys, caplog):
+    argv = [*command, "--network", _residential_feeder6(tmp_path)]
+    if command[0] == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert ("no load profile for residential; using a flat multiplier of 1"
+            in caplog.messages)
+
+
+def test_validate_reports_warnings_by_kind_on_stderr(tmp_path, capsys):
+    rc = main(["validate", "--network", _residential_feeder6(tmp_path),
+               "--iterations", "2"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == (
+        "run: warnings: shedding infeasible 0, load flow non-converged 0, "
+        "power balance 0, other 0")
+    assert "run: warnings" not in captured.out

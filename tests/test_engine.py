@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gridrel import shedding
 from gridrel.engine import (
     HistoryLedger, ScriptedFault, SequentialSimulation, SimulationConfig,
     TopologyCache, ends_silently, phase_increments, run_iteration,
@@ -12,6 +13,7 @@ from gridrel.indices import aggregate, iteration_report
 from gridrel.netfile import parse_network_text
 from gridrel.network import Battery, build_network
 from gridrel.scenarios import apply_scenario
+from gridrel.stochastic import SectioningPlan
 from gridrel.timeseries import ProfileSet
 
 from conftest import CHAIN4
@@ -314,7 +316,7 @@ def test_latent_sensor_fault_discovered_on_first_call():
         CHAIN4_ICT, [(5.0, "S2"), (10.0, "L2"), (30.0, "L2")])
     events = {(t, c): e for t, c, e in ledger.events}
     # first fault: sensor dead -> manual sectioning, discovery starts its repair
-    assert events[(10.0, "S2")].startswith("latent_discovered")
+    assert events[(10.0, "S2")] == "latent_discovered:manual"
     # second fault: sensor repaired -> automated, upstream spared
     assert ledger.outage_hours["B2"] == 1.0  # only the first event's hour
 
@@ -323,8 +325,52 @@ def test_dead_intelligent_switch_forces_manual_and_is_discovered():
     _, ledger = _run_scripted(CHAIN4_ICT, [(5.0, "IS3"), (10.0, "L2")])
     # IS3 guards D3, which bounds L2's section, so it is called and found dead
     assert ledger.outage_hours["B2"] == 1.0
-    assert any(c == "IS3" and e.startswith("latent_discovered")
-               for _, c, e in ledger.events)
+    assert (10.0, "IS3", "latent_discovered:manual") in ledger.events
+
+
+@pytest.mark.parametrize("probabilities, outcome", [
+    ("p_new_signal=1 p_reboot=0", "new_signal"),
+    ("p_new_signal=0 p_reboot=1", "reboot"),
+    ("p_new_signal=0 p_reboot=0", "manual"),
+])
+def test_each_ict_unit_logs_the_event_of_its_repair_rule(probabilities, outcome):
+    # the controller and the sensors draw a staged recovery, the controller's
+    # hardware and the intelligent switches repair in fixed hours
+    text = CHAIN4_ICT.replace("p_new_signal=0 p_reboot=0", probabilities)
+    _, ledger = _run_scripted(text, [(5.0, "S2"), (5.0, "IS3"), (9.0, "CTRL/hw"),
+                                     (9.0, "CTRL/sw"), (12.0, "L2"), (30.0, "L2")])
+    # the first L2 fault finds S2 dead, and the second, with S2 repaired, IS3
+    assert [e for e in ledger.events if e[1] in ("S2", "IS3", "CTRL/hw", "CTRL/sw")
+            and not e[2].endswith("_repaired")] == [
+        (5.0, "IS3", "latent_ict_fault"),
+        (5.0, "S2", "latent_ict_fault"),
+        (9.0, "CTRL/hw", "controller_hw_fault"),
+        (9.0, "CTRL/sw", f"controller_sw_fault:{outcome}"),
+        (12.0, "S2", f"latent_discovered:{outcome}"),
+        (30.0, "IS3", "latent_discovered:manual"),
+    ]
+
+
+def test_repairs_of_fixed_hours_draw_nothing():
+    text = CHAIN4_ICT.replace(
+        "B4 customers=10 load_mw=0.1 load_mvar=0.02 category=general",
+        "B4 customers=10 load_mw=0.1 load_mvar=0.02 category=general "
+        "transformer_rate=0.1 transformer_repair=2.5h")
+    model = build_network(parse_network_text(text))
+    rng = np.random.default_rng(3)
+    sim = SequentialSimulation(TopologyCache(model, _flat_profiles(), _config()), rng,
+                               script=[])
+    sim.latent = {"IS3"}
+    state = rng.bit_generator.state
+    sim._fail_component(("ict", "CTRL/hw"), 0)
+    sim._fail_component(("transformer", "B4"), 0)
+    sim._discover_latent(SectioningPlan(1.0, False, (), ("IS3",)), 0.0)
+    assert rng.bit_generator.state == state
+    assert sim.repairs == {("ict", "CTRL/hw"): 2, ("transformer", "B4"): 2,
+                           ("ict", "IS3"): 2}
+    # a staged recovery is drawn when it starts
+    sim._fail_component(("ict", "CTRL/sw"), 0)
+    assert rng.bit_generator.state != state
 
 
 def test_ict_lookup_answers_as_a_table_of_every_unit(ieee33_spec):
@@ -412,28 +458,59 @@ def test_island_charging_stores_wind_surplus():
     assert sim.soc["BAT"] == pytest.approx(0.4)
 
 
+def test_a_grid_fed_battery_idles_while_its_subsystem_sheds(monkeypatch):
+    # a 0.3 MW feeder under 0.5 MW of peak demand, so the normal state is not
+    # steady; B4's transformer repair makes its increments evaluated
+    text = BATTERY_ISLAND.replace(
+        "dist DS1 root=B1", "dist DS1 root=B1 feeder_capacity_mw=0.3").replace(
+        "B4 customers=10 load_mw=0.1 category=general",
+        "B4 customers=10 load_mw=0.1 category=general "
+        "transformer_rate=0.1 transformer_repair=2.5h")
+    model = build_network(parse_network_text(text))
+    topology = TopologyCache(model, _flat_profiles(20.0), _config(horizon_h=20.0))
+    (sub,) = topology.state((), ())
+    assert (sub.grid_bus, sub.steady) == ("B1", False)
+    assert sub.batteries == (("B3", model.batteries["BAT"]),)
+    generators = []
+    solve = shedding.solve_shedding
+
+    def spy(problem):
+        generators.append([g.id for g in problem.generators])
+        return solve(problem)
+
+    monkeypatch.setattr(shedding, "solve_shedding", spy)
+    sim = SequentialSimulation(topology, np.random.default_rng(0),
+                               script=[ScriptedFault(10.0, "B4")])
+    soc = dict(sim.soc)
+    ledger = sim.run()
+    # the feeder serves B2 and part of B3 while B4 is down; the battery
+    # neither dispatches nor moves its state of charge
+    assert generators and all(ids == ["grid:B1"] for ids in generators)
+    assert sim.soc == soc
+    assert ledger.ens_mwh["B3"] == pytest.approx(0.2)
+
+
 def test_update_battery_demand_bounds():
     bat = Battery("B", "x", capacity_mwh=1.0, inverter_mw=0.5,
                   soc_min=0.1, soc_max=1.0)
-    # (lower, upper) output bounds: discharging into a deficit, charging
-    # (negative output) from a surplus, idle on the grid
-    assert update_battery_demand(1.0, 0.0, bat, 0.1, 1.0, False) == (0.0, 0.0)
-    assert update_battery_demand(1.0, 0.0, bat, 1.0, 1.0, False) == (0.0, 0.5)  # inverter
-    lower, upper = update_battery_demand(1.0, 0.0, bat, 0.2, 1.0, False)
+    # (lower, upper) output bounds of an islanded battery: discharging into
+    # a deficit, charging (negative output) from a surplus
+    assert update_battery_demand(1.0, 0.0, bat, 0.1, 1.0) == (0.0, 0.0)
+    assert update_battery_demand(1.0, 0.0, bat, 1.0, 1.0) == (0.0, 0.5)  # inverter
+    lower, upper = update_battery_demand(1.0, 0.0, bat, 0.2, 1.0)
     assert lower == 0.0 and upper == pytest.approx(0.1)  # energy-limited
-    assert update_battery_demand(1.0, 0.0, bat, 0.5, 1.0, True) == (0.0, 0.0)
-    lower, upper = update_battery_demand(0.2, 1.0, bat, 0.5, 1.0, False)
+    lower, upper = update_battery_demand(0.2, 1.0, bat, 0.5, 1.0)
     assert lower == pytest.approx(-0.5) and upper == 0.0  # inverter-limited charge
-    lower, upper = update_battery_demand(0.2, 1.0, bat, 0.9, 1.0, False)
+    lower, upper = update_battery_demand(0.2, 1.0, bat, 0.9, 1.0)
     assert lower == pytest.approx(-0.1) and upper == 0.0  # headroom-limited charge
-    lower, upper = update_battery_demand(0.8, 1.0, bat, 0.5, 1.0, False)
+    lower, upper = update_battery_demand(0.8, 1.0, bat, 0.5, 1.0)
     assert lower == pytest.approx(-0.2) and upper == 0.0  # surplus-limited charge
 
 
 def test_discharge_bound_from_bundled_battery_numbers():
     bat = Battery("B", "x", capacity_mwh=1.0, inverter_mw=0.5,
                   soc_min=0.1, soc_max=1.0)
-    lower, upper = update_battery_demand(5.0, 0.0, bat, 0.55, 1.0, False)
+    lower, upper = update_battery_demand(5.0, 0.0, bat, 0.55, 1.0)
     assert lower == 0.0
     assert upper == pytest.approx(min(0.5, (0.55 - 0.1) * 1.0 / 1.0))
     assert upper == pytest.approx(0.45)

@@ -61,7 +61,7 @@ class _UncertifiedCache(TopologyCache):
         return tuple(replace(sub, steady=False)
                      for sub in super()._compile(failed, open_switches))
 
-    def next_production(self, buses, t):
+    def next_production(self, units, t):
         return t + 1
 
 

@@ -40,7 +40,7 @@ from oracles import (
 )
 
 SUBSYSTEM_FIELDS = ("buses", "grid_bus", "grid_limit", "lines", "subtree_sums",
-                    "feed_limits", "steady")
+                    "feed_limits", "units", "batteries", "steady")
 
 
 def _switches_cutting_out(model, isolated):
