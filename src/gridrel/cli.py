@@ -107,10 +107,8 @@ def _load_inputs(args, default_network, iterations=1, workers=1):
     return network_path, spec, config, profiles, cost_table
 
 
-def _build_model(spec, profiles):
-    """The network model of `spec`, with a warning for each profile it names
-    that `profiles` lacks."""
-    model = build_network(spec)
+def _warn_missing_profiles(model, profiles):
+    """Warn about each profile `model` names that `profiles` lacks."""
     wanted = {b.load.profile for b in model.buses.values()
               if b.load is not None and b.load.profile != "flat"}
     missing = sorted(wanted - set(profiles.load))
@@ -121,7 +119,6 @@ def _build_model(spec, profiles):
         if unit.profile and unit.profile not in profiles.production:
             log.warning("no production profile for %r; unit runs at its rated "
                         "maximum", unit.profile)
-    return model
 
 
 def _print_warnings(name, ledgers):
@@ -138,7 +135,8 @@ def _cmd_simulate(args) -> int:
     names = scenarios.parse_scenario_list(args.scenario) if args.scenario else (None,)
     for name in names:
         spec = scenarios.apply_scenario(base_spec, name) if name else base_spec
-        model = _build_model(spec, profiles)
+        model = build_network(spec)
+        _warn_missing_profiles(model, profiles)
         ledgers = engine.run_monte_carlo(model, profiles, config, cost_table)
         reports = [indices.iteration_report(l, cost_table) for l in ledgers]
         summary = indices.aggregate(reports)
@@ -171,9 +169,10 @@ def _mean_loads(model, profiles):
 def _cmd_analytical(args) -> int:
     network_path, spec, config, profiles, _costs = _load_inputs(
         args, scenarios.bundled_validation_path())
-    model = _build_model(spec, profiles)
+    model = build_network(spec)
     report = analytical_indices(model, _mean_loads(model, profiles),
                                 sectioning_h=config.manual_sectioning_h)
+    _warn_missing_profiles(model, profiles)  # once the network is known passive
 
     print(f"analytical report for {network_path}")
     print(f"{'load point':<12}{'lambda [1/yr]':>14}{'U [h/yr]':>12}{'r [h]':>10}")
@@ -197,10 +196,10 @@ def _cmd_analytical(args) -> int:
 def _cmd_validate(args) -> int:
     network_path, spec, config, profiles, cost_table = _load_inputs(
         args, scenarios.bundled_validation_path(), args.iterations, args.workers)
-    model = _build_model(spec, profiles)
-
+    model = build_network(spec)
     analytical = analytical_indices(model, _mean_loads(model, profiles),
                                     sectioning_h=config.manual_sectioning_h)
+    _warn_missing_profiles(model, profiles)  # once the network is known passive
     ledgers = engine.run_monte_carlo(model, profiles, config, cost_table)
     reports = [indices.iteration_report(l, cost_table) for l in ledgers]
     summary = indices.aggregate(reports)

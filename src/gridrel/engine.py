@@ -56,14 +56,12 @@ fault event, and every sub-system to its production units and batteries,
 so an increment only indexes arrays and tables.
 
 Only normally closed lines conduct (a normally open breaker is refused at
-build time), so every switching state is a forest. A sub-system that needs
-the load flow keeps its layout (BFS order from the slack bus, parents, line
-ids, impedances) in `Subsystem.layouts`, compiled on first use for each
-slack bus it meets: an island's slack is the bus of its largest source,
-which moves with the wind. Each sweep then only fills in the injections.
-Likewise a sub-system's shedding skeleton (see `shedding`) is compiled on
-its first shedding problem, and each problem fills in only the demands and
-the generators.
+build time), so every switching state is a forest. A sub-system compiles
+its shedding skeleton (see `shedding`) on its first problem and, in
+`Subsystem.layouts`, its load-flow layout for each slack bus it meets (an
+island's slack, the bus of its largest source, moves with the wind), so a
+problem fills in only demands, generators and injections. A sweep runs only
+where the certificate (see `loadflow`) cannot show it would not act.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ import numpy as np
 
 from . import shedding as shed
 from .indices import MissingCostCategory
-from .loadflow import LoadFlowProblem, solve_fbs
+from .loadflow import LoadFlowProblem, certified_voltage, compile_certificate, solve_fbs
 # connected_components, the test oracles' partition, stays importable
 # because perfbench wraps it here
 from .network import NetworkModel, connected_components
@@ -146,6 +144,8 @@ class HistoryLedger:
     ens_mwh: dict = field(init=False)
     events: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
+    sweeps_certified: int = 0  # load-flow confirmations the certificate skipped
+    sweeps_run: int = 0
 
     def __post_init__(self):
         self.interruptions = dict.fromkeys(self.load_points, 0.0)
@@ -177,8 +177,8 @@ class Subsystem:
 
     `units` and `batteries` are the sources at its buses; only an island's
     batteries dispatch, a grid-fed one idles. `layouts` maps each slack bus
-    the load flow has used to the compiled `LoadFlowProblem` layout, and
-    `shedding` holds the compiled shedding skeleton once an LP has needed it.
+    the load flow has used to (layout, `compile_certificate`), and `shedding`
+    holds the compiled shedding skeleton once an LP has needed it.
     """
 
     buses: tuple          # sorted
@@ -714,7 +714,9 @@ class SequentialSimulation:
         return self.topology.next_production(sub.units, t)
 
     def _confirm_with_loadflow(self, sub, live_demand, generators, result, t):
-        """Re-run the sweep with the shed applied; one repair pass on overload."""
+        """Re-run the sweep with the shed applied; one repair pass on overload.
+        Where `certified_voltage` shows that the sweep converges with each line
+        within 1.01 x capacity and the balance met, it cannot act: skip it."""
         comp, lines_here = sub.buses, sub.lines
         if len(comp) < 2 or not lines_here:
             return result
@@ -727,7 +729,12 @@ class SequentialSimulation:
             slack = min(sources)[1]
 
         gen_bus = {g[0]: g[1] for g in generators}
-        solution = self._run_fbs(sub, t, live_demand, gen_bus, result, slack)
+        problem, lines = self._fbs_problem(sub, t, live_demand, gen_bus, result, slack)
+        if certified_voltage(problem, lines) is not None:
+            self.ledger.sweeps_certified += 1
+            return result
+        self.ledger.sweeps_run += 1
+        solution = solve_fbs(problem)
         if not solution.converged:
             self.ledger.warnings.append(
                 f"t={t * self.dt:g}h: load flow did not converge in sub-system {comp[0]}")
@@ -762,13 +769,14 @@ class SequentialSimulation:
             return retry
         return result
 
-    def _run_fbs(self, sub, t, live_demand, gen_bus, result, slack):
+    def _fbs_problem(self, sub, t, live_demand, gen_bus, result, slack):
         base = self.model.base_mva
-        layout = sub.layouts.get(slack)
-        if layout is None:
-            edges = [(l.id, l.from_bus, l.to_bus, complex(l.r_pu, l.x_pu))
-                     for l in sub.lines]
-            layout = sub.layouts[slack] = LoadFlowProblem.from_tree(slack, edges, {}, base)
+        if slack not in sub.layouts:
+            edges = [(l.id, l.from_bus, l.to_bus, complex(l.r_pu, l.x_pu)) for l in sub.lines]
+            layout = LoadFlowProblem.from_tree(slack, edges, {}, base)
+            sub.layouts[slack] = layout, compile_certificate(
+                layout, {l.id: l.capacity_mw for l in sub.lines})
+        layout, lines = sub.layouts[slack]
         loads = self.topology.loads
         injections = {}
         for b in sub.buses:
@@ -783,10 +791,10 @@ class SequentialSimulation:
             bus = gen_bus.get(gen_id)
             if bus is not None and bus != slack:
                 injections[bus] -= output  # unity power factor injection
-        return solve_fbs(LoadFlowProblem(
+        return LoadFlowProblem(
             layout.bus_ids, layout.parent, layout.line_ids, layout.z_pu,
             tuple(injections[b] / base for b in layout.bus_ids),
-            layout.base_mva, layout.slack_voltage))
+            layout.base_mva, layout.slack_voltage), lines
 
 
 def update_battery_demand(subsystem_demand_mw, production_cap_mw, battery, soc, dt_h):

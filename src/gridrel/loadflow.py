@@ -9,16 +9,24 @@ net consumption (demand minus local generation and battery discharge).
 The layout of a problem (BFS bus order, parents, line ids, impedances)
 depends only on the lines and the slack bus, so a caller that solves one
 sub-system many times builds it once with `from_tree` and, per sweep, calls
-the constructor with the layout's fields and the new injection vector
-(`dataclasses.replace` costs about three times as much). The sweep runs on
-Python complex lists: a sub-system has tens of buses, too few for array
-operations to pay for their per-call overhead.
+the constructor with the layout's fields and the new injections. The sweep
+runs on Python complex lists: a sub-system has tens of buses, too few for
+array operations to pay for their per-call overhead.
+
+`certified_voltage` shows from the injections that a sweep cannot act. With
+W_l the sum of |s_j| below line l and zeta the largest sum of |z_l| W_l /
+|V0|^2 on a path from the slack, zeta < 1/4 keeps |v| >= r |V0| with
+r = (1 + sqrt(1 - 4 zeta)) / 2 and the k-th update under L^(k-1) zeta |V0|,
+L = zeta / r^2 (Chiang and Baran, IEEE TCAS 1990; Bolognani and Zampieri,
+IEEE TPWRS 2016). Converged, line l sends |P| <= |P_l| + the sum over its
+subtree of r_m (W_m / r |V0|)^2 + W_l tol / (r |V0|), P_l the lossless flow,
+and the balance residual is at most base W_root tol / (r |V0|).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot
+from math import hypot, sqrt
 
 
 class NonRadialError(ValueError):
@@ -148,3 +156,28 @@ def solve_fbs(problem: LoadFlowProblem, tolerance: float = 1e-8,
         iterations=iterations,
         converged=converged,
     )
+
+
+def compile_certificate(problem: LoadFlowProblem, capacity_mw) -> tuple:
+    """(bus, parent, |z|, r, capacity in p.u.) below the slack, in BFS order."""
+    return tuple((i, problem.parent[i], abs(z), z.real, capacity_mw[line] / problem.base_mva)
+                 for i, (line, z) in enumerate(zip(problem.line_ids, problem.z_pu)) if i)
+
+
+def certified_voltage(problem: LoadFlowProblem, lines, tolerance=1e-8, max_iter=50):
+    """r when the bounds above show, with margin, that `solve_fbs` converges in
+    `max_iter` with |P| <= 1.01 x capacity and residual < 1e-4 MW, else None."""
+    s, v0 = problem.s_pu, abs(problem.slack_voltage)
+    w, p, q, path = [abs(x) for x in s], [x.real for x in s], [0.0] * len(s), [0.0] * len(s)
+    for i, j, _, res, _ in reversed(lines):  # q: the sum of r_m W_m^2 over a subtree
+        q[i] += res * w[i] * w[i]
+        w[j], p[j], q[j] = w[j] + w[i], p[j] + p[i], q[j] + q[i]
+    for i, j, mag, _, _ in lines:
+        path[i] = path[j] + mag * w[i]
+    zeta = max(path) / (v0 * v0)  # NaN fails every test below
+    r = (1.0 + sqrt(max(1.0 - 4.0 * zeta, 0.0))) / 2.0
+    rv = r * v0
+    return r if (zeta < 0.25 and zeta * v0 * (zeta / (r * r)) ** (max_iter - 1) <= tolerance / 2
+                 and problem.base_mva * w[0] * tolerance / rv <= 0.5e-4
+                 and all(abs(p[i]) + q[i] / (rv * rv) + w[i] * tolerance / rv <= 1.0099 * cap
+                         for i, _, _, _, cap in lines)) else None

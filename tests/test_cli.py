@@ -80,11 +80,18 @@ def test_analytical_prints_report(tmp_path, capsys):
     assert "SAIDI 8.8300" in out
 
 
-def test_analytical_rejects_active_network(capsys):
-    rc = main(["analytical", "--network",
-               os.path.join(os.path.dirname(__file__), "..", "src", "gridrel",
-                            "data", "ieee33.net")])
-    assert rc == 2
+def test_analytical_rejects_active_network(capsys, caplog):
+    # ieee33.net names load and wind profiles that no CSV gives here; the
+    # network is refused before any warning about them, by both commands
+    # that evaluate the closed form
+    network = os.path.join(os.path.dirname(__file__), "..", "src", "gridrel", "data",
+                           "ieee33.net")
+    for command in ("analytical", "validate"):
+        assert main([command, "--network", network]) == 2
+        assert capsys.readouterr().err == (
+            "error: analytical evaluation needs a passive network "
+            "(no production units, batteries or ICT)\n")
+    assert caplog.messages == []
 
 
 def test_validate_prints_comparison_table(capsys):

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridrel import shedding
+from gridrel import engine, shedding
 from gridrel.engine import (
     HistoryLedger, ScriptedFault, SequentialSimulation, SimulationConfig,
     TopologyCache, ends_silently, phase_increments, run_iteration,
     run_monte_carlo, update_battery_demand, warning_counts,
 )
 from gridrel.indices import aggregate, iteration_report
+from gridrel.loadflow import solve_fbs
 from gridrel.netfile import parse_network_text
 from gridrel.network import Battery, build_network
 from gridrel.scenarios import apply_scenario
@@ -444,6 +445,79 @@ def test_infeasible_island_is_reported_as_a_warning():
         "shedding infeasible": 2 * len(ledger.warnings),
         "load flow non-converged": 0, "power balance": 0, "other": 0}
     assert ledger.outage_hours["B4"] == 5.0
+
+
+# B2's load is fed over L2 by the 5 MW unit at B3 once an L1 fault at 5 h
+# islands B2 and B3; every island problem fails the load-flow certificate
+FALLBACK_ISLAND = """
+[network]
+id = FB
+[systems]
+dist DS1 root=B1
+[buses]
+B1 customers=0
+B2 customers=10 load_mw={load_mw} category=general
+B3 customers=0
+[lines]
+L1 from=B1 to=B2 r_pu=0.005 x_pu=0.005 capacity_mw=10 rate=0 repair=4h
+L2 from=B2 to=B3 r_pu={z} x_pu={z} capacity_mw={capacity_mw} rate=0 repair=4h
+[switchgear]
+CB kind=breaker line=L1 end=from state=closed
+[production]
+G bus=B3 min_mw=0 max_mw=5
+"""
+_FALLBACK_EVENTS = [(5.0, "L1", "line_fault"), (6.0, "L1", "isolated"),
+                    (10.0, "L1", "line_repaired")]
+
+
+def _run_fallback_island(monkeypatch, **fields):
+    sweeps = []
+
+    def recording_solve_fbs(problem, *args, **kwargs):
+        solution = solve_fbs(problem, *args, **kwargs)
+        sweeps.append(solution)
+        return solution
+
+    monkeypatch.setattr(engine, "solve_fbs", recording_solve_fbs)
+    _, ledger = _run_scripted(FALLBACK_ISLAND.format(**fields), [(5.0, "L1")], horizon=12.0)
+    # the island is served from 5 h to 10 h, one problem per hour, each swept
+    assert (ledger.sweeps_certified, ledger.sweeps_run) == (0, 5) and len(sweeps) == 5
+    return ledger, sweeps
+
+
+def test_an_overload_the_certificate_cannot_rule_out_is_swept_and_repaired(monkeypatch):
+    # 1 MW through a 1 MW line of r = x = 0.2 p.u.: the lossless flow fits,
+    # the sweep's 1.021 MW does not, and the repair pass sheds at B2
+    ledger, sweeps = _run_fallback_island(monkeypatch, load_mw=1.0, z=0.2, capacity_mw=1.0)
+    assert all(s.converged and s.line_flow_mw["L2"] == pytest.approx(1.0208514486, abs=1e-9)
+               for s in sweeps)
+    assert ledger.ens_mwh == {"B2": 0.14964061346367907}
+    assert ledger.outage_hours == {"B2": 0.0} and ledger.interruptions == {"B2": 0.0}
+    assert ledger.events == _FALLBACK_EVENTS and ledger.warnings == []
+
+
+def test_a_sweep_the_certificate_cannot_rule_out_still_warns(monkeypatch):
+    # 5 MW through r = x = 0.6 p.u.: zeta = 0.42 and the sweep diverges; the
+    # LP's result stands, with a warning at each hour
+    ledger, sweeps = _run_fallback_island(monkeypatch, load_mw=5.0, z=0.6, capacity_mw=10.0)
+    assert not any(s.converged for s in sweeps)
+    assert ledger.warnings == [f"t={h}h: load flow did not converge in sub-system B2"
+                               for h in range(5, 10)]
+    assert ledger.ens_mwh == {"B2": 0.0} and ledger.events == _FALLBACK_EVENTS
+
+
+def test_certified_and_run_sweeps_add_up_to_every_confirmation(ieee33_spec, bundled_profiles,
+                                                               cost_table):
+    # 40 case2 iterations at 1 h, seed 2024, swept 138 times when every
+    # confirmation ran the sweep; the certificate passes each of them
+    loads, wind = bundled_profiles
+    model = build_network(apply_scenario(ieee33_spec, "case2"))
+    config = _config(horizon_h=8760.0, iterations=40, master_seed=2024)
+    ledgers = run_monte_carlo(model, ProfileSet(1.0, 8760.0, loads, wind), config, cost_table)
+    certified = sum(ledger.sweeps_certified for ledger in ledgers)
+    run = sum(ledger.sweeps_run for ledger in ledgers)
+    assert certified + run == 138
+    assert run == 0
 
 
 def test_island_charging_stores_wind_surplus():
