@@ -315,7 +315,7 @@ def test_the_certificate_refuses_a_sweep_too_slow_to_converge(zeta, certified):
         assert not solve_fbs(problem, _TOL, _MAX_ITER).converged
 
 
-def test_the_certificate_refuses_non_finite_injections():
+def test_the_certificate_on_non_finite_and_zero_injections():
     lines = compile_certificate(_NAN_BRANCH, {"L1": 10.0, "L2": 10.0})
     assert certified_voltage(_NAN_BRANCH, lines) is None
     flat = LoadFlowProblem.from_tree("S", [("L1", "S", "A", 0.01 + 0.01j)], {})
