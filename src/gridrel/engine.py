@@ -13,14 +13,15 @@ success, distribution-identical to drawing every increment. An increment
 with no line fault or transformer repair active once its failures and
 phase ends are applied is fault-free: it applies its ICT events and repair
 ends, resets the outage flags and runs to the next change; it looks up no
-state and walks no load point, as everything is served. Otherwise a
-`steady` sub-system takes its certificate's verdict (dark, or served in
-full) and every other one is evaluated. A state whose sub-systems are all
-steady is accrued up to the next change in one step. A sub-system with no
-source at t whose batteries can neither discharge nor charge from a load
-below zero stays dark until one of its production units has power, so it
-lets the state run up to the earlier of that increment and the next
-change (see `_dark_until`); every other verdict holds for t alone. Either
+state and walks no load point, as everything is served. Otherwise
+`_shed_verdict` judges every sub-system: a `steady` one takes its
+certificate's verdict (dark, or served in full), which stands to the next
+change, so a state whose sub-systems are all steady is accrued up to it in
+one step, and every other one is evaluated. A sub-system with no source at
+t whose batteries can neither discharge nor charge from a load below zero
+stays dark until one of its production units has power, so it lets the
+state run up to the earlier of that increment and the next change (see
+`_dark_until`); every other verdict holds for t alone. Either
 way each load point's sums are taken in increment order, so a jumped run
 adds what stepping adds. Sectioning and repair phases last whole increments
 (floor(duration / dt)); sub-increment residue is dropped, so with an hourly
@@ -28,15 +29,15 @@ increment the seconds-to-minutes ICT recoveries are invisible, and outage
 durations are exact when the configured times are increment multiples.
 
 Component health is stored as the increment at which the current phase
-ends, worked out when the phase starts. A line fault keeps that end in
-`faults`, keyed by line id, and its line is in `isolated` once sectioning has
-ended and the repair runs; a transformer or ICT repair keeps its end in
-`repairs`, keyed (kind, id); a latent ICT failure is a member of `latent`
-until a sectioning plan calls on the unit. A component with no entry is
-working. `ends` lists each end's key under its increment (`silent_ends`
-an unreported repair's), so an increment touches only the phases ending
-at it, completed at its start: lines by id, then transformers by id, then
-ICT units by id, and each completion draws that component's next failure.
+ends, worked out when the phase starts: `ends` lists each end's key under
+its increment (`silent_ends` an unreported repair's). A faulted line is in
+`faults`, and in `isolated` once sectioning has ended and the repair runs;
+a transformer or ICT repair's key, (kind, id), is in `repairs`; a latent ICT
+failure is a member of `latent` until a sectioning plan calls on the unit.
+A component in none of them is working. An increment touches only the
+phases ending at it, completed at its start: lines by id, then transformers
+by id, then ICT units by id, and each completion draws that component's
+next failure.
 
 Switch positions are not stored: they follow from the fault table. A
 disconnector is open while it is normally open or bounds a line fault in its
@@ -58,10 +59,11 @@ so an increment only indexes arrays and tables.
 Only normally closed lines conduct (a normally open breaker is refused at
 build time), so every switching state is a forest. A sub-system compiles
 its shedding skeleton (see `shedding`) on its first problem and, in
-`Subsystem.layouts`, its load-flow layout for each slack bus it meets (an
-island's slack, the bus of its largest source, moves with the wind), so a
-problem fills in only demands, generators and injections. A sweep runs only
-where the certificate (see `loadflow`) cannot show it would not act.
+`Subsystem.layouts`, its load-flow layout, bus positions and certificate for
+each slack bus it meets (an island's slack, the bus of its largest source,
+moves with the wind), so a problem fills in only demands, generators and
+injections by position. A load-flow problem is built, and swept, only where
+the certificate (see `loadflow`) cannot show that the sweep would not act.
 """
 
 from __future__ import annotations
@@ -177,8 +179,8 @@ class Subsystem:
 
     `units` and `batteries` are the sources at its buses; only an island's
     batteries dispatch, a grid-fed one idles. `layouts` maps each slack bus
-    the load flow has used to (layout, `compile_certificate`), and `shedding`
-    holds the compiled shedding skeleton once an LP has needed it.
+    the load flow has used to (layout, {bus: its position}, certificate), and
+    `shedding` holds the compiled shedding skeleton once an LP has needed it.
     """
 
     buses: tuple          # sorted
@@ -398,9 +400,9 @@ class SequentialSimulation:
         self.n_increments = n = topology.n_increments
         self.t_index = 0
 
-        self.faults = {}   # line id -> increment at which its current phase ends
+        self.faults = set()    # faulted line ids
         self.isolated = set()  # faulted lines whose sectioning has ended
-        self.repairs = {}  # ("transformer" | "ict", id) -> end increment
+        self.repairs = set()   # ("transformer" | "ict", id) under repair
         self.latent = set()  # ICT ids failed silently and not yet called upon
         self.ends, self.silent_ends = {}, {}  # increment -> keys ending then
         self.soc = {b_id: draw_battery_soc(bat, rng)
@@ -481,8 +483,7 @@ class SequentialSimulation:
 
         # unreported repairs end here, after their last down increment, and a
         # transformer's bus keeps its `was_out` (see `ends_silently`)
-        for key in self.silent_ends.pop(stop, ()):
-            del self.repairs[key]
+        self.repairs.difference_update(self.silent_ends.pop(stop, ()))
         self.t_index = stop
 
     # -- failures and switching ---------------------------------------------
@@ -502,8 +503,8 @@ class SequentialSimulation:
                                    self.config.automated_sectioning_h,
                                    self.config.manual_sectioning_h)
             self._discover_latent(plan, time_h)
-            self.faults[ident] = end = t + phase_increments(plan.duration_h, self.dt)
-            self.ends.setdefault(end, []).append(key)
+            self.faults.add(ident)
+            self.ends.setdefault(t + phase_increments(plan.duration_h, self.dt), []).append(key)
         elif key in self.repairs or ident in self.latent:
             return
         elif ident in self.topology.latent_ict:
@@ -521,9 +522,9 @@ class SequentialSimulation:
             duration_h, outcome = ict_repair_duration(repair, self.rng)
         else:
             duration_h, outcome = repair, MANUAL
-        end = self.repairs[key] = self.t_index + phase_increments(duration_h, self.dt)
+        self.repairs.add(key)
         ends = self.silent_ends if ends_silently(duration_h, self.dt) else self.ends
-        ends.setdefault(end, []).append(key)
+        ends.setdefault(self.t_index + phase_increments(duration_h, self.dt), []).append(key)
         return outcome
 
     def _ict_working(self, ident) -> bool:
@@ -558,17 +559,16 @@ class SequentialSimulation:
             if kind == "line" and ident not in self.isolated:
                 self.isolated.add(ident)
                 self.ledger.events.append((time_h, ident, "isolated"))
-                self.faults[ident] = end = t + phase_increments(
-                    self.topology.repair_table[key][0], self.dt)
+                end = t + phase_increments(self.topology.repair_table[key][0], self.dt)
                 if end > t:
                     self.ends.setdefault(end, []).append(key)
                     continue
                 # the repair completes within this increment too
             if kind == "line":
-                del self.faults[ident]
+                self.faults.remove(ident)
                 self.isolated.remove(ident)
             else:
-                del self.repairs[key]
+                self.repairs.remove(key)
             self.ledger.events.append((time_h, ident, f"{kind}_repaired"))
             self._schedule_next(key, t + 1)
 
@@ -579,13 +579,11 @@ class SequentialSimulation:
 
     def _accrue(self, t, subsystems) -> int:
         """Accrue every load point over the increments from t to the next
-        change, or, when a sub-system is not steady, to the earliest end of
-        its verdict (see `_shed_verdict`); return the increment after the
-        last one accrued. A fault-free increment, whose `subsystems` are (),
-        only resets the outage flags: everything is served, so no sum moves."""
-        stop = min([self.n_increments, *self.schedule,
-                    *self.faults.values(),
-                    *self.repairs.values()])
+        change, or to the earliest end of a sub-system's verdict (see
+        `_shed_verdict`); return the increment after the last one accrued. A
+        fault-free increment, whose `subsystems` are (), only resets the
+        outage flags: everything is served, so no sum moves."""
+        stop = min([self.n_increments, *self.schedule, *self.ends, *self.silent_ends])
         if not subsystems:
             self.was_out = dict.fromkeys(self.was_out, False)
             self.was_islanded = dict.fromkeys(self.was_islanded, False)
@@ -594,16 +592,10 @@ class SequentialSimulation:
         # MW shed per load point, None while it is out; others are served. A
         # bus whose transformer is down has no live demand and gets nothing
         shed = {b: None for kind, b in self.repairs if kind == "transformer"}
-        demand = {}  # MW demand at t of each bus of a stepped sub-system
         islanded_now = dict.fromkeys(self.was_islanded, False)
         for sub in subsystems:
-            if sub.steady:  # dark without a grid root, served in full with one
-                verdict = None if sub.grid_bus is None else {}
-            else:
-                live_demand = self.topology.live_demand(sub.buses, t, shed)
-                demand.update(live_demand)
-                verdict, until = self._shed_verdict(sub, t, live_demand, islanded_now)
-                stop = min(stop, until)
+            verdict, until = self._shed_verdict(sub, t, shed, islanded_now)
+            stop = min(stop, until)
             if verdict is None:
                 shed.update(dict.fromkeys(sub.buses))
             else:  # a down transformer's None stands
@@ -622,8 +614,8 @@ class SequentialSimulation:
                     if d > _EPS:
                         ens += d * dt
                 ledger.outage_hours[b], ledger.ens_mwh[b] = hours, ens
-            elif mw:  # shed in part, at t alone
-                d = demand[b]
+            elif mw:  # shed in part, at t alone: its live demand, as judged
+                d = loads[b][0] * float(loads[b][2][t]) if b in loads else 0.0
                 served = d - mw
                 if d - served > _EPS:
                     ledger.ens_mwh[b] += (d - served) * dt
@@ -636,20 +628,27 @@ class SequentialSimulation:
             was_out[b] = out
         return stop
 
-    def _shed_verdict(self, sub, t, live_demand, islanded_now):
-        """Run dispatch + load flow + shedding for one sub-system and return
-        the MW shed per bus, with the increment up to which that verdict
-        stands: None when the sub-system is dark (no source, or the shedding
-        problem is infeasible), {} when everything is served (no demand, or
-        the grid alone serves it within every limit). Only a verdict of no
-        source can stand past t (see `_dark_until`)."""
-        comp = sub.buses
+    def _shed_verdict(self, sub, t, down, islanded_now):
+        """Judge one sub-system at t, the buses in `down` having no live
+        demand: return the MW shed per bus, None when it is dark or {} when
+        everything is served, with the increment up to which that verdict
+        stands. The paths, in return order:
+        - steady (see `TopologyCache._subsystem`): dark without a grid bus,
+          served with one, standing to the horizon;
+        - no source at t: dark up to `_dark_until`;
+        - no live demand: served;
+        - the grid alone serves it within every limit: served;
+        - the shedding problem is infeasible: dark, with a warning;
+        - otherwise the shedding problem's shed, after `_confirm_with_loadflow`,
+          and its islanded batteries' SOC moves by their dispatch.
+        Every verdict but the first two holds for t alone."""
+        if sub.steady:
+            return (None if sub.grid_bus is None else {}), self.n_increments
+        live_demand = self.topology.live_demand(sub.buses, t, down)
         grid_bus, grid_limit = sub.grid_bus, sub.grid_limit
         # a singleton root feeds nothing; islands must be driven by local sources
-        generators = []
-        if grid_bus is not None:
-            generators.append((f"grid:{grid_bus}", grid_bus, 0.0, grid_limit, 0.0))
-
+        generators = ([] if grid_bus is None else
+                      [(f"grid:{grid_bus}", grid_bus, 0.0, grid_limit, 0.0)])
         production_cap = 0.0
         caps = self.topology.caps
         for unit_id, b, min_mw in sub.units:
@@ -680,13 +679,12 @@ class SequentialSimulation:
                 and sub.grid_flows_within_caps(live_demand)):
             return {}, t + 1
 
-        problem = shed.build_shedding_problem(
-            comp, live_demand, generators=generators,
-            skeleton=sub.shedding_skeleton(self.topology.shed_cost))
-        result = shed.solve_shedding(problem)
+        result = shed.solve_shedding(shed.build_shedding_problem(
+            sub.buses, live_demand, generators=generators,
+            skeleton=sub.shedding_skeleton(self.topology.shed_cost)))
         if result.status != shed.OPTIMAL:
             self.ledger.warnings.append(
-                f"t={t * self.dt:g}h: shedding infeasible in sub-system {comp[0]}")
+                f"t={t * self.dt:g}h: shedding infeasible in sub-system {sub.buses[0]}")
             return None, t + 1
 
         result = self._confirm_with_loadflow(sub, live_demand, generators, result, t)
@@ -715,8 +713,11 @@ class SequentialSimulation:
 
     def _confirm_with_loadflow(self, sub, live_demand, generators, result, t):
         """Re-run the sweep with the shed applied; one repair pass on overload.
-        Where `certified_voltage` shows that the sweep converges with each line
-        within 1.01 x capacity and the balance met, it cannot act: skip it."""
+        The net injections (each bus's load less its shed at constant power
+        factor, less each non-slack source at unity power factor) are filled
+        in by layout position. Where `certified_voltage` shows from them that
+        the sweep converges with each line within 1.01 x capacity and the
+        balance met, it cannot act: skip it, and build no problem."""
         comp, lines_here = sub.buses, sub.lines
         if len(comp) < 2 or not lines_here:
             return result
@@ -727,74 +728,58 @@ class SequentialSimulation:
             if not sources:
                 return result
             slack = min(sources)[1]
+        if slack not in sub.layouts:
+            edges = [(l.id, l.from_bus, l.to_bus, complex(l.r_pu, l.x_pu)) for l in lines_here]
+            layout = LoadFlowProblem.from_tree(slack, edges, {}, self.model.base_mva)
+            sub.layouts[slack] = (layout, {b: i for i, b in enumerate(layout.bus_ids)},
+                                  compile_certificate(layout, {l.id: l.capacity_mw
+                                                               for l in lines_here}))
+        layout, position, certificate = sub.layouts[slack]
 
-        gen_bus = {g[0]: g[1] for g in generators}
-        problem, lines = self._fbs_problem(sub, t, live_demand, gen_bus, result, slack)
-        if certified_voltage(problem, lines) is not None:
+        loads, shed_mw, generation = self.topology.loads, result.shed_mw, result.generation_mw
+        s = []
+        for b in layout.bus_ids:
+            full = live_demand.get(b, 0.0)
+            d = full - shed_mw.get(b, 0.0)
+            q = 0.0
+            if full > _EPS:  # then b has a load; shed at constant power factor
+                _, peak_mvar, curve = loads[b]
+                q = peak_mvar * float(curve[t]) * (d / full)
+            s.append(complex(d, q))
+        for gen_id, bus, *_ in generators:
+            if bus != slack:
+                s[position[bus]] -= generation[gen_id]
+        s_pu = tuple(x / layout.base_mva for x in s)
+        if certified_voltage(s_pu, certificate) is not None:
             self.ledger.sweeps_certified += 1
             return result
         self.ledger.sweeps_run += 1
-        solution = solve_fbs(problem)
+        solution = solve_fbs(replace(layout, s_pu=s_pu))
         if not solution.converged:
             self.ledger.warnings.append(
                 f"t={t * self.dt:g}h: load flow did not converge in sub-system {comp[0]}")
             return result
 
-        served_total = sum(live_demand.get(b, 0.0) - result.shed_mw.get(b, 0.0)
-                           for b in comp)
-        gen_total = solution.slack_mw + sum(
-            gen for gid, gen in result.generation_mw.items()
-            if gen_bus.get(gid) != slack)
-        if abs(gen_total - solution.losses_mw - served_total) > 1e-4:
-            self.ledger.warnings.append(
-                f"t={t * self.dt:g}h: power balance residual "
-                f"{gen_total - solution.losses_mw - served_total:.2e} MW "
-                f"in sub-system {comp[0]}")
+        served_total = sum(live_demand.get(b, 0.0) - shed_mw.get(b, 0.0) for b in comp)
+        gen_total = solution.slack_mw + sum(generation[gen_id] for gen_id, bus, *_ in generators
+                                            if bus != slack)
+        residual = gen_total - solution.losses_mw - served_total
+        if abs(residual) > 1e-4:
+            self.ledger.warnings.append(f"t={t * self.dt:g}h: power balance residual "
+                                        f"{residual:.2e} MW in sub-system {comp[0]}")
 
-        worst = 0.0
-        for line in lines_here:
-            flow = abs(solution.line_flow_mw.get(line.id, 0.0))
-            if flow > line.capacity_mw:
-                worst = max(worst, flow / line.capacity_mw - 1.0)
+        # the largest overload, 0.0 when every line is within its capacity
+        worst = max(0.0, *(abs(solution.line_flow_mw.get(l.id, 0.0)) / l.capacity_mw - 1.0
+                           for l in lines_here))
         if worst <= 0.01:
             return result
 
         # one repair pass with a tightened capacity margin covering the overshoot
         margin = 1.0 / (1.0 + worst + 0.01)
-        problem = shed.build_shedding_problem(
+        retry = shed.solve_shedding(shed.build_shedding_problem(
             comp, live_demand, self.topology.shed_cost, generators,
-            [(l.id, l.from_bus, l.to_bus, l.capacity_mw * margin) for l in lines_here])
-        retry = shed.solve_shedding(problem)
-        if retry.status == shed.OPTIMAL:
-            return retry
-        return result
-
-    def _fbs_problem(self, sub, t, live_demand, gen_bus, result, slack):
-        base = self.model.base_mva
-        if slack not in sub.layouts:
-            edges = [(l.id, l.from_bus, l.to_bus, complex(l.r_pu, l.x_pu)) for l in sub.lines]
-            layout = LoadFlowProblem.from_tree(slack, edges, {}, base)
-            sub.layouts[slack] = layout, compile_certificate(
-                layout, {l.id: l.capacity_mw for l in sub.lines})
-        layout, lines = sub.layouts[slack]
-        loads = self.topology.loads
-        injections = {}
-        for b in sub.buses:
-            full = live_demand.get(b, 0.0)
-            d = full - result.shed_mw.get(b, 0.0)
-            q = 0.0
-            if full > _EPS:  # then b has a load; shed at constant power factor
-                _, peak_mvar, curve = loads[b]
-                q = peak_mvar * float(curve[t]) * (d / full)
-            injections[b] = complex(d, q)
-        for gen_id, output in result.generation_mw.items():
-            bus = gen_bus.get(gen_id)
-            if bus is not None and bus != slack:
-                injections[bus] -= output  # unity power factor injection
-        return LoadFlowProblem(
-            layout.bus_ids, layout.parent, layout.line_ids, layout.z_pu,
-            tuple(injections[b] / base for b in layout.bus_ids),
-            layout.base_mva, layout.slack_voltage), lines
+            [(l.id, l.from_bus, l.to_bus, l.capacity_mw * margin) for l in lines_here]))
+        return retry if retry.status == shed.OPTIMAL else result
 
 
 def update_battery_demand(subsystem_demand_mw, production_cap_mw, battery, soc, dt_h):

@@ -135,11 +135,12 @@ def parse_network_text(text, path="<string>") -> NetworkSpec:
                 cur.err(f"unknown network field {key!r}")
             elif key == "id":
                 network["id"] = value
-            else:
-                try:
-                    network[key] = finite_float(value)
-                except ValueError:
-                    cur.err(f"field {key!r}: not a finite number: {value!r}")
+            else:  # a base divides every per-unit quantity
+                base = _get_float({key: value}, key, cur, network[key])
+                if base > 0:
+                    network[key] = base
+                else:
+                    cur.err(f"field {key!r}: must be > 0")
             continue
         try:
             tokens = _tokens(stripped)
@@ -192,18 +193,22 @@ def _assemble(network, raw, cur) -> NetworkSpec:
                 peak_mvar=_get_float(fields, "load_mvar", cur, 0.0),
                 profile=fields.get("profile", "flat"),
                 category=fields.get("category", "general"))
-        transformer = None
-        if fields.get("transformer", "no").lower() in ("yes", "true", "1"):
-            transformer = defaults.get("transformer", no_fail)
+        flag = fields.get("transformer", "no").lower()
+        if flag not in ("yes", "true", "1", "no", "false", "0"):
+            cur.err(f"field 'transformer': must be yes, no, true, false, 1 or 0, "
+                    f"got {fields['transformer']!r}")
+        transformer = (defaults.get("transformer", no_fail)
+                       if flag in ("yes", "true", "1") else None)
         if "transformer_rate" in fields or "transformer_repair" in fields:
             base = transformer or defaults.get("transformer", no_fail)
             transformer = ReliabilityParams(
                 _get_rate(fields, "transformer_rate", cur, base.failure_rate),
                 _get_duration(fields, "transformer_repair", cur, base.repair_time_h))
-        buses.append(Bus(
-            id=bus_id, load=load,
-            customers=int(_get_float(fields, "customers", cur, 0.0) or 0),
-            transformer=transformer))
+        customers = _get_float(fields, "customers", cur, 0.0)
+        if not customers.is_integer():
+            cur.err(f"field 'customers': not a whole number: {fields['customers']!r}")
+        buses.append(Bus(id=bus_id, load=load, customers=int(customers),
+                         transformer=transformer))
 
     lines = []
     for lineno, tokens in raw["lines"]:

@@ -416,6 +416,9 @@ def _check_duplicates(items: Iterable[str], what: str):
 
 
 def _validate_spec(spec: NetworkSpec):
+    for name in ("base_mva", "base_kv"):
+        if not getattr(spec, name) > 0:  # NaN too
+            yield f"{name} must be > 0"
     bus_ids = [b.id for b in spec.buses]
     line_ids = [l.id for l in spec.lines]
     yield from _check_duplicates(bus_ids, "bus")

@@ -25,6 +25,32 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert main(["simulate", "--network", str(bad), "--iterations", "1"]) == 2
 
 
+@pytest.mark.parametrize("network, old, new, message", [
+    ("ieee33.net", "base_mva = 10", "base_mva = 0", "field 'base_mva': must be > 0"),
+    # ieee33.net gives its impedances in ohms, which the voltage base scales
+    ("ieee33.net", "base_kv = 12.66", "base_kv = 0", "field 'base_kv': must be > 0"),
+    ("validation6.net", "base_mva = 10", "base_mva = -10", "field 'base_mva': must be > 0"),
+    ("validation6.net", "VB2 customers=25 ", "VB2 customers=25.7 ",
+     "field 'customers': not a whole number: '25.7'"),
+    ("ieee33.net", "transformer=yes", "transformer=on",
+     "field 'transformer': must be yes, no, true, false, 1 or 0, got 'on'"),
+])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--iterations", "1"], ["analytical"], ["validate", "--iterations", "1"]])
+def test_a_bad_bundled_field_is_an_error_at_its_line(command, network, old, new, message,
+                                                     tmp_path, capsys):
+    text = _read(os.path.join(os.path.dirname(__file__), "..", "src", "gridrel", "data",
+                              network)).decode()
+    lineno = text[:text.index(old)].count("\n") + 1
+    net = tmp_path / network
+    net.write_text(text.replace(old, new, 1))
+    out = tmp_path / "out"
+    argv = [*command, "--network", str(net)]
+    assert main(argv if command[0] == "validate" else [*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {net}:{lineno}: {message}\n"
+    assert not out.exists()
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["simulate", "--network", "/does/not/exist.net"]) == 2
 

@@ -156,7 +156,7 @@ def test_restoration_returns_switches_to_normal_and_is_idempotent():
                                np.random.default_rng(0),
                                script=[ScriptedFault(5.0, "L2")])
     sim.run()
-    assert sim.faults == {}
+    assert sim.faults == set()
     # the empty fault table compiles to the normal state: one grid-fed feeder
     (normal,) = sim.topology.state(sim.faults, ())
     assert normal.buses == ("B1", "B2", "B3", "B4")
@@ -164,7 +164,7 @@ def test_restoration_returns_switches_to_normal_and_is_idempotent():
     assert [line.id for line in normal.lines] == ["L1", "L2", "L3"]
     events = list(sim.ledger.events)
     sim.run_increment()  # one more step after the last repair changes nothing
-    assert sim.faults == {}
+    assert sim.faults == set()
     assert sim.ledger.events == events
 
 
@@ -367,8 +367,10 @@ def test_repairs_of_fixed_hours_draw_nothing():
     sim._fail_component(("transformer", "B4"), 0)
     sim._discover_latent(SectioningPlan(1.0, False, (), ("IS3",)), 0.0)
     assert rng.bit_generator.state == state
-    assert sim.repairs == {("ict", "CTRL/hw"): 2, ("transformer", "B4"): 2,
-                           ("ict", "IS3"): 2}
+    assert sim.repairs == {("ict", "CTRL/hw"), ("transformer", "B4"), ("ict", "IS3")}
+    # each ends at 2 h; IS3's 2 h, a whole number of increments, unreported
+    assert sim.ends == {2: [("ict", "CTRL/hw"), ("transformer", "B4")]}
+    assert sim.silent_ends == {2: [("ict", "IS3")]}
     # a staged recovery is drawn when it starts
     sim._fail_component(("ict", "CTRL/sw"), 0)
     assert rng.bit_generator.state != state
@@ -383,7 +385,7 @@ def test_ict_lookup_answers_as_a_table_of_every_unit(ieee33_spec):
     for latent, repairs in [((), ()), (("S03", "IS07"), ("IS01", "S30", ctrl + "/sw")),
                             ((), (ctrl + "/hw",))]:
         sim.latent = set(latent)
-        sim.repairs = {("ict", ident): 5 for ident in repairs}
+        sim.repairs = {("ict", ident) for ident in repairs}
         table = {ident: ident not in latent and ident not in repairs for ident in units}
         table[ctrl] = not any(part in repairs for part in (ctrl + "/hw", ctrl + "/sw"))
         for ident in [*units, ctrl, ctrl + "/hw", "B05", "nope"]:

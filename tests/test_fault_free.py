@@ -40,8 +40,7 @@ class _Walking(_Counting):
                                                                         self.isolated))
         assert subsystems == ()
         self.fault_free += 1
-        stop = min([self.config.n_increments, *self.schedule, *self.faults.values(),
-                    *self.repairs.values()])
+        stop = min([self.config.n_increments, *self.schedule, *self.ends, *self.silent_ends])
         self.was_islanded = {b: False for b in self.was_islanded}
         # with nothing shed a load point is served in full: no sum moves, no
         # interruption starts, and it is no longer out

@@ -15,6 +15,7 @@ every line within 1.01 x capacity and a balance residual under 1e-4 MW.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from gridrel import engine
 from gridrel.engine import (
-    ScriptedFault, SequentialSimulation, SimulationConfig, TopologyCache,
+    ScriptedFault, SequentialSimulation, SimulationConfig, TopologyCache, run_iteration,
 )
 from gridrel.loadflow import (
     LoadFlowProblem, certified_voltage, compile_certificate, solve_fbs,
@@ -40,27 +41,38 @@ _MAX_ITER = 50
 
 
 class _Replay(SequentialSimulation):
-    """The engine, noting every load-flow problem it builds, with the
-    per-call problem and the compiled certificate part of its layout."""
+    """The engine, noting every load-flow problem it builds or certifies, with
+    the per-call problem and the compiled certificate of its layout."""
 
     built = None  # list shared by the iterations of one replay
+    confirming = None  # (sim, sub, live demand, generators, result, t) of the last call
 
-    def _fbs_problem(self, sub, t, live_demand, gen_bus, result, slack):
-        demand_q = {b: peak_mvar * float(curve[t])
-                    for b, (_, peak_mvar, curve) in self.topology.loads.items()}
-        problem, lines = super()._fbs_problem(sub, t, live_demand, gen_bus, result, slack)
-        self.built.append((per_call_fbs_problem(
-            sub.buses, live_demand, demand_q, sub.lines, gen_bus, result, slack,
-            self.model.base_mva), problem, lines,
-            {line.id: line.capacity_mw for line in sub.lines}))
-        return problem, lines
+    def _confirm_with_loadflow(self, *args):
+        _Replay.confirming = (self, *args)
+        return super()._confirm_with_loadflow(*args)
+
+
+def _recording_certified_voltage(s_pu, certificate, *args, **kwargs):
+    """`certified_voltage`, noting the problem the engine would sweep: its
+    layout's, with these injections, beside the per-call problem."""
+    sim, sub, live_demand, generators, result, t = _Replay.confirming
+    (layout,) = [layout for layout, _, compiled in sub.layouts.values()
+                 if compiled is certificate]
+    demand_q = {b: peak_mvar * float(curve[t])
+                for b, (_, peak_mvar, curve) in sim.topology.loads.items()}
+    per_call = per_call_fbs_problem(
+        sub.buses, live_demand, demand_q, sub.lines, {g[0]: g[1] for g in generators},
+        result, layout.bus_ids[0], sim.model.base_mva)
+    sim.built.append((per_call, replace(layout, s_pu=s_pu), certificate,
+                      {line.id: line.capacity_mw for line in sub.lines}))
+    return certified_voltage(s_pu, certificate, *args, **kwargs)
 
 
 def _replay(monkeypatch, model, profiles, config, cost_table, script=None):
     """Run every iteration, seeded as `run_iteration` seeds them, and return
-    the (per-call problem, problem, certificate part, capacities) of every
-    problem built, the (problem, solution) pairs `solve_fbs` saw, the ledgers
-    and the run's topology cache."""
+    the (per-call problem, problem, certificate, capacities) of every
+    problem built or certified, the (problem, solution) pairs `solve_fbs`
+    saw, the ledgers and the run's topology cache."""
     seen = []
 
     def recording_solve_fbs(problem, *args, **kwargs):
@@ -69,6 +81,7 @@ def _replay(monkeypatch, model, profiles, config, cost_table, script=None):
         return solution
 
     monkeypatch.setattr(engine, "solve_fbs", recording_solve_fbs)
+    monkeypatch.setattr(engine, "certified_voltage", _recording_certified_voltage)
     topology = TopologyCache(model, profiles, config, cost_table)
     built, ledgers = [], []
     for i in range(config.iterations):
@@ -134,10 +147,10 @@ def _assert_replay_matches(built, seen):
     every certified one meets the certificate's bounds when swept anyway.
     Returns the number of certified problems."""
     swept = []
-    for per_call, problem, lines, capacity_mw in built:
+    for per_call, problem, certificate, capacity_mw in built:
         assert problem == per_call
-        assert lines == compile_certificate(per_call, capacity_mw)
-        r = certified_voltage(problem, lines)
+        assert certificate == compile_certificate(per_call, capacity_mw)
+        r = certified_voltage(problem.s_pu, certificate)
         if r is None:
             swept.append(problem)
         else:
@@ -191,6 +204,37 @@ def test_island_slack_moving_with_the_wind_uses_two_layouts(monkeypatch, ieee33_
     slacks = [problem.bus_ids[0] for _, problem, _, _ in built
               if sorted(problem.bus_ids) == list(island.buses)]
     assert slacks == ["B30", "B15", "B15", "B15"]
+
+
+def test_a_certified_confirmation_builds_no_load_flow_problem(monkeypatch, ieee33_spec,
+                                                             bundled_profiles, cost_table):
+    # 40 case2 iterations at 1 h, seed 2024: each of the 138 confirmations is
+    # certified, so past its layouts the engine builds no problem and sweeps
+    # nothing, and each ledger certifies what it did when every confirmation
+    # built its problem
+    constructed = []
+    init = LoadFlowProblem.__init__
+
+    def counted_init(self, *args, **kwargs):
+        constructed.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    def no_sweep(problem, *args, **kwargs):
+        raise AssertionError("swept a certified problem")
+
+    monkeypatch.setattr(LoadFlowProblem, "__init__", counted_init)
+    monkeypatch.setattr(engine, "solve_fbs", no_sweep)
+    loads, wind = bundled_profiles
+    model = build_network(apply_scenario(ieee33_spec, "case2"))
+    config = SimulationConfig(iterations=40, master_seed=2024)
+    topology = TopologyCache(model, ProfileSet(1.0, 8760.0, loads, wind), config, cost_table)
+    ledgers = [run_iteration(topology, i) for i in range(config.iterations)]
+    layouts = sum(len(sub.layouts) for sub in topology._subsystems.values())
+    assert len(constructed) == layouts > 0
+    assert [ledger.sweeps_certified for ledger in ledgers] == [
+        1, 1, 6, 2, 4, 1, 6, 1, 2, 1, 1, 9, 4, 4, 6, 4, 1, 8, 0, 3,
+        5, 3, 3, 6, 2, 4, 1, 13, 1, 4, 1, 0, 0, 4, 1, 6, 8, 1, 2, 8]
+    assert not any(ledger.sweeps_run for ledger in ledgers)
 
 
 # -- random radial trees ---------------------------------------------------
@@ -287,7 +331,7 @@ def test_certified_sweeps_meet_their_bounds_on_random_trees():
     @given(case=_certificate_cases())
     def check(case):
         problem, capacity_mw = case
-        r = certified_voltage(problem, compile_certificate(problem, capacity_mw))
+        r = certified_voltage(problem.s_pu, compile_certificate(problem, capacity_mw))
         certified.append(r is not None)
         if r is not None:
             target(1.0 - r)  # toward the edge of the certificate, zeta near 1/4
@@ -306,7 +350,7 @@ def test_the_certificate_refuses_a_sweep_too_slow_to_converge(zeta, certified):
     z = 0.1 + 0.1j
     problem = LoadFlowProblem.from_tree("S", [("L1", "S", "A", z)],
                                         {"A": zeta * z / abs(z) ** 2})
-    r = certified_voltage(problem, compile_certificate(problem, {"L1": 100.0}))
+    r = certified_voltage(problem.s_pu, compile_certificate(problem, {"L1": 100.0}))
     if certified:
         _assert_within_certificate(problem, r, {"L1": 100.0})
         assert r == pytest.approx((1.0 + math.sqrt(1.0 - 4.0 * zeta)) / 2.0)
@@ -316,7 +360,7 @@ def test_the_certificate_refuses_a_sweep_too_slow_to_converge(zeta, certified):
 
 
 def test_the_certificate_on_non_finite_and_zero_injections():
-    lines = compile_certificate(_NAN_BRANCH, {"L1": 10.0, "L2": 10.0})
-    assert certified_voltage(_NAN_BRANCH, lines) is None
+    certificate = compile_certificate(_NAN_BRANCH, {"L1": 10.0, "L2": 10.0})
+    assert certified_voltage(_NAN_BRANCH.s_pu, certificate) is None
     flat = LoadFlowProblem.from_tree("S", [("L1", "S", "A", 0.01 + 0.01j)], {})
-    assert certified_voltage(flat, compile_certificate(flat, {"L1": 0.0})) == 1.0
+    assert certified_voltage(flat.s_pu, compile_certificate(flat, {"L1": 0.0})) == 1.0

@@ -84,6 +84,41 @@ def test_non_finite_network_field_positioned():
     assert err.value.errors == ["net.txt:4: field 'base_mva': not a finite number: 'nan'"]
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("base_mva = 10", "base_mva = 0", "4: field 'base_mva': must be > 0"),
+    ("base_mva = 10", "base_mva = -10", "4: field 'base_mva': must be > 0"),
+    # with ohm impedances a zero voltage base would divide by zero
+    ("base_kv = 12.66", "base_kv = 0", "5: field 'base_kv': must be > 0"),
+])
+def test_non_positive_base_positioned(old, new, message):
+    with pytest.raises(NetworkFileError) as err:
+        parse_network_text(TWO_BUS.replace(old, new), path="net.txt")
+    assert err.value.errors == [f"net.txt:{message}"]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("B customers=3", "B customers=25.7", "12: field 'customers': not a whole number: '25.7'"),
+    ("A customers=0", "A customers=0 transformer=on",
+     "11: field 'transformer': must be yes, no, true, false, 1 or 0, got 'on'"),
+])
+def test_bus_fields_read_strictly(old, new, message):
+    with pytest.raises(NetworkFileError) as err:
+        parse_network_text(TWO_BUS.replace(old, new), path="net.txt")
+    assert err.value.errors == [f"net.txt:{message}"]
+
+
+@pytest.mark.parametrize("fields, customers, transformer", [
+    ("customers=3.0 transformer=TRUE", 3, True), ("customers=3 transformer=1", 3, True),
+    ("customers=3 transformer=yes", 3, True), ("customers=3 transformer=No", 3, False),
+    ("customers=3 transformer=false", 3, False), ("customers=3 transformer=0", 3, False),
+])
+def test_bus_fields_accept_whole_counts_and_each_flag(fields, customers, transformer):
+    spec = parse_network_text(TWO_BUS.replace("B customers=3", f"B {fields}"))
+    bus = spec.buses[1]
+    assert bus.customers == customers and type(bus.customers) is int
+    assert (bus.transformer is not None) == transformer
+
+
 def test_errors_are_collected_not_first_only():
     text = TWO_BUS + "\n[batteries]\nBT bus=A\nBT2 bus=B\n"
     with pytest.raises(NetworkFileError) as err:

@@ -39,6 +39,15 @@ def test_minimal_network_builds():
     assert model.breaker_of_system["DS1"] == "CB"
 
 
+@pytest.mark.parametrize("field", ["base_mva", "base_kv"])
+@pytest.mark.parametrize("value", [0.0, -10.0, float("nan")])
+def test_non_positive_bases_rejected(field, value):
+    spec = replace(parse_network_text(MINIMAL), **{field: value})
+    with pytest.raises(NetworkValidationError) as err:
+        build_network(spec)
+    assert err.value.violations == [f"{field} must be > 0"]
+
+
 def test_cycle_is_a_radiality_error():
     text = MINIMAL.replace(
         "[lines]",

@@ -5,11 +5,12 @@ one step, in a stepped increment gives each steady sub-system its
 certificate's verdict, and accrues a sub-system dark for want of a source up
 to the next increment at which one of its units has power. `_Stepping` turns
 all three off: it accrues every increment on its own, withdraws every
-certificate (`steady`) from the compiled states, so `_shed_verdict` judges
-every sub-system of every electrically active increment, and ends every dark
-run after its first increment. Full ledgers, events and warnings included,
-and the random streams left behind must be equal. The certificate is also
-checked against `_shed_verdict` on its own, increment by increment.
+certificate (`steady`) from the compiled states, so `_shed_verdict`
+evaluates every sub-system of every electrically active increment, and ends
+every dark run after its first increment. Full ledgers, events and warnings
+included, and the random streams left behind must be equal. The certificate
+is also checked against `_shed_verdict`'s evaluation on its own, increment
+by increment, and `_shed_verdict` must judge every sub-system, steady or not.
 """
 
 from dataclasses import replace
@@ -67,7 +68,7 @@ class _UncertifiedCache(TopologyCache):
 
 class _Stepping(_Jumping):
     """The engine with the jump turned off: every increment is accrued on
-    its own, and no sub-system is steady, so `_shed_verdict` judges every
+    its own, and no sub-system is steady, so `_shed_verdict` evaluates every
     sub-system of every electrically active increment."""
 
     cache = _UncertifiedCache
@@ -435,19 +436,62 @@ def test_steady_subsystems_are_served_in_full_or_dark_at_every_increment(
     config = SimulationConfig(horizon_h=168.0)
     sim = SequentialSimulation(TopologyCache(model, profiles, config),
                                np.random.default_rng(0), script=[])
-    sim.repairs = dict.fromkeys((("transformer", b) for b in tx_down), config.n_increments)
-    steady = [sub for state in states for sub in sim.topology.state(*state) if sub.steady]
+    sim.repairs = {("transformer", b) for b in tx_down}
+    # each steady sub-system, judged by the evaluation it is spared
+    steady = [replace(sub, steady=False)
+              for state in states for sub in sim.topology.state(*state) if sub.steady]
     rng_state = sim.rng.bit_generator.state
     for t in range(config.n_increments):
         for sub in steady:
-            live_demand = sim.topology.live_demand(sub.buses, t, tx_down)
-            verdict, until = sim._shed_verdict(sub, t, live_demand,
+            verdict, until = sim._shed_verdict(sub, t, tx_down,
                                                dict.fromkeys(sim.was_islanded, False))
             assert verdict == (None if sub.grid_bus is None else {})
             # a sourceless island is dark to the horizon
             assert until == (config.n_increments if sub.grid_bus is None else t + 1)
     assert sim.rng.bit_generator.state == rng_state
     assert not sim.ledger.warnings
+
+
+class _Judging(SequentialSimulation):
+    """The engine, noting each sub-system `_shed_verdict` judges and, at each
+    electrically active increment, the sub-systems of its state and those
+    judged there."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.judged, self.increments = [], []
+
+    def _accrue(self, t, subsystems):
+        self.judged = []
+        stop = super()._accrue(t, subsystems)
+        if self._electrical_fault_active():
+            self.increments.append((subsystems, self.judged))
+        return stop
+
+    def _shed_verdict(self, sub, *args):
+        self.judged.append(sub)
+        return super()._shed_verdict(sub, *args)
+
+
+@pytest.mark.parametrize("case", ["case1", "case2"])
+def test_every_subsystem_of_an_active_increment_is_judged(case, ieee33_spec,
+                                                          bundled_profiles, cost_table):
+    loads, wind = bundled_profiles
+    model = build_network(apply_scenario(ieee33_spec, case))
+    config = SimulationConfig(iterations=40, master_seed=2024)
+    topology = TopologyCache(model, ProfileSet(1.0, 8760.0, loads, wind), config, cost_table)
+    increments = []
+    for i in range(config.iterations):
+        sim = _Judging(topology, np.random.default_rng([config.master_seed, i]))
+        sim.run()
+        increments += sim.increments
+    assert increments
+    for subsystems, judged in increments:
+        assert subsystems and len(judged) == len(subsystems)
+        assert all(a is b for a, b in zip(judged, subsystems))
+    steady = [sub.steady for subsystems, _ in increments for sub in subsystems]
+    # case1 meets only steady sub-systems; case2's islands are evaluated too
+    assert all(steady) == (case == "case1") and any(steady)
 
 
 # -- initial failure draws -------------------------------------------------
