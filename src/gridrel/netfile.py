@@ -53,11 +53,7 @@ class _Cursor:
         self.errors.append(f"{self.path}:{self.lineno}: {message}")
 
 
-def _tokens(line):
-    return shlex.split(line, comments=True)
-
-
-def _fields(tokens, cur, required=(), known=None):
+def _fields(tokens, cur, known, required=()):
     out = {}
     for tok in tokens:
         if "=" not in tok:
@@ -68,41 +64,68 @@ def _fields(tokens, cur, required=(), known=None):
     for key in required:
         if key not in out:
             cur.err(f"missing required field {key!r}")
-    if known is not None:
-        for key in out:
-            if key not in known:
-                cur.err(f"unknown field {key!r}")
+    for key in out:
+        if key not in known:
+            cur.err(f"unknown field {key!r}")
     return out
 
 
-def _get_float(fields, key, cur, default=None):
-    if key not in fields:
-        return default
+def _number(text):
     try:
-        return finite_float(fields[key])
+        return finite_float(text)
     except ValueError:
-        cur.err(f"field {key!r}: not a finite number: {fields[key]!r}")
-        return default
+        raise ValueError(f"not a finite number: {text!r}") from None
 
 
-def _get_rate(fields, key, cur, default=None):
+# the staged recovery's ranges, checked here to report the line (RepairPhases
+# refuses them too)
+def _phase_hours(text):
+    hours = duration_hours(text)
+    if hours < 0:
+        raise ValueError("must be >= 0")
+    return hours
+
+
+def _probability(text):
+    p = _number(text)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("must be in [0, 1]")
+    return p
+
+
+def _get(fields, key, cur, read, default=None):
+    """`read(fields[key])`, or `default` when the key is absent or its value
+    is refused; a refusal is reported at the cursor."""
     if key not in fields:
         return default
     try:
-        return parse_rate_per_year(fields[key])
+        return read(fields[key])
     except ValueError as exc:
         cur.err(f"field {key!r}: {exc}")
         return default
 
 
-def _get_duration(fields, key, cur, default=None):
-    if key not in fields:
-        return default
-    try:
-        return duration_hours(fields[key])
-    except ValueError as exc:
-        cur.err(f"field {key!r}: {exc}")
-        return default
+def _reliability(fields, cur, rate_key, repair_key, base) -> ReliabilityParams:
+    """The rate and repair time under these keys, each defaulting to `base`'s."""
+    return ReliabilityParams(
+        _get(fields, rate_key, cur, parse_rate_per_year, base.failure_rate),
+        _get(fields, repair_key, cur, duration_hours, base.repair_time_h))
+
+
+def _rows(rows, cur, roles=None, what=None):
+    """Yield (role, id, the tokens after them), the cursor at the row's line.
+    Without `roles` a row is `<id> ...` and its role None; with them it is
+    `<role> <id> ...`, and one with an unknown role or no id is reported."""
+    for lineno, tokens in rows:
+        cur.lineno = lineno
+        if roles is None:
+            yield None, tokens[0], tokens[1:]
+        elif tokens[0] not in roles:
+            cur.err(f"unknown {what} role {tokens[0]!r} ({'/'.join(roles)})")
+        elif len(tokens) < 2:
+            cur.err(f"{tokens[0]} needs an id")
+        else:
+            yield tokens[0], tokens[1], tokens[2:]
 
 
 def parse_network_text(text, path="<string>") -> NetworkSpec:
@@ -136,14 +159,14 @@ def parse_network_text(text, path="<string>") -> NetworkSpec:
             elif key == "id":
                 network["id"] = value
             else:  # a base divides every per-unit quantity
-                base = _get_float({key: value}, key, cur, network[key])
+                base = _get({key: value}, key, cur, _number, network[key])
                 if base > 0:
                     network[key] = base
                 else:
                     cur.err(f"field {key!r}: must be > 0")
             continue
         try:
-            tokens = _tokens(stripped)
+            tokens = shlex.split(stripped, comments=True)
         except ValueError as exc:
             cur.err(str(exc))
             continue
@@ -162,83 +185,62 @@ def parse_network_file(path) -> NetworkSpec:
 
 
 def _assemble(network, raw, cur) -> NetworkSpec:
-    z_base = network["base_kv"] ** 2 / network["base_mva"]
-
-    defaults = {}
-    for lineno, tokens in raw["reliability"]:
-        cur.lineno = lineno
-        kind = tokens[0]
-        fields = _fields(tokens[1:], cur, required=("rate", "repair"),
-                         known={"rate", "repair"})
+    no_fail = ReliabilityParams(0.0, 0.0)
+    defaults = {"line": no_fail, "transformer": no_fail}
+    for _, kind, rest in _rows(raw["reliability"], cur):
+        fields = _fields(rest, cur, {"rate", "repair"}, required=("rate", "repair"))
         if kind not in ("line", "transformer"):
             cur.err(f"unknown reliability class {kind!r}")
             continue
-        defaults[kind] = ReliabilityParams(
-            _get_rate(fields, "rate", cur, 0.0),
-            _get_duration(fields, "repair", cur, 0.0))
-
-    no_fail = ReliabilityParams(0.0, 0.0)
+        defaults[kind] = _reliability(fields, cur, "rate", "repair", no_fail)
 
     buses = []
-    for lineno, tokens in raw["buses"]:
-        cur.lineno = lineno
-        bus_id = tokens[0]
-        fields = _fields(tokens[1:], cur, known={
+    for _, bus_id, rest in _rows(raw["buses"], cur):
+        fields = _fields(rest, cur, {
             "customers", "load_mw", "load_mvar", "profile", "category",
             "transformer", "transformer_rate", "transformer_repair"})
         load = None
         if "load_mw" in fields:
             load = LoadSpec(
-                peak_mw=_get_float(fields, "load_mw", cur, 0.0),
-                peak_mvar=_get_float(fields, "load_mvar", cur, 0.0),
+                peak_mw=_get(fields, "load_mw", cur, _number, 0.0),
+                peak_mvar=_get(fields, "load_mvar", cur, _number, 0.0),
                 profile=fields.get("profile", "flat"),
                 category=fields.get("category", "general"))
         flag = fields.get("transformer", "no").lower()
         if flag not in ("yes", "true", "1", "no", "false", "0"):
             cur.err(f"field 'transformer': must be yes, no, true, false, 1 or 0, "
                     f"got {fields['transformer']!r}")
-        transformer = (defaults.get("transformer", no_fail)
-                       if flag in ("yes", "true", "1") else None)
+        transformer = defaults["transformer"] if flag in ("yes", "true", "1") else None
         if "transformer_rate" in fields or "transformer_repair" in fields:
-            base = transformer or defaults.get("transformer", no_fail)
-            transformer = ReliabilityParams(
-                _get_rate(fields, "transformer_rate", cur, base.failure_rate),
-                _get_duration(fields, "transformer_repair", cur, base.repair_time_h))
-        customers = _get_float(fields, "customers", cur, 0.0)
+            transformer = _reliability(fields, cur, "transformer_rate", "transformer_repair",
+                                       transformer or defaults["transformer"])
+        customers = _get(fields, "customers", cur, _number, 0.0)
         if not customers.is_integer():
             cur.err(f"field 'customers': not a whole number: {fields['customers']!r}")
         buses.append(Bus(id=bus_id, load=load, customers=int(customers),
                          transformer=transformer))
 
     lines = []
-    for lineno, tokens in raw["lines"]:
-        cur.lineno = lineno
-        line_id = tokens[0]
-        fields = _fields(tokens[1:], cur, required=("from", "to", "capacity_mw"),
-                         known={"from", "to", "r_ohm", "x_ohm", "r_pu", "x_pu",
-                                "capacity_mw", "rate", "repair"})
+    for _, line_id, rest in _rows(raw["lines"], cur):
+        fields = _fields(rest, cur, {"from", "to", "r_ohm", "x_ohm", "r_pu", "x_pu",
+                                     "capacity_mw", "rate", "repair"},
+                         required=("from", "to", "capacity_mw"))
         if "r_pu" in fields or "x_pu" in fields:
-            r_pu = _get_float(fields, "r_pu", cur, 0.0)
-            x_pu = _get_float(fields, "x_pu", cur, 0.0)
-        else:
-            r_pu = _get_float(fields, "r_ohm", cur, 0.0) / z_base
-            x_pu = _get_float(fields, "x_ohm", cur, 0.0) / z_base
-        rel = defaults.get("line", no_fail)
-        if "rate" in fields or "repair" in fields:
-            rel = ReliabilityParams(_get_rate(fields, "rate", cur, rel.failure_rate),
-                                    _get_duration(fields, "repair", cur, rel.repair_time_h))
+            unit, z = "pu", 1.0
+        else:  # only ohms need the impedance base, which extreme bases overflow
+            unit, z = "ohm", network["base_kv"] ** 2 / network["base_mva"]
+        r_pu = _get(fields, "r_" + unit, cur, _number, 0.0) / z
+        x_pu = _get(fields, "x_" + unit, cur, _number, 0.0) / z
+        rel = _reliability(fields, cur, "rate", "repair", defaults["line"])
         lines.append(Line(
             id=line_id, from_bus=fields.get("from", ""), to_bus=fields.get("to", ""),
             r_pu=r_pu, x_pu=x_pu,
-            capacity_mw=_get_float(fields, "capacity_mw", cur, 0.0),
-            reliability=rel))
+            capacity_mw=_get(fields, "capacity_mw", cur, _number, 0.0), reliability=rel))
 
     switchgear = []
-    for lineno, tokens in raw["switchgear"]:
-        cur.lineno = lineno
-        sw_id = tokens[0]
-        fields = _fields(tokens[1:], cur, required=("kind", "line", "end"),
-                         known={"kind", "line", "end", "state"})
+    for _, sw_id, rest in _rows(raw["switchgear"], cur):
+        fields = _fields(rest, cur, {"kind", "line", "end", "state"},
+                         required=("kind", "line", "end"))
         kind = fields.get("kind", "")
         if kind not in (BREAKER, DISCONNECTOR):
             cur.err(f"switchgear kind must be breaker or disconnector, got {kind!r}")
@@ -253,98 +255,65 @@ def _assemble(network, raw, cur) -> NetworkSpec:
             position=end, normal_closed=(state == "closed")))
 
     production = []
-    for lineno, tokens in raw["production"]:
-        cur.lineno = lineno
-        unit_id = tokens[0]
-        fields = _fields(tokens[1:], cur, required=("bus", "max_mw"),
-                         known={"bus", "min_mw", "max_mw", "profile"})
+    for _, unit_id, rest in _rows(raw["production"], cur):
+        fields = _fields(rest, cur, {"bus", "min_mw", "max_mw", "profile"},
+                         required=("bus", "max_mw"))
         production.append(ProductionUnit(
             id=unit_id, bus=fields.get("bus", ""),
-            min_mw=_get_float(fields, "min_mw", cur, 0.0),
-            max_mw=_get_float(fields, "max_mw", cur, 0.0),
+            min_mw=_get(fields, "min_mw", cur, _number, 0.0),
+            max_mw=_get(fields, "max_mw", cur, _number, 0.0),
             profile=fields.get("profile")))
 
     batteries = []
-    for lineno, tokens in raw["batteries"]:
-        cur.lineno = lineno
-        bat_id = tokens[0]
-        fields = _fields(tokens[1:], cur, required=("bus", "capacity_mwh", "inverter_mw"),
-                         known={"bus", "capacity_mwh", "inverter_mw", "soc_min", "soc_max"})
+    for _, bat_id, rest in _rows(raw["batteries"], cur):
+        fields = _fields(rest, cur, {"bus", "capacity_mwh", "inverter_mw", "soc_min",
+                                     "soc_max"}, required=("bus", "capacity_mwh", "inverter_mw"))
         batteries.append(Battery(
             id=bat_id, bus=fields.get("bus", ""),
-            capacity_mwh=_get_float(fields, "capacity_mwh", cur, 0.0),
-            inverter_mw=_get_float(fields, "inverter_mw", cur, 0.0),
-            soc_min=_get_float(fields, "soc_min", cur, 0.0),
-            soc_max=_get_float(fields, "soc_max", cur, 1.0)))
+            capacity_mwh=_get(fields, "capacity_mwh", cur, _number, 0.0),
+            inverter_mw=_get(fields, "inverter_mw", cur, _number, 0.0),
+            soc_min=_get(fields, "soc_min", cur, _number, 0.0),
+            soc_max=_get(fields, "soc_max", cur, _number, 1.0)))
 
-    controller = None
-    sensors = []
-    int_switches = []
-    for lineno, tokens in raw["ict"]:
-        cur.lineno = lineno
-        role = tokens[0]
+    controller, sensors, int_switches = None, [], []
+    for role, ident, rest in _rows(raw["ict"], cur, ("controller", "sensor", "switch"), "ict"):
         if role == "controller":
-            if len(tokens) < 2:
-                cur.err("controller needs an id")
-                continue
-            fields = _fields(tokens[2:], cur, required=("hw_rate", "hw_repair", "sw_rate"),
-                             known={"hw_rate", "hw_repair", "sw_rate", "new_signal",
-                                    "reboot", "manual", "p_new_signal", "p_reboot"})
+            fields = _fields(rest, cur, {"hw_rate", "hw_repair", "sw_rate", "new_signal",
+                                         "reboot", "manual", "p_new_signal", "p_reboot"},
+                             required=("hw_rate", "hw_repair", "sw_rate"))
             if controller is not None:
                 cur.err("more than one controller")
             controller = Controller(
-                id=tokens[1],
-                hardware=ReliabilityParams(_get_rate(fields, "hw_rate", cur, 0.0),
-                                           _get_duration(fields, "hw_repair", cur, 0.0)),
-                software=ReliabilityParams(_get_rate(fields, "sw_rate", cur, 0.0), 0.0),
+                id=ident,
+                hardware=_reliability(fields, cur, "hw_rate", "hw_repair", no_fail),
+                software=ReliabilityParams(
+                    _get(fields, "sw_rate", cur, parse_rate_per_year, 0.0), 0.0),
                 software_phases=_phases(fields, cur))
         elif role == "sensor":
-            if len(tokens) < 2:
-                cur.err("sensor needs an id")
-                continue
-            fields = _fields(tokens[2:], cur, required=("line", "rate"),
-                             known={"line", "rate", "new_signal", "reboot", "manual",
-                                    "p_new_signal", "p_reboot"})
+            fields = _fields(rest, cur, {"line", "rate", "new_signal", "reboot", "manual",
+                                         "p_new_signal", "p_reboot"},
+                             required=("line", "rate"))
             sensors.append(Sensor(
-                id=tokens[1], line_ref=fields.get("line", ""),
-                reliability=ReliabilityParams(_get_rate(fields, "rate", cur, 0.0),
-                                              _get_duration(fields, "manual", cur, 0.0)),
+                id=ident, line_ref=fields.get("line", ""),
+                reliability=_reliability(fields, cur, "rate", "manual", no_fail),
                 phases=_phases(fields, cur)))
-        elif role == "switch":
-            if len(tokens) < 2:
-                cur.err("switch needs an id")
-                continue
-            fields = _fields(tokens[2:], cur, required=("disconnector", "rate", "repair"),
-                             known={"disconnector", "rate", "repair"})
+        else:
+            fields = _fields(rest, cur, {"disconnector", "rate", "repair"},
+                             required=("disconnector", "rate", "repair"))
             int_switches.append(IntelligentSwitch(
-                id=tokens[1], disconnector_ref=fields.get("disconnector", ""),
-                reliability=ReliabilityParams(_get_rate(fields, "rate", cur, 0.0),
-                                              _get_duration(fields, "repair", cur, 0.0))))
-        else:
-            cur.err(f"unknown ict role {role!r} (controller/sensor/switch)")
+                id=ident, disconnector_ref=fields.get("disconnector", ""),
+                reliability=_reliability(fields, cur, "rate", "repair", no_fail)))
 
-    systems = []
-    microgrids = []
-    for lineno, tokens in raw["systems"]:
-        cur.lineno = lineno
-        role = tokens[0]
+    systems, microgrids = [], []
+    for role, ident, rest in _rows(raw["systems"], cur, ("dist", "microgrid"), "system"):
         if role == "dist":
-            if len(tokens) < 2:
-                cur.err("dist needs an id")
-                continue
-            fields = _fields(tokens[2:], cur, required=("root",),
-                             known={"root", "feeder_capacity_mw"})
+            fields = _fields(rest, cur, {"root", "feeder_capacity_mw"}, required=("root",))
             systems.append(DistributionSystem(
-                id=tokens[1], root_bus=fields.get("root", ""),
-                feeder_capacity_mw=_get_float(fields, "feeder_capacity_mw", cur)))
-        elif role == "microgrid":
-            if len(tokens) < 2:
-                cur.err("microgrid needs an id")
-                continue
-            fields = _fields(tokens[2:], cur, required=("via",), known={"via"})
-            microgrids.append(Microgrid(id=tokens[1], via_disconnector=fields.get("via", "")))
+                id=ident, root_bus=fields.get("root", ""),
+                feeder_capacity_mw=_get(fields, "feeder_capacity_mw", cur, _number)))
         else:
-            cur.err(f"unknown system role {role!r} (dist/microgrid)")
+            fields = _fields(rest, cur, {"via"}, required=("via",))
+            microgrids.append(Microgrid(id=ident, via_disconnector=fields.get("via", "")))
 
     return NetworkSpec(
         power_system_id=network["id"],
@@ -357,11 +326,11 @@ def _assemble(network, raw, cur) -> NetworkSpec:
 
 def _phases(fields, cur) -> RepairPhases:
     return RepairPhases(
-        new_signal_h=_get_duration(fields, "new_signal", cur, 0.0),
-        reboot_h=_get_duration(fields, "reboot", cur, 0.0),
-        manual_repair_h=_get_duration(fields, "manual", cur, 0.0),
-        p_new_signal=_get_float(fields, "p_new_signal", cur, 0.9),
-        p_reboot=_get_float(fields, "p_reboot", cur, 0.9))
+        new_signal_h=_get(fields, "new_signal", cur, _phase_hours, 0.0),
+        reboot_h=_get(fields, "reboot", cur, _phase_hours, 0.0),
+        manual_repair_h=_get(fields, "manual", cur, _phase_hours, 0.0),
+        p_new_signal=_get(fields, "p_new_signal", cur, _probability, 0.9),
+        p_reboot=_get(fields, "p_reboot", cur, _probability, 0.9))
 
 
 def serialize_network_spec(spec: NetworkSpec) -> str:

@@ -491,6 +491,11 @@ def _validate_spec(spec: NetworkSpec):
     ict_ids = [s.id for s in ict.sensors] + [i.id for i in ict.intelligent_switches]
     if ict.controller is not None:
         ict_ids += [ict.controller.id + part for part in ("", "/hw", "/sw")]
+        yield from _check_reliability(ict.controller.hardware,
+                                      f"controller {ict.controller.id!r} hardware")
+        # the software's repair is its staged recovery, so only its rate is checked
+        if ict.controller.software.failure_rate < 0:
+            yield f"controller {ict.controller.id!r} software: failure rate must be >= 0"
     yield from _check_duplicates(ict_ids, "ICT")
     transformers = {b.id for b in spec.buses if b.transformer is not None}
     for ident in sorted(set(ict_ids) & (lines | transformers)):
@@ -520,6 +525,8 @@ def _validate_spec(spec: NetworkSpec):
     for dsys in spec.distribution_systems:
         if dsys.root_bus not in buses:
             yield f"distribution system {dsys.id!r} has unknown root bus {dsys.root_bus!r}"
+        if dsys.feeder_capacity_mw is not None and dsys.feeder_capacity_mw < 0:
+            yield f"distribution system {dsys.id!r}: feeder capacity must be >= 0"
     for mg in spec.microgrids:
         sw = switches.get(mg.via_disconnector)
         if sw is None:

@@ -153,18 +153,24 @@ def read_timeseries_csv(path, kind: str = LOAD) -> dict:
 
 def read_cost_table(path) -> dict:
     """Read the per-category interruption cost table (category, cost_per_mwh),
-    refusing one without entries."""
+    refusing one without entries or with a negative cost: shedding would
+    then lower its objective by cutting load on purpose."""
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    start = 1 if rows and rows[0][0].strip().lower() in ("category", "load_type") else 0
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader
+                if r and not r[0].lstrip().startswith("#")]
+    start = 1 if rows and rows[0][1][0].strip().lower() in ("category", "load_type") else 0
     table = {}
-    for lineno, row in enumerate(rows[start:], start=start + 1):
+    for lineno, row in rows[start:]:
         if len(row) < 2:
             raise TimeSeriesError(f"{path}:{lineno}: expected category,cost")
         try:
-            table[row[0].strip()] = finite_float(row[1])
+            cost = finite_float(row[1])
         except ValueError:
             raise TimeSeriesError(f"{path}:{lineno}: bad cost value {row[1]!r}") from None
+        if cost < 0:
+            raise TimeSeriesError(f"{path}:{lineno}: cost must be >= 0, got {row[1]!r}")
+        table[row[0].strip()] = cost
     if not table:  # a header alone prices nothing
         raise TimeSeriesError(f"{path}: empty cost table")
     return table

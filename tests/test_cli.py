@@ -25,6 +25,15 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert main(["simulate", "--network", str(bad), "--iterations", "1"]) == 2
 
 
+def _edited_bundled(tmp_path, network, old, new):
+    """A copy of a bundled network with `old` replaced once, and its line."""
+    text = _read(os.path.join(os.path.dirname(__file__), "..", "src", "gridrel", "data",
+                              network)).decode()
+    net = tmp_path / network
+    net.write_text(text.replace(old, new, 1))
+    return net, text[:text.index(old)].count("\n") + 1
+
+
 @pytest.mark.parametrize("network, old, new, message", [
     ("ieee33.net", "base_mva = 10", "base_mva = 0", "field 'base_mva': must be > 0"),
     # ieee33.net gives its impedances in ohms, which the voltage base scales
@@ -34,20 +43,40 @@ def test_validation_error_exit_code(tmp_path, capsys):
      "field 'customers': not a whole number: '25.7'"),
     ("ieee33.net", "transformer=yes", "transformer=on",
      "field 'transformer': must be yes, no, true, false, 1 or 0, got 'on'"),
+    ("ieee33.net", "sw_rate=12 new_signal=2s", "sw_rate=12 new_signal=-2s",
+     "field 'new_signal': must be >= 0"),
+    ("ieee33.net", "manual=0.3h p_new_signal=0.9", "manual=0.3h p_new_signal=1.5",
+     "field 'p_new_signal': must be in [0, 1]"),
 ])
 @pytest.mark.parametrize("command", [
     ["simulate", "--iterations", "1"], ["analytical"], ["validate", "--iterations", "1"]])
 def test_a_bad_bundled_field_is_an_error_at_its_line(command, network, old, new, message,
                                                      tmp_path, capsys):
-    text = _read(os.path.join(os.path.dirname(__file__), "..", "src", "gridrel", "data",
-                              network)).decode()
-    lineno = text[:text.index(old)].count("\n") + 1
-    net = tmp_path / network
-    net.write_text(text.replace(old, new, 1))
+    net, lineno = _edited_bundled(tmp_path, network, old, new)
     out = tmp_path / "out"
     argv = [*command, "--network", str(net)]
     assert main(argv if command[0] == "validate" else [*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {net}:{lineno}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("network, old, new, violation", [
+    ("ieee33.net", "hw_rate=0.2", "hw_rate=-0.2",
+     "controller 'CTRL' hardware: failure rate must be >= 0"),
+    ("ieee33.net", "hw_repair=2.5h", "hw_repair=-2.5h",
+     "controller 'CTRL' hardware: repair time must be > 0 when the failure rate is > 0"),
+    ("ieee33.net", "sw_rate=12", "sw_rate=-12",
+     "controller 'CTRL' software: failure rate must be >= 0"),
+    ("validation6.net", "dist DS1 root=VB1", "dist DS1 root=VB1 feeder_capacity_mw=-1",
+     "distribution system 'DS1': feeder capacity must be >= 0"),
+])
+def test_an_out_of_range_bundled_value_is_refused(network, old, new, violation,
+                                                 tmp_path, capsys):
+    net, _ = _edited_bundled(tmp_path, network, old, new)
+    out = tmp_path / "out"
+    assert main(["simulate", "--network", str(net), "--iterations", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(f"error: invalid network:\n  {violation}\n")
     assert not out.exists()
 
 
@@ -193,6 +222,20 @@ def test_simulate_rejects_a_cost_table_missing_a_load_category(tmp_path, capsys,
     costs.write_text("category,cost_per_mwh\n")
     assert main(argv) == 2
     assert f"error: {costs}: empty cost table" in capsys.readouterr().err
+
+
+def test_simulate_refuses_a_negative_interruption_cost_at_its_line(tmp_path, capsys):
+    # islands would shed a negatively priced load on purpose
+    net = tmp_path / "chain.net"
+    net.write_text(_RESIDENTIAL_CHAIN)
+    costs = tmp_path / "costs.csv"
+    costs.write_text("category,cost_per_mwh\n# per MWh not served\nresidential,-5\n")
+    argv = ["simulate", "--network", str(net), "--costs", str(costs),
+            "--iterations", "2", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {costs}:3: cost must be >= 0, got '-5'\n"
+    costs.write_text("category,cost_per_mwh\n# per MWh not served\nresidential,0\n")
+    assert main(argv) == 0
 
 
 def _residential_feeder6(tmp_path):

@@ -1,10 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridrel.netfile import (
     NetworkFileError, parse_network_file, parse_network_text,
     serialize_network_spec,
 )
+from gridrel.network import (
+    BREAKER, DISCONNECTOR, Battery, Bus, Controller, DistributionSystem, IctSystem,
+    IntelligentSwitch, Line, LoadSpec, Microgrid, NetworkSpec, ProductionUnit, Sensor,
+    Switchgear,
+)
 from gridrel.scenarios import bundled_network_path
+from gridrel.stochastic import ReliabilityParams, RepairPhases
 
 TWO_BUS = """
 [network]
@@ -119,6 +127,44 @@ def test_bus_fields_accept_whole_counts_and_each_flag(fields, customers, transfo
     assert (bus.transformer is not None) == transformer
 
 
+CONTROLLER = ("controller C1 hw_rate=0.2 hw_repair=2.5h sw_rate=12 new_signal=2s "
+              "reboot=5min manual=0.3h p_new_signal=0.9 p_reboot=0.9")
+SENSOR = "sensor S1 line=L1 rate=0.023 new_signal=2s reboot=5min manual=2h p_reboot=0.9"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("new_signal=2s reboot=5min manual=0.3h", "new_signal=-2s reboot=5min manual=0.3h",
+     "21: field 'new_signal': must be >= 0"),
+    ("reboot=5min manual=0.3h", "reboot=-5min manual=0.3h", "21: field 'reboot': must be >= 0"),
+    ("p_new_signal=0.9", "p_new_signal=1.5", "21: field 'p_new_signal': must be in [0, 1]"),
+    ("p_reboot=0.9\n", "p_reboot=-0.1\n", "21: field 'p_reboot': must be in [0, 1]"),
+    ("p_new_signal=0.9", "p_new_signal=nan",
+     "21: field 'p_new_signal': not a finite number: 'nan'"),
+    ("manual=2h", "manual=-2h", "22: field 'manual': must be >= 0"),
+    ("manual=2h p_reboot=0.9", "manual=2h p_reboot=2", "22: field 'p_reboot': must be in [0, 1]"),
+])
+def test_ict_recovery_fields_are_range_checked_at_their_line(old, new, message):
+    text = TWO_BUS + "\n[ict]\n" + CONTROLLER + "\n" + SENSOR + "\n"
+    parse_network_text(text)
+    with pytest.raises(NetworkFileError) as err:
+        parse_network_text(text.replace(old, new, 1), path="net.txt")
+    assert err.value.errors == [f"net.txt:{message}"]
+
+
+def test_ict_range_errors_are_collected_with_the_others():
+    text = (TWO_BUS.replace("capacity_mw=4", "capacity_mw=x") + "\n[ict]\n"
+            + CONTROLLER.replace("new_signal=2s", "new_signal=-2s")
+            .replace("p_reboot=0.9", "p_reboot=9") + "\n"
+            + SENSOR.replace("rate=0.023", "rate=q") + "\n")
+    with pytest.raises(NetworkFileError) as err:
+        parse_network_text(text, path="net.txt")
+    assert err.value.errors == [
+        "net.txt:15: field 'capacity_mw': not a finite number: 'x'",
+        "net.txt:21: field 'new_signal': must be >= 0",
+        "net.txt:21: field 'p_reboot': must be in [0, 1]",
+        "net.txt:22: field 'rate': could not convert string to float: 'q'"]
+
+
 def test_errors_are_collected_not_first_only():
     text = TWO_BUS + "\n[batteries]\nBT bus=A\nBT2 bus=B\n"
     with pytest.raises(NetworkFileError) as err:
@@ -135,6 +181,55 @@ def test_round_trip_parse_serialize_parse():
 
 def test_round_trip_minimal():
     spec = parse_network_text(TWO_BUS)
+    assert parse_network_text(serialize_network_spec(spec)) == spec
+
+
+_ID = st.text("abcxyzAB019_.-", min_size=1, max_size=4)
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False)
+_RELIABILITY = st.builds(ReliabilityParams, _NUMBER, _NUMBER)
+_PHASES = st.builds(RepairPhases, *[st.floats(0, 1e6)] * 3, *[st.floats(0, 1)] * 2)
+
+
+def _sensor(ident, line, rate, phases):
+    # the reader takes a sensor's repair time from its manual phase
+    return Sensor(ident, line, ReliabilityParams(rate, phases.manual_repair_h), phases)
+
+
+def _controller(ident, hardware, sw_rate, phases):
+    # the software's repair is its staged recovery
+    return Controller(ident, hardware, ReliabilityParams(sw_rate, 0.0), phases)
+
+
+def _tuples(strategy, min_size=0):
+    return st.lists(strategy, min_size=min_size, max_size=3).map(tuple)
+
+
+_SPECS = st.builds(
+    NetworkSpec,
+    power_system_id=_ID,
+    base_mva=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    base_kv=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    buses=_tuples(st.builds(
+        Bus, _ID, st.none() | st.builds(LoadSpec, _NUMBER, _NUMBER, _ID, _ID),
+        st.integers(0, 10 ** 6), st.none() | _RELIABILITY), min_size=1),
+    lines=_tuples(st.builds(Line, _ID, _ID, _ID, _NUMBER, _NUMBER, _NUMBER, _RELIABILITY)),
+    switchgear=_tuples(st.builds(Switchgear, _ID, st.sampled_from([BREAKER, DISCONNECTOR]),
+                                 _ID, st.sampled_from(["from", "to"]), st.booleans())),
+    production=_tuples(st.builds(ProductionUnit, _ID, _ID, _NUMBER, _NUMBER, st.none() | _ID)),
+    batteries=_tuples(st.builds(Battery, _ID, _ID, _NUMBER, _NUMBER, _NUMBER, _NUMBER)),
+    ict=st.builds(
+        IctSystem, st.none() | st.builds(_controller, _ID, _RELIABILITY, _NUMBER, _PHASES),
+        _tuples(st.builds(_sensor, _ID, _ID, _NUMBER, _PHASES)),
+        _tuples(st.builds(IntelligentSwitch, _ID, _ID, _RELIABILITY))),
+    distribution_systems=_tuples(
+        st.builds(DistributionSystem, _ID, _ID, st.none() | _NUMBER), min_size=1),
+    microgrids=_tuples(st.builds(Microgrid, _ID, _ID)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_SPECS)
+def test_round_trip_generated_specs(spec):
+    """Every section and optional field survives writing and reading back."""
     assert parse_network_text(serialize_network_spec(spec)) == spec
 
 

@@ -211,6 +211,26 @@ def test_opening_one_switch_splits_one_component(ieee33):
 
 # -- the feeder forest against the former walk and checks ------------------
 
+@pytest.mark.parametrize("old, new, violation", [
+    ("hw_rate=0.2", "hw_rate=-0.2", "controller 'CTRL' hardware: failure rate must be >= 0"),
+    ("hw_repair=2.5h", "hw_repair=-2.5h",
+     "controller 'CTRL' hardware: repair time must be > 0 when the failure rate is > 0"),
+    ("sw_rate=0", "sw_rate=-12", "controller 'CTRL' software: failure rate must be >= 0"),
+])
+def test_the_controller_is_checked_like_the_other_ict_units(old, new, violation):
+    # a negative rate never fails; a negative repair ends before it starts
+    assert _violations(_chain4_with_ict().replace(old, new)) == [violation]
+    # the software's repair is its staged recovery, so its repair time is 0
+    build_network(parse_network_text(_chain4_with_ict().replace("sw_rate=0", "sw_rate=12")))
+
+
+def test_a_feeder_capacity_is_refused_below_zero():
+    # a negative capacity would leave every grid-fed sub-system without a source
+    text = MINIMAL.replace("dist DS1 root=A", "dist DS1 root=A feeder_capacity_mw=-1")
+    assert _violations(text) == ["distribution system 'DS1': feeder capacity must be >= 0"]
+    build_network(parse_network_text(text.replace("=-1", "=0")))
+
+
 FOREST = ("tree_order", "tree_parent", "feed_line", "system_of_bus", "tree_lines",
           "breaker_of_system")
 

@@ -121,6 +121,15 @@ def test_cost_table_rejects_non_finite_cost(tmp_path):
         read_cost_table(path)
 
 
+def test_cost_table_refuses_a_negative_cost_at_its_file_line(tmp_path):
+    path = tmp_path / "costs.csv"
+    path.write_text("# costs\ncategory,cost_per_mwh\n\nresidential,0\nindustrial,-0.5\n")
+    with pytest.raises(TimeSeriesError, match=r"costs\.csv:5: cost must be >= 0, got '-0.5'"):
+        read_cost_table(path)
+    path.write_text("category,cost_per_mwh\nresidential,0\n")
+    assert read_cost_table(path) == {"residential": 0.0}
+
+
 def test_profile_set_lookup_and_mean():
     loads = {"res": _series([0.5, 1.0, 1.5, 1.0])}
     wind = {"wind": _series([0.0, 2.0, 0.0, 0.0], kind=PRODUCTION)}
