@@ -8,12 +8,14 @@ directory, runs the byte-identity set of `gridrel simulate` commands (see
 RUNS) and the closed form's commands on the 6-bus feeder (see
 CLOSED_FORM_RUNS) with the source of REF and with the source of the working
 tree, and prints each result file or stdout that differs, with the rows of
-a CSV or stdout that differ. It then runs the studies of LEDGER_STUDIES with each tree in its
-own process and compares every iteration's full ledger (see LEDGER_FIELDS,
-events and warnings included, every float to the bit), printing the first
-iteration and field that differ in each study. Beside its verdict it prints
-the line total of `src/gridrel/*.py` in REF and in the working tree, as
-`wc -l` counts it. Exits 0 when every file is byte-identical and every
+a CSV or stdout that differ. It then runs the studies of LEDGER_STUDIES
+with each tree in its own process and compares every iteration's full
+ledger (see LEDGER_FIELDS, events and warnings included, every float to the
+bit), printing the first iteration and field that differ in each study. REF
+runs under one fixed PYTHONHASHSEED and the working tree under another (see
+HASH_SEEDS), so a result that depends on the order of a set of ids differs
+too. Beside its verdict it prints the line total of `src/gridrel/*.py` in
+REF and in the working tree, as `wc -l` counts it. Exits 0 when every file is byte-identical and every
 ledger equal, 1 otherwise.
 """
 
@@ -58,12 +60,21 @@ LEDGER_STUDIES += [("case2", 1.0 / 12.0, 1), ("case4", 1.0 / 12.0, 1), ("validat
 # the process pool receives the compiled run
 LEDGER_STUDIES += [("case4", 1.0, 2)]
 LEDGER_FIELDS = ("interruptions", "outage_hours", "ens_mwh", "events", "warnings")
+# label -> the PYTHONHASHSEED its tree runs under; string hashes, and so the
+# order of a set of ids, differ between the two
+HASH_SEEDS = {"ref": "1", "tree": "2"}
 
 
-def gridrel(tree, out, args):
-    """Run `gridrel` from `tree` with its source, and write its stdout, with
-    `out` written as OUT, to `out`/stdout.txt."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+def tree_env(tree, label):
+    """The environment that runs `tree`'s source under `label`'s hash seed."""
+    return dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+                PYTHONHASHSEED=HASH_SEEDS[label])
+
+
+def gridrel(tree, label, out, args):
+    """Run `gridrel` from `tree` with its source under `label`'s hash seed,
+    and write its stdout, with `out` written as OUT, to `out`/stdout.txt."""
+    env = tree_env(tree, label)
     proc = subprocess.run([sys.executable, "-m", "gridrel", *args], cwd=tree, env=env,
                           capture_output=True, text=True)
     if proc.returncode:
@@ -155,7 +166,7 @@ def compare_ledgers(ref_tree, tmp, seed, iterations) -> list:
         code = (f"import sys; sys.path.insert(0, {os.path.join(ROOT, 'scripts')!r}); "
                 f"import same_results; same_results.dump_ledgers({out!r}, {seed}, "
                 f"{iterations})")
-        env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+        env = tree_env(tree, label)
         procs[label] = (out, subprocess.Popen([sys.executable, "-c", code], cwd=tree,
                                               env=env, stderr=subprocess.PIPE, text=True))
     studies = {}
@@ -203,7 +214,7 @@ def main(argv=None):
             outs = {}
             for label, tree in (("ref", ref_tree), ("tree", ROOT)):
                 outs[label] = os.path.join(tmp, label + "-" + name)
-                gridrel(tree, outs[label],
+                gridrel(tree, label, outs[label],
                         [a.format(out=outs[label], seed=args.seed) for a in run_args])
             files = sorted(set(result_files(outs["ref"])) | set(result_files(outs["tree"])))
             for rel in files:

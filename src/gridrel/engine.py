@@ -12,8 +12,7 @@ failure is drawn from the geometric distribution of the first Bernoulli
 success, distribution-identical to drawing every increment. An increment
 with no line fault or transformer repair active once its failures and
 phase ends are applied is fault-free: it applies its ICT events and repair
-ends, resets the outage flags and runs to the next change; it looks up no
-state and walks no load point, as everything is served. Otherwise
+ends and runs to the next change, looking up no state. Otherwise
 `_shed_verdict` judges every sub-system: a `steady` one takes its
 certificate's verdict (dark, or served in full), which stands to the next
 change, so a state whose sub-systems are all steady is accrued up to it in
@@ -21,12 +20,15 @@ one step, and every other one is evaluated. A sub-system with no source at
 t whose batteries can neither discharge nor charge from a load below zero
 stays dark until one of its production units has power, so it lets the
 state run up to the earlier of that increment and the next change (see
-`_dark_until`); every other verdict holds for t alone. Either
-way each load point's sums are taken in increment order, so a jumped run
-adds what stepping adds. Sectioning and repair phases last whole increments
-(floor(duration / dt)); sub-increment residue is dropped, so with an hourly
-increment the seconds-to-minutes ICT recoveries are invisible, and outage
-durations are exact when the configured times are increment multiples.
+`_dark_until`); every other verdict holds for t alone. The accrual walks
+only the load points that a verdict leaves dark or sheds, or whose
+transformer is down: every other one is served, so a fault-free increment
+walks none and leaves none out. A walked load point's sums are taken in
+increment order, so a jumped run adds what stepping adds. Sectioning and
+repair phases last whole increments (floor(duration / dt)); sub-increment
+residue is dropped, so with an hourly increment the seconds-to-minutes ICT
+recoveries are invisible, and outage durations are exact when the
+configured times are increment multiples.
 
 Component health is stored as the increment at which the current phase
 ends, worked out when the phase starts: `ends` lists each end's key under
@@ -77,7 +79,8 @@ import numpy as np
 
 from . import shedding as shed
 from .indices import MissingCostCategory
-from .loadflow import LoadFlowProblem, certified_voltage, compile_certificate, solve_fbs
+from .loadflow import (LOADING_MARGIN, RESIDUAL_MW, LoadFlowProblem, certified_voltage,
+                       compile_certificate, solve_fbs)
 # connected_components, the test oracles' partition, stays importable
 # because perfbench wraps it here
 from .network import NetworkModel, connected_components
@@ -407,8 +410,8 @@ class SequentialSimulation:
         self.ends, self.silent_ends = {}, {}  # increment -> keys ending then
         self.soc = {b_id: draw_battery_soc(bat, rng)
                     for b_id, bat in sorted(model.batteries.items())}
-        self.was_islanded = {b_id: False for b_id in model.batteries}
-        self.was_out = {b: False for b in model.load_points}
+        self.was_islanded = set()  # batteries islanded at the last accrued increment
+        self.was_out = set()  # load points fully out at the last accrued increment
 
         self.ledger = HistoryLedger(
             load_points=model.load_points,
@@ -482,7 +485,7 @@ class SequentialSimulation:
         stop = self._accrue(t, subsystems)
 
         # unreported repairs end here, after their last down increment, and a
-        # transformer's bus keeps its `was_out` (see `ends_silently`)
+        # transformer's bus stays in `was_out` (see `ends_silently`)
         self.repairs.difference_update(self.silent_ends.pop(stop, ()))
         self.t_index = stop
 
@@ -578,21 +581,19 @@ class SequentialSimulation:
     # -- electrical evaluation ----------------------------------------------
 
     def _accrue(self, t, subsystems) -> int:
-        """Accrue every load point over the increments from t to the next
-        change, or to the earliest end of a sub-system's verdict (see
-        `_shed_verdict`); return the increment after the last one accrued. A
-        fault-free increment, whose `subsystems` are (), only resets the
-        outage flags: everything is served, so no sum moves."""
+        """Accrue the increments from t to the next change, or to the earliest
+        end of a sub-system's verdict (see `_shed_verdict`); return the
+        increment after the last one accrued. Only the load points that a dark
+        or shedding verdict or a down transformer names are walked, in
+        load-point order: every other one is served, so no sum of it moves
+        and it is not out. A fault-free increment, whose `subsystems` are (),
+        names none."""
         stop = min([self.n_increments, *self.schedule, *self.ends, *self.silent_ends])
-        if not subsystems:
-            self.was_out = dict.fromkeys(self.was_out, False)
-            self.was_islanded = dict.fromkeys(self.was_islanded, False)
-            return stop
         loads = self.topology.loads
-        # MW shed per load point, None while it is out; others are served. A
-        # bus whose transformer is down has no live demand and gets nothing
+        # MW shed per named bus, None while it is out. A bus whose transformer
+        # is down has no live demand and gets nothing
         shed = {b: None for kind, b in self.repairs if kind == "transformer"}
-        islanded_now = dict.fromkeys(self.was_islanded, False)
+        islanded_now = set()
         for sub in subsystems:
             verdict, until = self._shed_verdict(sub, t, shed, islanded_now)
             stop = min(stop, until)
@@ -602,9 +603,9 @@ class SequentialSimulation:
                 shed = verdict | shed
         self.was_islanded = islanded_now
 
-        ledger, dt, was_out = self.ledger, self.dt, self.was_out
-        for b in self.model.load_points:
-            mw = shed.get(b, 0.0)
+        ledger, dt, was_out, out_now = self.ledger, self.dt, self.was_out, set()
+        for b in sorted(shed.keys() & ledger.outage_hours.keys()):  # the named load points
+            mw = shed[b]
             out = mw is None
             if out:  # out over [t, stop): its terms in sequence, as stepping adds them
                 hours, ens = ledger.outage_hours[b], ledger.ens_mwh[b]
@@ -622,10 +623,12 @@ class SequentialSimulation:
                 out = d > _EPS and served <= _EPS
                 if out:
                     ledger.outage_hours[b] += dt
-            if out and not was_out[b]:
-                ledger.interruptions[b] += 1.0
-                ledger.events.append((t * dt, b, "interrupted"))
-            was_out[b] = out
+            if out:
+                out_now.add(b)
+                if b not in was_out:
+                    ledger.interruptions[b] += 1.0
+                    ledger.events.append((t * dt, b, "interrupted"))
+        self.was_out = out_now
         return stop
 
     def _shed_verdict(self, sub, t, down, islanded_now):
@@ -659,10 +662,10 @@ class SequentialSimulation:
         total_demand = sum(live_demand.values())
 
         for bus, bat in sub.batteries if grid_bus is None else ():  # grid-fed ones idle
-            if not self.was_islanded[bat.id]:
+            if bat.id not in self.was_islanded:
                 # outage begins: market behavior collapses to a fresh SOC draw
                 self.soc[bat.id] = draw_battery_soc(bat, self.rng)
-            islanded_now[bat.id] = True
+            islanded_now.add(bat.id)
             lower, upper = update_battery_demand(
                 total_demand, production_cap, bat, self.soc[bat.id], self.dt)
             if upper > _EPS or lower < -_EPS:
@@ -704,8 +707,7 @@ class SequentialSimulation:
         LP) and a load at or above zero lets no battery charge, so each
         increment's verdict is again None."""
         for _, bat in sub.batteries:
-            if min(bat.inverter_mw, max(self.soc[bat.id] - bat.soc_min, 0.0)
-                   * bat.capacity_mwh / self.dt) > _EPS:
+            if discharge_bound(bat, self.soc[bat.id], self.dt) > _EPS:
                 return t + 1
         if sub.batteries and not self.topology.negative_loads.isdisjoint(sub.buses):
             return t + 1
@@ -716,8 +718,8 @@ class SequentialSimulation:
         The net injections (each bus's load less its shed at constant power
         factor, less each non-slack source at unity power factor) are filled
         in by layout position. Where `certified_voltage` shows from them that
-        the sweep converges with each line within 1.01 x capacity and the
-        balance met, it cannot act: skip it, and build no problem."""
+        the sweep converges within the action rule (see `loadflow`), it
+        cannot act: skip it, and build no problem."""
         comp, lines_here = sub.buses, sub.lines
         if len(comp) < 2 or not lines_here:
             return result
@@ -764,22 +766,28 @@ class SequentialSimulation:
         gen_total = solution.slack_mw + sum(generation[gen_id] for gen_id, bus, *_ in generators
                                             if bus != slack)
         residual = gen_total - solution.losses_mw - served_total
-        if abs(residual) > 1e-4:
+        if abs(residual) > RESIDUAL_MW:
             self.ledger.warnings.append(f"t={t * self.dt:g}h: power balance residual "
                                         f"{residual:.2e} MW in sub-system {comp[0]}")
 
         # the largest overload, 0.0 when every line is within its capacity
         worst = max(0.0, *(abs(solution.line_flow_mw.get(l.id, 0.0)) / l.capacity_mw - 1.0
                            for l in lines_here))
-        if worst <= 0.01:
+        if worst <= LOADING_MARGIN:
             return result
 
         # one repair pass with a tightened capacity margin covering the overshoot
-        margin = 1.0 / (1.0 + worst + 0.01)
+        margin = 1.0 / (1.0 + worst + LOADING_MARGIN)
         retry = shed.solve_shedding(shed.build_shedding_problem(
             comp, live_demand, self.topology.shed_cost, generators,
             [(l.id, l.from_bus, l.to_bus, l.capacity_mw * margin) for l in lines_here]))
         return retry if retry.status == shed.OPTIMAL else result
+
+
+def discharge_bound(battery, soc, dt_h):
+    """MW an islanded battery can discharge over one increment at this SOC."""
+    return min(battery.inverter_mw,
+               max(soc - battery.soc_min, 0.0) * battery.capacity_mwh / dt_h)
 
 
 def update_battery_demand(subsystem_demand_mw, production_cap_mw, battery, soc, dt_h):
@@ -789,9 +797,7 @@ def update_battery_demand(subsystem_demand_mw, production_cap_mw, battery, soc, 
     inverter and the energy headroom. Grid-fed batteries idle unasked."""
     deficit = subsystem_demand_mw - production_cap_mw
     if deficit > _EPS:
-        bound = min(battery.inverter_mw,
-                    max(soc - battery.soc_min, 0.0) * battery.capacity_mwh / dt_h)
-        return 0.0, max(bound, 0.0)
+        return 0.0, max(discharge_bound(battery, soc, dt_h), 0.0)
     surplus = -deficit
     bound = min(battery.inverter_mw,
                 max(battery.soc_max - soc, 0.0) * battery.capacity_mwh / dt_h,

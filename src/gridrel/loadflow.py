@@ -30,6 +30,14 @@ from dataclasses import dataclass
 from math import hypot, sqrt
 
 
+TOLERANCE, MAX_ITER = 1e-8, 50  # a sweep stops at an update below TOLERANCE p.u.
+# the confirmation's action rule: a converged sweep acts on a line loaded past
+# (1 + LOADING_MARGIN) x its capacity and warns of a balance residual past
+# RESIDUAL_MW; the certificate shows each with a margin below it
+LOADING_MARGIN, RESIDUAL_MW = 0.01, 1e-4
+_CERTIFIED_LOADING, _CERTIFIED_RESIDUAL_MW = 1.0 + LOADING_MARGIN - 1e-4, RESIDUAL_MW / 2
+
+
 class NonRadialError(ValueError):
     """The buses/lines handed to the solver do not form a rooted tree."""
 
@@ -114,8 +122,8 @@ def _magnitudes(values) -> list:
         return [hypot(x.real, x.imag) for x in values]
 
 
-def solve_fbs(problem: LoadFlowProblem, tolerance: float = 1e-8,
-              max_iter: int = 50) -> LoadFlowSolution:
+def solve_fbs(problem: LoadFlowProblem, tolerance: float = TOLERANCE,
+              max_iter: int = MAX_ITER) -> LoadFlowSolution:
     """Run the sweep. Never raises on non-convergence; check `converged`."""
     n = len(problem.bus_ids)
     parent, z, s = problem.parent, problem.z_pu, problem.s_pu
@@ -167,10 +175,11 @@ def compile_certificate(problem: LoadFlowProblem, capacity_mw) -> tuple:
         for i, (line, z) in enumerate(zip(problem.line_ids, problem.z_pu)) if i)
 
 
-def certified_voltage(s, certificate, tolerance=1e-8, max_iter=50):
+def certified_voltage(s, certificate, tolerance=TOLERANCE, max_iter=MAX_ITER):
     """r when the bounds above show, with margin, that `solve_fbs` converges in
-    `max_iter` with |P| <= 1.01 x capacity and residual < 1e-4 MW, else None,
-    for net injections `s` in p.u. in the order of the certificate's layout."""
+    `max_iter` within the confirmation's action rule, |P| <= (1 + LOADING_MARGIN)
+    x capacity and residual <= RESIDUAL_MW, else None, for net injections `s`
+    in p.u. in the order of the certificate's layout."""
     base_mva, slack_voltage, lines = certificate
     v0 = abs(slack_voltage)
     w, p, q, path = [abs(x) for x in s], [x.real for x in s], [0.0] * len(s), [0.0] * len(s)
@@ -183,6 +192,7 @@ def certified_voltage(s, certificate, tolerance=1e-8, max_iter=50):
     r = (1.0 + sqrt(max(1.0 - 4.0 * zeta, 0.0))) / 2.0
     rv = r * v0
     return r if (zeta < 0.25 and zeta * v0 * (zeta / (r * r)) ** (max_iter - 1) <= tolerance / 2
-                 and base_mva * w[0] * tolerance / rv <= 0.5e-4
-                 and all(abs(p[i]) + q[i] / (rv * rv) + w[i] * tolerance / rv <= 1.0099 * cap
+                 and base_mva * w[0] * tolerance / rv <= _CERTIFIED_RESIDUAL_MW
+                 and all(abs(p[i]) + q[i] / (rv * rv) + w[i] * tolerance / rv
+                         <= _CERTIFIED_LOADING * cap
                          for i, _, _, _, cap in lines)) else None

@@ -293,10 +293,11 @@ def _assemble(network, raw, cur) -> NetworkSpec:
             fields = _fields(rest, cur, {"line", "rate", "new_signal", "reboot", "manual",
                                          "p_new_signal", "p_reboot"},
                              required=("line", "rate"))
+            rate = _get(fields, "rate", cur, parse_rate_per_year, 0.0)
+            phases = _phases(fields, cur)  # its repair time is its manual phase
             sensors.append(Sensor(
                 id=ident, line_ref=fields.get("line", ""),
-                reliability=_reliability(fields, cur, "rate", "manual", no_fail),
-                phases=_phases(fields, cur)))
+                reliability=ReliabilityParams(rate, phases.manual_repair_h), phases=phases))
         else:
             fields = _fields(rest, cur, {"disconnector", "rate", "repair"},
                              required=("disconnector", "rate", "repair"))

@@ -2,15 +2,14 @@
 
 Everything inside the simulator runs on a single common unit (hours).
 Durations read from files carry explicit unit suffixes ("2 s", "5 min",
-"0.3 h", "1 yr"); conversion factors are exact rationals so that
-converting to the common unit and back is an identity.
+"0.3 h", "1 yr"); conversion factors are exact rationals, so a duration
+is rounded once, from its exact value in hours.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 HOURS_PER_YEAR = 8760
@@ -51,32 +50,6 @@ def _factor(unit: str) -> Fraction:
         raise UnitError(f"unknown time unit {unit!r}") from None
 
 
-@dataclass(frozen=True)
-class Duration:
-    """A value with a time unit; converts exactly between units."""
-
-    value: Fraction
-    unit: str = "h"
-
-    def to(self, unit: str) -> "Duration":
-        new = self.value * _factor(self.unit) / _factor(unit)
-        return Duration(new, unit)
-
-    @property
-    def hours(self) -> float:
-        return float(self.value * _factor(self.unit))
-
-
-def parse_duration(text: str) -> Duration:
-    """Parse "2 s", "5min", "0.3 h", "4", "1 yr". A bare number means hours."""
-    m = _DURATION_RE.match(str(text))
-    if not m:
-        raise UnitError(f"malformed duration {text!r}")
-    value, unit = m.group(1), m.group(2) or "h"
-    _factor(unit)
-    return Duration(Fraction(value), unit)
-
-
 def finite_float(text) -> float:
     """`float(text)`, refusing nan and infinities with a ValueError."""
     value = float(text)
@@ -86,11 +59,15 @@ def finite_float(text) -> float:
 
 
 def duration_hours(text) -> float:
-    """Shorthand: parse a duration string (or accept a number) and return hours."""
+    """Hours in a number, or in a duration string: "2 s", "5min", "0.3 h",
+    "4", "1 yr". A bare number means hours."""
     if isinstance(text, (int, float)) and not isinstance(text, bool):
         return finite_float(text)
+    m = _DURATION_RE.match(str(text))
+    if not m:
+        raise UnitError(f"malformed duration {text!r}")
     try:
-        return parse_duration(text).hours
+        return float(Fraction(m.group(1)) * _factor(m.group(2) or "h"))
     except OverflowError:  # the exact value is past the float range
         raise UnitError(f"duration {text!r} is not finite") from None
 

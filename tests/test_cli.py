@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -103,6 +105,29 @@ def test_simulate_is_deterministic_byte_for_byte(tmp_path, capsys):
     for name in ("iterations.csv", "summary.csv", "load_points.csv",
                  "run_metadata.json"):
         assert _read(out_a / name) == _read(out_b / name), name
+
+
+@pytest.mark.parametrize("args", [
+    ["--scenario", "case1..case4", "--workers", "2", "--iterations", "20"],
+    ["--scenario", "case2", "--increment", "15min", "--iterations", "5"],
+], ids=["hourly-2-workers", "case2-15min"])
+def test_simulate_writes_the_same_bytes_under_any_hash_seed(args, tmp_path):
+    # string hashes, and so the order of a set of ids, change with the seed
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    results = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "gridrel", "simulate", *args,
+                               "--seed", "2024", "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        results.append(({f: _read(out / f) for f in files},
+                        proc.stdout.replace(str(out), "OUT")))
+    assert results[0][0]  # every result file, by name
+    assert results[0] == results[1]
 
 
 def test_simulate_bundled_scenarios_write_result_sets(tmp_path, capsys):

@@ -1,18 +1,24 @@
-"""Fault-free increments against the load-point walk they replace.
+"""Fault-free increments against judging the normal state they skip.
 
 An increment with no line fault or transformer repair active, once its
 failures and phase ends are applied, is fault-free: `SequentialSimulation`
-hands `_accrue` no sub-systems and it only resets the outage flags.
-`_Walking` tells such an increment by the fault table and handles it as
-the engine used to, walking every load point with nothing shed, as
-`oracles` keeps the former load-flow path.
-On real runs the full ledgers and the random streams left behind must be
-equal, and the fast path must have been taken.
+looks up no switching state and hands `_accrue` no sub-systems, so no
+verdict names a load point and the walk visits none. `_Walking` tells such
+an increment by the fault table and hands `_accrue` the normal state's
+sub-systems instead, for `_shed_verdict` to judge. On real runs the full
+ledgers and the random streams left behind must be equal, and the fast
+path must have been taken.
+`_WalkSpy` notes the load points each accruing call walks: none at a
+fault-free increment, and at any other only those that a verdict leaving
+them dark or shed, or a down transformer, names.
 """
+
+import builtins
 
 import numpy as np
 import pytest
 
+from gridrel import engine
 from gridrel.engine import SequentialSimulation, SimulationConfig, TopologyCache
 from gridrel.network import build_network
 from gridrel.scenarios import apply_scenario
@@ -30,23 +36,16 @@ class _Counting(SequentialSimulation):
 
 
 class _Walking(_Counting):
-    """Fault-free increments, told by the fault table, accrued by the former
-    walk over every load point; any other increment evaluates its switching
-    state, looked up here if the engine handed none."""
+    """Fault-free increments, told by the fault table, accrued from judging
+    the normal state, whose lookup the engine skips; any other increment
+    as the engine accrues it."""
 
     def _accrue(self, t, subsystems):
         if self._electrical_fault_active():
-            return super()._accrue(t, subsystems or self.topology.state(self.faults,
-                                                                        self.isolated))
+            return super()._accrue(t, subsystems)
         assert subsystems == ()
         self.fault_free += 1
-        stop = min([self.config.n_increments, *self.schedule, *self.ends, *self.silent_ends])
-        self.was_islanded = {b: False for b in self.was_islanded}
-        # with nothing shed a load point is served in full: no sum moves, no
-        # interruption starts, and it is no longer out
-        for b in self.model.load_points:
-            self.was_out[b] = False
-        return stop
+        return super()._accrue(t, self.topology.state((), ()))
 
 
 def _run(cls, topology, config):
@@ -72,3 +71,61 @@ def test_fault_free_increments_write_what_the_walk_writes(case, increment_h, iee
     assert fast == walked
     assert fast_streams == walked_streams
     assert taken == walks > 0
+
+
+_SORTED = []  # what the engine module sorted, within the accruing call under way
+
+
+def _recording_sorted(*args, **kwargs):
+    result = builtins.sorted(*args, **kwargs)
+    _SORTED.append(result)
+    return result
+
+
+class _WalkSpy(SequentialSimulation):
+    """The engine, noting at each accruing call whether it is fault-free, the
+    load points its walk visits, which the walk's one `sorted` call lists,
+    and the buses that dark verdicts, shedding verdicts and down
+    transformers name."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def _accrue(self, t, subsystems):
+        fault_free = not self._electrical_fault_active()
+        self.named = {b for kind, b in self.repairs if kind == "transformer"}
+        _SORTED.clear()
+        stop = super()._accrue(t, subsystems)
+        (walked,) = _SORTED
+        self.calls.append((fault_free, walked, self.named))
+        return stop
+
+    def _shed_verdict(self, sub, *args):
+        verdict, until = super()._shed_verdict(sub, *args)
+        self.named.update(sub.buses if verdict is None else verdict)
+        return verdict, until
+
+
+@pytest.mark.parametrize("case", ["case2", "case3"])
+def test_the_walk_visits_only_the_load_points_a_verdict_names(case, monkeypatch, ieee33_spec,
+                                                              bundled_profiles, cost_table):
+    monkeypatch.setattr(engine, "sorted", _recording_sorted, raising=False)
+    loads, wind = bundled_profiles
+    model = build_network(apply_scenario(ieee33_spec, case))
+    config = SimulationConfig(iterations=40, master_seed=2024)
+    topology = TopologyCache(model, ProfileSet(1.0, 8760.0, loads, wind), config, cost_table)
+    calls = []
+    for i in range(config.iterations):
+        sim = _WalkSpy(topology, np.random.default_rng([config.master_seed, i]))
+        sim.run()
+        calls += sim.calls
+    fault_free = [walked for free, walked, _ in calls if free]
+    evaluated = [(walked, named) for free, walked, named in calls if not free]
+    assert fault_free and not any(fault_free)
+    assert evaluated
+    for walked, named in evaluated:
+        assert walked == [b for b in model.load_points if b in named]
+    # a verdict that serves its sub-system in full names none of its buses
+    walked_per_call = sum(len(walked) for walked, _ in evaluated) / len(evaluated)
+    assert 0 < walked_per_call < len(model.load_points)

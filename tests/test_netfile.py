@@ -165,6 +165,14 @@ def test_ict_range_errors_are_collected_with_the_others():
         "net.txt:22: field 'rate': could not convert string to float: 'q'"]
 
 
+def test_a_sensor_manual_phase_is_read_once():
+    # it is both the sensor's repair time and its manual recovery phase
+    text = TWO_BUS + "\n[ict]\n" + CONTROLLER + "\n" + SENSOR + "\n"
+    with pytest.raises(NetworkFileError) as err:
+        parse_network_text(text.replace("manual=2h", "manual=abc"), path="net.txt")
+    assert err.value.errors == ["net.txt:22: field 'manual': malformed duration 'abc'"]
+
+
 def test_errors_are_collected_not_first_only():
     text = TWO_BUS + "\n[batteries]\nBT bus=A\nBT2 bus=B\n"
     with pytest.raises(NetworkFileError) as err:

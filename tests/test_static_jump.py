@@ -443,8 +443,7 @@ def test_steady_subsystems_are_served_in_full_or_dark_at_every_increment(
     rng_state = sim.rng.bit_generator.state
     for t in range(config.n_increments):
         for sub in steady:
-            verdict, until = sim._shed_verdict(sub, t, tx_down,
-                                               dict.fromkeys(sim.was_islanded, False))
+            verdict, until = sim._shed_verdict(sub, t, tx_down, set())
             assert verdict == (None if sub.grid_bus is None else {})
             # a sourceless island is dark to the horizon
             assert until == (config.n_increments if sub.grid_bus is None else t + 1)
