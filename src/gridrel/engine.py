@@ -59,13 +59,13 @@ fault event, and every sub-system to its production units and batteries,
 so an increment only indexes arrays and tables.
 
 Only normally closed lines conduct (a normally open breaker is refused at
-build time), so every switching state is a forest. A sub-system compiles
-its shedding skeleton (see `shedding`) on its first problem and, in
-`Subsystem.layouts`, its load-flow layout, bus positions and certificate for
-each slack bus it meets (an island's slack, the bus of its largest source,
-moves with the wind), so a problem fills in only demands, generators and
-injections by position. A load-flow problem is built, and swept, only where
-the certificate (see `loadflow`) cannot show that the sweep would not act.
+build time), so every switching state is a forest and a sub-system a subtree
+of it. A sub-system compiles its shedding skeleton (see `shedding`), with
+the forest's tree, on its first problem and its load-flow totals on its
+first confirmation. Only a problem the totals do not certify (see `loadflow`)
+gets a load-flow layout and certificate for its slack bus (an island's
+slack, the bus of its largest source, moves with the wind), and a load-flow
+problem is built, and swept, only where neither certificate holds.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ import numpy as np
 
 from . import shedding as shed
 from .indices import MissingCostCategory
-from .loadflow import (LOADING_MARGIN, RESIDUAL_MW, LoadFlowProblem, certified_voltage,
-                       compile_certificate, solve_fbs)
+from .loadflow import (LOADING_MARGIN, RESIDUAL_MW, LoadFlowProblem, certified_totals,
+                       certified_voltage, compile_certificate, compile_totals, solve_fbs)
 # connected_components, the test oracles' partition, stays importable
 # because perfbench wraps it here
 from .network import NetworkModel, connected_components
@@ -181,9 +181,9 @@ class Subsystem:
     """One connected component of a switching state.
 
     `units` and `batteries` are the sources at its buses; only an island's
-    batteries dispatch, a grid-fed one idles. `layouts` maps each slack bus
-    the load flow has used to (layout, {bus: its position}, certificate), and
-    `shedding` holds the compiled shedding skeleton once an LP has needed it.
+    batteries dispatch, a grid-fed one idles. Compiled once needed: `shedding`,
+    the shedding skeleton; `totals`, the load-flow totals; and `layouts`, per
+    slack bus the load flow has used, (layout, certificate).
     """
 
     buses: tuple          # sorted
@@ -198,14 +198,19 @@ class Subsystem:
     layouts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     shedding: Optional[shed.ShedSkeleton] = field(default=None, init=False, compare=False,
                                                   repr=False)
+    totals: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
-    def shedding_skeleton(self, shed_cost) -> shed.ShedSkeleton:
+    def shedding_skeleton(self, model, shed_cost) -> shed.ShedSkeleton:
         """The fixed part of this sub-system's shedding problems, compiled on
-        first use with these per-bus shed costs, which a run never changes."""
+        first use with these per-bus shed costs, which a run never changes,
+        and the model's feeder forest below its top bus as the tree."""
         if self.shedding is None:  # a lazy field of a frozen dataclass
+            buses, parent = set(self.buses), model.tree_parent
             object.__setattr__(self, "shedding", shed.compile_skeleton(
                 self.buses, shed_cost,
-                [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in self.lines]))
+                [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in self.lines],
+                tree=[(b, parent[b], model.feed_line[b]) for b in model.tree_order
+                      if b in buses and parent[b] in buses]))
         return self.shedding
 
     def grid_flows_within_caps(self, live_demand) -> bool:
@@ -684,7 +689,7 @@ class SequentialSimulation:
 
         result = shed.solve_shedding(shed.build_shedding_problem(
             sub.buses, live_demand, generators=generators,
-            skeleton=sub.shedding_skeleton(self.topology.shed_cost)))
+            skeleton=sub.shedding_skeleton(self.model, self.topology.shed_cost)))
         if result.status != shed.OPTIMAL:
             self.ledger.warnings.append(
                 f"t={t * self.dt:g}h: shedding infeasible in sub-system {sub.buses[0]}")
@@ -715,11 +720,11 @@ class SequentialSimulation:
 
     def _confirm_with_loadflow(self, sub, live_demand, generators, result, t):
         """Re-run the sweep with the shed applied; one repair pass on overload.
-        The net injections (each bus's load less its shed at constant power
-        factor, less each non-slack source at unity power factor) are filled
-        in by layout position. Where `certified_voltage` shows from them that
-        the sweep converges within the action rule (see `loadflow`), it
-        cannot act: skip it, and build no problem."""
+        The net injections are each bus's load less its shed at constant
+        power factor, less each non-slack source at unity power factor. Where
+        `certified_totals` passes their magnitudes' sum, or else
+        `certified_voltage` them by layout position, the sweep cannot act (see
+        `loadflow`): skip it, and build no problem."""
         comp, lines_here = sub.buses, sub.lines
         if len(comp) < 2 or not lines_here:
             return result
@@ -730,28 +735,35 @@ class SequentialSimulation:
             if not sources:
                 return result
             slack = min(sources)[1]
-        if slack not in sub.layouts:
-            edges = [(l.id, l.from_bus, l.to_bus, complex(l.r_pu, l.x_pu)) for l in lines_here]
-            layout = LoadFlowProblem.from_tree(slack, edges, {}, self.model.base_mva)
-            sub.layouts[slack] = (layout, {b: i for i, b in enumerate(layout.bus_ids)},
-                                  compile_certificate(layout, {l.id: l.capacity_mw
-                                                               for l in lines_here}))
-        layout, position, certificate = sub.layouts[slack]
 
         loads, shed_mw, generation = self.topology.loads, result.shed_mw, result.generation_mw
-        s = []
-        for b in layout.bus_ids:
+        s = {}
+        for b in comp:
             full = live_demand.get(b, 0.0)
             d = full - shed_mw.get(b, 0.0)
             q = 0.0
             if full > _EPS:  # then b has a load; shed at constant power factor
                 _, peak_mvar, curve = loads[b]
                 q = peak_mvar * float(curve[t]) * (d / full)
-            s.append(complex(d, q))
+            s[b] = complex(d, q)
         for gen_id, bus, *_ in generators:
             if bus != slack:
-                s[position[bus]] -= generation[gen_id]
-        s_pu = tuple(x / layout.base_mva for x in s)
+                s[bus] -= generation[gen_id]
+        base_mva = self.model.base_mva
+        if sub.totals is None:  # a lazy field of a frozen dataclass
+            object.__setattr__(sub, "totals", compile_totals(
+                [complex(l.r_pu, l.x_pu) for l in lines_here],
+                [l.capacity_mw for l in lines_here], base_mva))
+        if certified_totals(sum(map(abs, s.values())) / base_mva, sub.totals) is not None:
+            self.ledger.sweeps_certified += 1
+            return result
+        if slack not in sub.layouts:
+            edges = [(l.id, l.from_bus, l.to_bus, complex(l.r_pu, l.x_pu)) for l in lines_here]
+            layout = LoadFlowProblem.from_tree(slack, edges, {}, base_mva)
+            sub.layouts[slack] = (layout, compile_certificate(
+                layout, {l.id: l.capacity_mw for l in lines_here}))
+        layout, certificate = sub.layouts[slack]
+        s_pu = tuple(s[b] / base_mva for b in layout.bus_ids)
         if certified_voltage(s_pu, certificate) is not None:
             self.ledger.sweeps_certified += 1
             return result

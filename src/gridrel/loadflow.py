@@ -22,6 +22,12 @@ L = zeta / r^2 (Chiang and Baran, IEEE TCAS 1990; Bolognani and Zampieri,
 IEEE TPWRS 2016). Converged, line l sends |P| <= |P_l| + the sum over its
 subtree of r_m (W_m / r |V0|)^2 + W_l tol / (r |V0|), P_l the lossless flow,
 and the balance residual is at most base W_root tol / (r |V0|).
+
+`certified_totals` needs no layout: with S >= the sum of |s_j|, every W_l
+and |P_l| is at most S, every path sum at most the summed |z| times S and
+every sum of r_m W_m^2 at most the summed resistance times S^2, and each
+test is monotone in these. So what passes for one line of those sums and
+the smallest capacity, carrying S, passes at any slack, with r or more.
 """
 
 from __future__ import annotations
@@ -173,6 +179,19 @@ def compile_certificate(problem: LoadFlowProblem, capacity_mw) -> tuple:
     return problem.base_mva, problem.slack_voltage, tuple(
         (i, problem.parent[i], abs(z), z.real, capacity_mw[line] / problem.base_mva)
         for i, (line, z) in enumerate(zip(problem.line_ids, problem.z_pu)) if i)
+
+
+def compile_totals(z_pu, capacity_mw, base_mva=10.0, slack_voltage=1.0) -> tuple:
+    """`certified_totals`'s certificate for lines of impedances `z_pu` (p.u.)
+    and capacities `capacity_mw`: their one equivalent line."""
+    return base_mva, slack_voltage, (
+        (1, 0, sum(map(abs, z_pu)), sum(z.real for z in z_pu), min(capacity_mw) / base_mva),)
+
+
+def certified_totals(s_total, totals):
+    """`certified_voltage` for `s_total` p.u., widened by 1e-9 for rounding,
+    carried by the line of `totals` (see above)."""
+    return certified_voltage((0j, complex(s_total * (1.0 + 1e-9))), totals)
 
 
 def certified_voltage(s, certificate, tolerance=TOLERANCE, max_iter=MAX_ITER):

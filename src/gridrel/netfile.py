@@ -21,7 +21,9 @@ be given in ohms (converted with the declared bases) or directly per unit.
 
 from __future__ import annotations
 
+import math
 import shlex
+from contextlib import suppress
 
 from .network import (
     BREAKER, DISCONNECTOR, FROM_END, TO_END,
@@ -228,7 +230,12 @@ def _assemble(network, raw, cur) -> NetworkSpec:
         if "r_pu" in fields or "x_pu" in fields:
             unit, z = "pu", 1.0
         else:  # only ohms need the impedance base, which extreme bases overflow
-            unit, z = "ohm", network["base_kv"] ** 2 / network["base_mva"]
+            unit, z = "ohm", math.inf
+            with suppress(OverflowError):
+                z = network["base_kv"] ** 2 / network["base_mva"]
+            if not 0.0 < z < math.inf:
+                cur.err(f"impedance base base_kv^2 / base_mva = {z!r}: must be finite and > 0")
+                z = 1.0
         r_pu = _get(fields, "r_" + unit, cur, _number, 0.0) / z
         x_pu = _get(fields, "x_" + unit, cur, _number, 0.0) / z
         rel = _reliability(fields, cur, "rate", "repair", defaults["line"])

@@ -460,8 +460,8 @@ def _validate_spec(spec: NetworkSpec):
             yield f"line {line.id!r} connects a bus to itself"
         if line.capacity_mw <= 0:
             yield f"line {line.id!r}: capacity must be > 0"
-        if line.r_pu < 0 or line.x_pu < 0:
-            yield f"line {line.id!r}: impedance must be >= 0"
+        if not all(0 <= z < float("inf") for z in (line.r_pu, line.x_pu)):  # NaN too
+            yield f"line {line.id!r}: impedance must be finite and >= 0"
         yield from _check_reliability(line.reliability, f"line {line.id!r}")
 
     roots = {d.root_bus for d in spec.distribution_systems}

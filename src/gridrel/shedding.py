@@ -13,10 +13,12 @@ reported objective is always recomputed from the unperturbed costs.
 
 What the problems of one sub-system share, its node order, shed costs and
 lines and what follows from them (the perturbed costs, the merit order of
-the nodes, the spanning tree and the smallest line capacity), is compiled
-once by `compile_skeleton`. Given that `ShedSkeleton`,
-`build_shedding_problem` fills in only the demands and the generators;
-called without one, it compiles one first.
+the nodes, a spanning tree and the smallest line capacity), is compiled
+once by `compile_skeleton`; a caller that knows a tree of the lines, as the
+engine knows its feeder forest, hands it over, and otherwise
+`_spanning_tree` searches one. Given that `ShedSkeleton`,
+`build_shedding_problem` fills in only the demands and the generators, as
+named tuples; called without one, it compiles one first.
 
 Two solvers share that rule:
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -49,8 +51,7 @@ _TOL = 1e-9
 _INFEASIBLE_TOL = 1e-7  # balance residual beyond which a problem is infeasible
 
 
-@dataclass(frozen=True)
-class GeneratorVar:
+class GeneratorVar(NamedTuple):
     id: str
     node: int
     min_mw: float
@@ -58,8 +59,7 @@ class GeneratorVar:
     cost: float = 0.0
 
 
-@dataclass(frozen=True)
-class LineVar:
+class LineVar(NamedTuple):
     id: str
     from_node: int
     to_node: int
@@ -83,37 +83,31 @@ class ShedSkeleton:
 
 
 def _spanning_tree(n, lines):
-    """Breadth first from node 0: n - 1 lines reaching every node form a tree."""
+    """(node, parent, line index) of every node but node 0, breadth first from
+    it, when the n - 1 lines reach every node; otherwise None."""
     if n == 0 or len(lines) != n - 1:
         return None
     adjacent = [[] for _ in range(n)]
     for j, l in enumerate(lines):
         adjacent[l.from_node].append((l.to_node, j))
         adjacent[l.to_node].append((l.from_node, j))
-    parent = {0: None}
-    order = [0]
+    order, seen, tree = [0], {0}, []
     for k in order:
         for m, j in adjacent[k]:
-            if m not in parent:
-                parent[m] = (k, j)
+            if m not in seen:
+                seen.add(m)
                 order.append(m)
-    if len(order) < n:
-        return None
-    tree = []
-    for m in reversed(order[1:]):
-        k, j = parent[m]
-        tree.append((m, k, j, lines[j].from_node == k))
-    return tuple(tree)
+                tree.append((m, k, j))
+    return tree if len(order) == n else None
 
 
-@dataclass(frozen=True)
-class SheddingProblem:
+class SheddingProblem(NamedTuple):
     node_ids: tuple
     demand_mw: tuple
     shed_cost: tuple
     generators: tuple
     lines: tuple
-    skeleton: ShedSkeleton = field(compare=False, repr=False)
+    skeleton: ShedSkeleton
 
 
 @dataclass(frozen=True)
@@ -125,19 +119,27 @@ class SheddingResult:
     objective: float = 0.0
 
 
-def compile_skeleton(node_ids, shed_cost, lines=()) -> ShedSkeleton:
+def compile_skeleton(node_ids, shed_cost, lines=(), tree=None) -> ShedSkeleton:
     """The fixed part of the problems `build_shedding_problem` makes from
-    these node ids, shed costs and lines."""
+    these node ids, shed costs and lines. A caller that knows the lines to
+    form a tree passes it as `tree`: (node, parent, line id) for every node
+    but the root, parents first; otherwise `_spanning_tree` searches one."""
     ids = tuple(node_ids)
     index = {b: i for i, b in enumerate(ids)}
     costs = tuple(float(shed_cost.get(b, 0.0)) for b in ids)
     line_vars = tuple(LineVar(l[0], index[l[1]], index[l[2]], float(l[3])) for l in lines)
     assert all(l.from_node != l.to_node for l in line_vars)
+    if tree is None:
+        tree = _spanning_tree(len(ids), line_vars)
+    else:
+        at = {l.id: j for j, l in enumerate(line_vars)}
+        tree = [(index[m], index[k], at[l]) for m, k, l in tree]
+    if tree is not None:  # children first, with the line's direction
+        tree = tuple((m, k, j, line_vars[j].from_node == k) for m, k, j in reversed(tree))
     value = tuple(_perturbed_costs(costs))
     return ShedSkeleton(ids, index, costs, line_vars, value,
-                        tuple(sorted(range(len(ids)), key=lambda k: (-value[k], k))),
-                        _spanning_tree(len(ids), line_vars),
-                        min((l.capacity_mw for l in line_vars), default=math.inf))
+                        tuple(sorted(range(len(ids)), key=value.__getitem__, reverse=True)),
+                        tree, min((l.capacity_mw for l in line_vars), default=math.inf))
 
 
 def build_shedding_problem(node_ids, demand_mw, shed_cost=None, generators=(),

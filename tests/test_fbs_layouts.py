@@ -1,17 +1,19 @@
 """Compiled load-flow layouts, the list sweep against the per-call path,
-and the certificate that lets the engine skip a sweep.
+and the certificates that let the engine skip a sweep.
 
-The engine compiles each sub-system's load-flow layout once per slack bus
-and sweeps on Python complex lists. The oracles are the former path: a
-layout built by `LoadFlowProblem.from_tree` for every sweep, and the sweep
-on numpy arrays. Every problem the engine builds, certified or swept, must
-equal the per-call problem exactly. Every solution must match the numpy
-sweep's: equal iterations and convergence, and values within 1e-12
-relative, since Python and numpy divide complex numbers and take their
-magnitudes with roundings an ulp apart and numpy sums the losses pairwise.
-Every problem `certified_voltage` passes is swept anyway and must meet the
-certificate's bounds: convergence within its iteration bound, |V| >= r |V0|,
-every line within 1.01 x capacity and a balance residual under 1e-4 MW.
+The engine first checks a sub-system's totals (`certified_totals`), then
+compiles its load-flow layout once per slack bus, for the problems the
+totals do not certify, and sweeps on Python complex lists. The oracles are
+the former path: a layout built by `LoadFlowProblem.from_tree` for every
+sweep, and the sweep on numpy arrays. Every problem the engine builds,
+certified or swept, must equal the per-call problem exactly. Every solution
+must match the numpy sweep's: equal iterations and convergence, and values
+within 1e-12 relative, since Python and numpy divide complex numbers and
+take their magnitudes with roundings an ulp apart and numpy sums the losses
+pairwise. Every problem either certificate passes is swept anyway, the
+per-call one where the totals passed it, and must meet that certificate's
+bounds: convergence within its iteration bound, |V| >= r |V0|, every line
+within 1.01 x capacity and a balance residual under 1e-4 MW.
 """
 
 import math
@@ -27,7 +29,8 @@ from gridrel.engine import (
     ScriptedFault, SequentialSimulation, SimulationConfig, TopologyCache, run_iteration,
 )
 from gridrel.loadflow import (
-    LoadFlowProblem, certified_voltage, compile_certificate, solve_fbs,
+    LoadFlowProblem, certified_totals, certified_voltage, compile_certificate, compile_totals,
+    solve_fbs,
 )
 from gridrel.network import build_network
 from gridrel.scenarios import apply_scenario
@@ -41,10 +44,12 @@ _MAX_ITER = 50
 
 
 class _Replay(SequentialSimulation):
-    """The engine, noting every load-flow problem it builds or certifies, with
-    the per-call problem and the compiled certificate of its layout."""
+    """The engine, noting every load-flow confirmation it certifies or
+    sweeps: the per-call problem, the totals' bound and certificate, and,
+    where it filled a layout, that problem and its compiled certificate."""
 
     built = None  # list shared by the iterations of one replay
+    use_totals = True  # False: every totals check reads as failed
     confirming = None  # (sim, sub, live demand, generators, result, t) of the last call
 
     def _confirm_with_loadflow(self, *args):
@@ -52,27 +57,40 @@ class _Replay(SequentialSimulation):
         return super()._confirm_with_loadflow(*args)
 
 
-def _recording_certified_voltage(s_pu, certificate, *args, **kwargs):
-    """`certified_voltage`, noting the problem the engine would sweep: its
-    layout's, with these injections, beside the per-call problem."""
+def _recording_certified_totals(s_total, totals):
+    """`certified_totals`, noting the confirmation's per-call problem at the
+    engine's slack: the grid bus, or an island's bus of the largest source,
+    the lowest on a tie."""
     sim, sub, live_demand, generators, result, t = _Replay.confirming
-    (layout,) = [layout for layout, _, compiled in sub.layouts.values()
-                 if compiled is certificate]
+    slack = sub.grid_bus or min((-g[3], g[1]) for g in generators if g[3] > 1e-9)[1]
     demand_q = {b: peak_mvar * float(curve[t])
                 for b, (_, peak_mvar, curve) in sim.topology.loads.items()}
     per_call = per_call_fbs_problem(
         sub.buses, live_demand, demand_q, sub.lines, {g[0]: g[1] for g in generators},
-        result, layout.bus_ids[0], sim.model.base_mva)
-    sim.built.append((per_call, replace(layout, s_pu=s_pu), certificate,
-                      {line.id: line.capacity_mw for line in sub.lines}))
+        result, slack, sim.model.base_mva)
+    r = certified_totals(s_total, totals) if _Replay.use_totals else None
+    sim.built.append({"sub": sub, "per_call": per_call, "s_total": s_total, "totals": totals,
+                      "r_totals": r,
+                      "capacity_mw": {line.id: line.capacity_mw for line in sub.lines}})
+    return r
+
+
+def _recording_certified_voltage(s_pu, certificate, *args, **kwargs):
+    """`certified_voltage`, noting the problem the engine would sweep: its
+    layout's, with these injections, and the layout's certificate."""
+    sim, sub = _Replay.confirming[:2]
+    (layout,) = [layout for layout, compiled in sub.layouts.values()
+                 if compiled is certificate]
+    sim.built[-1].update(problem=replace(layout, s_pu=s_pu), certificate=certificate)
     return certified_voltage(s_pu, certificate, *args, **kwargs)
 
 
-def _replay(monkeypatch, model, profiles, config, cost_table, script=None):
+def _replay(monkeypatch, model, profiles, config, cost_table, script=None,
+            use_totals=True):
     """Run every iteration, seeded as `run_iteration` seeds them, and return
-    the (per-call problem, problem, certificate, capacities) of every
-    problem built or certified, the (problem, solution) pairs `solve_fbs`
-    saw, the ledgers and the run's topology cache."""
+    a record of every confirmation (see `_recording_certified_totals`), the
+    (problem, solution) pairs `solve_fbs` saw, the ledgers and the run's
+    topology cache. Without `use_totals` no totals check passes."""
     seen = []
 
     def recording_solve_fbs(problem, *args, **kwargs):
@@ -81,7 +99,9 @@ def _replay(monkeypatch, model, profiles, config, cost_table, script=None):
         return solution
 
     monkeypatch.setattr(engine, "solve_fbs", recording_solve_fbs)
+    monkeypatch.setattr(engine, "certified_totals", _recording_certified_totals)
     monkeypatch.setattr(engine, "certified_voltage", _recording_certified_voltage)
+    monkeypatch.setattr(_Replay, "use_totals", use_totals)
     topology = TopologyCache(model, profiles, config, cost_table)
     built, ledgers = [], []
     for i in range(config.iterations):
@@ -142,24 +162,41 @@ def _assert_within_certificate(problem, r, capacity_mw):
 
 
 def _assert_replay_matches(built, seen):
-    """Every problem equals the per-call one; the engine swept exactly the
-    problems the certificate did not pass, each as the numpy sweep does, and
-    every certified one meets the certificate's bounds when swept anyway.
-    Returns the number of certified problems."""
-    swept = []
-    for per_call, problem, certificate, capacity_mw in built:
+    """Each confirmation's totals bound covers its per-call problem's
+    injections. Where the totals certified it, the engine filled no layout,
+    the layout certificate passes the per-call problem with an r at least
+    the totals' and the sweep meets the totals' bounds. Otherwise the filled
+    problem equals the per-call one, the engine swept exactly the problems
+    the layout certificate did not pass, each as the numpy sweep does, and
+    every one it passed meets its bounds when swept anyway. Returns how many
+    problems each test certified."""
+    swept, certified_by = [], {"totals": 0, "layout": 0}
+    for entry in built:
+        per_call, capacity_mw = entry["per_call"], entry["capacity_mw"]
+        assert entry["s_total"] >= sum(abs(x) for x in per_call.s_pu) * (1.0 - 1e-12)
+        r_totals = entry["r_totals"]
+        if r_totals is not None:
+            certified_by["totals"] += 1
+            assert "problem" not in entry
+            r = certified_voltage(per_call.s_pu, compile_certificate(per_call, capacity_mw))
+            assert r is not None and r >= r_totals
+            _assert_matches_numpy_sweep(per_call, _assert_within_certificate(
+                per_call, r_totals, capacity_mw))
+            continue
+        problem, certificate = entry["problem"], entry["certificate"]
         assert problem == per_call
         assert certificate == compile_certificate(per_call, capacity_mw)
         r = certified_voltage(problem.s_pu, certificate)
         if r is None:
             swept.append(problem)
         else:
+            certified_by["layout"] += 1
             _assert_matches_numpy_sweep(problem, _assert_within_certificate(
                 problem, r, capacity_mw))
     assert swept == [problem for problem, _ in seen]
     for problem, solution in seen:
         _assert_matches_numpy_sweep(problem, solution)
-    return len(built) - len(swept)
+    return certified_by
 
 
 # -- the load-flow stream of real runs ------------------------------------
@@ -176,13 +213,15 @@ def test_engine_sweeps_equal_the_per_call_path(case, increment_h, monkeypatch, i
     built, seen, ledgers, topology = _replay(monkeypatch, model, profiles, config,
                                              cost_table)
     assert len(built) > 20
-    certified = _assert_replay_matches(built, seen)
-    # a skipped sweep is counted, beside the sweeps run
-    assert sum(ledger.sweeps_certified for ledger in ledgers) == certified
+    certified_by = _assert_replay_matches(built, seen)
+    # a skipped sweep is counted, beside the sweeps run, whichever test skipped it
+    assert sum(ledger.sweeps_certified for ledger in ledgers) == sum(certified_by.values())
     assert sum(ledger.sweeps_run for ledger in ledgers) == len(seen)
-    # one layout per (sub-system, slack) met, each used by many problems
-    layouts = sum(len(sub.layouts) for subs in topology._states.values() for sub in subs)
-    assert 0 < layouts < len(built)
+    assert certified_by["totals"] > 0
+    # one layout per (sub-system, slack) that the totals did not certify
+    layouts = sum(len(sub.layouts) for sub in topology._subsystems.values())
+    assert layouts == len({(id(entry["sub"]), entry["per_call"].bus_ids[0])
+                           for entry in built if "problem" in entry})
 
 
 def test_island_slack_moving_with_the_wind_uses_two_layouts(monkeypatch, ieee33_spec,
@@ -195,23 +234,24 @@ def test_island_slack_moving_with_the_wind_uses_two_layouts(monkeypatch, ieee33_
     model = build_network(apply_scenario(ieee33_spec, "case2"))
     profiles = ProfileSet(0.25, 48.0, loads, wind)
     config = SimulationConfig(increment_h=0.25, horizon_h=48.0, master_seed=11)
+    # The totals certify each of its problems, so they are set aside here and
+    # the engine fills a layout at its own slack for each.
     built, seen, _, topology = _replay(monkeypatch, model, profiles, config, cost_table,
-                                       script=[ScriptedFault(15.0, "L05")])
+                                       script=[ScriptedFault(15.0, "L05")], use_totals=False)
     _assert_replay_matches(built, seen)
     (island,) = [sub for sub in topology.state({"L05"}, ()) if "B15" in sub.buses]
     assert island.grid_bus is None and "B30" in island.buses
     assert set(island.layouts) == {"B15", "B30"}
-    slacks = [problem.bus_ids[0] for _, problem, _, _ in built
-              if sorted(problem.bus_ids) == list(island.buses)]
+    slacks = [entry["problem"].bus_ids[0] for entry in built if entry["sub"] is island]
     assert slacks == ["B30", "B15", "B15", "B15"]
 
 
 def test_a_certified_confirmation_builds_no_load_flow_problem(monkeypatch, ieee33_spec,
                                                              bundled_profiles, cost_table):
     # 40 case2 iterations at 1 h, seed 2024: each of the 138 confirmations is
-    # certified, so past its layouts the engine builds no problem and sweeps
-    # nothing, and each ledger certifies what it did when every confirmation
-    # built its problem
+    # certified, by the totals or by a layout, so past its layouts the engine
+    # builds no problem and sweeps nothing, and each ledger certifies what it
+    # did when every confirmation built its problem
     constructed = []
     init = LoadFlowProblem.__init__
 
@@ -364,3 +404,58 @@ def test_the_certificate_on_non_finite_and_zero_injections():
     assert certified_voltage(_NAN_BRANCH.s_pu, certificate) is None
     flat = LoadFlowProblem.from_tree("S", [("L1", "S", "A", 0.01 + 0.01j)], {})
     assert certified_voltage(flat.s_pu, compile_certificate(flat, {"L1": 0.0})) == 1.0
+
+
+# -- the totals certificate on random radial trees --------------------------
+
+
+def _totals_edge(totals):
+    """The largest sum of |s_j| that `certified_totals` passes, bisected."""
+    low, high = 0.0, 1.0
+    while certified_totals(high, totals) is not None:
+        low, high = high, 2.0 * high
+    for _ in range(80):
+        middle = (low + high) / 2.0
+        if certified_totals(middle, totals) is not None:
+            low = middle
+        else:
+            high = middle
+    return low
+
+
+def test_the_totals_certify_only_what_the_layout_certificate_does():
+    # The engine checks the totals of a sub-system's lines against a bound on
+    # the sum of |s_j| before it fills a layout at its slack. Scaled toward
+    # the totals' edge, and at it, every problem they pass must pass
+    # `certified_voltage` too, with an r at least theirs, and its sweep must
+    # meet the totals' bounds.
+    certified = []
+
+    # two resistive lines in series, one load at the end: the layout's tests
+    # are the totals' own, and at the edge the losses of both lines bind
+    series = LoadFlowProblem.from_tree(
+        "S", [("L1", "S", "A", 0.3 + 0j), ("L2", "A", "B", 0.3 + 0j)], {"B": 0.1}, 1.0)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(case=_certificate_cases(), fraction=st.one_of(st.just(1.0), st.floats(0.5, 1.0)))
+    @example(case=(series, {"L1": 0.2, "L2": 0.2}), fraction=1.0)
+    def check(case, fraction):
+        problem, capacity_mw = case
+        lines = problem.line_ids[1:]
+        totals = compile_totals(problem.z_pu[1:], [capacity_mw[line] for line in lines],
+                                problem.base_mva, problem.slack_voltage)
+        total = sum(abs(x) for x in problem.s_pu)
+        if total > 1e-300:  # else scaling it may overflow
+            scale = fraction * _totals_edge(totals) / total
+            problem = replace(problem, s_pu=tuple(x * scale for x in problem.s_pu))
+        r_totals = certified_totals(sum(abs(x) for x in problem.s_pu), totals)
+        certified.append(r_totals is not None)
+        if r_totals is None:  # at the edge, where rounding may tip the sum past it
+            assert fraction > 1.0 - 1e-12
+            return
+        r = certified_voltage(problem.s_pu, compile_certificate(problem, capacity_mw))
+        assert r is not None and r >= r_totals
+        _assert_within_certificate(problem, r_totals, capacity_mw)
+
+    check()
+    assert sum(certified) > len(certified) / 2

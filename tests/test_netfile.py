@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +10,8 @@ from gridrel.netfile import (
 )
 from gridrel.network import (
     BREAKER, DISCONNECTOR, Battery, Bus, Controller, DistributionSystem, IctSystem,
-    IntelligentSwitch, Line, LoadSpec, Microgrid, NetworkSpec, ProductionUnit, Sensor,
-    Switchgear,
+    IntelligentSwitch, Line, LoadSpec, Microgrid, NetworkSpec, NetworkValidationError,
+    ProductionUnit, Sensor, Switchgear, build_network,
 )
 from gridrel.scenarios import bundled_network_path
 from gridrel.stochastic import ReliabilityParams, RepairPhases
@@ -102,6 +104,27 @@ def test_non_positive_base_positioned(old, new, message):
     with pytest.raises(NetworkFileError) as err:
         parse_network_text(TWO_BUS.replace(old, new), path="net.txt")
     assert err.value.errors == [f"net.txt:{message}"]
+
+
+@pytest.mark.parametrize("base_kv, shown", [("1e200", "inf"), ("1e-200", "0.0")])
+def test_an_impedance_base_out_of_range_positioned_at_each_ohm_line(base_kv, shown):
+    # base_kv^2 / base_mva overflows or underflows to 0: an ohm line cannot be
+    # converted, a per-unit line needs no base
+    text = TWO_BUS.replace("base_kv = 12.66", f"base_kv = {base_kv}").replace(
+        "\n\n[switchgear]", "\nL2 from=A to=B r_pu=0.01 x_pu=0.01 capacity_mw=4\n\n[switchgear]")
+    with pytest.raises(NetworkFileError) as err:
+        parse_network_text(text, path="net.txt")
+    assert err.value.errors == [
+        f"net.txt:15: impedance base base_kv^2 / base_mva = {shown}: must be finite and > 0"]
+
+
+def test_an_impedance_past_the_float_range_is_refused():
+    # base_kv = 1e-160 gives a base of 1e-321 MVA, so 0.0922 ohm is inf p.u.
+    spec = parse_network_text(TWO_BUS.replace("base_kv = 12.66", "base_kv = 1e-160"))
+    assert spec.lines[0].r_pu == math.inf
+    with pytest.raises(NetworkValidationError) as err:
+        build_network(spec)
+    assert err.value.violations == ["line 'L1': impedance must be finite and >= 0"]
 
 
 @pytest.mark.parametrize("old, new, message", [

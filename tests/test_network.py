@@ -48,6 +48,16 @@ def test_non_positive_bases_rejected(field, value):
     assert err.value.violations == [f"{field} must be > 0"]
 
 
+@pytest.mark.parametrize("field", ["r_pu", "x_pu"])
+@pytest.mark.parametrize("value", [-0.01, float("inf"), float("nan")])
+def test_negative_or_non_finite_impedance_rejected(field, value):
+    spec = parse_network_text(MINIMAL)
+    spec = replace(spec, lines=(replace(spec.lines[0], **{field: value}),))
+    with pytest.raises(NetworkValidationError) as err:
+        build_network(spec)
+    assert err.value.violations == ["line 'L1': impedance must be finite and >= 0"]
+
+
 def test_cycle_is_a_radiality_error():
     text = MINIMAL.replace(
         "[lines]",

@@ -88,6 +88,48 @@ def test_compiled_skeletons_solve_the_ieee33_lp_stream_as_built_from_scratch(
         assert shedding.solve_shedding(problem) == shedding.solve_shedding(fresh)
 
 
+def _tree_from(problem, root):
+    """(node, parent, line id) for every node of the problem's tree but
+    `root`, breadth first from it: a forest pass's tree rooted at `root`."""
+    ids, adjacent = problem.node_ids, {}
+    for line in problem.lines:
+        a, b = ids[line.from_node], ids[line.to_node]
+        adjacent.setdefault(a, []).append((b, line.id))
+        adjacent.setdefault(b, []).append((a, line.id))
+    order, tree = [root], []
+    for bus in order:
+        for other, line_id in adjacent.get(bus, ()):
+            if other not in order:
+                order.append(other)
+                tree.append((other, bus, line_id))
+    return tree
+
+
+@pytest.mark.parametrize("case", ["case2", "case4"])
+def test_a_skeleton_from_the_forest_solves_as_one_from_the_search(
+        case, ieee33_spec, bundled_profiles, cost_table, monkeypatch):
+    # The engine compiles each sub-system's tree from the feeder forest, rooted
+    # at its top bus; `_spanning_tree` searches one from node 0. Rooted at the
+    # last node too, the tree changes only the order in which the flows are
+    # summed.
+    problems = _lp_stream(case, ieee33_spec, bundled_profiles, cost_table, monkeypatch)
+    assert len(problems) > 20
+    for problem in problems:
+        ids = problem.node_ids
+        searched = shedding.solve_shedding(_from_scratch(problem))
+        for skeleton in (problem.skeleton, shedding.compile_skeleton(
+                ids, dict(zip(ids, problem.shed_cost)),
+                [(l.id, ids[l.from_node], ids[l.to_node], l.capacity_mw) for l in problem.lines],
+                tree=_tree_from(problem, ids[-1]))):
+            assert skeleton.tree is not None
+            result = shedding.solve_shedding(problem._replace(skeleton=skeleton))
+            assert (result.status, result.shed_mw, result.generation_mw) == (
+                searched.status, searched.shed_mw, searched.generation_mw)
+            assert result.line_flow_mw.keys() == searched.line_flow_mw.keys()
+            for line, flow in result.line_flow_mw.items():
+                assert flow == pytest.approx(searched.line_flow_mw[line], rel=0.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("lines", [
     # the 1.0 MW line binds below the sources
     [("L1", "A", "B", 1.0), ("L2", "B", "C", 5.0)],

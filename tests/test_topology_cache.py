@@ -261,9 +261,9 @@ def test_a_subsystem_met_in_several_states_is_compiled_once(ieee33_spec, bundled
         layouts.append((slack, tuple(edge[0] for edge in edges)))
         return from_tree(slack, edges, *args)
 
-    def counted_skeleton(node_ids, shed_cost, lines=()):
+    def counted_skeleton(node_ids, shed_cost, lines=(), **kwargs):
         skeletons.append((tuple(node_ids), tuple(line[0] for line in lines)))
-        return compile_skeleton(node_ids, shed_cost, lines)
+        return compile_skeleton(node_ids, shed_cost, lines, **kwargs)
 
     monkeypatch.setattr(LoadFlowProblem, "from_tree", counted_layout)
     monkeypatch.setattr(shedding, "compile_skeleton", counted_skeleton)
