@@ -2,14 +2,14 @@
 """Benchmark the working tree against a revision in alternating pairs.
 
     python3 scripts/bench_pairs.py REV --out BENCH_<n>.json [--workload W ...]
-        [--pairs 10] [--seed 1901] [--seconds 36] [--trace 0|1]
+        [--pairs 10] [--seed 1901] [--trace 0|1]
         [--claim WORKLOAD:METRIC] [--change TEXT]
 
 Extracts REV with `git archive` into a temporary directory, then runs
-`perfbench/run.py --workload W --seed S --seconds N --trace T` once in that
-copy and once in the working tree for each pair, at seeds S, S + 1, ...; the
-revision runs first in pairs at an even position, the working tree in the
-others. It reads only the last line of each run's stdout (perfbench's result
+`perfbench/run.py --workload W --seed S --seconds N --trace T`, N the
+run_seconds of BENCHMARK.json, once in that copy and once in the working
+tree for each pair, at seeds S, S + 1, ...; the revision runs first in pairs
+at an even position, the working tree in the others. It reads only the last line of each run's stdout (perfbench's result
 object) and its `stamp` line, and changes nothing under `perfbench/`.
 
 The file gets, per workload and metric, each side's median and quartiles
@@ -105,7 +105,6 @@ def main(argv=None):
     parser.add_argument("--workload", action="append")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1901)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--claim", help="WORKLOAD:METRIC")
     parser.add_argument("--change", help="what the working tree changes")
@@ -114,7 +113,7 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     declared = {m["name"]: m for m in bench["per_layer" if args.trace else "end_to_end"]}
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     sha = subprocess.run(["git", "rev-parse", args.rev], cwd=ROOT, capture_output=True,
                          text=True, check=True).stdout.strip()

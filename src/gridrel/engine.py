@@ -79,8 +79,9 @@ import numpy as np
 
 from . import shedding as shed
 from .indices import MissingCostCategory
-from .loadflow import (LOADING_MARGIN, RESIDUAL_MW, LoadFlowProblem, certified_totals,
-                       certified_voltage, compile_certificate, compile_totals, solve_fbs)
+from .loadflow import (LOADING_MARGIN, RESIDUAL_MW, SLACK_VOLTAGE, LoadFlowProblem,
+                       certified_totals, certified_voltage, compile_certificate,
+                       compile_totals, solve_fbs)
 # connected_components, the test oracles' partition, stays importable
 # because perfbench wraps it here
 from .network import NetworkModel, connected_components
@@ -753,13 +754,13 @@ class SequentialSimulation:
         if sub.totals is None:  # a lazy field of a frozen dataclass
             object.__setattr__(sub, "totals", compile_totals(
                 [complex(l.r_pu, l.x_pu) for l in lines_here],
-                [l.capacity_mw for l in lines_here], base_mva))
+                [l.capacity_mw for l in lines_here], base_mva, SLACK_VOLTAGE))
         if certified_totals(sum(map(abs, s.values())) / base_mva, sub.totals) is not None:
             self.ledger.sweeps_certified += 1
             return result
         if slack not in sub.layouts:
             edges = [(l.id, l.from_bus, l.to_bus, complex(l.r_pu, l.x_pu)) for l in lines_here]
-            layout = LoadFlowProblem.from_tree(slack, edges, {}, base_mva)
+            layout = LoadFlowProblem.from_tree(slack, edges, {}, base_mva, SLACK_VOLTAGE)
             sub.layouts[slack] = (layout, compile_certificate(
                 layout, {l.id: l.capacity_mw for l in lines_here}))
         layout, certificate = sub.layouts[slack]

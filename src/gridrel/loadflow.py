@@ -37,6 +37,7 @@ from math import hypot, sqrt
 
 
 TOLERANCE, MAX_ITER = 1e-8, 50  # a sweep stops at an update below TOLERANCE p.u.
+SLACK_VOLTAGE = 1.0  # p.u., unless a problem sets its own
 # the confirmation's action rule: a converged sweep acts on a line loaded past
 # (1 + LOADING_MARGIN) x its capacity and warns of a balance residual past
 # RESIDUAL_MW; the certificate shows each with a margin below it
@@ -63,10 +64,10 @@ class LoadFlowProblem:
     z_pu: tuple
     s_pu: tuple
     base_mva: float = 10.0
-    slack_voltage: float = 1.0
+    slack_voltage: float = SLACK_VOLTAGE
 
     @classmethod
-    def from_tree(cls, slack, edges, injections_pu, base_mva=10.0, slack_voltage=1.0):
+    def from_tree(cls, slack, edges, injections_pu, base_mva=10.0, slack_voltage=SLACK_VOLTAGE):
         """Build the BFS ordering from edges (line_id, bus_a, bus_b, z_pu).
 
         Children are visited in bus-id order so the layout is deterministic.
@@ -181,7 +182,7 @@ def compile_certificate(problem: LoadFlowProblem, capacity_mw) -> tuple:
         for i, (line, z) in enumerate(zip(problem.line_ids, problem.z_pu)) if i)
 
 
-def compile_totals(z_pu, capacity_mw, base_mva=10.0, slack_voltage=1.0) -> tuple:
+def compile_totals(z_pu, capacity_mw, base_mva, slack_voltage) -> tuple:
     """`certified_totals`'s certificate for lines of impedances `z_pu` (p.u.)
     and capacities `capacity_mw`: their one equivalent line."""
     return base_mva, slack_voltage, (

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import shlex
-from contextlib import suppress
 
 from .network import (
     BREAKER, DISCONNECTOR, FROM_END, TO_END,
@@ -229,10 +228,8 @@ def _assemble(network, raw, cur) -> NetworkSpec:
                          required=("from", "to", "capacity_mw"))
         if "r_pu" in fields or "x_pu" in fields:
             unit, z = "pu", 1.0
-        else:  # only ohms need the impedance base, which extreme bases overflow
-            unit, z = "ohm", math.inf
-            with suppress(OverflowError):
-                z = network["base_kv"] ** 2 / network["base_mva"]
+        else:  # only ohms need the impedance base; at extreme bases * gives inf or 0, ** raises
+            unit, z = "ohm", network["base_kv"] * network["base_kv"] / network["base_mva"]
             if not 0.0 < z < math.inf:
                 cur.err(f"impedance base base_kv^2 / base_mva = {z!r}: must be finite and > 0")
                 z = 1.0

@@ -76,8 +76,8 @@ class ShedSkeleton:
     lines: tuple          # LineVar
     value: tuple          # perturbed shed costs (see `_perturbed_costs`)
     merit: tuple          # every node, by decreasing perturbed cost, then position
-    # below node 0, in reversed BFS order: (node, parent, line index, whether
-    # the line runs from the parent); None unless the lines form a spanning tree
+    # rooted at any node, children before parents: (node, parent, line index,
+    # whether the line runs from the parent); None unless the lines form a spanning tree
     tree: Optional[tuple]
     min_capacity: float   # of the lines, inf without one
 
@@ -101,13 +101,14 @@ def _spanning_tree(n, lines):
     return tree if len(order) == n else None
 
 
-class SheddingProblem(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class SheddingProblem:
     node_ids: tuple
     demand_mw: tuple
     shed_cost: tuple
     generators: tuple
     lines: tuple
-    skeleton: ShedSkeleton
+    skeleton: ShedSkeleton = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)

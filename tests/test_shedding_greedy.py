@@ -8,6 +8,8 @@ without the sub-system's compiled skeleton, and check generated eligible
 trees against HiGHS.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,7 +124,7 @@ def test_a_skeleton_from_the_forest_solves_as_one_from_the_search(
                 [(l.id, ids[l.from_node], ids[l.to_node], l.capacity_mw) for l in problem.lines],
                 tree=_tree_from(problem, ids[-1]))):
             assert skeleton.tree is not None
-            result = shedding.solve_shedding(problem._replace(skeleton=skeleton))
+            result = shedding.solve_shedding(replace(problem, skeleton=skeleton))
             assert (result.status, result.shed_mw, result.generation_mw) == (
                 searched.status, searched.shed_mw, searched.generation_mw)
             assert result.line_flow_mw.keys() == searched.line_flow_mw.keys()
