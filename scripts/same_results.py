@@ -7,15 +7,16 @@ Extracts the git revision REF with `git archive` into a temporary
 directory, runs the byte-identity set of `gridrel simulate` commands (see
 RUNS) and the closed form's commands on the 6-bus feeder (see
 CLOSED_FORM_RUNS) with the source of REF and with the source of the working
-tree, and prints each result file or stdout that differs, with the rows of
-a CSV or stdout that differ. It then runs the studies of LEDGER_STUDIES
-with each tree in its own process and compares every iteration's full
-ledger (see LEDGER_FIELDS, events and warnings included, every float to the
-bit), printing the first iteration and field that differ in each study. REF
-runs under one fixed PYTHONHASHSEED and the working tree under another (see
-HASH_SEEDS), so a result that depends on the order of a set of ids differs
-too. Beside its verdict it prints the line total of `src/gridrel/*.py` in
-REF and in the working tree, as `wc -l` counts it. Exits 0 when every file is byte-identical and every
+tree, and prints each result file, stdout or stderr (where the warnings go)
+that differs, with the rows of a CSV, stdout or stderr that differ. It then
+runs the studies of LEDGER_STUDIES with each tree in its own process and
+compares every iteration's full ledger (see LEDGER_FIELDS, events and
+warnings included, every float to the bit), printing the first iteration
+and field that differ in each study. REF runs under one fixed PYTHONHASHSEED
+and the working tree under another (see HASH_SEEDS), so a result that
+depends on the order of a set of ids differs too. Beside its verdict it
+prints the line total of `src/gridrel/*.py` in REF and in the working tree,
+as `wc -l` counts it. Exits 0 when every file is byte-identical and every
 ledger equal, 1 otherwise.
 """
 
@@ -73,15 +74,17 @@ def tree_env(tree, label):
 
 def gridrel(tree, label, out, args):
     """Run `gridrel` from `tree` with its source under `label`'s hash seed,
-    and write its stdout, with `out` written as OUT, to `out`/stdout.txt."""
+    and write its stdout and stderr, with `out` written as OUT, to
+    `out`/stdout.txt and `out`/stderr.txt."""
     env = tree_env(tree, label)
     proc = subprocess.run([sys.executable, "-m", "gridrel", *args], cwd=tree, env=env,
                           capture_output=True, text=True)
     if proc.returncode:
         sys.exit(f"gridrel {args[0]} failed on {tree}:\n{proc.stderr}")
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "stdout.txt"), "w") as fh:
-        fh.write(proc.stdout.replace(out, "OUT"))
+    for name, text in (("stdout.txt", proc.stdout), ("stderr.txt", proc.stderr)):
+        with open(os.path.join(out, name), "w") as fh:
+            fh.write(text.replace(out, "OUT"))
 
 
 def source_lines(tree):
@@ -99,9 +102,11 @@ def result_files(top):
 
 
 def differing_rows(a_path, b_path):
+    """The (REF's, the tree's) lines that differ, a CSV's header left out."""
     with open(a_path) as fa, open(b_path) as fb:
         a, b = fa.read().splitlines(), fb.read().splitlines()
-    rows = [(x, y) for x, y in zip(a[1:], b[1:]) if x != y]
+    start = 1 if a_path.endswith(".csv") else 0
+    rows = [(x, y) for x, y in zip(a[start:], b[start:]) if x != y]
     rows += [(x, "") for x in a[len(b):]] + [("", y) for y in b[len(a):]]
     return rows
 

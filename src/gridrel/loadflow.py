@@ -81,27 +81,20 @@ class LoadFlowProblem:
         if slack not in adj and edges:
             raise NonRadialError(f"slack bus {slack!r} not in the subtree")
 
-        order = [slack]
-        parent = [-1]
-        line_ids = [None]
-        z_list = [0j]
-        index = {slack: 0}
-        seen_lines = set()
-        cursor = 0
-        while cursor < len(order):
-            bus = order[cursor]
+        order, parent, line_ids, z_list = [slack], [-1], [None], [0j]
+        seen_buses, seen_lines = {slack}, set()
+        for k, bus in enumerate(order):  # visits the buses appended below too
             for other, line_id, z in adj.get(bus, ()):
                 if line_id in seen_lines:
                     continue
                 seen_lines.add(line_id)
-                if other in index:
+                if other in seen_buses:
                     raise NonRadialError(f"cycle through line {line_id!r}")
-                index[other] = len(order)
+                seen_buses.add(other)
                 order.append(other)
-                parent.append(index[bus])
+                parent.append(k)
                 line_ids.append(line_id)
                 z_list.append(complex(z))
-            cursor += 1
         if len(seen_lines) != len(edges):
             raise NonRadialError("edges not reachable from the slack bus")
 
@@ -195,11 +188,11 @@ def certified_totals(s_total, totals):
     return certified_voltage((0j, complex(s_total * (1.0 + 1e-9))), totals)
 
 
-def certified_voltage(s, certificate, tolerance=TOLERANCE, max_iter=MAX_ITER):
-    """r when the bounds above show, with margin, that `solve_fbs` converges in
-    `max_iter` within the confirmation's action rule, |P| <= (1 + LOADING_MARGIN)
-    x capacity and residual <= RESIDUAL_MW, else None, for net injections `s`
-    in p.u. in the order of the certificate's layout."""
+def certified_voltage(s, certificate):
+    """r when the bounds above show, with margin, that `solve_fbs` at its
+    defaults converges within the confirmation's action rule, |P| <= (1 +
+    LOADING_MARGIN) x capacity and residual <= RESIDUAL_MW, else None, for net
+    injections `s` in p.u. in the order of the certificate's layout."""
     base_mva, slack_voltage, lines = certificate
     v0 = abs(slack_voltage)
     w, p, q, path = [abs(x) for x in s], [x.real for x in s], [0.0] * len(s), [0.0] * len(s)
@@ -211,8 +204,8 @@ def certified_voltage(s, certificate, tolerance=TOLERANCE, max_iter=MAX_ITER):
     zeta = max(path) / (v0 * v0)  # NaN fails every test below
     r = (1.0 + sqrt(max(1.0 - 4.0 * zeta, 0.0))) / 2.0
     rv = r * v0
-    return r if (zeta < 0.25 and zeta * v0 * (zeta / (r * r)) ** (max_iter - 1) <= tolerance / 2
-                 and base_mva * w[0] * tolerance / rv <= _CERTIFIED_RESIDUAL_MW
-                 and all(abs(p[i]) + q[i] / (rv * rv) + w[i] * tolerance / rv
+    return r if (zeta < 0.25 and zeta * v0 * (zeta / (r * r)) ** (MAX_ITER - 1) <= TOLERANCE / 2
+                 and base_mva * w[0] * TOLERANCE / rv <= _CERTIFIED_RESIDUAL_MW
+                 and all(abs(p[i]) + q[i] / (rv * rv) + w[i] * TOLERANCE / rv
                          <= _CERTIFIED_LOADING * cap
                          for i, _, _, _, cap in lines)) else None

@@ -71,13 +71,6 @@ def _fields(tokens, cur, known, required=()):
     return out
 
 
-def _number(text):
-    try:
-        return finite_float(text)
-    except ValueError:
-        raise ValueError(f"not a finite number: {text!r}") from None
-
-
 # the staged recovery's ranges, checked here to report the line (RepairPhases
 # refuses them too)
 def _phase_hours(text):
@@ -88,7 +81,7 @@ def _phase_hours(text):
 
 
 def _probability(text):
-    p = _number(text)
+    p = finite_float(text)
     if not 0.0 <= p <= 1.0:
         raise ValueError("must be in [0, 1]")
     return p
@@ -160,7 +153,7 @@ def parse_network_text(text, path="<string>") -> NetworkSpec:
             elif key == "id":
                 network["id"] = value
             else:  # a base divides every per-unit quantity
-                base = _get({key: value}, key, cur, _number, network[key])
+                base = _get({key: value}, key, cur, finite_float, network[key])
                 if base > 0:
                     network[key] = base
                 else:
@@ -203,8 +196,8 @@ def _assemble(network, raw, cur) -> NetworkSpec:
         load = None
         if "load_mw" in fields:
             load = LoadSpec(
-                peak_mw=_get(fields, "load_mw", cur, _number, 0.0),
-                peak_mvar=_get(fields, "load_mvar", cur, _number, 0.0),
+                peak_mw=_get(fields, "load_mw", cur, finite_float, 0.0),
+                peak_mvar=_get(fields, "load_mvar", cur, finite_float, 0.0),
                 profile=fields.get("profile", "flat"),
                 category=fields.get("category", "general"))
         flag = fields.get("transformer", "no").lower()
@@ -215,7 +208,7 @@ def _assemble(network, raw, cur) -> NetworkSpec:
         if "transformer_rate" in fields or "transformer_repair" in fields:
             transformer = _reliability(fields, cur, "transformer_rate", "transformer_repair",
                                        transformer or defaults["transformer"])
-        customers = _get(fields, "customers", cur, _number, 0.0)
+        customers = _get(fields, "customers", cur, finite_float, 0.0)
         if not customers.is_integer():
             cur.err(f"field 'customers': not a whole number: {fields['customers']!r}")
         buses.append(Bus(id=bus_id, load=load, customers=int(customers),
@@ -233,13 +226,13 @@ def _assemble(network, raw, cur) -> NetworkSpec:
             if not 0.0 < z < math.inf:
                 cur.err(f"impedance base base_kv^2 / base_mva = {z!r}: must be finite and > 0")
                 z = 1.0
-        r_pu = _get(fields, "r_" + unit, cur, _number, 0.0) / z
-        x_pu = _get(fields, "x_" + unit, cur, _number, 0.0) / z
+        r_pu = _get(fields, "r_" + unit, cur, finite_float, 0.0) / z
+        x_pu = _get(fields, "x_" + unit, cur, finite_float, 0.0) / z
         rel = _reliability(fields, cur, "rate", "repair", defaults["line"])
         lines.append(Line(
             id=line_id, from_bus=fields.get("from", ""), to_bus=fields.get("to", ""),
             r_pu=r_pu, x_pu=x_pu,
-            capacity_mw=_get(fields, "capacity_mw", cur, _number, 0.0), reliability=rel))
+            capacity_mw=_get(fields, "capacity_mw", cur, finite_float, 0.0), reliability=rel))
 
     switchgear = []
     for _, sw_id, rest in _rows(raw["switchgear"], cur):
@@ -264,8 +257,8 @@ def _assemble(network, raw, cur) -> NetworkSpec:
                          required=("bus", "max_mw"))
         production.append(ProductionUnit(
             id=unit_id, bus=fields.get("bus", ""),
-            min_mw=_get(fields, "min_mw", cur, _number, 0.0),
-            max_mw=_get(fields, "max_mw", cur, _number, 0.0),
+            min_mw=_get(fields, "min_mw", cur, finite_float, 0.0),
+            max_mw=_get(fields, "max_mw", cur, finite_float, 0.0),
             profile=fields.get("profile")))
 
     batteries = []
@@ -274,10 +267,10 @@ def _assemble(network, raw, cur) -> NetworkSpec:
                                      "soc_max"}, required=("bus", "capacity_mwh", "inverter_mw"))
         batteries.append(Battery(
             id=bat_id, bus=fields.get("bus", ""),
-            capacity_mwh=_get(fields, "capacity_mwh", cur, _number, 0.0),
-            inverter_mw=_get(fields, "inverter_mw", cur, _number, 0.0),
-            soc_min=_get(fields, "soc_min", cur, _number, 0.0),
-            soc_max=_get(fields, "soc_max", cur, _number, 1.0)))
+            capacity_mwh=_get(fields, "capacity_mwh", cur, finite_float, 0.0),
+            inverter_mw=_get(fields, "inverter_mw", cur, finite_float, 0.0),
+            soc_min=_get(fields, "soc_min", cur, finite_float, 0.0),
+            soc_max=_get(fields, "soc_max", cur, finite_float, 1.0)))
 
     controller, sensors, int_switches = None, [], []
     for role, ident, rest in _rows(raw["ict"], cur, ("controller", "sensor", "switch"), "ict"):
@@ -315,7 +308,7 @@ def _assemble(network, raw, cur) -> NetworkSpec:
             fields = _fields(rest, cur, {"root", "feeder_capacity_mw"}, required=("root",))
             systems.append(DistributionSystem(
                 id=ident, root_bus=fields.get("root", ""),
-                feeder_capacity_mw=_get(fields, "feeder_capacity_mw", cur, _number)))
+                feeder_capacity_mw=_get(fields, "feeder_capacity_mw", cur, finite_float)))
         else:
             fields = _fields(rest, cur, {"via"}, required=("via",))
             microgrids.append(Microgrid(id=ident, via_disconnector=fields.get("via", "")))

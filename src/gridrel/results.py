@@ -1,7 +1,9 @@
 """Result serialization.
 
-All files use a fixed column order and a fixed float rendering so that runs
-with the same master seed are byte-identical regardless of worker count.
+Every result table (iterations.csv, summary.csv, load_points.csv and
+analytical.csv) goes through one writer: a fixed column order, and each
+number in one fixed rendering (`_fmt`, empty for None), so that runs with
+the same master seed are byte-identical regardless of worker count.
 Wall-clock data deliberately stays out of the result files.
 """
 
@@ -24,53 +26,43 @@ def write_results(out_dir, reports, summary, metadata) -> list:
     aggregated IndexReport. Returns the written paths.
     """
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    paths = [os.path.join(out_dir, name) for name in (
+        "iterations.csv", "summary.csv", "load_points.csv", "run_metadata.json")]
 
-    path = os.path.join(out_dir, "iterations.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("iteration,ens_mwh,cens,saifi,saidi,caidi\n")
-        for i, r in enumerate(reports):
-            fh.write(",".join([str(i), _fmt(r.ens_mwh), _fmt(r.cens), _fmt(r.saifi),
-                               _fmt(r.saidi), _fmt(r.caidi)]) + "\n")
-    written.append(path)
+    _write_table(paths[0], "iteration,ens_mwh,cens,saifi,saidi,caidi", (
+        [str(i), _fmt(r.ens_mwh), _fmt(r.cens), _fmt(r.saifi), _fmt(r.saidi), _fmt(r.caidi)]
+        for i, r in enumerate(reports)))
 
-    path = os.path.join(out_dir, "summary.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("index,mean,std,p5,p50,p95\n")
-        for name, stats in (("ens_mwh", summary.ens), ("cens", summary.cens),
+    rows = [[name, *map(_fmt, (s.mean, s.std, s.p5, s.p50, s.p95) if s else (None,) * 5)]
+            for name, s in (("ens_mwh", summary.ens), ("cens", summary.cens),
                             ("saifi", summary.saifi), ("saidi", summary.saidi),
-                            ("caidi", summary.caidi)):
-            if stats is None:
-                fh.write(f"{name},,,,,\n")
-            else:
-                fh.write(",".join([name, _fmt(stats.mean), _fmt(stats.std),
-                                   _fmt(stats.p5), _fmt(stats.p50),
-                                   _fmt(stats.p95)]) + "\n")
-        fh.write(f"caidi_of_means,{_fmt(summary.caidi_of_means)},,,,\n")
-    written.append(path)
+                            ("caidi", summary.caidi))]
+    rows.append(["caidi_of_means", _fmt(summary.caidi_of_means), "", "", "", ""])
+    _write_table(paths[1], "index,mean,std,p5,p50,p95", rows)
 
-    path = os.path.join(out_dir, "load_points.csv")
     rows = [(bus, *values) for bus, values in summary.load_points.items()]
     if summary.system_average is not None:
         rows.append(("system_average", *summary.system_average))
-    write_load_points(path, rows)
-    written.append(path)
+    write_load_points(paths[2], rows)
 
-    path = os.path.join(out_dir, "run_metadata.json")
-    with open(path, "w") as fh:
+    with open(paths[3], "w") as fh:
         json.dump(metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written.append(path)
-    return written
+    return paths
 
 
 def write_load_points(path, rows):
-    """Write a load-point table: one (name, failure rate per year, outage
-    hours per year, mean outage duration in hours or None) row each."""
+    """Write (name, failures per year, outage hours per year, r hours or None) rows."""
+    _write_table(path, "load_point,lambda_per_year,outage_hours_per_year,r_hours",
+                 ([name, _fmt(lam), _fmt(u), _fmt(r)] for name, lam, u, r in rows))
+
+
+def _write_table(path, header, rows):
+    """Write the `header` line, then each row of text cells as one CSV line."""
     with open(path, "w", newline="") as fh:
-        fh.write("load_point,lambda_per_year,outage_hours_per_year,r_hours\n")
-        for name, lam, u, r in rows:
-            fh.write(",".join([name, _fmt(lam), _fmt(u), _fmt(r)]) + "\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
 def run_metadata(config, network_path, scenario=None) -> dict:

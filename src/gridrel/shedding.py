@@ -15,10 +15,10 @@ What the problems of one sub-system share, its node order, shed costs and
 lines and what follows from them (the perturbed costs, the merit order of
 the nodes, a spanning tree and the smallest line capacity), is compiled
 once by `compile_skeleton`; a caller that knows a tree of the lines, as the
-engine knows its feeder forest, hands it over, and otherwise
-`_spanning_tree` searches one. Given that `ShedSkeleton`,
-`build_shedding_problem` fills in only the demands and the generators, as
-named tuples; called without one, it compiles one first.
+engine knows its feeder forest, hands it over, and otherwise the load flow's
+breadth-first layout (`LoadFlowProblem.from_tree`) gives one. Given that
+`ShedSkeleton`, `build_shedding_problem` fills in only the demands and the
+generators, as named tuples; called without one, it compiles one first.
 
 Two solvers share that rule:
 
@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+from .loadflow import LoadFlowProblem, NonRadialError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -82,25 +84,6 @@ class ShedSkeleton:
     min_capacity: float   # of the lines, inf without one
 
 
-def _spanning_tree(n, lines):
-    """(node, parent, line index) of every node but node 0, breadth first from
-    it, when the n - 1 lines reach every node; otherwise None."""
-    if n == 0 or len(lines) != n - 1:
-        return None
-    adjacent = [[] for _ in range(n)]
-    for j, l in enumerate(lines):
-        adjacent[l.from_node].append((l.to_node, j))
-        adjacent[l.to_node].append((l.from_node, j))
-    order, seen, tree = [0], {0}, []
-    for k in order:
-        for m, j in adjacent[k]:
-            if m not in seen:
-                seen.add(m)
-                order.append(m)
-                tree.append((m, k, j))
-    return tree if len(order) == n else None
-
-
 @dataclass(frozen=True, slots=True)
 class SheddingProblem:
     node_ids: tuple
@@ -124,17 +107,27 @@ def compile_skeleton(node_ids, shed_cost, lines=(), tree=None) -> ShedSkeleton:
     """The fixed part of the problems `build_shedding_problem` makes from
     these node ids, shed costs and lines. A caller that knows the lines to
     form a tree passes it as `tree`: (node, parent, line id) for every node
-    but the root, parents first; otherwise `_spanning_tree` searches one."""
+    but the root, parents first; otherwise the breadth-first search of
+    `LoadFlowProblem.from_tree` roots one at the first node, and the skeleton
+    has none when the lines hold a cycle or miss a node."""
     ids = tuple(node_ids)
     index = {b: i for i, b in enumerate(ids)}
     costs = tuple(float(shed_cost.get(b, 0.0)) for b in ids)
     line_vars = tuple(LineVar(l[0], index[l[1]], index[l[2]], float(l[3])) for l in lines)
     assert all(l.from_node != l.to_node for l in line_vars)
-    if tree is None:
-        tree = _spanning_tree(len(ids), line_vars)
-    else:
+    if tree is not None:
         at = {l.id: j for j, l in enumerate(line_vars)}
         tree = [(index[m], index[k], at[l]) for m, k, l in tree]
+    else:  # the load flow's breadth-first layout from node 0, over line indices
+        try:
+            bfs = LoadFlowProblem.from_tree(
+                0, [(j, l.from_node, l.to_node, 0) for j, l in enumerate(line_vars)], {})
+            order = bfs.bus_ids
+            if len(order) == len(ids):
+                tree = [(order[i], order[bfs.parent[i]], bfs.line_ids[i])
+                        for i in range(1, len(ids))]
+        except NonRadialError:  # the lines hold a cycle or miss node 0
+            pass
     if tree is not None:  # children first, with the line's direction
         tree = tuple((m, k, j, line_vars[j].from_node == k) for m, k, j in reversed(tree))
     value = tuple(_perturbed_costs(costs))

@@ -3,7 +3,8 @@
 Series are uniformly spaced. Resampling onto the simulation increment is
 linear when refining and interval-averaging when coarsening, so load series
 keep their total energy. Profiles shorter than the simulation horizon wrap
-cyclically (logged once per series).
+cyclically (logged once per series). An error in a profile or cost-table
+file names its row by its line in the file, blank lines and comments counted.
 """
 
 from __future__ import annotations
@@ -106,16 +107,22 @@ def tile_to_horizon(series: TimeSeries, horizon_h: float) -> np.ndarray:
     return values[:n_needed].copy()
 
 
+def _csv_rows(path) -> list:
+    """(file line, row) of each row of the CSV file at `path` that is neither
+    blank nor a comment (a first cell starting with '#')."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        return [(reader.line_num, r) for r in reader if r and not r[0].lstrip().startswith("#")]
+
+
 def read_timeseries_csv(path, kind: str = LOAD) -> dict:
     """Read a CSV whose first column is time (unit suffix in the header, e.g.
     ``time_h``) and every other column one named series. The first data row
     is the run's first increment; the timestamps set only the step."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r and not r[0].lstrip().startswith("#")]
+    rows = _csv_rows(path)
     if len(rows) < 2:
         raise TimeSeriesError(f"{path}: need a header and at least one data row")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     time_col = header[0].lower()
     if not time_col.startswith("time"):
         raise TimeSeriesError(f"{path}: first column must be the time column")
@@ -125,7 +132,7 @@ def read_timeseries_csv(path, kind: str = LOAD) -> dict:
         raise TimeSeriesError(f"{path}: no value columns")
 
     times, columns = [], [[] for _ in names]
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise TimeSeriesError(f"{path}:{lineno}: expected {len(header)} fields")
         try:
@@ -155,10 +162,7 @@ def read_cost_table(path) -> dict:
     """Read the per-category interruption cost table (category, cost_per_mwh),
     refusing one without entries or with a negative cost: shedding would
     then lower its objective by cutting load on purpose."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, r) for r in reader
-                if r and not r[0].lstrip().startswith("#")]
+    rows = _csv_rows(path)
     start = 1 if rows and rows[0][1][0].strip().lower() in ("category", "load_type") else 0
     table = {}
     for lineno, row in rows[start:]:

@@ -51,8 +51,12 @@ def _factor(unit: str) -> Fraction:
 
 
 def finite_float(text) -> float:
-    """`float(text)`, refusing nan and infinities with a ValueError."""
-    value = float(text)
+    """`float(text)`, or ValueError("not a finite number: <text>") for any
+    text that is not a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
     return value

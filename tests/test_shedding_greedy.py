@@ -111,7 +111,8 @@ def _tree_from(problem, root):
 def test_a_skeleton_from_the_forest_solves_as_one_from_the_search(
         case, ieee33_spec, bundled_profiles, cost_table, monkeypatch):
     # The engine compiles each sub-system's tree from the feeder forest, rooted
-    # at its top bus; `_spanning_tree` searches one from node 0. Rooted at the
+    # at its top bus; without one, `compile_skeleton` takes the load flow's
+    # breadth-first layout from node 0. Rooted at the
     # last node too, the tree changes only the order in which the flows are
     # summed.
     problems = _lp_stream(case, ieee33_spec, bundled_profiles, cost_table, monkeypatch)
@@ -130,6 +131,31 @@ def test_a_skeleton_from_the_forest_solves_as_one_from_the_search(
             assert result.line_flow_mw.keys() == searched.line_flow_mw.keys()
             for line, flow in result.line_flow_mw.items():
                 assert flow == pytest.approx(searched.line_flow_mw[line], rel=0.0, abs=1e-12)
+
+
+def test_a_skeleton_without_a_given_tree_roots_the_lines_tree_at_the_first_node():
+    # (node, parent, line index, whether the line runs from the parent)
+    lines = [("L1", "C", "A", 5.0), ("L2", "B", "D", 5.0), ("L3", "A", "B", 5.0)]
+    tree = shedding.compile_skeleton(["A", "B", "C", "D"], {}, lines).tree
+    assert sorted(tree) == [(1, 0, 2, True), (2, 0, 0, False), (3, 1, 1, True)]
+    # children before parents
+    position = {node: k for k, (node, *_) in enumerate(tree)}
+    assert all(position[node] < position.get(parent, len(tree)) for node, parent, *_ in tree)
+
+
+@pytest.mark.parametrize("nodes, lines", [
+    # a cycle, with as many lines as a tree over the four nodes would have
+    (["A", "B", "C", "D"], [("L1", "A", "B", 5.0), ("L2", "B", "C", 5.0),
+                            ("L3", "C", "A", 5.0)]),
+    # a tree that misses a node
+    (["A", "B", "C"], [("L1", "A", "B", 5.0)]),
+    # lines that miss the first node
+    (["A", "B", "C"], [("L1", "B", "C", 5.0)]),
+    # two parallel lines
+    (["A", "B"], [("L1", "A", "B", 5.0), ("L2", "B", "A", 5.0)]),
+], ids=["cycle", "missed-node", "missed-first-node", "parallel"])
+def test_a_skeleton_of_lines_that_are_no_spanning_tree_has_no_tree(nodes, lines):
+    assert shedding.compile_skeleton(nodes, {}, lines).tree is None
 
 
 @pytest.mark.parametrize("lines", [

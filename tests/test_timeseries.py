@@ -94,6 +94,28 @@ def test_csv_non_finite_value_positioned_error(tmp_path, cell):
         read_timeseries_csv(path, LOAD)
 
 
+# a comment and a blank line above the header, so that the data rows' places
+# among the kept rows differ from their lines in the file
+@pytest.mark.parametrize("bad_row, message", [
+    ("1,x", "not a finite number: 'x'"),
+    ("1", "expected 2 fields"),
+])
+def test_csv_error_names_the_file_line(tmp_path, bad_row, message):
+    path = tmp_path / "ts.csv"
+    path.write_text(f"# hourly load\n\ntime_h,foo\n0,1\n{bad_row}\n2,3\n")
+    with pytest.raises(TimeSeriesError) as err:
+        read_timeseries_csv(path, LOAD)
+    assert str(err.value) == f"{path}:5: {message}"
+
+
+def test_csv_non_numeric_value_is_not_a_finite_number(tmp_path):
+    path = tmp_path / "loads.csv"
+    path.write_text("time_h,foo\n0,1\n1,abc\n")
+    with pytest.raises(TimeSeriesError) as err:
+        read_timeseries_csv(path, LOAD)
+    assert str(err.value) == f"{path}:3: not a finite number: 'abc'"
+
+
 def test_series_built_in_code_must_be_finite():
     with pytest.raises(TimeSeriesError, match="finite"):
         _series([1.0, float("nan")])

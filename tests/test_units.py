@@ -1,6 +1,6 @@
 import pytest
 
-from gridrel.units import UnitError, duration_hours, parse_rate_per_year
+from gridrel.units import UnitError, duration_hours, finite_float, parse_rate_per_year
 
 
 def test_parse_suffixes():
@@ -20,6 +20,13 @@ def test_bad_duration():
         duration_hours("1e999 h")
     with pytest.raises(ValueError, match="not a finite number"):
         duration_hours(float("inf"))
+
+
+@pytest.mark.parametrize("text", ["abc", "", "nan", "-inf", "1e999", "1,5"])
+def test_finite_float_refuses_with_one_message(text):
+    with pytest.raises(ValueError) as err:
+        finite_float(text)
+    assert str(err.value) == f"not a finite number: {text!r}"
 
 
 def test_rate_per_year():
