@@ -10,14 +10,14 @@ CLOSED_FORM_RUNS) with the source of REF and with the source of the working
 tree, and prints each result file, stdout or stderr (where the warnings go)
 that differs, with the rows of a CSV, stdout or stderr that differ. It then
 runs the studies of LEDGER_STUDIES with each tree in its own process and
-compares every iteration's full ledger (see LEDGER_FIELDS, events and
-warnings included, every float to the bit), printing the first iteration
-and field that differ in each study. REF runs under one fixed PYTHONHASHSEED
-and the working tree under another (see HASH_SEEDS), so a result that
-depends on the order of a set of ids differs too. Beside its verdict it
-prints the line total of `src/gridrel/*.py` in REF and in the working tree,
-as `wc -l` counts it. Exits 0 when every file is byte-identical and every
-ledger equal, 1 otherwise.
+compares every iteration's full ledger (see LEDGER_FIELDS, events,
+warnings and sweep counters included, every float to the bit), printing
+the first iteration and field that differ in each study. REF runs under one
+fixed PYTHONHASHSEED and the working tree under another (see HASH_SEEDS),
+so a result that depends on the order of a set of ids differs too. Beside
+its verdict it prints the line total of `src/gridrel/*.py` in REF and in
+the working tree, as `wc -l` counts it. Exits 0 when every file is
+byte-identical and every ledger equal, 1 otherwise.
 """
 
 import argparse
@@ -60,7 +60,10 @@ LEDGER_STUDIES = [(case, increment_h, 1) for increment_h in (1.0, 0.25)
 LEDGER_STUDIES += [("case2", 1.0 / 12.0, 1), ("case4", 1.0 / 12.0, 1), ("validation6", 1.0, 1)]
 # the process pool receives the compiled run
 LEDGER_STUDIES += [("case4", 1.0, 2)]
-LEDGER_FIELDS = ("interruptions", "outage_hours", "ens_mwh", "events", "warnings")
+# the sweep counters show a load-flow confirmation swept where it was
+# certified, or the reverse, although the results stay the same
+LEDGER_FIELDS = ("interruptions", "outage_hours", "ens_mwh", "events", "warnings",
+                 "sweeps_certified", "sweeps_run")
 # label -> the PYTHONHASHSEED its tree runs under; string hashes, and so the
 # order of a set of ids, differ between the two
 HASH_SEEDS = {"ref": "1", "tree": "2"}
@@ -147,14 +150,17 @@ def dump_ledgers(out, seed, iterations):
 def first_ledger_difference(ref, tree):
     """(iteration, field, REF's entry, the tree's entry) at the first
     difference between two studies' ledgers, or None when they are equal.
-    A dict field's entries are its (key, value) items. Entries are compared
-    by `repr`, which tells apart every two floats."""
+    A dict field's entries are its (key, value) items, and a counter is its
+    own entry. Entries are compared by `repr`, which tells apart every two
+    floats."""
     for i, (a, b) in enumerate(zip(ref, tree)):
         for name in LEDGER_FIELDS:
             x, y = (list(v.items()) if isinstance(v, dict) else v
                     for v in (a[name], b[name]))
             if repr(x) == repr(y):
                 continue
+            if isinstance(x, int):
+                return i, name, x, y
             j = next((j for j, (p, q) in enumerate(zip(x, y)) if repr(p) != repr(q)),
                      min(len(x), len(y)))
             return (i, name, x[j] if j < len(x) else None,

@@ -60,9 +60,9 @@ so an increment only indexes arrays and tables.
 
 Only normally closed lines conduct (a normally open breaker is refused at
 build time), so every switching state is a forest and a sub-system a subtree
-of it. A sub-system compiles its shedding skeleton (see `shedding`), with
-the forest's tree, on its first problem and its load-flow totals on its
-first confirmation. Only a problem the totals do not certify (see `loadflow`)
+of it. A sub-system that is not steady is compiled with its shedding skeleton
+(see `shedding`), whose tree is the forest's, and, where it has lines, its
+load-flow totals. Only a problem the totals do not certify (see `loadflow`)
 gets a load-flow layout and certificate for its slack bus (an island's
 slack, the bus of its largest source, moves with the wind), and a load-flow
 problem is built, and swept, only where neither certificate holds.
@@ -182,9 +182,11 @@ class Subsystem:
     """One connected component of a switching state.
 
     `units` and `batteries` are the sources at its buses; only an island's
-    batteries dispatch, a grid-fed one idles. Compiled once needed: `shedding`,
-    the shedding skeleton; `totals`, the load-flow totals; and `layouts`, per
-    slack bus the load flow has used, (layout, certificate).
+    batteries dispatch, a grid-fed one idles. One that is not steady is
+    compiled with `shedding`, its shedding skeleton, and, where it has lines,
+    `totals`, its load-flow totals; a steady one has neither. `layouts` is
+    filled once needed: per slack bus the load flow has used, (layout,
+    certificate).
     """
 
     buses: tuple          # sorted
@@ -196,23 +198,9 @@ class Subsystem:
     units: tuple = ()      # (unit id, bus, min MW), by bus then by id
     batteries: tuple = ()  # (bus, Battery), by bus
     steady: bool = False  # no bus can change before health does (see `_subsystem`)
+    shedding: Optional[shed.ShedSkeleton] = field(default=None, compare=False, repr=False)
+    totals: Optional[tuple] = field(default=None, compare=False, repr=False)
     layouts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    shedding: Optional[shed.ShedSkeleton] = field(default=None, init=False, compare=False,
-                                                  repr=False)
-    totals: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
-
-    def shedding_skeleton(self, model, shed_cost) -> shed.ShedSkeleton:
-        """The fixed part of this sub-system's shedding problems, compiled on
-        first use with these per-bus shed costs, which a run never changes,
-        and the model's feeder forest below its top bus as the tree."""
-        if self.shedding is None:  # a lazy field of a frozen dataclass
-            buses, parent = set(self.buses), model.tree_parent
-            object.__setattr__(self, "shedding", shed.compile_skeleton(
-                self.buses, shed_cost,
-                [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in self.lines],
-                tree=[(b, parent[b], model.feed_line[b]) for b in model.tree_order
-                      if b in buses and parent[b] in buses]))
-        return self.shedding
 
     def grid_flows_within_caps(self, live_demand) -> bool:
         """Check the lossless radial flows of serving everything from the grid."""
@@ -236,20 +224,21 @@ class TopologyCache:
     bus id; the breaker positions follow from the key. The partition is the
     model's `split`, one pass over its feeder forest, which the closed form
     reads too. A sub-system met in several states is one object, keyed by
-    (buses, line ids, grid bus), so it and its load-flow layouts and
-    shedding skeleton are compiled once per run. The cache also holds the
-    model and config, every failable component's per-increment failure
-    probability, one repair table (per component key its repair, fixed hours
-    or the `RepairPhases` drawn when it starts, and its fault event), the
-    ids of the ICT units that fail latently and the controller's id, and
-    every input bound to its user:
-    per load point with a load (peak MW, peak Mvar, multiplier curve) and
-    its demand bound, the load points whose demand can fall below zero, per
-    bus its shed cost (0.0 without a load), per production unit its
-    available MW per increment and the next increment at which that is above
-    0.0, and the customers and categories every ledger of the run shares
-    read-only. It lives as long as the run that creates it, so nothing
-    outlives the model.
+    what `split` gives for it, (buses in BFS order, grid bus), which within
+    the forest fixes its lines. It is compiled on first use, with its
+    shedding skeleton and load-flow totals (see `_subsystem`), and gains
+    its load-flow layouts as needed, so each is compiled once per run. The
+    cache also holds the model and config, every failable component's
+    per-increment failure probability, one repair table (per component key
+    its repair, fixed hours or the `RepairPhases` drawn when it starts, and
+    its fault event), the ids of the ICT units that fail latently and the
+    controller's id, and every input bound to its user: per load point with
+    a load (peak MW, peak Mvar, multiplier curve) and its demand bound, the
+    load points whose demand can fall below zero, per bus its shed cost (0.0
+    without a load), per production unit its available MW per increment and
+    the next increment at which that is above 0.0, and the customers and
+    categories every ledger of the run shares read-only. It lives as long as
+    the run that creates it, so nothing outlives the model.
     """
 
     def __init__(self, model: NetworkModel, profiles, config: SimulationConfig,
@@ -356,45 +345,53 @@ class TopologyCache:
         return entry
 
     def _compile(self, failed, open_switches) -> tuple:
-        model = self.model
-        subsystems = []
-        for order, grid_bus in model.split(failed, open_switches):
-            comp = tuple(sorted(order))
-            # its conducting lines are the feed lines below its top bus
-            lines = tuple(model.lines[l] for l in sorted(model.feed_line[b] for b in order[1:]))
-            key = (comp, tuple(line.id for line in lines), grid_bus)
-            sub = self._subsystems.get(key)
-            if sub is None:
-                sub = self._subsystems[key] = self._subsystem(comp, lines, grid_bus, order)
-            subsystems.append(sub)
-        return tuple(subsystems)
+        keys, subsystems = self.model.split(failed, open_switches), self._subsystems
+        for key in keys:
+            if key not in subsystems:
+                subsystems[key] = self._subsystem(*key)
+        return tuple(subsystems[key] for key in keys)
 
-    def _subsystem(self, comp, lines, grid_bus, order) -> Subsystem:
+    def _subsystem(self, order, grid_bus) -> Subsystem:
+        """The sub-system of `order`, its buses in BFS order from its top bus,
+        fed from `grid_bus` or unfed, compiled whole (see `Subsystem`)."""
         model = self.model
+        comp = tuple(sorted(order))
+        # its conducting lines are the feed lines below its top bus
+        lines = tuple(model.lines[l] for l in sorted(model.feed_line[b] for b in order[1:]))
         units = tuple((u, b, model.production[u].min_mw)
                       for b in comp for u in model.production_of_bus[b])
         batteries = tuple((b, model.batteries[model.battery_of_bus[b]])
                           for b in comp if b in model.battery_of_bus)
         if grid_bus is None:  # steady while sourceless: no grid, production or battery
-            return Subsystem(comp, None, 0.0, lines, (), (), units, batteries,
-                             steady=not (units or batteries))
-        children = {}  # in BFS order from the grid bus, as the sums need them
-        for bus in order[1:]:
-            children.setdefault(model.tree_parent[bus], []).append(bus)
-        grid_limit = model.feeder_capacity[model.system_of_bus[grid_bus]]
-        sub = Subsystem(
-            comp, grid_bus, grid_limit, lines,
-            tuple((bus, child) for bus in reversed(order) for child in children.get(bus, ())),
-            tuple((bus, model.lines[model.feed_line[bus]].capacity_mw + _EPS)
-                  for bus in order[1:]),
-            units, batteries)
-        # steady while the demand bounds fit the grid limit, summed and through
-        # each feed line; sums are monotone in their terms, so `_shed_verdict`'s
-        # grid shortcut then serves each bus whose transformer works
-        bound = self.bound
-        return replace(sub, steady=grid_limit > _EPS
-                       and sum(bound.get(b, 0.0) for b in comp) <= grid_limit
-                       and sub.grid_flows_within_caps(bound))
+            sub = Subsystem(comp, None, 0.0, lines, (), (), units, batteries,
+                            steady=not (units or batteries))
+        else:
+            children = {}  # in BFS order from the grid bus, as the sums need them
+            for bus in order[1:]:
+                children.setdefault(model.tree_parent[bus], []).append(bus)
+            grid_limit = model.feeder_capacity[model.system_of_bus[grid_bus]]
+            sub = Subsystem(
+                comp, grid_bus, grid_limit, lines,
+                tuple((bus, child) for bus in reversed(order) for child in children.get(bus, ())),
+                tuple((bus, model.lines[model.feed_line[bus]].capacity_mw + _EPS)
+                      for bus in order[1:]),
+                units, batteries)
+            # steady while the demand bounds fit the grid limit, summed and through
+            # each feed line; sums are monotone in their terms, so `_shed_verdict`'s
+            # grid shortcut then serves each bus whose transformer works
+            bound = self.bound
+            sub = replace(sub, steady=grid_limit > _EPS
+                          and sum(bound.get(b, 0.0) for b in comp) <= grid_limit
+                          and sub.grid_flows_within_caps(bound))
+        if sub.steady:
+            return sub
+        # the shedding skeleton's tree is the feeder forest below the top bus
+        return replace(sub, shedding=shed.compile_skeleton(
+            comp, self.shed_cost, [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in lines],
+            tree=[(b, model.tree_parent[b], model.feed_line[b]) for b in order[1:]]),
+            totals=compile_totals([complex(l.r_pu, l.x_pu) for l in lines],
+                                  [l.capacity_mw for l in lines], model.base_mva,
+                                  SLACK_VOLTAGE) if lines else None)
 
 
 class SequentialSimulation:
@@ -689,8 +686,7 @@ class SequentialSimulation:
             return {}, t + 1
 
         result = shed.solve_shedding(shed.build_shedding_problem(
-            sub.buses, live_demand, generators=generators,
-            skeleton=sub.shedding_skeleton(self.model, self.topology.shed_cost)))
+            sub.buses, live_demand, generators=generators, skeleton=sub.shedding))
         if result.status != shed.OPTIMAL:
             self.ledger.warnings.append(
                 f"t={t * self.dt:g}h: shedding infeasible in sub-system {sub.buses[0]}")
@@ -727,7 +723,7 @@ class SequentialSimulation:
         `certified_voltage` them by layout position, the sweep cannot act (see
         `loadflow`): skip it, and build no problem."""
         comp, lines_here = sub.buses, sub.lines
-        if len(comp) < 2 or not lines_here:
+        if not lines_here:  # a single bus
             return result
         slack = sub.grid_bus
         if slack is None:
@@ -751,10 +747,6 @@ class SequentialSimulation:
             if bus != slack:
                 s[bus] -= generation[gen_id]
         base_mva = self.model.base_mva
-        if sub.totals is None:  # a lazy field of a frozen dataclass
-            object.__setattr__(sub, "totals", compile_totals(
-                [complex(l.r_pu, l.x_pu) for l in lines_here],
-                [l.capacity_mw for l in lines_here], base_mva, SLACK_VOLTAGE))
         if certified_totals(sum(map(abs, s.values())) / base_mva, sub.totals) is not None:
             self.ledger.sweeps_certified += 1
             return result

@@ -109,10 +109,12 @@ def tile_to_horizon(series: TimeSeries, horizon_h: float) -> np.ndarray:
 
 def _csv_rows(path) -> list:
     """(file line, row) of each row of the CSV file at `path` that is neither
-    blank nor a comment (a first cell starting with '#')."""
+    blank (no cell, or one cell of whitespace) nor a comment (a first cell
+    starting with '#')."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        return [(reader.line_num, r) for r in reader if r and not r[0].lstrip().startswith("#")]
+        return [(reader.line_num, r) for r in reader
+                if (len(r) > 1 or r and r[0].strip()) and not r[0].lstrip().startswith("#")]
 
 
 def read_timeseries_csv(path, kind: str = LOAD) -> dict:

@@ -40,7 +40,7 @@ _DURATION_RE = re.compile(r"^\s*([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*([a-zA-Z
 
 
 class UnitError(ValueError):
-    """Unknown unit or malformed duration string."""
+    """Unknown unit, or malformed duration or rate string."""
 
 
 def _factor(unit: str) -> Fraction:
@@ -80,11 +80,14 @@ def parse_rate_per_year(text) -> float:
     """Parse a failure rate like "0.07/yr" or a bare number (per year)."""
     if isinstance(text, (int, float)) and not isinstance(text, bool):
         rate = float(text)
-    elif "/" in str(text):
-        num, _, unit = str(text).strip().partition("/")
-        rate = float(num) * HOURS_PER_YEAR / float(_factor(unit.strip()))
     else:
-        rate = float(text)
+        num, per, unit = str(text).strip().partition("/")
+        try:
+            rate = float(num)
+        except ValueError:
+            raise UnitError(f"malformed rate {text!r}") from None
+        if per:
+            rate = rate * HOURS_PER_YEAR / float(_factor(unit.strip()))
     if not math.isfinite(rate):
         raise UnitError(f"rate {text!r} is not finite")
     return rate

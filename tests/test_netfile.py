@@ -185,7 +185,7 @@ def test_ict_range_errors_are_collected_with_the_others():
         "net.txt:15: field 'capacity_mw': not a finite number: 'x'",
         "net.txt:21: field 'new_signal': must be >= 0",
         "net.txt:21: field 'p_reboot': must be in [0, 1]",
-        "net.txt:22: field 'rate': could not convert string to float: 'q'"]
+        "net.txt:22: field 'rate': malformed rate 'q'"]
 
 
 def test_a_sensor_manual_phase_is_read_once():

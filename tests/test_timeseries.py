@@ -108,6 +108,29 @@ def test_csv_error_names_the_file_line(tmp_path, bad_row, message):
     assert str(err.value) == f"{path}:5: {message}"
 
 
+def test_a_line_of_whitespace_is_blank(tmp_path):
+    # the csv module reads it as one cell of spaces, not as an empty row
+    path = tmp_path / "ws.csv"
+    path.write_text("time_h,foo\n0,1\n1,2\n   \n")
+    assert read_timeseries_csv(path, LOAD)["foo"].values == (1.0, 2.0)
+    path = tmp_path / "wc.csv"
+    path.write_text("category,cost\nres,1\n  \n")
+    assert read_cost_table(path) == {"res": 1.0}
+
+
+def test_a_row_of_empty_fields_is_not_blank(tmp_path):
+    path = tmp_path / "ws.csv"
+    path.write_text("time_h,foo\n0,1\n1,2\n,,\n")
+    with pytest.raises(TimeSeriesError) as err:
+        read_timeseries_csv(path, LOAD)
+    assert str(err.value) == f"{path}:4: expected 2 fields"
+    path = tmp_path / "wc.csv"
+    path.write_text("category,cost\nres,1\n,,\n")
+    with pytest.raises(TimeSeriesError) as err:
+        read_cost_table(path)
+    assert str(err.value) == f"{path}:3: bad cost value ''"
+
+
 def test_csv_non_numeric_value_is_not_a_finite_number(tmp_path):
     path = tmp_path / "loads.csv"
     path.write_text("time_h,foo\n0,1\n1,abc\n")

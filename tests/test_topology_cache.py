@@ -9,10 +9,12 @@ IEEE-33, the 6-bus feeder and the two-feeder network, against oracles that
 rescan the model; check every field of every sub-system, in order, against
 the former compiler `reference_state` on each state met in real runs and on
 generated ones; and check that a cache lives no longer than its run, that a
-sub-system met in several states is compiled once, and that its constructor
-refuses inputs that disagree.
+sub-system met in several states is compiled once, with the shedding
+skeleton and load-flow totals it needs, and that its constructor refuses
+inputs that disagree.
 """
 
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -27,7 +29,7 @@ from gridrel.engine import (
     SequentialSimulation, SimulationConfig, TopologyCache, run_iteration,
     run_monte_carlo,
 )
-from gridrel.loadflow import LoadFlowProblem
+from gridrel.loadflow import SLACK_VOLTAGE, LoadFlowProblem, compile_totals
 from gridrel.indices import MissingCostCategory
 from gridrel.netfile import parse_network_file, parse_network_text
 from gridrel.network import build_network, connected_components
@@ -272,11 +274,10 @@ def test_a_subsystem_met_in_several_states_is_compiled_once(ieee33_spec, bundled
         run_iteration(topology, i)
     monkeypatch.undo()
 
-    # one object per (buses, line ids, grid bus), whichever states hold it
+    # one object per (BFS order, grid bus) of `split`, whichever states hold it
     held_by = {}
     for (failed, open_switches), entry in topology._states.items():
-        for sub in entry:
-            key = (sub.buses, tuple(line.id for line in sub.lines), sub.grid_bus)
+        for key, sub in zip(model.split(failed, open_switches), entry):
             held_by.setdefault(key, []).append(sub)
         # the partition is still the one `connected_components` gives
         closed = {s: s not in open_switches for s in model.switchgear}
@@ -288,6 +289,45 @@ def test_a_subsystem_met_in_several_states_is_compiled_once(ieee33_spec, bundled
     assert layouts and len(layouts) == len(set(layouts))
     assert skeletons and len(skeletons) == len(set(skeletons))
     assert len(topology._subsystems) == len(held_by)
+
+
+@pytest.mark.parametrize("case", ["case2", "case4"])
+def test_each_subsystem_is_compiled_whole_when_first_met(case, ieee33_spec, bundled_profiles,
+                                                         cost_table):
+    loads, wind = bundled_profiles
+    model = build_network(apply_scenario(ieee33_spec, case))
+    profiles = ProfileSet(1.0, 8760.0, loads, wind)
+    config = SimulationConfig(iterations=40, master_seed=2024)
+    topology = TopologyCache(model, profiles, config, cost_table)
+    for i in range(config.iterations):
+        run_iteration(topology, i)
+
+    held_by = {}
+    for entry in topology._states.values():
+        for sub in entry:
+            held_by.setdefault((sub.buses, sub.grid_bus), []).append(sub)
+    assert any(len(subs) > 1 for subs in held_by.values())
+    assert all(sub is subs[0] for subs in held_by.values() for sub in subs)
+    parent, feed_line = model.tree_parent, model.feed_line
+    unsteady = [sub for sub in topology._subsystems.values() if not sub.steady]
+    assert unsteady and any(sub.lines for sub in unsteady)
+    for sub in topology._subsystems.values():
+        if sub.steady:
+            assert (sub.shedding, sub.totals) == (None, None), sub.buses
+            continue
+        # the feeder forest's tree, in its order, over the sub-system's buses
+        buses = set(sub.buses)
+        expected = shedding.compile_skeleton(
+            sub.buses, topology.shed_cost,
+            [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in sub.lines],
+            tree=[(b, parent[b], feed_line[b]) for b in model.tree_order
+                  if b in buses and parent[b] in buses])
+        for f in dataclasses.fields(expected):
+            assert getattr(sub.shedding, f.name) == getattr(expected, f.name), (
+                sub.buses, f.name)
+        assert sub.totals == (compile_totals(
+            [complex(l.r_pu, l.x_pu) for l in sub.lines], [l.capacity_mw for l in sub.lines],
+            model.base_mva, SLACK_VOLTAGE) if sub.lines else None), sub.buses
 
 
 def test_no_cache_outlives_run_monte_carlo():

@@ -41,6 +41,13 @@ def test_rate_per_year_must_be_finite(text):
         parse_rate_per_year(text)
 
 
+@pytest.mark.parametrize("text", ["q", "abc/yr", "/yr", ""])
+def test_rate_per_year_that_is_not_a_number_is_malformed(text):
+    with pytest.raises(UnitError) as err:
+        parse_rate_per_year(text)
+    assert str(err.value) == f"malformed rate {text!r}"
+
+
 def test_duration_hours_accepts_numbers():
     assert duration_hours(2.5) == 2.5
     assert duration_hours("30 min") == 0.5
