@@ -21,6 +21,7 @@ byte-identical and every ledger equal, 1 otherwise.
 """
 
 import argparse
+import dataclasses
 import filecmp
 import glob
 import os
@@ -60,6 +61,12 @@ LEDGER_STUDIES = [(case, increment_h, 1) for increment_h in (1.0, 0.25)
 LEDGER_STUDIES += [("case2", 1.0 / 12.0, 1), ("case4", 1.0 / 12.0, 1), ("validation6", 1.0, 1)]
 # the process pool receives the compiled run
 LEDGER_STUDIES += [("case4", 1.0, 2)]
+# a preset named with LIMITED runs on a feeder limited to LIMITED_FEEDER_MW,
+# below the 2.888 MW that IEEE-33's demand bounds sum to, so grid-fed
+# sub-systems are judged, take the grid shortcut and shed by the simplex
+LIMITED, LIMITED_FEEDER_MW = "-limited", 2.0
+LEDGER_STUDIES += [(case + LIMITED, increment_h, 1) for increment_h in (1.0, 0.25)
+                   for case in ("case2", "case4")]
 # the sweep counters show a load-flow confirmation swept where it was
 # certified, or the reverse, although the results stay the same
 LEDGER_FIELDS = ("interruptions", "outage_hours", "ens_mwh", "events", "warnings",
@@ -136,7 +143,11 @@ def dump_ledgers(out, seed, iterations):
         if case == "validation6":
             spec, profiles, cost_table = feeder6, ProfileSet(increment_h, 8760.0), feeder6_costs
         else:
-            spec = scenarios.apply_scenario(ieee33, case)
+            spec = scenarios.apply_scenario(ieee33, case.removesuffix(LIMITED))
+            if case.endswith(LIMITED):
+                spec = dataclasses.replace(spec, distribution_systems=tuple(
+                    dataclasses.replace(d, feeder_capacity_mw=LIMITED_FEEDER_MW)
+                    for d in spec.distribution_systems))
             profiles, cost_table = ProfileSet(increment_h, 8760.0, loads, wind), costs
         config = engine.SimulationConfig(increment_h=increment_h, iterations=iterations,
                                          master_seed=seed, worker_count=workers)

@@ -20,10 +20,10 @@ one step, and every other one is evaluated. A sub-system with no source at
 t whose batteries can neither discharge nor charge from a load below zero
 stays dark until one of its production units has power, so it lets the
 state run up to the earlier of that increment and the next change (see
-`_dark_until`); every other verdict holds for t alone. The accrual walks
-only the load points that a verdict leaves dark or sheds, or whose
-transformer is down: every other one is served, so a fault-free increment
-walks none and leaves none out. A walked load point's sums are taken in
+`_dark_until`); every other verdict holds for t alone. A verdict names only
+the load points it leaves dark or sheds, and the accrual walks only those and
+the ones whose transformer is down: every other one is served, so a
+fault-free increment walks none. A walked load point's sums are taken in
 increment order, so a jumped run adds what stepping adds. Sectioning and
 repair phases last whole increments (floor(duration / dt)); sub-increment
 residue is dropped, so with an hourly increment the seconds-to-minutes ICT
@@ -55,8 +55,8 @@ The engine is handed one `TopologyCache`, the compiled run: it checks its
 inputs against each other once, before the first iteration, and binds every
 load point to its multiplier curve and shed cost, every production unit
 to its available MW per increment, every component to its repair rule and
-fault event, and every sub-system to its production units and batteries,
-so an increment only indexes arrays and tables.
+fault event, and every sub-system to its production units and, an island
+only, its batteries, so an increment only indexes arrays and tables.
 
 Only normally closed lines conduct (a normally open breaker is refused at
 build time), so every switching state is a forest and a sub-system a subtree
@@ -181,12 +181,12 @@ def ends_silently(duration_h: float, dt_h: float) -> bool:
 class Subsystem:
     """One connected component of a switching state.
 
-    `units` and `batteries` are the sources at its buses; only an island's
-    batteries dispatch, a grid-fed one idles. One that is not steady is
-    compiled with `shedding`, its shedding skeleton, and, where it has lines,
-    `totals`, its load-flow totals; a steady one has neither. `layouts` is
-    filled once needed: per slack bus the load flow has used, (layout,
-    certificate).
+    `units` are the production units at its buses and `batteries` an
+    island's batteries: a grid-fed one's idle, so it is compiled without.
+    One that is not steady is compiled with `shedding`, its shedding
+    skeleton, and, where it has lines, `totals`, its load-flow totals; a
+    steady one has neither. `layouts` is filled once needed: per slack bus
+    the load flow has used, (layout, certificate).
     """
 
     buses: tuple          # sorted
@@ -204,10 +204,15 @@ class Subsystem:
 
     def grid_flows_within_caps(self, live_demand) -> bool:
         """Check the lossless radial flows of serving everything from the grid."""
-        subtree = {b: live_demand.get(b, 0.0) for b in self.buses}
-        for bus, child in self.subtree_sums:
-            subtree[bus] += subtree[child]
-        return not any(subtree[bus] > limit for bus, limit in self.feed_limits)
+        return _within_feed_limits(self.subtree_sums, self.feed_limits,
+                                   {b: live_demand.get(b, 0.0) for b in self.buses})
+
+
+def _within_feed_limits(subtree_sums, feed_limits, subtree) -> bool:
+    """Whether the radial flows fit every feed limit; sums `subtree` in place."""
+    for bus, child in subtree_sums:
+        subtree[bus] += subtree[child]
+    return not any(subtree[bus] > limit for bus, limit in feed_limits)
 
 
 class TopologyCache:
@@ -354,44 +359,39 @@ class TopologyCache:
     def _subsystem(self, order, grid_bus) -> Subsystem:
         """The sub-system of `order`, its buses in BFS order from its top bus,
         fed from `grid_bus` or unfed, compiled whole (see `Subsystem`)."""
-        model = self.model
+        model, bound = self.model, self.bound
         comp = tuple(sorted(order))
         # its conducting lines are the feed lines below its top bus
         lines = tuple(model.lines[l] for l in sorted(model.feed_line[b] for b in order[1:]))
         units = tuple((u, b, model.production[u].min_mw)
                       for b in comp for u in model.production_of_bus[b])
-        batteries = tuple((b, model.batteries[model.battery_of_bus[b]])
-                          for b in comp if b in model.battery_of_bus)
         if grid_bus is None:  # steady while sourceless: no grid, production or battery
-            sub = Subsystem(comp, None, 0.0, lines, (), (), units, batteries,
-                            steady=not (units or batteries))
-        else:
-            children = {}  # in BFS order from the grid bus, as the sums need them
+            grid_limit, sums, limits = 0.0, (), ()
+            batteries = tuple((b, model.batteries[model.battery_of_bus[b]])
+                              for b in comp if b in model.battery_of_bus)
+            steady = not (units or batteries)
+        else:  # its batteries idle, so it is compiled without them
+            batteries, children = (), {b: [] for b in order}  # in BFS order, as sums need
             for bus in order[1:]:
-                children.setdefault(model.tree_parent[bus], []).append(bus)
+                children[model.tree_parent[bus]].append(bus)
             grid_limit = model.feeder_capacity[model.system_of_bus[grid_bus]]
-            sub = Subsystem(
-                comp, grid_bus, grid_limit, lines,
-                tuple((bus, child) for bus in reversed(order) for child in children.get(bus, ())),
-                tuple((bus, model.lines[model.feed_line[bus]].capacity_mw + _EPS)
-                      for bus in order[1:]),
-                units, batteries)
+            sums = tuple((bus, child) for bus in reversed(order) for child in children[bus])
+            limits = tuple((bus, model.lines[model.feed_line[bus]].capacity_mw + _EPS)
+                           for bus in order[1:])
             # steady while the demand bounds fit the grid limit, summed and through
             # each feed line; sums are monotone in their terms, so `_shed_verdict`'s
             # grid shortcut then serves each bus whose transformer works
-            bound = self.bound
-            sub = replace(sub, steady=grid_limit > _EPS
-                          and sum(bound.get(b, 0.0) for b in comp) <= grid_limit
-                          and sub.grid_flows_within_caps(bound))
-        if sub.steady:
-            return sub
+            steady = (grid_limit > _EPS and sum(bound.get(b, 0.0) for b in comp) <= grid_limit
+                      and _within_feed_limits(sums, limits, {b: bound.get(b, 0.0) for b in comp}))
         # the shedding skeleton's tree is the feeder forest below the top bus
-        return replace(sub, shedding=shed.compile_skeleton(
-            comp, self.shed_cost, [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in lines],
-            tree=[(b, model.tree_parent[b], model.feed_line[b]) for b in order[1:]]),
-            totals=compile_totals([complex(l.r_pu, l.x_pu) for l in lines],
-                                  [l.capacity_mw for l in lines], model.base_mva,
-                                  SLACK_VOLTAGE) if lines else None)
+        return Subsystem(
+            comp, grid_bus, grid_limit, lines, sums, limits, units, batteries, steady,
+            None if steady else shed.compile_skeleton(
+                comp, self.shed_cost, [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in lines],
+                tree=[(b, model.tree_parent[b], model.feed_line[b]) for b in order[1:]]),
+            None if steady or not lines else compile_totals(
+                [complex(l.r_pu, l.x_pu) for l in lines], [l.capacity_mw for l in lines],
+                model.base_mva, SLACK_VOLTAGE))
 
 
 class SequentialSimulation:
@@ -429,7 +429,7 @@ class SequentialSimulation:
         self.failure_p = {} if script is not None else topology.failure_p
         if script is not None:
             for ev in script:
-                idx = math.floor(ev.time_h / self.dt + 1e-9)
+                idx = phase_increments(ev.time_h, self.dt)
                 key = self._component_key(ev.component_id)
                 if not 0 <= idx < n:
                     self.ledger.warnings.append(
@@ -586,11 +586,11 @@ class SequentialSimulation:
     def _accrue(self, t, subsystems) -> int:
         """Accrue the increments from t to the next change, or to the earliest
         end of a sub-system's verdict (see `_shed_verdict`); return the
-        increment after the last one accrued. Only the load points that a dark
-        or shedding verdict or a down transformer names are walked, in
-        load-point order: every other one is served, so no sum of it moves
-        and it is not out. A fault-free increment, whose `subsystems` are (),
-        names none."""
+        increment after the last one accrued. Only the load points that a
+        verdict (dark, or shed by a non-zero MW) or a down transformer names
+        are walked, in load-point order: every other one is served, so no sum
+        of it moves and it is not out. A fault-free increment, whose
+        `subsystems` are (), names none."""
         stop = min([self.n_increments, *self.schedule, *self.ends, *self.silent_ends])
         loads = self.topology.loads
         # MW shed per named bus, None while it is out. A bus whose transformer
@@ -618,7 +618,7 @@ class SequentialSimulation:
                     if d > _EPS:
                         ens += d * dt
                 ledger.outage_hours[b], ledger.ens_mwh[b] = hours, ens
-            elif mw:  # shed in part, at t alone: its live demand, as judged
+            else:  # shed in part, at t alone: its live demand, as judged
                 d = loads[b][0] * float(loads[b][2][t]) if b in loads else 0.0
                 served = d - mw
                 if d - served > _EPS:
@@ -636,9 +636,9 @@ class SequentialSimulation:
 
     def _shed_verdict(self, sub, t, down, islanded_now):
         """Judge one sub-system at t, the buses in `down` having no live
-        demand: return the MW shed per bus, None when it is dark or {} when
-        everything is served, with the increment up to which that verdict
-        stands. The paths, in return order:
+        demand: return the MW shed per bus it sheds, a bus it leaves out being
+        served (so {} when all are), or None when it is dark, with the
+        increment up to which that verdict stands. The paths, in return order:
         - steady (see `TopologyCache._subsystem`): dark without a grid bus,
           served with one, standing to the horizon;
         - no source at t: dark up to `_dark_until`;
@@ -664,7 +664,7 @@ class SequentialSimulation:
 
         total_demand = sum(live_demand.values())
 
-        for bus, bat in sub.batteries if grid_bus is None else ():  # grid-fed ones idle
+        for bus, bat in sub.batteries:  # an island's: grid-fed ones are dropped at compile
             if bat.id not in self.was_islanded:
                 # outage begins: market behavior collapses to a fresh SOC draw
                 self.soc[bat.id] = draw_battery_soc(bat, self.rng)
@@ -698,7 +698,7 @@ class SequentialSimulation:
             self.soc[bat.id] = min(max(
                 self.soc[bat.id] - dispatch * self.dt / bat.capacity_mwh,
                 bat.soc_min), bat.soc_max)
-        return result.shed_mw, t + 1
+        return {b: mw for b, mw in result.shed_mw.items() if mw}, t + 1
 
     def _dark_until(self, sub, t):
         """The increment up to which a sub-system with no source at t stays

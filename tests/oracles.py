@@ -285,9 +285,10 @@ def reference_state(topology, failed, open_switches, eps=1e-9):
     disconnectors) of a `TopologyCache`, each as a dict of its `Subsystem`
     fields, compiled from scratch: each breaker by a search from its root,
     the conducting lines by scanning every line, the buses by
-    `connected_components`, the units and batteries by scanning every one,
-    and a grid-fed sub-system's sums and limits by a breadth-first walk of
-    its lines from the grid bus."""
+    `connected_components`, the units and an island's batteries by scanning
+    every one (a grid-fed sub-system's idle and are left out), and a
+    grid-fed sub-system's sums and limits by a breadth-first walk of its
+    lines from the grid bus."""
     model = topology.model
 
     def root_sees_fault(root):
@@ -345,7 +346,7 @@ def reference_state(topology, failed, open_switches, eps=1e-9):
         for bus, child in sums:
             bound[bus] += bound[child]
         sub.update(grid_bus=grid_bus, grid_limit=grid_limit, subtree_sums=sums,
-                   feed_limits=limits, steady=(
+                   feed_limits=limits, batteries=(), steady=(
                        grid_limit > eps
                        and sum(topology.bound.get(b, 0.0) for b in comp) <= grid_limit
                        and not any(bound[bus] > limit for bus, limit in limits)))

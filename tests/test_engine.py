@@ -177,6 +177,19 @@ def test_scripted_fault_outside_the_horizon_is_a_warning(time_h):
         f"scripted fault on 'L2' at {time_h:g}h outside the horizon"]
 
 
+def test_a_scripted_fault_starts_at_the_increment_a_phase_of_its_time_lasts():
+    # at 15 min, 0.75 h less 5e-10 h is within the 1e-9 h tolerance of three
+    # increments: a phase that long lasts 3, and the fault starts in increment
+    # 3, not in increment 2
+    time_h, dt = 0.75 - 5e-10, 0.25
+    assert phase_increments(time_h, dt) == 3
+    model = build_network(parse_network_text(CHAIN4))
+    config = _config(increment_h=dt, horizon_h=12.0)
+    ledger = run_iteration(TopologyCache(model, ProfileSet(dt, 12.0), config), 0,
+                           script=[ScriptedFault(time_h, "L2")])
+    assert ledger.events[0] == (0.75, "L2", "line_fault")
+
+
 def test_scripted_fault_past_a_profiled_horizon_is_not_simulated(ieee33_spec,
                                                                  bundled_profiles):
     loads, wind = bundled_profiles
@@ -546,7 +559,7 @@ def test_a_grid_fed_battery_idles_while_its_subsystem_sheds(monkeypatch):
     topology = TopologyCache(model, _flat_profiles(20.0), _config(horizon_h=20.0))
     (sub,) = topology.state((), ())
     assert (sub.grid_bus, sub.steady) == ("B1", False)
-    assert sub.batteries == (("B3", model.batteries["BAT"]),)
+    assert sub.batteries == ()  # its battery idles, so it is compiled without
     generators = []
     solve = shedding.solve_shedding
 

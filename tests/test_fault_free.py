@@ -10,10 +10,12 @@ ledgers and the random streams left behind must be equal, and the fast
 path must have been taken.
 `_WalkSpy` notes the load points each accruing call walks: none at a
 fault-free increment, and at any other only those that a verdict leaving
-them dark or shed, or a down transformer, names.
+them dark or shed, or a down transformer, names. A verdict names no load
+point it serves: each it names is dark or shed by a non-zero MW.
 """
 
 import builtins
+import dataclasses
 
 import numpy as np
 import pytest
@@ -86,11 +88,11 @@ class _WalkSpy(SequentialSimulation):
     """The engine, noting at each accruing call whether it is fault-free, the
     load points its walk visits, which the walk's one `sorted` call lists,
     and the buses that dark verdicts, shedding verdicts and down
-    transformers name."""
+    transformers name, and noting every verdict."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.calls = []
+        self.calls, self.verdicts = [], []
 
     def _accrue(self, t, subsystems):
         fault_free = not self._electrical_fault_active()
@@ -104,22 +106,40 @@ class _WalkSpy(SequentialSimulation):
     def _shed_verdict(self, sub, *args):
         verdict, until = super()._shed_verdict(sub, *args)
         self.named.update(sub.buses if verdict is None else verdict)
+        self.verdicts.append(verdict)
         return verdict, until
 
 
-@pytest.mark.parametrize("case", ["case2", "case3"])
-def test_the_walk_visits_only_the_load_points_a_verdict_names(case, monkeypatch, ieee33_spec,
-                                                              bundled_profiles, cost_table):
+# the bundled presets, and the two with sources on a feeder limited to 2.0 MW,
+# below the 2.888 MW that the demand bounds sum to, so that grid-fed
+# sub-systems shed too
+@pytest.mark.parametrize("case, feeder_mw", [
+    *((case, None) for case in ("case1", "case2", "case3", "case4")),
+    ("case2", 2.0), ("case4", 2.0),
+], ids=["case1", "case2", "case3", "case4", "case2-feeder2MW", "case4-feeder2MW"])
+def test_the_walk_visits_only_the_load_points_a_verdict_names(case, feeder_mw, monkeypatch,
+                                                              ieee33_spec, bundled_profiles,
+                                                              cost_table):
     monkeypatch.setattr(engine, "sorted", _recording_sorted, raising=False)
     loads, wind = bundled_profiles
-    model = build_network(apply_scenario(ieee33_spec, case))
+    spec = apply_scenario(ieee33_spec, case)
+    if feeder_mw is not None:
+        spec = dataclasses.replace(spec, distribution_systems=tuple(
+            dataclasses.replace(d, feeder_capacity_mw=feeder_mw)
+            for d in spec.distribution_systems))
+    model = build_network(spec)
     config = SimulationConfig(iterations=40, master_seed=2024)
     topology = TopologyCache(model, ProfileSet(1.0, 8760.0, loads, wind), config, cost_table)
-    calls = []
+    calls, verdicts = [], []
     for i in range(config.iterations):
         sim = _WalkSpy(topology, np.random.default_rng([config.master_seed, i]))
         sim.run()
         calls += sim.calls
+        verdicts += sim.verdicts
+    # each load point a verdict names is dark (the verdict None) or shed by a
+    # non-zero MW; the presets with sources shed in part somewhere
+    assert all(verdict is None or 0.0 not in verdict.values() for verdict in verdicts)
+    assert any(verdicts) == (case in ("case2", "case4"))
     fault_free = [walked for free, walked, _ in calls if free]
     evaluated = [(walked, named) for free, walked, named in calls if not free]
     assert fault_free and not any(fault_free)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridrel.network import Battery
+from gridrel.network import Battery, build_network
 from gridrel.stochastic import (
     FAILED, MANUAL, NEW_SIGNAL, REBOOT, UNDER_REPAIR, WORKING,
-    ComponentState, ReliabilityParams, RepairPhases, draw_battery_soc,
-    draw_status, failure_probability, ict_repair_duration, plan_sectioning,
+    ComponentState, ReliabilityParams, RepairPhases, SectioningPlan,
+    draw_battery_soc, draw_status, failure_probability, ict_repair_duration,
+    plan_sectioning,
 )
 
 TABLE_SENSOR_PHASES = RepairPhases(new_signal_h=2 / 3600, reboot_h=5 / 60,
@@ -188,6 +190,29 @@ def test_sectioning_dead_switch_is_manual_but_consulted(ieee33):
     plan = plan_sectioning(ieee33, "L05", status.get, 5 / 60, 1.0)
     assert not plan.automated and plan.duration_h == 1.0
     assert "IS06" in plan.consulted_switches
+
+
+def _without_ict_unit(spec, unit_id):
+    """The IEEE-33 model with the sensor or intelligent switch `unit_id` removed."""
+    ict = spec.ict
+    return build_network(dataclasses.replace(spec, ict=dataclasses.replace(
+        ict, sensors=tuple(s for s in ict.sensors if s.id != unit_id),
+        intelligent_switches=tuple(i for i in ict.intelligent_switches
+                                   if i.id != unit_id))))
+
+
+def test_sectioning_a_line_without_a_sensor_is_manual_and_consults_nothing(ieee33_spec):
+    model = _without_ict_unit(ieee33_spec, "S05")
+    assert "L05" not in model.sensor_of_line
+    plan = plan_sectioning(model, "L05", _all_working(model).get, 5 / 60, 1.0)
+    assert plan == SectioningPlan(1.0, False, (), ())
+
+
+def test_sectioning_a_disconnector_without_a_switch_is_manual_after_the_sensor(
+        ieee33_spec):
+    model = _without_ict_unit(ieee33_spec, "IS06")
+    plan = plan_sectioning(model, "L05", _all_working(model).get, 5 / 60, 1.0)
+    assert plan == SectioningPlan(1.0, False, ("S05",), ())
 
 
 def test_sectioning_unknown_line(ieee33):
