@@ -67,6 +67,11 @@ LEDGER_STUDIES += [("case4", 1.0, 2)]
 LIMITED, LIMITED_FEEDER_MW = "-limited", 2.0
 LEDGER_STUDIES += [(case + LIMITED, increment_h, 1) for increment_h in (1.0, 0.25)
                    for case in ("case2", "case4")]
+# a preset named with WEAK runs with every line's impedance times WEAK_Z_SCALE
+# and its capacity WEAK_CAPACITY_MW, so the load-flow sweep runs, overloads
+# take the repair pass, some sweeps do not converge and the simplex sheds
+WEAK, WEAK_Z_SCALE, WEAK_CAPACITY_MW = "-weak", 6.0, 1.5
+LEDGER_STUDIES += [(case + WEAK, 1.0, 1) for case in ("case2", "case4")]
 # the sweep counters show a load-flow confirmation swept where it was
 # certified, or the reverse, although the results stay the same
 LEDGER_FIELDS = ("interruptions", "outage_hours", "ens_mwh", "events", "warnings",
@@ -143,11 +148,17 @@ def dump_ledgers(out, seed, iterations):
         if case == "validation6":
             spec, profiles, cost_table = feeder6, ProfileSet(increment_h, 8760.0), feeder6_costs
         else:
-            spec = scenarios.apply_scenario(ieee33, case.removesuffix(LIMITED))
+            spec = scenarios.apply_scenario(
+                ieee33, case.removesuffix(LIMITED).removesuffix(WEAK))
             if case.endswith(LIMITED):
                 spec = dataclasses.replace(spec, distribution_systems=tuple(
                     dataclasses.replace(d, feeder_capacity_mw=LIMITED_FEEDER_MW)
                     for d in spec.distribution_systems))
+            if case.endswith(WEAK):
+                spec = dataclasses.replace(spec, lines=tuple(
+                    dataclasses.replace(l, r_pu=l.r_pu * WEAK_Z_SCALE, x_pu=l.x_pu * WEAK_Z_SCALE,
+                                        capacity_mw=WEAK_CAPACITY_MW)
+                    for l in spec.lines))
             profiles, cost_table = ProfileSet(increment_h, 8760.0, loads, wind), costs
         config = engine.SimulationConfig(increment_h=increment_h, iterations=iterations,
                                          master_seed=seed, worker_count=workers)

@@ -46,10 +46,11 @@ disconnector is open while it is normally open or bounds a line fault in its
 repairing phase, so a disconnector shared by two isolated sections stays
 open until both repairs end. The breaker positions, sub-systems and their
 conducting lines follow from (failed lines, open disconnectors) alone, so
-each distinct state is compiled once per run, and decided static or not,
-and every later increment in that state looks it up. A sub-system shared
-by several states is compiled once per run as well, and a state in one
-pass over the feeder forest the network records (`NetworkModel.split`).
+each distinct state is compiled once per run, each sub-system decided
+steady or not, and every later increment in that state looks it up. A
+sub-system shared by several states is compiled once per run as well, and a
+state in one pass over the feeder forest the network records
+(`NetworkModel.split`).
 
 The engine is handed one `TopologyCache`, the compiled run: it checks its
 inputs against each other once, before the first iteration, and binds every
@@ -60,12 +61,13 @@ only, its batteries, so an increment only indexes arrays and tables.
 
 Only normally closed lines conduct (a normally open breaker is refused at
 build time), so every switching state is a forest and a sub-system a subtree
-of it. A sub-system that is not steady is compiled with its shedding skeleton
-(see `shedding`), whose tree is the forest's, and, where it has lines, its
-load-flow totals. Only a problem the totals do not certify (see `loadflow`)
-gets a load-flow layout and certificate for its slack bus (an island's
-slack, the bus of its largest source, moves with the wind), and a load-flow
-problem is built, and swept, only where neither certificate holds.
+of it, kept as its `tree`, which `_grid_serves` tests the grid on and every
+shedding skeleton (see `shedding`) takes. One that is not steady is compiled
+with its skeleton and, where it has lines, its load-flow totals. Only a
+problem the totals do not certify (see `loadflow`) gets a load-flow layout
+and certificate for its slack bus (an island's slack, the bus of its
+largest source, moves with the wind), and a load-flow problem is built, and
+swept, only where neither certificate holds.
 """
 
 from __future__ import annotations
@@ -181,20 +183,21 @@ def ends_silently(duration_h: float, dt_h: float) -> bool:
 class Subsystem:
     """One connected component of a switching state.
 
-    `units` are the production units at its buses and `batteries` an
-    island's batteries: a grid-fed one's idle, so it is compiled without.
-    One that is not steady is compiled with `shedding`, its shedding
-    skeleton, and, where it has lines, `totals`, its load-flow totals; a
-    steady one has neither. `layouts` is filled once needed: per slack bus
-    the load flow has used, (layout, certificate).
+    `tree` is its part of the feeder forest, which `_grid_serves` sums flows
+    up and each of its shedding skeletons takes as its tree. `units` are the
+    production units at its buses and `batteries` an island's batteries: a
+    grid-fed one's idle, so it is compiled without. One that is not steady
+    is compiled with `shedding`, its shedding skeleton, and, where it has
+    lines, `totals`, its load-flow totals; a steady one has neither.
+    `layouts` is filled once needed: per slack bus the load flow has used,
+    (layout, certificate).
     """
 
     buses: tuple          # sorted
     grid_bus: Optional[str]  # root of the first closed feeder inside, if any
     grid_limit: float
     lines: tuple          # conducting lines inside, in model line order
-    subtree_sums: tuple   # (bus, child) additions in reversed BFS order from the root
-    feed_limits: tuple    # (bus, feed-line capacity + eps) in BFS order below the root
+    tree: tuple           # (bus, parent, feed Line) below the top bus, in BFS order
     units: tuple = ()      # (unit id, bus, min MW), by bus then by id
     batteries: tuple = ()  # (bus, Battery), by bus
     steady: bool = False  # no bus can change before health does (see `_subsystem`)
@@ -202,17 +205,16 @@ class Subsystem:
     totals: Optional[tuple] = field(default=None, compare=False, repr=False)
     layouts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def grid_flows_within_caps(self, live_demand) -> bool:
-        """Check the lossless radial flows of serving everything from the grid."""
-        return _within_feed_limits(self.subtree_sums, self.feed_limits,
-                                   {b: live_demand.get(b, 0.0) for b in self.buses})
 
-
-def _within_feed_limits(subtree_sums, feed_limits, subtree) -> bool:
-    """Whether the radial flows fit every feed limit; sums `subtree` in place."""
-    for bus, child in subtree_sums:
-        subtree[bus] += subtree[child]
-    return not any(subtree[bus] > limit for bus, limit in feed_limits)
+def _grid_serves(grid_limit, tree, demand) -> bool:
+    """Whether the grid alone serves `demand`, MW at every bus of a grid-fed
+    sub-system, by lossless radial flows within `grid_limit` and each feed
+    line of its `tree`: a test monotone in the demands, which it sums in place."""
+    if sum(demand.values()) > grid_limit + _EPS:
+        return False
+    for bus, parent, _ in reversed(tree):
+        demand[parent] += demand[bus]
+    return all(demand[bus] <= line.capacity_mw + _EPS for bus, _, line in tree)
 
 
 class TopologyCache:
@@ -358,40 +360,37 @@ class TopologyCache:
 
     def _subsystem(self, order, grid_bus) -> Subsystem:
         """The sub-system of `order`, its buses in BFS order from its top bus,
-        fed from `grid_bus` or unfed, compiled whole (see `Subsystem`)."""
+        fed from `grid_bus` or unfed, compiled whole (see `Subsystem`): steady
+        when sourceless, or grid-fed with a limit above _EPS and its demand
+        bounds passing `_grid_serves`; the test being monotone, `_shed_verdict`'s
+        grid shortcut then holds at every increment."""
         model, bound = self.model, self.bound
         comp = tuple(sorted(order))
-        # its conducting lines are the feed lines below its top bus
-        lines = tuple(model.lines[l] for l in sorted(model.feed_line[b] for b in order[1:]))
+        tree = tuple((b, model.tree_parent[b], model.lines[model.feed_line[b]])
+                     for b in order[1:])
+        lines = tuple(sorted((l for _, _, l in tree), key=lambda l: l.id))  # conducting, by id
         units = tuple((u, b, model.production[u].min_mw)
                       for b in comp for u in model.production_of_bus[b])
         if grid_bus is None:  # steady while sourceless: no grid, production or battery
-            grid_limit, sums, limits = 0.0, (), ()
-            batteries = tuple((b, model.batteries[model.battery_of_bus[b]])
-                              for b in comp if b in model.battery_of_bus)
+            grid_limit, batteries = 0.0, tuple((b, model.batteries[model.battery_of_bus[b]])
+                                               for b in comp if b in model.battery_of_bus)
             steady = not (units or batteries)
         else:  # its batteries idle, so it is compiled without them
-            batteries, children = (), {b: [] for b in order}  # in BFS order, as sums need
-            for bus in order[1:]:
-                children[model.tree_parent[bus]].append(bus)
-            grid_limit = model.feeder_capacity[model.system_of_bus[grid_bus]]
-            sums = tuple((bus, child) for bus in reversed(order) for child in children[bus])
-            limits = tuple((bus, model.lines[model.feed_line[bus]].capacity_mw + _EPS)
-                           for bus in order[1:])
-            # steady while the demand bounds fit the grid limit, summed and through
-            # each feed line; sums are monotone in their terms, so `_shed_verdict`'s
-            # grid shortcut then serves each bus whose transformer works
-            steady = (grid_limit > _EPS and sum(bound.get(b, 0.0) for b in comp) <= grid_limit
-                      and _within_feed_limits(sums, limits, {b: bound.get(b, 0.0) for b in comp}))
-        # the shedding skeleton's tree is the feeder forest below the top bus
+            grid_limit, batteries = model.feeder_capacity[model.system_of_bus[grid_bus]], ()
+            steady = grid_limit > _EPS and _grid_serves(
+                grid_limit, tree, {b: bound.get(b, 0.0) for b in comp})
         return Subsystem(
-            comp, grid_bus, grid_limit, lines, sums, limits, units, batteries, steady,
-            None if steady else shed.compile_skeleton(
-                comp, self.shed_cost, [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in lines],
-                tree=[(b, model.tree_parent[b], model.feed_line[b]) for b in order[1:]]),
+            comp, grid_bus, grid_limit, lines, tree, units, batteries, steady,
+            None if steady else _skeleton(comp, self.shed_cost, lines, tree),
             None if steady or not lines else compile_totals(
                 [complex(l.r_pu, l.x_pu) for l in lines], [l.capacity_mw for l in lines],
                 model.base_mva, SLACK_VOLTAGE))
+
+
+def _skeleton(comp, shed_cost, lines, tree, margin=1.0):
+    """A sub-system's shedding skeleton, its line capacities times `margin`."""
+    lines = [(l.id, l.from_bus, l.to_bus, l.capacity_mw * margin) for l in lines]
+    return shed.compile_skeleton(comp, shed_cost, lines, tree=[(b, p, l.id) for b, p, l in tree])
 
 
 class SequentialSimulation:
@@ -643,7 +642,8 @@ class SequentialSimulation:
           served with one, standing to the horizon;
         - no source at t: dark up to `_dark_until`;
         - no live demand: served;
-        - the grid alone serves it within every limit: served;
+        - the grid alone serves it within every limit (`_grid_serves`, the
+          test that decides steady, on the live demand): served;
         - the shedding problem is infeasible: dark, with a warning;
         - otherwise the shedding problem's shed, after `_confirm_with_loadflow`,
           and its islanded batteries' SOC moves by their dispatch.
@@ -679,10 +679,9 @@ class SequentialSimulation:
             return None, self._dark_until(sub, t)
         if total_demand <= _EPS:
             return {}, t + 1
-        # Grid-connected sub-system whose pure-grid dispatch stays within every
-        # limit: zero shed is optimal, skip the optimization and the sweep.
-        if (grid_bus is not None and total_demand <= grid_limit + _EPS
-                and sub.grid_flows_within_caps(live_demand)):
+        # zero shed is optimal: skip the optimization and the sweep
+        if grid_bus is not None and _grid_serves(
+                grid_limit, sub.tree, {b: live_demand.get(b, 0.0) for b in sub.buses}):
             return {}, t + 1
 
         result = shed.solve_shedding(shed.build_shedding_problem(
@@ -784,8 +783,8 @@ class SequentialSimulation:
         # one repair pass with a tightened capacity margin covering the overshoot
         margin = 1.0 / (1.0 + worst + LOADING_MARGIN)
         retry = shed.solve_shedding(shed.build_shedding_problem(
-            comp, live_demand, self.topology.shed_cost, generators,
-            [(l.id, l.from_bus, l.to_bus, l.capacity_mw * margin) for l in lines_here]))
+            comp, live_demand, generators=generators,
+            skeleton=_skeleton(comp, self.topology.shed_cost, lines_here, sub.tree, margin)))
         return retry if retry.status == shed.OPTIMAL else result
 
 

@@ -286,9 +286,9 @@ def reference_state(topology, failed, open_switches, eps=1e-9):
     fields, compiled from scratch: each breaker by a search from its root,
     the conducting lines by scanning every line, the buses by
     `connected_components`, the units and an island's batteries by scanning
-    every one (a grid-fed sub-system's idle and are left out), and a
-    grid-fed sub-system's sums and limits by a breadth-first walk of its
-    lines from the grid bus."""
+    every one (a grid-fed sub-system's idle and are left out), its tree by a
+    breadth-first walk of its lines from its top bus, and whether it is
+    steady by summing a grid-fed one's demand bounds up that tree."""
     model = topology.model
 
     def root_sees_fault(root):
@@ -319,37 +319,38 @@ def reference_state(topology, failed, open_switches, eps=1e-9):
             model.production.values(), key=lambda u: (u.bus, u.id)) if u.bus in comp)
         batteries = tuple(sorted(((bat.bus, bat) for bat in model.batteries.values()
                                   if bat.bus in comp), key=lambda pair: pair[0]))
-        sub = {"buses": comp, "grid_bus": None, "grid_limit": 0.0, "lines": lines,
-               "subtree_sums": (), "feed_limits": (), "units": units,
-               "batteries": batteries, "steady": not (units or batteries)}
-        subsystems.append(sub)
-        if not feeders:
-            continue
-        grid_bus = feeders[0].root_bus
         adj = {}
         for line in lines:
             adj.setdefault(line.from_bus, []).append((line.to_bus, line))
             adj.setdefault(line.to_bus, []).append((line.from_bus, line))
+        # a breadth-first walk of its lines from its grid bus, or else from its
+        # bus that the feeder walks reach first
+        top = feeders[0].root_bus if feeders else next(
+            b for b in model.tree_order if b in comp)
         children = {b: [] for b in comp}
-        feed_limit = {grid_bus: None}
-        order = [grid_bus]
+        order, tree, seen = [top], [], {top}
         for bus in order:
             for other, line in adj.get(bus, ()):
-                if other not in feed_limit:
+                if other not in seen:
+                    seen.add(other)
                     children[bus].append(other)
-                    feed_limit[other] = line.capacity_mw + eps
+                    tree.append((other, bus, line))
                     order.append(other)
-        sums = tuple((bus, child) for bus in reversed(order) for child in children[bus])
-        limits = tuple((bus, feed_limit[bus]) for bus in order[1:])
+        sub = {"buses": comp, "grid_bus": None, "grid_limit": 0.0, "lines": lines,
+               "tree": tuple(tree), "units": units,
+               "batteries": batteries, "steady": not (units or batteries)}
+        subsystems.append(sub)
+        if not feeders:
+            continue
         grid_limit = model.feeder_capacity[feeders[0].id]
         bound = {b: topology.bound.get(b, 0.0) for b in comp}
-        for bus, child in sums:
-            bound[bus] += bound[child]
-        sub.update(grid_bus=grid_bus, grid_limit=grid_limit, subtree_sums=sums,
-                   feed_limits=limits, batteries=(), steady=(
-                       grid_limit > eps
-                       and sum(topology.bound.get(b, 0.0) for b in comp) <= grid_limit
-                       and not any(bound[bus] > limit for bus, limit in limits)))
+        for bus in reversed(order):
+            for child in children[bus]:
+                bound[bus] += bound[child]
+        sub.update(grid_bus=top, grid_limit=grid_limit, batteries=(), steady=(
+            grid_limit > eps
+            and sum(topology.bound.get(b, 0.0) for b in comp) <= grid_limit + eps
+            and not any(bound[b] > line.capacity_mw + eps for b, _, line in tree)))
     return subsystems
 
 

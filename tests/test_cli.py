@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gridrel import engine
+from gridrel import engine, scenarios
 from gridrel.cli import main
 
 from conftest import CHAIN4
@@ -158,6 +158,16 @@ def test_analytical_prints_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "SAIFI 2.7200" in out
     assert "SAIDI 8.8300" in out
+
+
+def test_analytical_writes_one_row_per_load_point(tmp_path, capsys):
+    path = tmp_path / "out" / "analytical.csv"
+    assert main(["analytical", "--network", scenarios.bundled_validation_path(),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.endswith(f"  wrote {path}\n")
+    lines = path.read_text().splitlines()
+    assert lines[0] == "load_point,lambda_per_year,outage_hours_per_year,r_hours"
+    assert [row.split(",")[0] for row in lines[1:]] == ["VB2", "VB3", "VB4", "VB5", "VB6"]
 
 
 def test_analytical_rejects_active_network(capsys, caplog):

@@ -10,7 +10,7 @@ from gridrel.engine import (
     run_monte_carlo, update_battery_demand, warning_counts,
 )
 from gridrel.indices import aggregate, iteration_report
-from gridrel.loadflow import solve_fbs
+from gridrel.loadflow import LOADING_MARGIN, solve_fbs
 from gridrel.netfile import parse_network_text
 from gridrel.network import Battery, build_network
 from gridrel.scenarios import apply_scenario
@@ -509,6 +509,17 @@ def test_an_overload_the_certificate_cannot_rule_out_is_swept_and_repaired(monke
     assert ledger.ens_mwh == {"B2": 0.14964061346367907}
     assert ledger.outage_hours == {"B2": 0.0} and ledger.interruptions == {"B2": 0.0}
     assert ledger.events == _FALLBACK_EVENTS and ledger.warnings == []
+
+
+def test_a_sweep_within_the_loading_margin_lets_the_shedding_result_stand(monkeypatch):
+    # the same 1.021 MW through a 1.011 MW line: 0.98% over, within the 1%
+    # margin, so no repair pass runs and B2 is served in full (at 1.02 MW
+    # the certificate passes and no sweep runs)
+    ledger, sweeps = _run_fallback_island(monkeypatch, load_mw=1.0, z=0.2, capacity_mw=1.011)
+    assert all(s.converged and 0.0 < s.line_flow_mw["L2"] / 1.011 - 1.0 <= LOADING_MARGIN
+               for s in sweeps)
+    assert ledger.ens_mwh == {"B2": 0.0} and ledger.warnings == []
+    assert ledger.events == _FALLBACK_EVENTS
 
 
 def test_a_sweep_the_certificate_cannot_rule_out_still_warns(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridrel.netfile import parse_network_file, parse_network_text
+from gridrel.netfile import NetworkFileError, parse_network_file, parse_network_text
 from gridrel.network import (
     BREAKER, DISCONNECTOR, Bus, DistributionSystem, Line, Microgrid,
     NetworkModel, NetworkSpec, NetworkValidationError, Switchgear,
@@ -239,6 +239,106 @@ def test_a_feeder_capacity_is_refused_below_zero():
     text = MINIMAL.replace("dist DS1 root=A", "dist DS1 root=A feeder_capacity_mw=-1")
     assert _violations(text) == ["distribution system 'DS1': feeder capacity must be >= 0"]
     build_network(parse_network_text(text.replace("=-1", "=0")))
+
+
+_BATTERY = "BT bus=B capacity_mwh=1 inverter_mw=0.5"
+_BRANCH = "[buses]\nC customers=0\n[lines]\nL2 from=B to=C r_pu=0.01 x_pu=0.01 capacity_mw="
+
+
+def _spec_edit(**fields):
+    """An edit of MINIMAL's parsed spec: each named tuple field's only entry
+    replaced with these fields, or the tuple with () when given as ()."""
+    def edit(spec):
+        return replace(spec, **{
+            name: () if value == () else (replace(getattr(spec, name)[0], **value),)
+            for name, value in fields.items()})
+    return edit
+
+
+# id -> (rows appended to MINIMAL, or an edit of its parsed spec, and the
+# one violation `build_network` reports)
+_SPEC_RULES = {
+    "negative-customers": ("[buses]\nC customers=-1", "bus 'C': customer count must be >= 0"),
+    "battery-unknown-bus": ("[batteries]\n" + _BATTERY.replace("bus=B", "bus=Z"),
+                            "battery 'BT' references unknown bus 'Z'"),
+    "two-batteries-on-a-bus": ("[batteries]\n" + _BATTERY + "\n" + _BATTERY.replace("BT", "BU"),
+                               "bus 'B' has more than one battery"),
+    "battery-soc-bounds": ("[batteries]\n" + _BATTERY + " soc_min=0.9 soc_max=0.1",
+                           "battery 'BT': need 0 <= soc_min <= soc_max <= 1"),
+    "battery-inverter": ("[batteries]\n" + _BATTERY.replace("inverter_mw=0.5", "inverter_mw=0"),
+                         "battery 'BT': inverter capacity must be > 0"),
+    "battery-capacity": ("[batteries]\n" + _BATTERY.replace("capacity_mwh=1", "capacity_mwh=0"),
+                         "battery 'BT': energy capacity must be > 0"),
+    "line-to-itself": ("[lines]\nL2 from=B to=B r_pu=0.01 x_pu=0.01 capacity_mw=1",
+                       "line 'L2' connects a bus to itself"),
+    "line-capacity": (_BRANCH + "0", "line 'L2': capacity must be > 0"),
+    "switchgear-kind": (_spec_edit(switchgear={"kind": "fuse"}),
+                        "switchgear 'CB': unknown kind 'fuse'"),
+    "switchgear-unknown-line": ("[switchgear]\nD kind=disconnector line=L9 end=from",
+                                "switchgear 'D' references unknown line 'L9'"),
+    "breaker-not-at-a-root": (_BRANCH + "1\n[switchgear]\nCB2 kind=breaker line=L2 end=from",
+                              "circuit breaker 'CB2' is not at a feeder root"),
+    "switchgear-position": (_spec_edit(switchgear={"position": "middle"}),
+                            "switchgear 'CB': position must be from/to"),
+    "production-unknown-bus": ("[production]\nG bus=Z max_mw=1",
+                               "production unit 'G' references unknown bus 'Z'"),
+    "production-min-max": ("[production]\nG bus=B min_mw=2 max_mw=1",
+                           "production unit 'G': need 0 <= min <= max output"),
+    "sensor-unknown-line": ("[ict]\nsensor S1 line=L9 rate=0.023 manual=2h",
+                            "sensor 'S1' references unknown line 'L9'"),
+    "switch-unknown-switchgear": ("[ict]\nswitch IS1 disconnector=D9 rate=0.03 repair=2h",
+                                  "intelligent switch 'IS1' references unknown switchgear"),
+    "switch-not-on-a-disconnector": ("[ict]\nswitch IS1 disconnector=CB rate=0.03 repair=2h",
+                                     "intelligent switch 'IS1' must sit on a disconnector, "
+                                     "not breaker"),
+    "no-distribution-system": (_spec_edit(distribution_systems=(), switchgear=()),
+                               "no distribution system declared"),
+    "unknown-root-bus": (_spec_edit(distribution_systems={"root_bus": "Z"}, switchgear=()),
+                         "distribution system 'DS1' has unknown root bus 'Z'"),
+    "microgrid-unknown-disconnector": ("[systems]\nmicrogrid MG via=D9",
+                                       "microgrid 'MG' references unknown disconnector"),
+}
+# id -> (rows appended to MINIMAL, the last of them at fault, and the one
+# error `parse_network_text` reports at that row)
+_FILE_RULES = {
+    "token-without-equals": ("[buses]\nC customers=0 lonely",
+                             "expected key=value, got 'lonely'"),
+    "unknown-field": ("[buses]\nC customers=0 colour=red", "unknown field 'colour'"),
+    "unknown-role": ("[systems]\nfeeder F1 root=A",
+                     "unknown system role 'feeder' (dist/microgrid)"),
+    "role-without-an-id": ("[systems]\ndist", "dist needs an id"),
+    "unknown-network-field": ("[network]\ncolour = red", "unknown network field 'colour'"),
+    "unclosed-quote": ('[buses]\nC customers="0', "No closing quotation"),
+    "unknown-reliability-class": ("[reliability]\ncable rate=1 repair=2h",
+                                  "unknown reliability class 'cable'"),
+    "switchgear-kind": ("[switchgear]\nD kind=fuse line=L1 end=from",
+                        "switchgear kind must be breaker or disconnector, got 'fuse'"),
+    "switchgear-end": ("[switchgear]\nD kind=disconnector line=L1 end=mid",
+                       "switchgear end must be from or to, got 'mid'"),
+    "switchgear-state": ("[switchgear]\nD kind=disconnector line=L1 end=from state=ajar",
+                         "switchgear state must be open or closed, got 'ajar'"),
+    "second-controller": ("[ict]\ncontroller C1 hw_rate=0 hw_repair=1h sw_rate=0\n"
+                          "controller C2 hw_rate=0 hw_repair=1h sw_rate=0",
+                          "more than one controller"),
+}
+
+
+@pytest.mark.parametrize("kind, rule", [("spec", r) for r in _SPEC_RULES]
+                         + [("file", r) for r in _FILE_RULES])
+def test_each_validation_rule_reports_its_own_message(kind, rule):
+    if kind == "file":
+        rows, message = _FILE_RULES[rule]
+        text = MINIMAL + rows + "\n"
+        with pytest.raises(NetworkFileError) as err:
+            parse_network_text(text)
+        assert err.value.errors == [f"<string>:{len(text.splitlines())}: {message}"]
+        return
+    edit, violation = _SPEC_RULES[rule]
+    spec = edit(parse_network_text(MINIMAL)) if callable(edit) else parse_network_text(
+        MINIMAL + edit + "\n")
+    with pytest.raises(NetworkValidationError) as err:
+        build_network(spec)
+    assert err.value.violations == [violation]
 
 
 FOREST = ("tree_order", "tree_parent", "feed_line", "system_of_bus", "tree_lines",

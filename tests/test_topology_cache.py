@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from gridrel import shedding
 from gridrel.engine import (
-    SequentialSimulation, SimulationConfig, TopologyCache, run_iteration,
+    SequentialSimulation, SimulationConfig, TopologyCache, _grid_serves, run_iteration,
     run_monte_carlo,
 )
 from gridrel.loadflow import SLACK_VOLTAGE, LoadFlowProblem, compile_totals
@@ -41,8 +41,8 @@ from oracles import (
     reference_breakers, reference_grid_flows_ok, reference_lines_inside, reference_state,
 )
 
-SUBSYSTEM_FIELDS = ("buses", "grid_bus", "grid_limit", "lines", "subtree_sums",
-                    "feed_limits", "units", "batteries", "steady")
+SUBSYSTEM_FIELDS = ("buses", "grid_bus", "grid_limit", "lines", "tree", "units",
+                    "batteries", "steady")
 
 
 def _switches_cutting_out(model, isolated):
@@ -70,13 +70,15 @@ def _assert_matches_reference(model, subsystems, switch_closed, failed, demand):
         assert (sub.grid_bus, sub.grid_limit) == (
             feeders[0].root_bus, model.feeder_capacity[feeders[0].id])
         lines = [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in sub.lines]
-        assert sub.grid_flows_within_caps(demand) == reference_grid_flows_ok(
-            sub.grid_bus, lines, demand)
+        served = {b: demand.get(b, 0.0) for b in sub.buses}
+        assert _grid_serves(sub.grid_limit, sub.tree, dict(served)) == (
+            sum(served.values()) <= sub.grid_limit + 1e-9
+            and reference_grid_flows_ok(sub.grid_bus, lines, demand))
 
 
 def _assert_fields_match_former_compiler(topology, key, entry):
     """Every field of every sub-system of the state `key`, in order, is the
-    one `reference_state` compiles; the sums' order fixes their bits."""
+    one `reference_state` compiles; the tree's order fixes the grid test's sums."""
     reference = reference_state(topology, *key)
     assert [sub.buses for sub in entry] == [ref["buses"] for ref in reference]
     for sub, ref in zip(entry, reference):
