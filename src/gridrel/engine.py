@@ -53,11 +53,9 @@ state in one pass over the feeder forest the network records
 (`NetworkModel.split`).
 
 The engine is handed one `TopologyCache`, the compiled run: it checks its
-inputs against each other once, before the first iteration, and binds every
-load point to its multiplier curve and shed cost, every production unit
-to its available MW per increment, every component to its repair rule and
-fault event, and every sub-system to its production units and, an island
-only, its batteries, so an increment only indexes arrays and tables.
+inputs once, before the first iteration, and binds each to its user in
+per-run tables, so an increment only indexes arrays and tables, and a
+sub-system is compiled by gathering its buses' rows from them.
 
 Only normally closed lines conduct (a normally open breaker is refused at
 build time), so every switching state is a forest and a sub-system a subtree
@@ -179,7 +177,7 @@ def ends_silently(duration_h: float, dt_h: float) -> bool:
     return n >= 1 and duration_h <= n * dt_h + _EPS
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: built per compile, and a frozen constructor is slower
 class Subsystem:
     """One connected component of a switching state.
 
@@ -209,12 +207,15 @@ class Subsystem:
 def _grid_serves(grid_limit, tree, demand) -> bool:
     """Whether the grid alone serves `demand`, MW at every bus of a grid-fed
     sub-system, by lossless radial flows within `grid_limit` and each feed
-    line of its `tree`: a test monotone in the demands, which it sums in place."""
+    line of its `tree`: a test monotone in the demands, which it sums in place,
+    children first, so a bus's sum is whole when its own line is tested."""
     if sum(demand.values()) > grid_limit + _EPS:
         return False
-    for bus, parent, _ in reversed(tree):
+    for bus, parent, line in reversed(tree):
+        if demand[bus] > line.capacity_mw + _EPS:
+            return False
         demand[parent] += demand[bus]
-    return all(demand[bus] <= line.capacity_mw + _EPS for bus, _, line in tree)
+    return True
 
 
 class TopologyCache:
@@ -228,24 +229,24 @@ class TopologyCache:
     Switching states are keyed by (failed lines, open disconnectors), where
     a disconnector is open while it is normally open or bounds an isolated
     line, and are compiled on first use into their sub-systems, by lowest
-    bus id; the breaker positions follow from the key. The partition is the
-    model's `split`, one pass over its feeder forest, which the closed form
-    reads too. A sub-system met in several states is one object, keyed by
-    what `split` gives for it, (buses in BFS order, grid bus), which within
-    the forest fixes its lines. It is compiled on first use, with its
-    shedding skeleton and load-flow totals (see `_subsystem`), and gains
-    its load-flow layouts as needed, so each is compiled once per run. The
-    cache also holds the model and config, every failable component's
-    per-increment failure probability, one repair table (per component key
-    its repair, fixed hours or the `RepairPhases` drawn when it starts, and
-    its fault event), the ids of the ICT units that fail latently and the
-    controller's id, and every input bound to its user: per load point with
-    a load (peak MW, peak Mvar, multiplier curve) and its demand bound, the
-    load points whose demand can fall below zero, per bus its shed cost (0.0
-    without a load), per production unit its available MW per increment and
-    the next increment at which that is above 0.0, and the customers and
-    categories every ledger of the run shares read-only. It lives as long as
-    the run that creates it, so nothing outlives the model.
+    bus id, by the model's `split`, one pass over its feeder forest. A
+    sub-system met in several states is one object, keyed by what `split`
+    gives for it, (buses in BFS order, grid bus), which within the forest
+    fixes its lines; it is compiled on first use (see `_subsystem`) and gains
+    its load-flow layouts as needed, so each is compiled once per run.
+
+    The constructor also binds every input to its user, once per run: the
+    model and config; per failable component its per-increment failure
+    probability and, in one repair table, its repair (fixed hours, or the
+    `RepairPhases` drawn when it starts) and fault event; the ids of the ICT
+    units that fail latently and the controller's id; per load point with a
+    load (peak MW, peak Mvar, multiplier curve) and its demand bound, from
+    each curve's extremes taken once, and the load points whose demand can
+    fall below zero; per bus its shed cost (0.0 without a load) and the rows
+    a sub-system gathers; per production unit its available MW per increment
+    and the next increment at which that is above 0.0; and the customers and
+    categories every ledger shares read-only. It lives as long as the run
+    that creates it, so nothing outlives the model.
     """
 
     def __init__(self, model: NetworkModel, profiles, config: SimulationConfig,
@@ -293,7 +294,7 @@ class TopologyCache:
         self.initial_keys = tuple(key for key, p in self.failure_p.items() if p > 0.0)
         self.initial_p = np.array([self.failure_p[key] for key in self.initial_keys])
         self.loads, self.bound, self.customers, self.categories = {}, {}, {}, {}
-        negative_loads = set()
+        negative_loads, extremes = set(), {}  # per curve, (min, max): peak * mult is monotone
         for b in model.load_points:
             bus = model.buses[b]
             self.customers[b] = bus.customers
@@ -302,11 +303,19 @@ class TopologyCache:
             curve = profiles.load_curve(bus.load.profile)
             self.loads[b] = (bus.load.peak_mw, bus.load.peak_mvar, curve)
             self.categories[b] = bus.load.category
-            lo, hi = float(curve.min()), float(curve.max())  # peak * mult is monotone in mult
+            lo, hi = extremes.get(bus.load.profile) or extremes.setdefault(
+                bus.load.profile, (float(curve.min()), float(curve.max())))
             self.bound[b] = max(bus.load.peak_mw * lo, bus.load.peak_mw * hi, 0.0)
             if min(bus.load.peak_mw * lo, bus.load.peak_mw * hi) < 0.0:
                 negative_loads.add(b)
         self.negative_loads = frozenset(negative_loads)
+        # the rows `_subsystem` gathers: per bus below a root its tree row
+        # (bus, parent, feed line), per bus its units and its battery
+        self._row = {b: (b, model.tree_parent[b], model.lines[l])
+                     for b, l in model.feed_line.items() if l is not None}
+        self._units = {b: tuple((u, b, model.production[u].min_mw) for u in units)
+                       for b, units in model.production_of_bus.items() if units}
+        self._battery = {b: (b, model.batteries[i]) for b, i in model.battery_of_bus.items()}
         costs = (dict.fromkeys(self.categories.values(), 1.0) if cost_table is None
                  else cost_table)
         for category in self.categories.values():
@@ -342,7 +351,7 @@ class TopologyCache:
         `isolated_lines` (a subset of them) are cut out."""
         model = self.model
         key = (frozenset(failed_lines), model.normally_open.union(
-            *(model.sections[l] for l in isolated_lines)))
+            *map(model.sections.__getitem__, isolated_lines)))
         entry = self._states.get(key)
         if entry is None:
             self.misses += 1
@@ -356,41 +365,35 @@ class TopologyCache:
         for key in keys:
             if key not in subsystems:
                 subsystems[key] = self._subsystem(*key)
-        return tuple(subsystems[key] for key in keys)
+        return tuple(map(subsystems.__getitem__, keys))
 
     def _subsystem(self, order, grid_bus) -> Subsystem:
         """The sub-system of `order`, its buses in BFS order from its top bus,
-        fed from `grid_bus` or unfed, compiled whole (see `Subsystem`): steady
-        when sourceless, or grid-fed with a limit above _EPS and its demand
-        bounds passing `_grid_serves`; the test being monotone, `_shed_verdict`'s
-        grid shortcut then holds at every increment."""
-        model, bound = self.model, self.bound
+        fed from `grid_bus` or unfed, compiled whole (see `Subsystem`) from its
+        buses' rows in the run's tables: steady when sourceless, or grid-fed
+        with a limit above _EPS and its demand bounds passing `_grid_serves`;
+        the test being monotone, `_shed_verdict`'s grid shortcut then holds."""
+        model, row = self.model, self._row
         comp = tuple(sorted(order))
-        tree = tuple((b, model.tree_parent[b], model.lines[model.feed_line[b]])
-                     for b in order[1:])
-        lines = tuple(sorted((l for _, _, l in tree), key=lambda l: l.id))  # conducting, by id
-        units = tuple((u, b, model.production[u].min_mw)
-                      for b in comp for u in model.production_of_bus[b])
+        tree = tuple(map(row.__getitem__, order[1:]))
+        lines = tuple([row[b][2] for b in sorted(order[1:], key=model.feed_line.__getitem__)])
+        units = tuple(u for b in sorted(self._units.keys() & order) for u in self._units[b])
         if grid_bus is None:  # steady while sourceless: no grid, production or battery
-            grid_limit, batteries = 0.0, tuple((b, model.batteries[model.battery_of_bus[b]])
-                                               for b in comp if b in model.battery_of_bus)
+            grid_limit = 0.0
+            batteries = tuple(map(self._battery.__getitem__, sorted(self._battery.keys() & order)))
             steady = not (units or batteries)
         else:  # its batteries idle, so it is compiled without them
             grid_limit, batteries = model.feeder_capacity[model.system_of_bus[grid_bus]], ()
             steady = grid_limit > _EPS and _grid_serves(
-                grid_limit, tree, {b: bound.get(b, 0.0) for b in comp})
+                grid_limit, tree, {b: self.bound.get(b, 0.0) for b in comp})
         return Subsystem(
             comp, grid_bus, grid_limit, lines, tree, units, batteries, steady,
-            None if steady else _skeleton(comp, self.shed_cost, lines, tree),
+            None if steady else shed.compile_skeleton(
+                comp, self.shed_cost, [(l.id, l.from_bus, l.to_bus, l.capacity_mw) for l in lines],
+                tree=[(b, p, l.id) for b, p, l in tree]),
             None if steady or not lines else compile_totals(
                 [complex(l.r_pu, l.x_pu) for l in lines], [l.capacity_mw for l in lines],
                 model.base_mva, SLACK_VOLTAGE))
-
-
-def _skeleton(comp, shed_cost, lines, tree, margin=1.0):
-    """A sub-system's shedding skeleton, its line capacities times `margin`."""
-    lines = [(l.id, l.from_bus, l.to_bus, l.capacity_mw * margin) for l in lines]
-    return shed.compile_skeleton(comp, shed_cost, lines, tree=[(b, p, l.id) for b, p, l in tree])
 
 
 class SequentialSimulation:
@@ -784,7 +787,7 @@ class SequentialSimulation:
         margin = 1.0 / (1.0 + worst + LOADING_MARGIN)
         retry = shed.solve_shedding(shed.build_shedding_problem(
             comp, live_demand, generators=generators,
-            skeleton=_skeleton(comp, self.topology.shed_cost, lines_here, sub.tree, margin)))
+            skeleton=sub.shedding.scaled(margin)))
         return retry if retry.status == shed.OPTIMAL else result
 
 

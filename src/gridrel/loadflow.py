@@ -179,7 +179,7 @@ def compile_totals(z_pu, capacity_mw, base_mva, slack_voltage) -> tuple:
     """`certified_totals`'s certificate for lines of impedances `z_pu` (p.u.)
     and capacities `capacity_mw`: their one equivalent line."""
     return base_mva, slack_voltage, (
-        (1, 0, sum(map(abs, z_pu)), sum(z.real for z in z_pu), min(capacity_mw) / base_mva),)
+        (1, 0, sum(map(abs, z_pu)), sum([z.real for z in z_pu]), min(capacity_mw) / base_mva),)
 
 
 def certified_totals(s_total, totals):

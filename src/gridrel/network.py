@@ -337,23 +337,21 @@ class NetworkModel:
         open_lines = {self.switchgear[s].host_line for s in open_switches}
         tripped = set()
         for bus in (self.lines[l].from_bus for l in failed_lines if l not in open_lines):
-            while feed_line[bus] is not None and feed_line[bus] not in open_lines:
+            while (line := feed_line[bus]) is not None and line not in open_lines:
                 bus = parent[bus]
-            if feed_line[bus] is None:
+            if line is None:
                 tripped.add(bus)
         cut = open_lines.union(failed_lines, (
             self.switchgear[self.breaker_of_system[self.system_of_bus[root]]].host_line
-            for root in tripped))
+            for root in tripped), (None,))  # None, a root's feed line, is cut too
         orders, order_of = [], {}
         for bus in self.tree_order:
-            line = feed_line[bus]
-            if line is None or line in cut:
-                order = [bus]
+            if feed_line[bus] in cut:
+                order_of[bus] = order = [bus]
                 orders.append(order)
             else:
-                order = order_of[parent[bus]]
+                order_of[bus] = order = order_of[parent[bus]]
                 order.append(bus)
-            order_of[bus] = order
         return tuple((tuple(order), order[0] if feed_line[order[0]] is None
                       and order[0] not in tripped else None)
                      for order in sorted(orders, key=min))

@@ -39,7 +39,7 @@ Two solvers share that rule:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -68,7 +68,7 @@ class LineVar(NamedTuple):
     capacity_mw: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: built per compile, and a frozen constructor is slower
 class ShedSkeleton:
     """The fixed part of a sub-system's shedding problems."""
 
@@ -82,6 +82,12 @@ class ShedSkeleton:
     # whether the line runs from the parent); None unless the lines form a spanning tree
     tree: Optional[tuple]
     min_capacity: float   # of the lines, inf without one
+
+    def scaled(self, margin) -> ShedSkeleton:
+        """This skeleton with each line capacity c made float(c * margin), as
+        `compile_skeleton` makes it from lines of those capacities."""
+        lines = tuple([tuple.__new__(LineVar, (*l[:3], float(l[3] * margin))) for l in self.lines])
+        return replace(self, lines=lines, min_capacity=min([l[3] for l in lines], default=math.inf))
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,35 +111,34 @@ class SheddingResult:
 
 def compile_skeleton(node_ids, shed_cost, lines=(), tree=None) -> ShedSkeleton:
     """The fixed part of the problems `build_shedding_problem` makes from
-    these node ids, shed costs and lines. A caller that knows the lines to
-    form a tree passes it as `tree`: (node, parent, line id) for every node
-    but the root, parents first; otherwise the breadth-first search of
-    `LoadFlowProblem.from_tree` roots one at the first node, and the skeleton
-    has none when the lines hold a cycle or miss a node."""
+    these node ids, shed costs and lines, each a `LineVar` made by
+    `tuple.__new__`, past its Python-level `__new__`. A caller that knows the
+    lines to form a tree passes it as `tree`: (node, parent, line id) for
+    every node but the root, parents first; else the search of `from_tree`
+    roots one at the first node, if the lines form a spanning tree."""
     ids = tuple(node_ids)
-    index = {b: i for i, b in enumerate(ids)}
-    costs = tuple(float(shed_cost.get(b, 0.0)) for b in ids)
-    line_vars = tuple(LineVar(l[0], index[l[1]], index[l[2]], float(l[3])) for l in lines)
-    assert all(l.from_node != l.to_node for l in line_vars)
-    if tree is not None:
-        at = {l.id: j for j, l in enumerate(line_vars)}
-        tree = [(index[m], index[k], at[l]) for m, k, l in tree]
+    index = dict(zip(ids, range(len(ids))))
+    line_vars = tuple([tuple.__new__(LineVar, (i, index[a], index[b], float(c)))
+                       for i, a, b, c in lines])
+    assert all(l[1] != l[2] for l in line_vars)
+    if tree is not None:  # children first, with the line's direction
+        at = {l[0]: j for j, l in enumerate(line_vars)}
+        tree = tuple([(index[m], k := index[p], j := at[l], line_vars[j][1] == k)
+                      for m, p, l in reversed(tree)])
     else:  # the load flow's breadth-first layout from node 0, over line indices
         try:
             bfs = LoadFlowProblem.from_tree(
                 0, [(j, l.from_node, l.to_node, 0) for j, l in enumerate(line_vars)], {})
-            order = bfs.bus_ids
-            if len(order) == len(ids):
-                tree = [(order[i], order[bfs.parent[i]], bfs.line_ids[i])
-                        for i in range(1, len(ids))]
+            if len(bfs.bus_ids) == len(ids):
+                tree = tuple([(m, k := bfs.bus_ids[p], j, line_vars[j][1] == k) for m, p, j in
+                              reversed(tuple(zip(bfs.bus_ids, bfs.parent, bfs.line_ids))[1:])])
         except NonRadialError:  # the lines hold a cycle or miss node 0
             pass
-    if tree is not None:  # children first, with the line's direction
-        tree = tuple((m, k, j, line_vars[j].from_node == k) for m, k, j in reversed(tree))
+    costs = tuple([float(shed_cost.get(b, 0.0)) for b in ids])
     value = tuple(_perturbed_costs(costs))
     return ShedSkeleton(ids, index, costs, line_vars, value,
                         tuple(sorted(range(len(ids)), key=value.__getitem__, reverse=True)),
-                        tree, min((l.capacity_mw for l in line_vars), default=math.inf))
+                        tree, min([l[3] for l in line_vars], default=math.inf))
 
 
 def build_shedding_problem(node_ids, demand_mw, shed_cost=None, generators=(),

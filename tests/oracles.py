@@ -11,13 +11,20 @@ arrays. `reference_state` is the engine's former state compiler, which
 searched the network afresh for each switching state,
 `reference_isolation` the closed form's former isolation rule, and
 `reference_forest` the network model's former feeder walk and checks.
+`reference_subsystem` is the engine's former sub-system compiler, which
+looked every bus up in the model's maps, and `reference_skeleton` the
+former shedding skeleton compiler, one generator per part.
 """
+
+import math
 
 import numpy as np
 from scipy.optimize import linprog
 
-from gridrel.loadflow import LoadFlowProblem, LoadFlowSolution
+from gridrel.loadflow import (SLACK_VOLTAGE, LoadFlowProblem, LoadFlowSolution, NonRadialError,
+                              compile_totals)
 from gridrel.network import connected_components
+from gridrel.shedding import LineVar, ShedSkeleton
 
 
 def newton_ac(bus_ids, edges, s_load_pu, slack, v_slack=1.0,
@@ -441,3 +448,76 @@ def reference_forest(model):
     return {"tree_order": tuple(order), "tree_parent": tree_parent, "feed_line": feed_line,
             "system_of_bus": system_of_bus, "tree_lines": frozenset(tree_lines),
             "breaker_of_system": breaker_of_system, "violations": violations}
+
+
+def reference_skeleton(node_ids, shed_cost, lines=(), tree=None):
+    """`shedding.compile_skeleton`'s fields, built as it built them before
+    each part became one comprehension: the named tuples through their
+    constructor, and a given tree mapped onto indices before its direction
+    is added."""
+    ids = tuple(node_ids)
+    index = {b: i for i, b in enumerate(ids)}
+    costs = tuple(float(shed_cost.get(b, 0.0)) for b in ids)
+    line_vars = tuple(LineVar(l[0], index[l[1]], index[l[2]], float(l[3])) for l in lines)
+    assert all(l.from_node != l.to_node for l in line_vars)
+    if tree is not None:
+        at = {l.id: j for j, l in enumerate(line_vars)}
+        tree = [(index[m], index[k], at[l]) for m, k, l in tree]
+    else:
+        try:
+            bfs = LoadFlowProblem.from_tree(
+                0, [(j, l.from_node, l.to_node, 0) for j, l in enumerate(line_vars)], {})
+            order = bfs.bus_ids
+            if len(order) == len(ids):
+                tree = [(order[i], order[bfs.parent[i]], bfs.line_ids[i])
+                        for i in range(1, len(ids))]
+        except NonRadialError:
+            pass
+    if tree is not None:
+        tree = tuple((m, k, j, line_vars[j].from_node == k) for m, k, j in reversed(tree))
+    n = len(costs)
+    eps = 1e-9 * (1.0 + max(map(abs, costs), default=0.0))
+    value = tuple(c + eps * ((n - k) / n) for k, c in enumerate(costs))
+    return ShedSkeleton(ids, index, costs, line_vars, value,
+                        tuple(sorted(range(n), key=value.__getitem__, reverse=True)),
+                        tree, min((l.capacity_mw for l in line_vars), default=math.inf))
+
+
+def reference_subsystem(topology, order, grid_bus, eps=1e-9):
+    """The fields of the sub-system that `split` gives as (`order`,
+    `grid_bus`) in a `TopologyCache`, compiled as the engine compiled them
+    before it gathered per-run rows: its tree and lines from the model's
+    parent and feed-line maps, its lines sorted by a key, its units and an
+    island's batteries by looking each of its buses up, steady by summing a
+    grid-fed one's demand bounds up its tree, and, unless steady, its
+    skeleton by `reference_skeleton` and, where it has lines, its load-flow
+    totals."""
+    model = topology.model
+    comp = tuple(sorted(order))
+    tree = tuple((b, model.tree_parent[b], model.lines[model.feed_line[b]]) for b in order[1:])
+    lines = tuple(sorted((l for _, _, l in tree), key=lambda l: l.id))
+    units = tuple((u, b, model.production[u].min_mw)
+                  for b in comp for u in model.production_of_bus[b])
+    if grid_bus is None:
+        grid_limit = 0.0
+        batteries = tuple((b, model.batteries[model.battery_of_bus[b]])
+                          for b in comp if b in model.battery_of_bus)
+        steady = not (units or batteries)
+    else:
+        grid_limit, batteries = model.feeder_capacity[model.system_of_bus[grid_bus]], ()
+        demand = {b: topology.bound.get(b, 0.0) for b in comp}
+        steady = grid_limit > eps and sum(demand.values()) <= grid_limit + eps
+        for bus, parent, _ in reversed(tree):
+            demand[parent] += demand[bus]
+        steady = steady and all(demand[b] <= line.capacity_mw + eps for b, _, line in tree)
+    return {
+        "buses": comp, "grid_bus": grid_bus, "grid_limit": grid_limit, "lines": lines,
+        "tree": tree, "units": units, "batteries": batteries, "steady": steady,
+        "shedding": None if steady else reference_skeleton(
+            comp, topology.shed_cost,
+            [(l.id, l.from_bus, l.to_bus, l.capacity_mw * 1.0) for l in lines],
+            tree=[(b, p, l.id) for b, p, l in tree]),
+        "totals": None if steady or not lines else compile_totals(
+            [complex(l.r_pu, l.x_pu) for l in lines], [l.capacity_mw for l in lines],
+            model.base_mva, SLACK_VOLTAGE),
+    }

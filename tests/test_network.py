@@ -378,12 +378,14 @@ def test_forest_of_the_bundled_and_test_networks_matches_the_reference(name, spe
 
 
 @st.composite
-def feeder_variants(draw):
+def feeder_variants(draw, valid=False):
     """One or two random radial feeders, each line with a disconnector at its
     from end and each root line a breaker, then any of: a closed line making
     a cycle, a line in parallel, a tie joining the two feeders (closed or
     open), another system on a root or on any bus, a second breaker at a
-    root, an orphan bus, normally open disconnectors and a microgrid."""
+    root, an orphan bus, normally open disconnectors and a microgrid. With
+    `valid`, only the variants that `build_network` accepts: an open tie and
+    a microgrid."""
     n = draw(st.integers(2, 7))
     # shuffled ids, so id order differs from the walk's order
     bus_ids = draw(st.permutations([f"B{i}" for i in range(n)]))
@@ -411,28 +413,28 @@ def feeder_variants(draw):
     buses = list(bus_ids)
 
     pair = st.tuples(st.sampled_from(bus_ids), st.sampled_from(bus_ids))
-    if draw(st.booleans()):  # a closed line between two buses of one feeder
+    if not valid and draw(st.booleans()):  # a closed line between two buses of one feeder
         a, b = draw(pair.filter(lambda p: p[0] != p[1] and feeder[p[0]] == feeder[p[1]]))
         add_line(a, b)
-    if draw(st.booleans()):
+    if not valid and draw(st.booleans()):
         twin = draw(st.sampled_from(lines))
         add_line(twin.from_bus, twin.to_bus)
     if n_feeders == 2 and draw(st.booleans()):
         a, b = draw(pair.filter(lambda p: feeder[p[0]] != feeder[p[1]]))
-        add_line(a, b, closed=draw(st.booleans()))
-    if draw(st.booleans()):  # another system, on a root or on any bus
+        add_line(a, b, closed=not valid and draw(st.booleans()))
+    if not valid and draw(st.booleans()):  # another system, on a root or on any bus
         systems.append(DistributionSystem("DS9", draw(st.sampled_from(bus_ids))))
-    for root in draw(st.sets(st.sampled_from(roots))):  # a second breaker
+    for root in () if valid else draw(st.sets(st.sampled_from(roots))):  # a second breaker
         at_root = [l for l in lines if root in (l.from_bus, l.to_bus)]
         if at_root:
             switchgear.append(Switchgear("CB9" + root, BREAKER,
                                          draw(st.sampled_from(at_root)).id,
                                          draw(st.sampled_from(["from", "to"]))))
-    if draw(st.booleans()):
+    if not valid and draw(st.booleans()):
         buses.append("ORPHAN")
         if draw(st.booleans()):  # reached over a normally open line only
             add_line(draw(st.sampled_from(bus_ids)), "ORPHAN", closed=False)
-    opened = draw(st.sets(st.sampled_from(
+    opened = () if valid else draw(st.sets(st.sampled_from(
         [s.id for s in switchgear if s.kind == DISCONNECTOR]), max_size=2))
     switchgear = [replace(s, normal_closed=False) if s.id in opened else s
                   for s in switchgear]

@@ -2,16 +2,21 @@
 
 The engine compiles each switching state (failed lines, open disconnectors)
 once into a `TopologyCache` entry, the open disconnectors following from the
-isolated lines, in one pass over the feeder forest. These tests check the
+isolated lines, in one pass over the feeder forest, and each sub-system by
+gathering its buses' rows from the run's tables. These tests check the
 entries the engine uses on real IEEE-33 runs, with the isolated lines
 replayed from the ledger's events, and entries of generated states of
 IEEE-33, the 6-bus feeder and the two-feeder network, against oracles that
 rescan the model; check every field of every sub-system, in order, against
 the former compiler `reference_state` on each state met in real runs and on
-generated ones; and check that a cache lives no longer than its run, that a
-sub-system met in several states is compiled once, with the shedding
-skeleton and load-flow totals it needs, and that its constructor refuses
-inputs that disagree.
+generated ones, and every compiled sub-system, shedding skeleton and
+load-flow totals included, against the former sub-system compiler
+`reference_subsystem` there and on generated feeders with loads,
+production and batteries; check each repair pass's skeleton against a
+fresh compile at the scaled capacities; and check that a cache lives no longer
+than its run, that a sub-system met in several states is compiled once,
+with the shedding skeleton and load-flow totals it needs, and that its
+constructor refuses inputs that disagree.
 """
 
 import dataclasses
@@ -21,7 +26,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridrel import shedding
@@ -32,14 +37,19 @@ from gridrel.engine import (
 from gridrel.loadflow import SLACK_VOLTAGE, LoadFlowProblem, compile_totals
 from gridrel.indices import MissingCostCategory
 from gridrel.netfile import parse_network_file, parse_network_text
-from gridrel.network import build_network, connected_components
+from gridrel.network import (
+    Battery, LoadSpec, NetworkValidationError, ProductionUnit, build_network,
+    connected_components,
+)
 from gridrel.scenarios import apply_scenario, bundled_validation_path
 from gridrel.timeseries import PRODUCTION, ProfileSet, TimeSeries
 
 from conftest import CHAIN4
 from oracles import (
-    reference_breakers, reference_grid_flows_ok, reference_lines_inside, reference_state,
+    reference_breakers, reference_grid_flows_ok, reference_lines_inside, reference_skeleton,
+    reference_state, reference_subsystem,
 )
+from test_network import feeder_variants
 
 SUBSYSTEM_FIELDS = ("buses", "grid_bus", "grid_limit", "lines", "tree", "units",
                     "batteries", "steady")
@@ -84,6 +94,39 @@ def _assert_fields_match_former_compiler(topology, key, entry):
     for sub, ref in zip(entry, reference):
         for name in SUBSYSTEM_FIELDS:
             assert getattr(sub, name) == ref[name], (key, sub.buses, name)
+
+
+def _assert_subsystems_match_former_compiler(topology):
+    """Every sub-system `topology` has compiled equals `reference_subsystem`,
+    field by field, its shedding skeleton and load-flow totals included."""
+    for key, sub in topology._subsystems.items():
+        ref = reference_subsystem(topology, *key)
+        for name in (*SUBSYSTEM_FIELDS, "totals"):
+            assert getattr(sub, name) == ref[name], (key, name)
+        assert (sub.shedding is None) == (ref["shedding"] is None), key
+        for f in dataclasses.fields(ref["shedding"]) if sub.shedding is not None else ():
+            assert getattr(sub.shedding, f.name) == getattr(ref["shedding"], f.name), (key, f.name)
+
+
+# margins of the repair pass, 1 / (1 + worst overload + 1%)
+MARGINS = (1.0 / 1.01, 1.0 / 1.38, 1.0 / 3.51, 1.0 / 3.0)
+
+
+def _assert_scaled_skeletons_match_a_fresh_compile(topology, margins=None):
+    """Each repair-pass skeleton, a sub-system's skeleton with its line
+    capacities scaled, is what compiling its lines at those capacities gives:
+    at `MARGINS`, or at the margins that `margins` lists per skeleton."""
+    for sub in topology._subsystems.values():
+        if sub.shedding is None:
+            continue
+        for margin in MARGINS if margins is None else margins.get(id(sub.shedding), ()):
+            fresh = reference_skeleton(
+                sub.buses, topology.shed_cost,
+                [(l.id, l.from_bus, l.to_bus, l.capacity_mw * margin) for l in sub.lines],
+                tree=[(b, p, l.id) for b, p, l in sub.tree])
+            scaled = sub.shedding.scaled(margin)
+            for f in dataclasses.fields(fresh):
+                assert getattr(scaled, f.name) == getattr(fresh, f.name), (sub.buses, f.name)
 
 
 class _CheckedSimulation(SequentialSimulation):
@@ -170,6 +213,8 @@ def test_every_state_met_in_real_runs_compiles_as_the_former_compiler(
     assert len(topology._states) > 10
     for key, entry in topology._states.items():
         _assert_fields_match_former_compiler(topology, key, entry)
+    _assert_subsystems_match_former_compiler(topology)
+    _assert_scaled_skeletons_match_a_fresh_compile(topology)
 
 
 @settings(max_examples=150, deadline=None)
@@ -193,10 +238,50 @@ def test_compiled_state_matches_reference_on_generated_states(ieee33, validation
                               failed, demand)
     (key,) = cache._states
     _assert_fields_match_former_compiler(cache, key, entry)
+    _assert_subsystems_match_former_compiler(cache)
     # the key is the set of failed lines and the set of open disconnectors
     assert cache.state(dict.fromkeys(failed), sorted(isolated, reverse=True)) is entry
     assert (cache.hits, cache.misses) == (1, 1)
     assert TopologyCache(model, profiles, config).state(failed, isolated) == entry
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_subsystems_of_generated_feeders_compile_as_the_former_compiler(data):
+    """`test_network`'s generated radial feeders, whose ids are shuffled so
+    that id order differs from the walk's, with loads, production units and
+    batteries at drawn buses and drawn feeder limits, in a drawn state."""
+    spec = data.draw(feeder_variants(valid=True))
+    ids = [b.id for b in spec.buses]
+    peaks = data.draw(st.lists(st.sampled_from([None, 0.0, 0.2, 0.5, 1.2]),
+                               min_size=len(ids), max_size=len(ids)))
+    units = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from([0.0, 0.1]),
+                                         st.sampled_from([0.0, 0.4, 2.0])), max_size=3))
+    stores = data.draw(st.sets(st.sampled_from(ids), max_size=2))
+    loads = [None if peak is None else LoadSpec(peak, 0.1 * peak) for peak in peaks]
+    spec = dataclasses.replace(
+        spec,
+        buses=tuple(dataclasses.replace(b, load=load, customers=1)
+                    for b, load in zip(spec.buses, loads)),
+        production=tuple(ProductionUnit(f"P{k}", bus, lo, max(lo, hi))
+                         for k, (bus, lo, hi) in enumerate(units)),
+        batteries=tuple(Battery(f"S{bus}", bus, 1.0, 0.5) for bus in sorted(stores)),
+        distribution_systems=tuple(
+            dataclasses.replace(d, feeder_capacity_mw=data.draw(st.sampled_from([None, 0.0, 0.7])))
+            for d in spec.distribution_systems))
+    try:
+        model = build_network(spec)
+    except NetworkValidationError:  # a root with no line has no breaker
+        assume(False)
+    failed = data.draw(st.frozensets(st.sampled_from(model.line_ids)))
+    isolated = (data.draw(st.frozensets(st.sampled_from(sorted(failed))))
+                if failed else frozenset())
+    cache = TopologyCache(model, ProfileSet(1.0, 48.0), SimulationConfig(horizon_h=48.0))
+    entry = cache.state(failed, isolated)
+    (key,) = cache._states
+    _assert_fields_match_former_compiler(cache, key, entry)
+    _assert_subsystems_match_former_compiler(cache)
+    _assert_scaled_skeletons_match_a_fresh_compile(cache)
 
 
 def _subsets(items):
@@ -330,6 +415,41 @@ def test_each_subsystem_is_compiled_whole_when_first_met(case, ieee33_spec, bund
         assert sub.totals == (compile_totals(
             [complex(l.r_pu, l.x_pu) for l in sub.lines], [l.capacity_mw for l in sub.lines],
             model.base_mva, SLACK_VOLTAGE) if sub.lines else None), sub.buses
+
+
+def test_the_repair_pass_scales_the_compiled_skeleton(ieee33_spec, bundled_profiles,
+                                                      cost_table, monkeypatch):
+    """On case2 with weak lines (impedances times 6, capacities 1.5 MW), where
+    overloads take the repair pass, each pass scales its sub-system's skeleton
+    to what a fresh compile at the scaled capacities gives, and skeletons are
+    compiled only with the sub-systems."""
+    loads, wind = bundled_profiles
+    spec = apply_scenario(ieee33_spec, "case2")
+    model = build_network(dataclasses.replace(spec, lines=tuple(
+        dataclasses.replace(l, r_pu=l.r_pu * 6.0, x_pu=l.x_pu * 6.0, capacity_mw=1.5)
+        for l in spec.lines)))
+    compiled, margins = [], {}
+    compile_skeleton, scaled = shedding.compile_skeleton, shedding.ShedSkeleton.scaled
+
+    def counted_compile(*args, **kwargs):
+        compiled.append(args[0])
+        return compile_skeleton(*args, **kwargs)
+
+    def counted_scale(skeleton, margin):
+        margins.setdefault(id(skeleton), []).append(margin)
+        return scaled(skeleton, margin)
+
+    monkeypatch.setattr(shedding, "compile_skeleton", counted_compile)
+    monkeypatch.setattr(shedding.ShedSkeleton, "scaled", counted_scale)
+    config = SimulationConfig(iterations=8, master_seed=2024)
+    topology = TopologyCache(model, ProfileSet(1.0, 8760.0, loads, wind), config, cost_table)
+    for i in range(config.iterations):
+        run_iteration(topology, i)
+    monkeypatch.undo()
+    assert sum(map(len, margins.values())) > 10
+    assert all(0.0 < m < 1.0 for ms in margins.values() for m in ms)
+    assert len(compiled) == sum(sub.shedding is not None for sub in topology._subsystems.values())
+    _assert_scaled_skeletons_match_a_fresh_compile(topology, margins)
 
 
 def test_no_cache_outlives_run_monte_carlo():
