@@ -6,7 +6,7 @@ and failure rates are per year ("0.07/yr" or a bare number). Impedances may
 be given in ohms (converted with the declared bases) or directly per unit.
 
     [network]    id, base_mva, base_kv
-    [systems]    dist <id> root=<bus>;  microgrid <id> via=<disconnector>
+    [systems]    dist <id> root=<bus> feeder_capacity_mw=
     [buses]      <id> customers= load_mw= load_mvar= profile= category=
                  transformer= / transformer_rate= transformer_repair=
     [lines]      <id> from= to= r_ohm=/x_ohm= (or r_pu=/x_pu=) capacity_mw=
@@ -27,7 +27,7 @@ import shlex
 from .network import (
     BREAKER, DISCONNECTOR, FROM_END, TO_END,
     Battery, Bus, Controller, DistributionSystem, IctSystem, IntelligentSwitch,
-    Line, LoadSpec, Microgrid, NetworkSpec, ProductionUnit, Sensor, Switchgear,
+    Line, LoadSpec, NetworkSpec, ProductionUnit, Sensor, Switchgear,
 )
 from .stochastic import ReliabilityParams, RepairPhases
 from .units import duration_hours, finite_float, parse_rate_per_year
@@ -109,11 +109,14 @@ def _reliability(fields, cur, rate_key, repair_key, base) -> ReliabilityParams:
 def _rows(rows, cur, roles=None, what=None):
     """Yield (role, id, the tokens after them), the cursor at the row's line.
     Without `roles` a row is `<id> ...` and its role None; with them it is
-    `<role> <id> ...`, and one with an unknown role or no id is reported."""
+    `<role> <id> ...`, and a microgrid row or one with an unknown role or no
+    id is reported."""
     for lineno, tokens in rows:
         cur.lineno = lineno
         if roles is None:
             yield None, tokens[0], tokens[1:]
+        elif tokens[0] == "microgrid":  # no model reads one: batteries and units carry islands
+            cur.err("microgrid rows are refused: islands form from the feeder forest")
         elif tokens[0] not in roles:
             cur.err(f"unknown {what} role {tokens[0]!r} ({'/'.join(roles)})")
         elif len(tokens) < 2:
@@ -302,16 +305,12 @@ def _assemble(network, raw, cur) -> NetworkSpec:
                 id=ident, disconnector_ref=fields.get("disconnector", ""),
                 reliability=_reliability(fields, cur, "rate", "repair", no_fail)))
 
-    systems, microgrids = [], []
-    for role, ident, rest in _rows(raw["systems"], cur, ("dist", "microgrid"), "system"):
-        if role == "dist":
-            fields = _fields(rest, cur, {"root", "feeder_capacity_mw"}, required=("root",))
-            systems.append(DistributionSystem(
-                id=ident, root_bus=fields.get("root", ""),
-                feeder_capacity_mw=_get(fields, "feeder_capacity_mw", cur, finite_float)))
-        else:
-            fields = _fields(rest, cur, {"via"}, required=("via",))
-            microgrids.append(Microgrid(id=ident, via_disconnector=fields.get("via", "")))
+    systems = []
+    for _, ident, rest in _rows(raw["systems"], cur, ("dist",), "system"):
+        fields = _fields(rest, cur, {"root", "feeder_capacity_mw"}, required=("root",))
+        systems.append(DistributionSystem(
+            id=ident, root_bus=fields.get("root", ""),
+            feeder_capacity_mw=_get(fields, "feeder_capacity_mw", cur, finite_float)))
 
     return NetworkSpec(
         power_system_id=network["id"],
@@ -319,7 +318,7 @@ def _assemble(network, raw, cur) -> NetworkSpec:
         buses=tuple(buses), lines=tuple(lines), switchgear=tuple(switchgear),
         production=tuple(production), batteries=tuple(batteries),
         ict=IctSystem(controller, tuple(sensors), tuple(int_switches)),
-        distribution_systems=tuple(systems), microgrids=tuple(microgrids))
+        distribution_systems=tuple(systems))
 
 
 def _phases(fields, cur) -> RepairPhases:
@@ -341,8 +340,6 @@ def serialize_network_spec(spec: NetworkSpec) -> str:
         extra = (f" feeder_capacity_mw={d.feeder_capacity_mw!r}"
                  if d.feeder_capacity_mw is not None else "")
         out.append(f"dist {d.id} root={d.root_bus}{extra}")
-    for m in spec.microgrids:
-        out.append(f"microgrid {m.id} via={m.via_disconnector}")
 
     out.append("")
     out.append("[buses]")

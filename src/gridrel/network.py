@@ -136,12 +136,6 @@ class DistributionSystem:
 
 
 @dataclass(frozen=True)
-class Microgrid:
-    id: str
-    via_disconnector: str
-
-
-@dataclass(frozen=True)
 class NetworkSpec:
     """Raw, unvalidated network description straight from a network file."""
 
@@ -155,7 +149,6 @@ class NetworkSpec:
     batteries: tuple = ()
     ict: IctSystem = field(default_factory=IctSystem)
     distribution_systems: tuple = ()
-    microgrids: tuple = ()
 
 
 class NetworkModel:
@@ -170,7 +163,6 @@ class NetworkModel:
         self.batteries = {b.id: b for b in sorted(spec.batteries, key=lambda b: b.id)}
         self.ict = spec.ict
         self.distribution_systems = tuple(sorted(spec.distribution_systems, key=lambda d: d.id))
-        self.microgrids = tuple(sorted(spec.microgrids, key=lambda m: m.id))
 
         self.bus_ids = tuple(self.buses)
         self.line_ids = tuple(self.lines)
@@ -202,7 +194,6 @@ class NetworkModel:
         self.system_of_bus = {}    # bus id -> distribution system id
         self.breakers_of_system = {}  # system id -> ids of the breakers on its root's lines
         self.breaker_of_system = {}   # system id -> the last of them by id
-        self.tree_lines = frozenset()
         self.cycle_lines = frozenset()  # normally closed lines that close a cycle in a walk
         self.tree_order = ()       # buses breadth first from each root, feeder by feeder
         self.tree_parent = {}      # bus id -> parent bus id in its feeder tree, None at a root
@@ -227,7 +218,7 @@ class NetworkModel:
         other than the walked bus's feed line, closes a cycle. Feeders walk
         on their own, so one that reaches another claims its buses again,
         root included. `_validate_topology` checks radiality on both."""
-        order, tree_lines, cycle_lines = [], set(), set()
+        order, cycle_lines = [], set()
         for dsys in self.distribution_systems:
             root = dsys.root_bus
             self.system_of_bus[root] = dsys.id
@@ -244,7 +235,6 @@ class NetworkModel:
                     seen.add(other)
                     self.system_of_bus[other] = dsys.id
                     self.tree_parent[other], self.feed_line[other] = bus, line_id
-                    tree_lines.add(line_id)
                     feeder.append(other)
             order += feeder
             if dsys.feeder_capacity_mw is not None:
@@ -253,7 +243,6 @@ class NetworkModel:
                 self.feeder_capacity[dsys.id] = sum(
                     (self.lines[l].capacity_mw for l, _ in self.adjacency[root]), 0.0)
         self.tree_order = tuple(order)
-        self.tree_lines = frozenset(tree_lines)
         self.cycle_lines = frozenset(cycle_lines)
 
         for sw in self.switchgear.values():
@@ -399,7 +388,7 @@ def build_network(spec: NetworkSpec) -> NetworkModel:
     if errors:
         raise NetworkValidationError(errors)
     model = NetworkModel(spec)
-    errors.extend(_validate_topology(model, spec))
+    errors.extend(_validate_topology(model))
     if errors:
         raise NetworkValidationError(errors)
     return model
@@ -424,6 +413,8 @@ def _validate_spec(spec: NetworkSpec):
     yield from _check_duplicates([s.id for s in spec.switchgear], "switchgear")
     yield from _check_duplicates([p.id for p in spec.production], "production unit")
     yield from _check_duplicates([b.id for b in spec.batteries], "battery")
+    yield from _check_duplicates([d.id for d in spec.distribution_systems],
+                                 "distribution system")
     # the engine keys both kinds of generator by id in one dict
     for ident in sorted({p.id for p in spec.production} & {b.id for b in spec.batteries}):
         yield f"production unit and battery share the id {ident!r}"
@@ -525,12 +516,6 @@ def _validate_spec(spec: NetworkSpec):
             yield f"distribution system {dsys.id!r} has unknown root bus {dsys.root_bus!r}"
         if dsys.feeder_capacity_mw is not None and dsys.feeder_capacity_mw < 0:
             yield f"distribution system {dsys.id!r}: feeder capacity must be >= 0"
-    for mg in spec.microgrids:
-        sw = switches.get(mg.via_disconnector)
-        if sw is None:
-            yield f"microgrid {mg.id!r} references unknown disconnector"
-        elif sw.kind != DISCONNECTOR or not sw.normal_closed:
-            yield f"microgrid {mg.id!r} must join via a normally closed disconnector"
 
 
 def _check_reliability(params: ReliabilityParams, what: str):
@@ -540,7 +525,7 @@ def _check_reliability(params: ReliabilityParams, what: str):
         yield f"{what}: repair time must be > 0 when the failure rate is > 0"
 
 
-def _validate_topology(model: NetworkModel, spec: NetworkSpec):
+def _validate_topology(model: NetworkModel):
     # every bus must have been claimed by exactly one feeder tree
     orphans = [b for b in model.bus_ids if b not in model.system_of_bus]
     if orphans:
@@ -560,8 +545,3 @@ def _validate_topology(model: NetworkModel, spec: NetworkSpec):
     for sys_id, found in model.breakers_of_system.items():
         if len(found) > 1:
             yield f"distribution system {sys_id!r} has more than one circuit breaker"
-
-    for mg in model.microgrids:
-        sw = model.switchgear.get(mg.via_disconnector)
-        if sw is not None and sw.host_line not in model.tree_lines:
-            yield f"microgrid {mg.id!r} joining line is not in the feeder tree"

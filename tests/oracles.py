@@ -441,13 +441,9 @@ def reference_forest(model):
                 by_system.setdefault(dsys.id, []).append(sw.id)
     violations += [f"distribution system {sys_id!r} has more than one circuit breaker"
                    for sys_id, found in by_system.items() if len(found) > 1]
-    for mg in model.microgrids:
-        sw = model.switchgear.get(mg.via_disconnector)
-        if sw is not None and sw.host_line not in tree_lines:
-            violations.append(f"microgrid {mg.id!r} joining line is not in the feeder tree")
     return {"tree_order": tuple(order), "tree_parent": tree_parent, "feed_line": feed_line,
-            "system_of_bus": system_of_bus, "tree_lines": frozenset(tree_lines),
-            "breaker_of_system": breaker_of_system, "violations": violations}
+            "system_of_bus": system_of_bus, "breaker_of_system": breaker_of_system,
+            "violations": violations}
 
 
 def reference_skeleton(node_ids, shed_cost, lines=(), tree=None):

@@ -10,7 +10,7 @@ from gridrel.netfile import (
 )
 from gridrel.network import (
     BREAKER, DISCONNECTOR, Battery, Bus, Controller, DistributionSystem, IctSystem,
-    IntelligentSwitch, Line, LoadSpec, Microgrid, NetworkSpec, NetworkValidationError,
+    IntelligentSwitch, Line, LoadSpec, NetworkSpec, NetworkValidationError,
     ProductionUnit, Sensor, Switchgear, build_network,
 )
 from gridrel.scenarios import bundled_network_path
@@ -253,8 +253,7 @@ _SPECS = st.builds(
         _tuples(st.builds(_sensor, _ID, _ID, _NUMBER, _PHASES)),
         _tuples(st.builds(IntelligentSwitch, _ID, _ID, _RELIABILITY))),
     distribution_systems=_tuples(
-        st.builds(DistributionSystem, _ID, _ID, st.none() | _NUMBER), min_size=1),
-    microgrids=_tuples(st.builds(Microgrid, _ID, _ID)))
+        st.builds(DistributionSystem, _ID, _ID, st.none() | _NUMBER), min_size=1))
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from gridrel.netfile import NetworkFileError, parse_network_file, parse_network_text
 from gridrel.network import (
-    BREAKER, DISCONNECTOR, Bus, DistributionSystem, Line, Microgrid,
+    BREAKER, DISCONNECTOR, Bus, DistributionSystem, Line,
     NetworkModel, NetworkSpec, NetworkValidationError, Switchgear,
     build_network, connected_components,
 )
@@ -35,7 +35,7 @@ CB kind=breaker line=L1 end=from state=closed
 def test_minimal_network_builds():
     model = build_network(parse_network_text(MINIMAL))
     assert model.bus_ids == ("A", "B")
-    assert model.tree_lines == frozenset({"L1"})
+    assert model.feed_line == {"A": None, "B": "L1"}
     assert model.breaker_of_system["DS1"] == "CB"
 
 
@@ -295,8 +295,9 @@ _SPEC_RULES = {
                                "no distribution system declared"),
     "unknown-root-bus": (_spec_edit(distribution_systems={"root_bus": "Z"}, switchgear=()),
                          "distribution system 'DS1' has unknown root bus 'Z'"),
-    "microgrid-unknown-disconnector": ("[systems]\nmicrogrid MG via=D9",
-                                       "microgrid 'MG' references unknown disconnector"),
+    # a second root under the same id, which every map keyed by system id would merge
+    "duplicate-distribution-system": ("[buses]\nC customers=0\n[systems]\ndist DS1 root=C",
+                                      "duplicate distribution system id 'DS1'"),
 }
 # id -> (rows appended to MINIMAL, the last of them at fault, and the one
 # error `parse_network_text` reports at that row)
@@ -305,8 +306,12 @@ _FILE_RULES = {
                              "expected key=value, got 'lonely'"),
     "unknown-field": ("[buses]\nC customers=0 colour=red", "unknown field 'colour'"),
     "unknown-role": ("[systems]\nfeeder F1 root=A",
-                     "unknown system role 'feeder' (dist/microgrid)"),
+                     "unknown system role 'feeder' (dist)"),
     "role-without-an-id": ("[systems]\ndist", "dist needs an id"),
+    "microgrid-row": ("[systems]\nmicrogrid M1 via=CB",
+                      "microgrid rows are refused: islands form from the feeder forest"),
+    "microgrid-row-without-an-id": ("[systems]\nmicrogrid",
+                                    "microgrid rows are refused: islands form from the feeder forest"),
     "unknown-network-field": ("[network]\ncolour = red", "unknown network field 'colour'"),
     "unclosed-quote": ('[buses]\nC customers="0', "No closing quotation"),
     "unknown-reliability-class": ("[reliability]\ncable rate=1 repair=2h",
@@ -341,8 +346,7 @@ def test_each_validation_rule_reports_its_own_message(kind, rule):
     assert err.value.violations == [violation]
 
 
-FOREST = ("tree_order", "tree_parent", "feed_line", "system_of_bus", "tree_lines",
-          "breaker_of_system")
+FOREST = ("tree_order", "tree_parent", "feed_line", "system_of_bus", "breaker_of_system")
 
 
 def _check_forest(spec):
@@ -383,9 +387,8 @@ def feeder_variants(draw, valid=False):
     from end and each root line a breaker, then any of: a closed line making
     a cycle, a line in parallel, a tie joining the two feeders (closed or
     open), another system on a root or on any bus, a second breaker at a
-    root, an orphan bus, normally open disconnectors and a microgrid. With
-    `valid`, only the variants that `build_network` accepts: an open tie and
-    a microgrid."""
+    root, an orphan bus and normally open disconnectors. With `valid`, only
+    the variant that `build_network` accepts: an open tie."""
     n = draw(st.integers(2, 7))
     # shuffled ids, so id order differs from the walk's order
     bus_ids = draw(st.permutations([f"B{i}" for i in range(n)]))
@@ -438,13 +441,8 @@ def feeder_variants(draw, valid=False):
         [s.id for s in switchgear if s.kind == DISCONNECTOR]), max_size=2))
     switchgear = [replace(s, normal_closed=False) if s.id in opened else s
                   for s in switchgear]
-    microgrids = ()
-    closed_discs = [s for s in switchgear if s.kind == DISCONNECTOR and s.normal_closed]
-    if closed_discs and draw(st.booleans()):
-        microgrids = (Microgrid("MG", draw(st.sampled_from(closed_discs)).id),)
     return NetworkSpec(buses=tuple(Bus(b) for b in buses), lines=tuple(lines),
-                       switchgear=tuple(switchgear), distribution_systems=tuple(systems),
-                       microgrids=microgrids)
+                       switchgear=tuple(switchgear), distribution_systems=tuple(systems))
 
 
 @settings(max_examples=300, deadline=None)

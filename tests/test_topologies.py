@@ -1,5 +1,5 @@
-"""Less common network shapes: microgrids, tie lines, multiple feeders,
-sub-hourly increments."""
+"""Less common network shapes: a battery island, tie lines, multiple
+feeders, sub-hourly increments."""
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +16,12 @@ from gridrel.timeseries import ProfileSet
 
 from conftest import TIE
 
-MICROGRID = """
+# a battery at the end of the feeder, behind the disconnector DM
+BATTERY_ISLAND = """
 [network]
-id = MG
+id = BI
 [systems]
 dist DS1 root=B1
-microgrid M1 via=DM
 [buses]
 B1 customers=0
 B2 customers=10 load_mw=0.2 category=general
@@ -40,26 +40,17 @@ MBAT bus=M3 capacity_mwh=1000 inverter_mw=0.5 soc_min=0.1 soc_max=0.9
 """
 
 
-def test_microgrid_builds_and_islands():
-    model = build_network(parse_network_text(MICROGRID))
-    assert [m.id for m in model.microgrids] == ["M1"]
+def test_a_battery_carries_its_island_through_the_feeder_forest():
+    model = build_network(parse_network_text(BATTERY_ISLAND))
     config = SimulationConfig(increment_h=1.0, horizon_h=24.0, iterations=1,
                               master_seed=0)
     ledger = run_iteration(TopologyCache(model, ProfileSet(1.0, 24.0), config), 0,
                            script=[ScriptedFault(5.0, "L1")])
-    # during the sectioning hour the microgrid battery carries the island;
-    # afterwards B2 sits in the isolated section while M2/M3 stay on battery
-    assert ledger.outage_hours["M2"] == 0.0
-    assert ledger.outage_hours["M3"] == 0.0
-    assert ledger.outage_hours["B2"] == 4.0
-    assert ledger.ens_mwh["M2"] == 0.0
-
-
-def test_microgrid_must_join_through_normally_closed_disconnector():
-    bad = MICROGRID.replace("DM kind=disconnector line=LM end=from state=closed",
-                            "DM kind=disconnector line=LM end=from state=open")
-    with pytest.raises(NetworkValidationError):
-        build_network(parse_network_text(bad))
+    # the fault cuts L1 out of the forest, so during the sectioning hour the
+    # battery carries B2, M2 and M3; once DM opens, B2 sits in the isolated
+    # section while M2 and M3 stay on the battery
+    assert ledger.outage_hours == {"B2": 4.0, "M2": 0.0, "M3": 0.0}
+    assert ledger.ens_mwh == pytest.approx({"B2": 0.8, "M2": 0.0, "M3": 0.0})
 
 
 def test_normally_open_tie_keeps_feeders_separate():
@@ -93,8 +84,8 @@ def test_fault_in_one_feeder_leaves_the_other_alone():
     assert ledger.outage_hours["C2"] == 0.0
 
 
-def test_microgrid_round_trips_through_the_file_format():
-    spec = parse_network_text(MICROGRID)
+def test_battery_island_round_trips_through_the_file_format():
+    spec = parse_network_text(BATTERY_ISLAND)
     assert parse_network_text(serialize_network_spec(spec)) == spec
 
 
@@ -144,11 +135,11 @@ def _forest_model(name, ieee33_spec, validation6):
     if name not in _FOREST_MODELS:
         _FOREST_MODELS[name] = build_network(
             apply_scenario(ieee33_spec, name) if name == "case4"
-            else parse_network_text({"TIE": TIE, "MICROGRID": MICROGRID}[name]))
+            else parse_network_text({"TIE": TIE, "BATTERY_ISLAND": BATTERY_ISLAND}[name]))
     return _FOREST_MODELS[name]
 
 
-@pytest.mark.parametrize("name", ["case4", "validation6", "TIE", "MICROGRID"])
+@pytest.mark.parametrize("name", ["case4", "validation6", "TIE", "BATTERY_ISLAND"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_every_switching_state_is_a_forest(name, data, ieee33_spec, validation6):
