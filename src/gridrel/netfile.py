@@ -5,6 +5,11 @@ component id; durations carry explicit unit suffixes ("4h", "5 min", "2 s")
 and failure rates are per year ("0.07/yr" or a bare number). Impedances may
 be given in ohms (converted with the declared bases) or directly per unit.
 
+A row splits into tokens on spaces and tabs, and a `#` starts a comment that
+runs to the end of the line; quotes and backslashes work as in a POSIX shell
+(`new_signal="2 s"`). A `[network]` row (`key = value`) and a section header
+take no trailing comment: a `#` there is read as part of their text.
+
     [network]    id, base_mva, base_kv
     [systems]    dist <id> root=<bus> feeder_capacity_mw=
     [buses]      <id> customers= load_mw= load_mvar= profile= category=
@@ -22,6 +27,7 @@ be given in ohms (converted with the declared bases) or directly per unit.
 from __future__ import annotations
 
 import math
+import re
 import shlex
 
 from .network import (
@@ -125,6 +131,19 @@ def _rows(rows, cur, roles=None, what=None):
             yield tokens[0], tokens[1], tokens[2:]
 
 
+_WORD = re.compile(r"[^ \t]+")
+
+
+def _split_row(line):
+    """`shlex.split(line, comments=True)` for one line. Where no quote or
+    backslash comes before the first '#', shlex splits the text before it on
+    spaces and tabs and drops the rest, so only a line quoting there needs it."""
+    head = line.partition("#")[0]
+    if "'" in head or '"' in head or "\\" in head:
+        return shlex.split(line, comments=True)
+    return _WORD.findall(head)
+
+
 def parse_network_text(text, path="<string>") -> NetworkSpec:
     cur = _Cursor(path)
     section = None
@@ -163,7 +182,7 @@ def parse_network_text(text, path="<string>") -> NetworkSpec:
                     cur.err(f"field {key!r}: must be > 0")
             continue
         try:
-            tokens = shlex.split(stripped, comments=True)
+            tokens = _split_row(stripped)
         except ValueError as exc:
             cur.err(str(exc))
             continue

@@ -119,8 +119,9 @@ def _csv_rows(path) -> list:
 
 def read_timeseries_csv(path, kind: str = LOAD) -> dict:
     """Read a CSV whose first column is time (unit suffix in the header, e.g.
-    ``time_h``) and every other column one named series. The first data row
-    is the run's first increment; the timestamps set only the step."""
+    ``time_h``) and every other column one named series, no name twice. The
+    first data row is the run's first increment; the timestamps set only the
+    step."""
     rows = _csv_rows(path)
     if len(rows) < 2:
         raise TimeSeriesError(f"{path}: need a header and at least one data row")
@@ -132,6 +133,9 @@ def read_timeseries_csv(path, kind: str = LOAD) -> dict:
     names = header[1:]
     if not names:
         raise TimeSeriesError(f"{path}: no value columns")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise TimeSeriesError(f"{path}:{rows[0][0]}: duplicate series {name!r}")
 
     times, columns = [], [[] for _ in names]
     for lineno, row in rows[1:]:
@@ -162,8 +166,9 @@ def read_timeseries_csv(path, kind: str = LOAD) -> dict:
 
 def read_cost_table(path) -> dict:
     """Read the per-category interruption cost table (category, cost_per_mwh),
-    refusing one without entries or with a negative cost: shedding would
-    then lower its objective by cutting load on purpose."""
+    refusing one without entries, one pricing a category twice, and one
+    with a negative cost: shedding would then lower its objective by
+    cutting load on purpose."""
     rows = _csv_rows(path)
     start = 1 if rows and rows[0][1][0].strip().lower() in ("category", "load_type") else 0
     table = {}
@@ -176,7 +181,10 @@ def read_cost_table(path) -> dict:
             raise TimeSeriesError(f"{path}:{lineno}: bad cost value {row[1]!r}") from None
         if cost < 0:
             raise TimeSeriesError(f"{path}:{lineno}: cost must be >= 0, got {row[1]!r}")
-        table[row[0].strip()] = cost
+        category = row[0].strip()
+        if category in table:
+            raise TimeSeriesError(f"{path}:{lineno}: duplicate category {category!r}")
+        table[category] = cost
     if not table:  # a header alone prices nothing
         raise TimeSeriesError(f"{path}: empty cost table")
     return table

@@ -70,8 +70,16 @@ def duration_hours(text) -> float:
     m = _DURATION_RE.match(str(text))
     if not m:
         raise UnitError(f"malformed duration {text!r}")
+    number, unit = m.groups()
+    factor = _factor(unit or "h")
+    # in hours float() rounds the exact decimal once, as the exact path does;
+    # a zero may differ from it in sign, and an inf must be refused, so both go on
+    if factor == 1:
+        hours = float(number)
+        if 0.0 < abs(hours) < math.inf:
+            return hours
     try:
-        return float(Fraction(m.group(1)) * _factor(m.group(2) or "h"))
+        return float(Fraction(number) * factor)
     except OverflowError:  # the exact value is past the float range
         raise UnitError(f"duration {text!r} is not finite") from None
 

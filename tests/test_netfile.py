@@ -1,11 +1,12 @@
 import math
+import shlex
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridrel.netfile import (
-    NetworkFileError, parse_network_file, parse_network_text,
+    NetworkFileError, _split_row, parse_network_file, parse_network_text,
     serialize_network_spec,
 )
 from gridrel.network import (
@@ -272,3 +273,26 @@ def test_bundled_ieee33_contents():
     assert spec.ict.controller is not None
     assert len(spec.ict.sensors) == 32
     assert len(spec.ict.intelligent_switches) == 32
+
+
+# whitespace shlex splits on (space, tab) beside whitespace it keeps in a token
+# (no-break space, vertical tab), a comment, and ASCII and non-ASCII letters
+_ROW_CHARS = " \t#=\xa0\x0b.-_0a9Zé名Ωß"
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=st.text(_ROW_CHARS, max_size=30))
+def test_a_row_without_quoting_splits_as_shlex_splits_it(line):
+    assert _split_row(line) == shlex.split(line, comments=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=st.text(_ROW_CHARS + "'\"\\", max_size=30))
+def test_a_row_with_quoting_splits_or_fails_as_shlex_does(line):
+    try:
+        tokens = shlex.split(line, comments=True)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            _split_row(line)
+    else:
+        assert _split_row(line) == tokens

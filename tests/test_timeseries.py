@@ -131,6 +131,14 @@ def test_a_row_of_empty_fields_is_not_blank(tmp_path):
     assert str(err.value) == f"{path}:3: bad cost value ''"
 
 
+def test_csv_refuses_a_duplicate_series_at_the_header_line(tmp_path):
+    path = tmp_path / "loads.csv"
+    path.write_text("# hourly load\ntime_h,res, res\n0,1,2\n1,3,4\n")
+    with pytest.raises(TimeSeriesError) as err:
+        read_timeseries_csv(path, LOAD)
+    assert str(err.value) == f"{path}:2: duplicate series 'res'"
+
+
 def test_csv_non_numeric_value_is_not_a_finite_number(tmp_path):
     path = tmp_path / "loads.csv"
     path.write_text("time_h,foo\n0,1\n1,abc\n")
@@ -173,6 +181,14 @@ def test_cost_table_refuses_a_negative_cost_at_its_file_line(tmp_path):
         read_cost_table(path)
     path.write_text("category,cost_per_mwh\nresidential,0\n")
     assert read_cost_table(path) == {"residential": 0.0}
+
+
+def test_cost_table_refuses_a_duplicate_category_at_its_file_line(tmp_path):
+    path = tmp_path / "costs.csv"
+    path.write_text("category,cost_per_mwh\nresidential,12\n\nresidential,99\n")
+    with pytest.raises(TimeSeriesError) as err:
+        read_cost_table(path)
+    assert str(err.value) == f"{path}:4: duplicate category 'residential'"
 
 
 def test_profile_set_lookup_and_mean():

@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridrel.units import UnitError, duration_hours, finite_float, parse_rate_per_year
 
@@ -18,6 +22,8 @@ def test_bad_duration():
         duration_hours("3 fortnights")
     with pytest.raises(UnitError, match="not finite"):
         duration_hours("1e999 h")
+    with pytest.raises(UnitError, match="not finite"):
+        duration_hours("1e400")
     with pytest.raises(ValueError, match="not a finite number"):
         duration_hours(float("inf"))
 
@@ -51,4 +57,28 @@ def test_rate_per_year_that_is_not_a_number_is_malformed(text):
 def test_duration_hours_accepts_numbers():
     assert duration_hours(2.5) == 2.5
     assert duration_hours("30 min") == 0.5
+
+
+# numbers as the duration pattern takes them, and the shortest reprs of floats,
+# subnormals and the largest finite ones among them
+_NUMBERS = st.from_regex(r"[+-]?\d{1,25}(\.\d{1,25})?([eE][+-]?\d{1,3})?", fullmatch=True) \
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@settings(max_examples=500, deadline=None)
+@given(number=_NUMBERS, unit=st.sampled_from(["", "h", " hr", "hour", " Hours"]))
+def test_hours_are_the_exact_value_rounded_once(number, unit):
+    try:
+        exact = float(Fraction(number))
+    except OverflowError:
+        with pytest.raises(UnitError, match="is not finite"):
+            duration_hours(number + unit)
+    else:  # hex tells -0.0 from 0.0
+        assert duration_hours(number + unit).hex() == exact.hex()
+
+
+@pytest.mark.parametrize("text, hours", [
+    ("-0", 0.0), ("-0.0 h", 0.0), ("1e-400", 0.0), ("-1e-330", -0.0)])
+def test_a_zero_duration_in_hours_keeps_the_exact_sign(text, hours):
+    assert duration_hours(text).hex() == hours.hex()
 
