@@ -149,7 +149,8 @@ def main(argv=None):
             record.setdefault(key, {})[workload] = entry
             record["environment"] = {k: stamp.get(k) for k in
                                      ("cpu_model", "nproc", "python", "numpy")}
-            if args.claim and args.claim.split(":")[0] == workload:
+            # a claim is on end-to-end metrics, which traced runs do not record
+            if args.claim and not args.trace and args.claim.split(":")[0] == workload:
                 record["claimed"] = _claim(entry, *args.claim.split(":"))
             with open(args.out, "w") as fh:  # after each workload, so a cut run keeps it
                 json.dump(record, fh, indent=1)

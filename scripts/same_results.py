@@ -59,8 +59,9 @@ LEDGER_STUDIES = [(case, increment_h, 1) for increment_h in (1.0, 0.25)
                   for case in ("case1", "case2", "case3", "case4")]
 # dark islands run longest at sub-hour increments
 LEDGER_STUDIES += [("case2", 1.0 / 12.0, 1), ("case4", 1.0 / 12.0, 1), ("validation6", 1.0, 1)]
-# the process pool receives the compiled run
-LEDGER_STUDIES += [("case4", 1.0, 2)]
+# the caller runs one share and a child process each other; 3 workers split
+# the iterations unevenly
+LEDGER_STUDIES += [("case4", 1.0, 2), ("case4", 1.0, 3)]
 # a preset named with LIMITED runs on a feeder limited to LIMITED_FEEDER_MW,
 # below the 2.888 MW that IEEE-33's demand bounds sum to, so grid-fed
 # sub-systems are judged, take the grid shortcut and shed by the simplex

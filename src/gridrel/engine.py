@@ -71,7 +71,7 @@ swept, only where neither certificate holds.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -838,30 +838,56 @@ def run_iteration(topology: TopologyCache, iteration_index, script=None) -> Hist
                            f"{seed}) failed: {exc!r}") from exc
 
 
-_pool_topology = None  # a pool worker's copy of the run
+def _run_share(topology, indices):
+    """The ledgers of `indices`, run in order up to the first that fails,
+    and None or (that index, its RuntimeError)."""
+    ledgers = []
+    for i in indices:
+        try:
+            ledgers.append(run_iteration(topology, i))
+        except RuntimeError as exc:
+            return ledgers, (i, exc)
+    return ledgers, None
 
 
-def _pool_init(topology):
-    global _pool_topology
-    _pool_topology = topology
-
-
-def _pool_run(index):
-    return run_iteration(_pool_topology, index)
+def _send_share(send, topology, indices):
+    send.send(_run_share(topology, indices))
 
 
 def run_monte_carlo(model, profiles, config, cost_table=None):
     """All iterations, in iteration index order, so any worker count
     produces identical output. The run is compiled, and its inputs checked,
-    once in the calling process, before the first iteration."""
+    once in the calling process, before the first iteration. Of w workers,
+    worker k runs iterations k, k + w, ...: the caller runs one share, and
+    each other worker, a child process, gets the compiled run once. The
+    lowest failing index is raised, as in a serial run, once every share
+    has stopped (each at its first failure)."""
     topology = TopologyCache(model, profiles, config, cost_table)
-    indices = range(config.iterations)
-    if config.worker_count == 1 or config.iterations == 1:
-        return [run_iteration(topology, i) for i in indices]
-    with ProcessPoolExecutor(
-            max_workers=config.worker_count,
-            initializer=_pool_init,
-            initargs=(topology,)) as pool:
-        chunk = max(1, config.iterations // (config.worker_count * 8))
-        # `map` yields in input order, whichever worker finishes first
-        return list(pool.map(_pool_run, indices, chunksize=chunk))
+    n, w = config.iterations, min(config.worker_count, config.iterations)
+    context, children = multiprocessing.get_context(), []
+    try:
+        for k in range(1, w):
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_send_share, args=(send, topology, range(k, n, w)))
+            child.start()
+            send.close()  # so a child that dies leaves its pipe at end of file
+            children.append((child, receive))
+        shares = [_run_share(topology, range(0, n, w))]
+        for child, receive in children:
+            try:
+                shares.append(receive.recv())
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a worker exited with code {child.exitcode} "
+                                   "before sending its iterations") from None
+            child.join()
+    finally:  # on an error, stop the children still running
+        for child, receive in children:
+            child.terminate()
+            child.join()
+            receive.close()
+    failures = [failure for _, failure in shares if failure]
+    if failures:  # the shares' indices differ, so `min` compares only them
+        raise min(failures)[1]
+    # iteration i is the (i // w)-th of share i % w
+    return [shares[i % w][0][i // w] for i in range(n)]

@@ -7,8 +7,8 @@ be given in ohms (converted with the declared bases) or directly per unit.
 
 A row splits into tokens on spaces and tabs, and a `#` starts a comment that
 runs to the end of the line; quotes and backslashes work as in a POSIX shell
-(`new_signal="2 s"`). A `[network]` row (`key = value`) and a section header
-take no trailing comment: a `#` there is read as part of their text.
+(`new_signal="2 s"`). Section headers and `[network]` rows (`key = value`)
+are read from their tokens too, so `id = PS # the feeder` names the system `PS`.
 
     [network]    id, base_mva, base_kv
     [systems]    dist <id> root=<bus> feeder_capacity_mw=
@@ -153,10 +153,16 @@ def parse_network_text(text, path="<string>") -> NetworkSpec:
     for lineno, line in enumerate(text.splitlines(), start=1):
         cur.lineno = lineno
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        try:
+            tokens = _split_row(stripped)
+        except ValueError as exc:
+            cur.err(str(exc))
             continue
+        if not tokens:
+            continue
+        # read from its tokens, a header or [network] row takes a comment too
         if stripped.startswith("["):
-            name = stripped.strip("[] \t").lower()
+            name = " ".join(tokens).strip("[] \t").lower()
             if name not in _SECTIONS:
                 cur.err(f"unknown section [{name}]")
                 section = None
@@ -167,7 +173,7 @@ def parse_network_text(text, path="<string>") -> NetworkSpec:
             cur.err("content outside of any section")
             continue
         if section == "network":
-            key, _, value = stripped.partition("=")
+            key, _, value = " ".join(tokens).partition("=")
             key = key.strip()
             value = value.strip()
             if key not in network:
@@ -181,13 +187,7 @@ def parse_network_text(text, path="<string>") -> NetworkSpec:
                 else:
                     cur.err(f"field {key!r}: must be > 0")
             continue
-        try:
-            tokens = _split_row(stripped)
-        except ValueError as exc:
-            cur.err(str(exc))
-            continue
-        if tokens:
-            raw[section].append((lineno, tokens))
+        raw[section].append((lineno, tokens))
 
     spec = _assemble(network, raw, cur)
     if cur.errors:

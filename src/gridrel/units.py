@@ -78,6 +78,17 @@ def duration_hours(text) -> float:
         hours = float(number)
         if 0.0 < abs(hours) < math.inf:
             return hours
+    if "e" in number or "E" in number:
+        # far past the float range, where the exact value's exponent may take seconds,
+        # the order decides: 10**(order - 1) <= |number| < 10**order, factors within 10**±4
+        mantissa, _, exponent = number.lower().partition("e")
+        whole, _, decimals = mantissa.lstrip("+-").partition(".")
+        first = next((i for i, d in enumerate(whole + decimals) if int(d)), None)
+        order = -math.inf if first is None else len(whole) - first + int(exponent)
+        if order < -330:  # the exact value rounds to a zero of its sign; 0 is +0.0
+            return -0.0 if first is not None and number[0] == "-" else 0.0
+        if order > 320:
+            raise UnitError(f"duration {text!r} is not finite")
     try:
         return float(Fraction(number) * factor)
     except OverflowError:  # the exact value is past the float range

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -719,6 +723,61 @@ def test_failing_iteration_is_named_serial_and_pooled():
             run_monte_carlo(model, profiles, config)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("workers", [3, 8])
+def test_uneven_shares_equal_serial(ieee33_spec, bundled_profiles, cost_table, workers):
+    loads, wind = bundled_profiles
+    model = build_network(apply_scenario(ieee33_spec, "case4"))
+    profiles = ProfileSet(1.0, 8760.0, loads, wind)
+    runs = [run_monte_carlo(model, profiles, SimulationConfig(
+        iterations=5, master_seed=3, worker_count=w), cost_table) for w in (1, workers)]
+    assert runs[0] == runs[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_the_lowest_failing_index_is_raised_from_any_share():
+    model = build_network(parse_network_text(CHAIN4.replace("rate=0 ", "rate=1 ")))
+    profiles = _ProfilesFailingFrom(7000)
+    # at master seed 4 iterations 2, 3 and 5 of 0..5 fail: with 2 workers the
+    # caller's share (0, 2, 4) holds the lowest, with 3 a child's (2, 5), while
+    # the caller's (0, 3) fails later
+    messages = set()
+    for workers in (1, 2, 3):
+        config = _config(horizon_h=8760.0, iterations=6, master_seed=4,
+                         worker_count=workers)
+        with pytest.raises(RuntimeError, match=r"^iteration 2 \(master seed 4\) failed: "
+                                               r"ArithmeticError\('no load at t=7") as info:
+            run_monte_carlo(model, profiles, config)
+        messages.add(str(info.value))
+        assert multiprocessing.active_children() == []
+    assert len(messages) == 1
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the child must inherit the patched run_iteration")
+def test_a_worker_that_dies_without_sending_is_an_error(chain4, monkeypatch):
+    run = engine.run_iteration
+
+    def exit_at_one(topology, index, script=None):
+        if index == 1:
+            os._exit(7)
+        return run(topology, index, script)
+
+    def hung(signum, frame):
+        raise TimeoutError("the run still waits for the dead worker")
+
+    monkeypatch.setattr(engine, "run_iteration", exit_at_one)
+    config = _config(iterations=4, worker_count=2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match="a worker exited with code 7"):
+            run_monte_carlo(chain4, _flat_profiles(), config)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 
 def test_aggregate_report_from_single_iteration(chain4):

@@ -67,6 +67,15 @@ def test_unknown_section_positioned():
     assert "net.txt:1" in str(err.value)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("id = TINY", "id = TINY # the feeder"),
+    ("base_mva = 10", "base_mva = 10 # MVA"),
+    ("[buses]", "[buses] # all of them"),
+])
+def test_network_rows_and_section_headers_take_a_comment(old, new):
+    assert parse_network_text(TWO_BUS.replace(old, new)) == parse_network_text(TWO_BUS)
+
+
 def test_missing_field_positioned():
     text = TWO_BUS.replace("L1 from=A to=B r_ohm=0.0922 x_ohm=0.047 "
                            "capacity_mw=4 rate=0.07 repair=4h",

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -82,3 +83,38 @@ def test_hours_are_the_exact_value_rounded_once(number, unit):
 def test_a_zero_duration_in_hours_keeps_the_exact_sign(text, hours):
     assert duration_hours(text).hex() == hours.hex()
 
+
+_HOURS_PER_UNIT = {"s": Fraction(1, 3600), "min": Fraction(1, 60), "h": Fraction(1),
+                   "d": Fraction(24), "yr": Fraction(8760)}
+
+
+# exponents that put a number, leading zeros and all, on either side of
+# either bound of the range check, in every unit, so each side meets the
+# exact path
+@settings(max_examples=500, deadline=None)
+@given(number=st.builds("{}e{}".format,
+                        st.from_regex(r"[+-]?0{0,30}\d{1,25}(\.0{0,30}\d{1,25})?",
+                                      fullmatch=True),
+                        st.integers(270, 345) | st.integers(-360, -280)),
+       unit=st.sampled_from(sorted(_HOURS_PER_UNIT)))
+def test_durations_far_from_one_are_the_exact_value_rounded_once(number, unit):
+    try:
+        exact = float(Fraction(number) * _HOURS_PER_UNIT[unit])
+    except OverflowError:
+        with pytest.raises(UnitError, match="is not finite"):
+            duration_hours(f"{number} {unit}")
+    else:
+        assert duration_hours(f"{number} {unit}").hex() == exact.hex()
+
+
+@pytest.mark.parametrize("text, hours", [
+    ("1e1000000 h", None), ("1e4000000 h", None), ("-25.5e4000000 s", None),
+    ("-1e-4000000 h", -0.0), ("1e-4000000 yr", 0.0), ("-0.000e4000000 min", 0.0)])
+def test_a_far_exponent_is_decided_without_the_exact_value(text, hours):
+    start = time.perf_counter()
+    if hours is None:
+        with pytest.raises(UnitError, match="is not finite"):
+            duration_hours(text)
+    else:
+        assert duration_hours(text).hex() == hours.hex()
+    assert time.perf_counter() - start < 0.1  # the exact path took 0.17-1.7 s
